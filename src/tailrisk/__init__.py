@@ -68,7 +68,6 @@ from .surrogate import (
     FittedSurrogate,
     KernelSpec,
     Prediction,
-    autocorrelation,
     fit,
     loo_cv_objective,
     optimize_theta,

@@ -355,7 +355,7 @@ def _run_trial(exp: Experiment, shared_basis, trial: int) -> risk.RiskReport:
         0 if low_fidelity else train_model.evaluations
     )
     report.evaluations["lf"] = train_model.evaluations if low_fidelity else 0
-    report.evaluations["surrogate"] = len(candidates)
+    report.evaluations["surrogate"] += len(candidates)
     return report
 
 
@@ -542,7 +542,7 @@ def _cmd_predict(args) -> int:
         writer.writerow(["mean", "variance", "epsilon"])
         if len(points):
             means, variances = fitted.predict_batch(points)
-            eps = risk.ci_half_width(fitted, points, args.alpha)
+            eps = risk._half_width(variances, args.alpha)
             for m, v, e in zip(means, variances, eps):
                 writer.writerow([repr(float(m)), repr(float(v)), repr(float(e))])
     print(f"wrote {out_path}")

@@ -132,18 +132,22 @@ def empirical_var_cvar(outputs: WeightedOutputs, beta: float) -> tuple[float, fl
     return var_cvar(outputs.values, outputs.probabilities, beta)
 
 
+def _half_width(variances, alpha: float):
+    """``Q_{1-alpha/2} * sqrt(variances)``, the CI half-width per point."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    return float(ndtri(1.0 - alpha / 2.0)) * np.sqrt(variances)
+
+
 def ci_half_width(surrogate: FittedSurrogate, x, alpha: float):
     """Half-width ``Q_{1-alpha/2} * sigma(x)`` of the predictor's CI.
 
     Accepts a single point or a batch; a ``chaos``-mode surrogate (zero
     predictive variance) yields zero everywhere, as does ``alpha = 1``.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     _, variances = surrogate.predict_batch(pts)
-    quantile = float(ndtri(1.0 - alpha / 2.0))
-    eps = quantile * np.sqrt(variances)
+    eps = _half_width(variances, alpha)
     return float(eps[0]) if np.asarray(x).ndim == 1 else eps
 
 
@@ -182,8 +186,7 @@ def epsilon_risk_region(
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     means, variances = surrogate.predict_batch(samples.points)
-    quantile = float(ndtri(1.0 - alpha / 2.0))
-    eps = quantile * np.sqrt(variances)
+    eps = _half_width(variances, alpha)
     if not np.any(np.isfinite(eps)):
         raise TailriskError("every confidence half-width is non-finite")
 
@@ -284,9 +287,12 @@ def mcs_estimate(model, samples: SampleSet, beta: float, seed=None) -> RiskRepor
 def surrogate_mcs_estimate(
     surrogate: FittedSurrogate, samples: SampleSet, beta: float, seed=None
 ) -> RiskReport:
-    """Monte Carlo estimate sampling the surrogate predictor mean."""
+    """Monte Carlo estimate sampling the surrogate predictor mean.
+
+    Only the mean is predicted: the variance plays no part here.
+    """
     start = time.perf_counter()
-    means, _ = surrogate.predict_batch(samples.points)
+    means = surrogate.predict_mean(samples.points)
     var, cvar = var_cvar(means, samples.probabilities, beta)
     return RiskReport(
         var_estimate=var,
@@ -300,10 +306,13 @@ def surrogate_mcs_estimate(
 
 
 def _fresh_region_points(surrogate, input_model, region, count, seed):
-    """Rejection-sample fresh in-region points from the input law."""
+    """Rejection-sample fresh in-region points from the input law.
+
+    Returns ``(points, predictions)``: ``count`` accepted points and the
+    number of surrogate predictions it took to find them.
+    """
     from .inputs import sample as draw_sample
 
-    quantile = float(ndtri(1.0 - region.alpha / 2.0))
     collected = []
     got = 0
     block = 8192
@@ -312,13 +321,13 @@ def _fresh_region_points(surrogate, input_model, region, count, seed):
             input_model, "mc", block, np.random.SeedSequence((seed, attempt)).generate_state(1)[0]
         )
         means, variances = surrogate.predict_batch(batch.points)
-        keep = means + quantile * np.sqrt(variances) >= region.threshold
+        keep = means + _half_width(variances, region.alpha) >= region.threshold
         accepted = batch.points[keep]
         if len(accepted):
             collected.append(accepted)
             got += len(accepted)
         if got >= count:
-            return np.vstack(collected)[:count]
+            return np.vstack(collected)[:count], (attempt + 1) * block
     raise TailriskError(
         "could not draw enough fresh in-region samples; the region is too thin"
     )
@@ -350,6 +359,7 @@ def mfis_estimate(
     up by rejection-sampling fresh points from the input law that satisfy
     the region's membership rule (same biasing density, new candidates);
     otherwise a larger subsample than the region is an argument error.
+    The report's ``surrogate`` count is the predictions that top-up made.
 
     Raises
     ------
@@ -362,19 +372,20 @@ def mfis_estimate(
     start = time.perf_counter()
     m = int(subsample_size)
     fresh_points = None
+    predictions = 0
     if m < 1:
         raise ValueError(f"subsample size must be >= 1, got {subsample_size}")
-    if m > len(region):
-        if surrogate is None or input_model is None:
-            raise ValueError(
-                f"subsample size must be in [1, {len(region)}], got {subsample_size}"
-            )
-        fresh_points = _fresh_region_points(
-            surrogate, input_model, region, m - len(region), seed
+    if m > len(region) and (surrogate is None or input_model is None):
+        raise ValueError(
+            f"subsample size must be in [1, {len(region)}], got {subsample_size}"
         )
     if region.mass < 1.0 - beta:
         raise InsufficientMassError(
             f"region mass {region.mass:.6g} is below 1 - beta = {1.0 - beta:.6g}"
+        )
+    if m > len(region):
+        fresh_points, predictions = _fresh_region_points(
+            surrogate, input_model, region, m - len(region), seed
         )
 
     rng = np.random.default_rng(seed)
@@ -399,7 +410,7 @@ def mfis_estimate(
         method=method,
         beta=beta,
         alpha=region.alpha,
-        evaluations={"hf": m, "lf": 0, "surrogate": 0},
+        evaluations={"hf": m, "lf": 0, "surrogate": predictions},
         wall_clock=time.perf_counter() - start,
         seed=seed,
         metadata={

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.optimize import least_squares
 from scipy.spatial.distance import cdist
 
@@ -48,7 +48,6 @@ __all__ = [
     "KernelSpec",
     "Prediction",
     "FittedSurrogate",
-    "autocorrelation",
     "correlation_matrix",
     "cross_correlation",
     "loo_cv_objective",
@@ -84,21 +83,12 @@ class KernelSpec:
         object.__setattr__(self, "theta", theta)
 
 
-def autocorrelation(dx, kernel: KernelSpec) -> float:
-    """Correlation between two points separated componentwise by ``dx``.
+def cross_correlation(points_a, points_b, kernel: KernelSpec) -> np.ndarray:
+    """Kernel matrix between two point sets, shape ``(len(a), len(b))``.
 
     Gaussian: ``exp(-sum (dx_i/theta_i)^2)``; exponential:
-    ``exp(-sum |dx_i|/theta_i)``.  Always in ``(0, 1]``.
+    ``exp(-sum |dx_i|/theta_i)``.  Every entry is in ``[0, 1]``.
     """
-    dx = np.atleast_1d(np.asarray(dx, dtype=float))
-    scaled = dx / kernel.theta
-    if kernel.kind == "gaussian":
-        return float(np.exp(-np.sum(scaled * scaled)))
-    return float(np.exp(-np.sum(np.abs(scaled))))
-
-
-def cross_correlation(points_a, points_b, kernel: KernelSpec) -> np.ndarray:
-    """Kernel matrix between two point sets, shape ``(len(a), len(b))``."""
     a = np.atleast_2d(np.asarray(points_a, dtype=float)) / kernel.theta
     b = np.atleast_2d(np.asarray(points_b, dtype=float)) / kernel.theta
     metric = "sqeuclidean" if kernel.kind == "gaussian" else "cityblock"
@@ -169,6 +159,11 @@ def loo_cv_objective(theta, inputs, outputs, kind="gaussian") -> float:
     """
     outputs = np.asarray(outputs, dtype=float)
     residuals = _loo_residuals(np.asarray(theta, dtype=float), inputs, outputs, kind)
+    return _loo_objective(residuals, outputs)
+
+
+def _loo_objective(residuals, outputs) -> float:
+    """Sum of squared LOO residuals, or the penalty when R was singular."""
     if residuals is None:
         return _PENALTY * (1.0 + float(outputs @ outputs))
     return float(residuals @ residuals)
@@ -225,8 +220,22 @@ def optimize_theta(
         _PENALTY * (1.0 + float(outputs @ outputs)) / max(len(outputs), 1)
     )
 
+    # The solver re-evaluates its start and its final point, and the
+    # probe-best start repeats a ladder rung: evaluate each theta once.
+    memo = {}
+
+    def residuals(theta):
+        key = theta.tobytes()
+        if key not in memo:
+            memo[key] = _loo_residuals(theta, inputs, outputs, kind)
+        res = memo[key]
+        return None if res is None else res.copy()
+
+    def objective(theta):
+        return _loo_objective(residuals(theta), outputs)
+
     def residual_fn(log_theta):
-        res = _loo_residuals(np.exp(log_theta), inputs, outputs, kind)
+        res = residuals(np.exp(log_theta))
         if res is None:
             return np.full(len(outputs), penalty_scale)
         return res
@@ -241,7 +250,7 @@ def optimize_theta(
     probe_best = None
     for q in np.linspace(0.02, 0.98, 16):
         log_theta = log_lo + q * (log_hi - log_lo)
-        obj = loo_cv_objective(np.exp(log_theta), inputs, outputs, kind)
+        obj = objective(np.exp(log_theta))
         candidates.append((obj, np.exp(log_theta)))
         if probe_best is None or obj < probe_best[0]:
             probe_best = (obj, log_theta)
@@ -256,7 +265,7 @@ def optimize_theta(
     starts = starts[:restarts]
     solver_ok = False
     for start in starts:
-        start_obj = loo_cv_objective(np.exp(start), inputs, outputs, kind)
+        start_obj = objective(np.exp(start))
         candidates.append((start_obj, np.exp(start)))
         try:
             result = least_squares(
@@ -266,7 +275,7 @@ def optimize_theta(
             diagnostics.append({"start": np.exp(start).tolist(), "error": str(exc)})
             continue
         theta = np.exp(result.x)
-        obj = loo_cv_objective(theta, inputs, outputs, kind)
+        obj = objective(theta)
         candidates.append((obj, theta))
         solver_ok = solver_ok or result.status > 0
         diagnostics.append(
@@ -332,9 +341,9 @@ class FittedSurrogate:
     def _prepare(self):
         """Rebuild the cached factorizations from the stored fields."""
         a = self.basis.evaluate(self.training_inputs)
-        self._basis_matrix = a
         if self.mode == "chaos":
             self._r_factor = None
+            self._whitened_basis = None
             self._gls_factor = None
             self._rinv_residual = None
             return
@@ -347,7 +356,8 @@ class FittedSurrogate:
         self._r_factor, nugget = factored
         if nugget:
             corr = corr + _RELATIVE_NUGGET * np.eye(len(corr))
-        self._corr = corr
+        # W = L^-1 A, so that A^T R^-1 r = W^T (L^-1 r) at prediction time.
+        self._whitened_basis = solve_triangular(self._r_factor[0], a, lower=True)
         rinv_a = cho_solve(self._r_factor, a)
         gls = a.T @ rinv_a
         self._gls_factor = cho_factor(0.5 * (gls + gls.T), lower=True)
@@ -359,29 +369,44 @@ class FittedSurrogate:
             w = w + cho_solve(self._r_factor, residual - corr @ w)
         self._rinv_residual = w
 
+    def _predict(self, points, with_variance):
+        """Means, and raw unclamped variances when ``with_variance``.
+
+        With ``L`` the Cholesky factor of ``R`` and ``v = L^-1 r``, the
+        variance needs one triangular solve per block:
+        ``r^T R^-1 r = v^T v`` and ``u = W^T v - Psi``.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        psi = self.basis.evaluate(pts)
+        means = psi @ self.coefficients
+        if self.mode == "chaos":
+            return means, np.zeros(len(pts)) if with_variance else None
+
+        variances = np.empty(len(pts)) if with_variance else None
+        for lo in range(0, len(pts), _PREDICT_BLOCK):
+            hi = min(lo + _PREDICT_BLOCK, len(pts))
+            r = cross_correlation(pts[lo:hi], self.training_inputs, self.kernel)
+            means[lo:hi] += r @ self._rinv_residual
+            if not with_variance:
+                continue
+            v = solve_triangular(self._r_factor[0], r.T, lower=True, check_finite=False)
+            q_interp = np.einsum("ij,ij->j", v, v)
+            u = self._whitened_basis.T @ v - psi[lo:hi].T
+            q_trend = np.einsum("ij,ij->j", u, cho_solve(self._gls_factor, u))
+            variances[lo:hi] = self.process_variance * (1.0 - q_interp + q_trend)
+        return means, variances
+
+    def predict_mean(self, points):
+        """Predictor mean at many points, without the variance."""
+        return self._predict(points, with_variance=False)[0]
+
     def predict_batch(self, points, clamp=True):
         """Predictor mean and variance at many points.
 
         Returns ``(means, variances)`` arrays.  Negative variances from
         roundoff are clamped to zero unless ``clamp=False``.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        psi = self.basis.evaluate(pts)
-        means = psi @ self.coefficients
-        if self.mode == "chaos":
-            return means, np.zeros(len(pts))
-
-        variances = np.empty(len(pts))
-        for lo in range(0, len(pts), _PREDICT_BLOCK):
-            hi = min(lo + _PREDICT_BLOCK, len(pts))
-            r = cross_correlation(pts[lo:hi], self.training_inputs, self.kernel)
-            means[lo:hi] += r @ self._rinv_residual
-            rinv_r = cho_solve(self._r_factor, r.T)
-            rinv_r += cho_solve(self._r_factor, r.T - self._corr @ rinv_r)
-            q_interp = np.einsum("ij,ij->j", r.T, rinv_r)
-            u = self._basis_matrix.T @ rinv_r - psi[lo:hi].T
-            q_trend = np.einsum("ij,ij->j", u, cho_solve(self._gls_factor, u))
-            variances[lo:hi] = self.process_variance * (1.0 - q_interp + q_trend)
+        means, variances = self._predict(points, with_variance=True)
         if clamp:
             variances = np.maximum(variances, 0.0)
         return means, variances

@@ -106,6 +106,27 @@ class TestRun:
         assert doc["summary"]["evaluations"]["hf"] == 70
         assert doc["summary"]["evaluations"]["surrogate"] == 2000
 
+    def test_mfis_counts_top_up_predictions(self, tmp_path, monkeypatch):
+        from tailrisk.surrogate import FittedSurrogate
+
+        predicted = [0]
+        original = FittedSurrogate.predict_batch
+
+        def counting(self, points, clamp=True):
+            predicted[0] += len(points)
+            return original(self, points, clamp)
+
+        monkeypatch.setattr(FittedSurrogate, "predict_batch", counting)
+        cfg = tmp_path / "topup.ini"
+        cfg.write_text(FAST_CONFIG.replace("subsample_size = 30", "subsample_size = 1000"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--method", "mfis_hf",
+                       "--trials", "1", "--out", out) == 0
+        trial = json.loads((out / "report.json").read_text())["trials"][0]
+        assert trial["metadata"]["fresh_points"] > 0
+        # 2000 candidates for the region, then whole 8192-point top-up blocks
+        assert trial["evaluations"]["surrogate"] == predicted[0] > 2000 + 8192 - 1
+
     def test_mfis_lf_counts_split(self, fast_config, tmp_path):
         out = tmp_path / "out"
         assert run_cli("run", "--config", fast_config, "--method", "mfis_lf",
@@ -180,6 +201,35 @@ class TestFitPredict:
         assert mean == pytest.approx(payload["training_outputs"][0], rel=1e-7)
         assert variance == pytest.approx(0.0, abs=1e-9)
         assert eps == pytest.approx(0.0, abs=1e-4)
+
+    def test_predict_makes_one_pass(self, fast_config, tmp_path, monkeypatch, capsys):
+        from scipy.special import ndtri
+
+        from tailrisk.surrogate import FittedSurrogate
+
+        out = tmp_path / "art"
+        run_cli("fit", "--config", fast_config, "--out", out)
+        calls = []
+        original = FittedSurrogate.predict_batch
+
+        def counting(self, points, clamp=True):
+            calls.append(len(points))
+            return original(self, points, clamp)
+
+        monkeypatch.setattr(FittedSurrogate, "predict_batch", counting)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n0.5,-1.0\n2.0,3.0\n-4.0,0.25\n")
+        pred_path = tmp_path / "preds.csv"
+        assert run_cli("predict", "--artifact", out / "surrogate.json", "--points", pts,
+                       "--out", pred_path, "--alpha", "0.1") == 0
+        assert calls == [3]
+        rows = [[float(v) for v in line.split(",")]
+                for line in pred_path.read_text().strip().splitlines()[1:]]
+        for _, variance, eps in rows:
+            assert eps == float(ndtri(0.95)) * np.sqrt(variance)
+        assert run_cli("predict", "--artifact", out / "surrogate.json", "--points", pts,
+                       "--out", pred_path, "--alpha", "0") == 1
+        assert "alpha" in capsys.readouterr().err
 
     def test_predict_empty_points_file(self, fast_config, tmp_path):
         out = tmp_path / "art"

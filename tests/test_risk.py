@@ -258,19 +258,46 @@ class TestMfis:
         with pytest.raises(InsufficientMassError):
             mfis_estimate(region, samples, lambda p: np.zeros(len(np.atleast_2d(p))), 2, 0.9, seed=0)
 
+    def test_low_mass_region_rejected_before_top_up(self, corr09):
+        class Unusable:
+            def predict_batch(self, points, clamp=True):
+                raise AssertionError("the top-up ran before the mass check")
+
+        samples = make_samples(100, seed=7)
+        region = RiskRegion(
+            member_indices=np.array([0, 1]), mass=0.02, threshold=0.0,
+            beta=0.9, alpha=0.05,
+        )
+        with pytest.raises(InsufficientMassError):
+            mfis_estimate(
+                region, samples, lambda p: np.zeros(len(np.atleast_2d(p))), 5, 0.9,
+                seed=0, surrogate=Unusable(), input_model=corr09,
+            )
+
     def test_fresh_points_top_up(self, corr09):
+        class Counting:
+            def __init__(self, inner):
+                self.inner = inner
+                self.points = 0
+
+            def predict_batch(self, points, clamp=True):
+                self.points += len(points)
+                return self.inner.predict_batch(points, clamp)
+
         basis = build_basis(corr09, 1, 2, quadrature=50_000, seed=0)
         train = sample(corr09, "mc", 40, seed=12)
         sur = fit(train.points, rastrigin(train.points), basis, seed=3)
         candidates = sample(corr09, "mc", 500, seed=13)
         region = epsilon_risk_region(sur, candidates, 0.9, 0.5)
         m = len(region) + 7
+        counting = Counting(sur)
         report = mfis_estimate(
             region, candidates, rastrigin, m, 0.9, seed=14,
-            surrogate=sur, input_model=corr09,
+            surrogate=counting, input_model=corr09,
         )
         assert report.evaluations["hf"] == m
         assert report.metadata["fresh_points"] == 7
+        assert report.evaluations["surrogate"] == counting.points > 0
 
     def test_unbiased_at_desk_scale(self):
         # 200-point discrete instance with a known exhaustive tail value
@@ -337,6 +364,7 @@ class TestEstimators:
         handle2 = BuiltinModel("rastrigin")
         rep2 = mfis_estimate(region, samples, handle2, 10, 0.9, seed=1)
         assert rep2.evaluations["hf"] == handle2.evaluations == 10
+        assert rep2.evaluations["surrogate"] == 0  # no top-up, no predictions
 
     def test_surrogate_mcs_exact_for_representable_target(self, corr09):
         basis = build_basis(corr09, 1, 2, quadrature=100_000, seed=0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import least_squares
 
 from tailrisk import (
     ArtifactError,
@@ -11,7 +12,6 @@ from tailrisk import (
     Gaussian,
     InputModel,
     KernelSpec,
-    autocorrelation,
     build_basis,
     fit,
     loo_cv_objective,
@@ -19,9 +19,19 @@ from tailrisk import (
     optimize_theta,
     rastrigin,
     sample,
+    surrogate_mcs_estimate,
+    var_cvar,
     whiten,
 )
-from tailrisk.surrogate import correlation_matrix, cross_correlation
+from tailrisk import surrogate as surrogate_mod
+from tailrisk.surrogate import (
+    _PENALTY,
+    _PREDICT_BLOCK,
+    _RELATIVE_NUGGET,
+    correlation_matrix,
+    cross_correlation,
+    default_theta_bounds,
+)
 
 from helpers import analytic_gaussian_gram
 
@@ -43,17 +53,15 @@ def corr09():
 
 
 class TestKernels:
-    def test_coincident_points(self):
+    def test_cross_correlation_hand_values(self):
         k = KernelSpec("gaussian", np.array([1.0, 2.0]))
-        assert autocorrelation([0.0, 0.0], k) == 1.0
-
-    def test_gaussian_single_term(self):
+        assert cross_correlation([[0.3, -1.0]], [[0.3, -1.0]], k)[0, 0] == 1.0
         k = KernelSpec("gaussian", np.array([1.0, 1.0]))
-        assert autocorrelation([1.0, 0.0], k) == pytest.approx(math.exp(-1), rel=1e-15)
-
-    def test_exponential_hand_value(self):
+        got = cross_correlation([[1.0, 0.0]], [[0.0, 0.0]], k)[0, 0]
+        assert got == pytest.approx(math.exp(-1), rel=1e-15)
         k = KernelSpec("exponential", np.array([2.0]))
-        assert autocorrelation([1.0], k) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        got = cross_correlation([[1.0]], [[0.0]], k)[0, 0]
+        assert got == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
@@ -257,6 +265,129 @@ class TestOptimizeTheta:
         x = np.linspace(0, 1, 5)[:, None]
         with pytest.raises(ValueError):
             optimize_theta(x, np.ones(5), bounds=np.array([[0.0, 1.0]]))
+
+
+def two_solve_variance(sur, pts):
+    """Predictive variance the long way: two Cholesky solves against ``r``
+    plus one refinement sweep, and ``A^T R^-1 r`` from the full solve."""
+    corr = correlation_matrix(sur.training_inputs, sur.kernel)
+    if sur.provenance["nugget"]:
+        corr = corr + _RELATIVE_NUGGET * np.eye(len(corr))
+    factor = cho_factor(corr, lower=True)
+    a = sur.basis.evaluate(sur.training_inputs)
+    gls = a.T @ cho_solve(factor, a)
+    gls_factor = cho_factor(0.5 * (gls + gls.T), lower=True)
+    r = cross_correlation(pts, sur.training_inputs, sur.kernel)
+    rinv_r = cho_solve(factor, r.T)
+    rinv_r += cho_solve(factor, r.T - corr @ rinv_r)
+    q_interp = np.einsum("ij,ij->j", r.T, rinv_r)
+    u = a.T @ rinv_r - sur.basis.evaluate(pts).T
+    q_trend = np.einsum("ij,ij->j", u, cho_solve(gls_factor, u))
+    return sur.process_variance * (1.0 - q_interp + q_trend)
+
+
+class TestPrediction:
+    @pytest.mark.parametrize("mode", ["chaos", "chaos_kriging"])
+    def test_predict_mean_is_predict_batch_mean(self, mode):
+        basis = hermite_basis_2d(1, 2)
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(30, 2))
+        sur = fit(x, np.sin(x[:, 0]) + x[:, 1] ** 2, basis, mode=mode, seed=0)
+        pts = rng.normal(size=(_PREDICT_BLOCK + 1000, 2))  # crosses a block edge
+        assert np.array_equal(sur.predict_mean(pts), sur.predict_batch(pts)[0])
+
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("nugget", [False, True])
+    def test_variance_matches_two_solve_oracle(self, kind, nugget):
+        basis = hermite_basis_2d(1, 2)
+        rng = np.random.default_rng(63)
+        x = rng.normal(size=(40, 2))
+        if nugget:
+            # A leading pair closer than any kernel resolves: their
+            # correlation is exactly 1, so the second Cholesky pivot is
+            # exactly 0 until the nugget is added.
+            x = np.vstack([[[0.0, 0.0], [1e-20, 0.0]], x])
+        y = np.sin(x[:, 0]) + x[:, 1] ** 2
+        theta = [0.5, 0.5] if kind == "gaussian" else [1.0, 1.0]
+        sur = fit(x, y, basis, kernel_kind=kind, theta=theta)
+        assert sur.provenance["nugget"] is nugget
+        pts = np.vstack([rng.normal(size=(500, 2)), x + 1e-3 * rng.normal(size=x.shape)])
+        _, raw = sur.predict_batch(pts, clamp=False)
+        np.testing.assert_allclose(
+            raw, two_solve_variance(sur, pts), rtol=0, atol=1e-9 * sur.process_variance
+        )
+
+    def test_surrogate_mcs_needs_only_the_mean(self):
+        class MeanOnly:
+            def predict_mean(self, points):
+                return np.atleast_2d(points)[:, 0] ** 3
+
+        samples = sample(InputModel([Gaussian(0, 1)]), "mc", 1000, seed=65)
+        report = surrogate_mcs_estimate(MeanOnly(), samples, 0.9)
+        expected = var_cvar(samples.points[:, 0] ** 3, samples.probabilities, 0.9)
+        assert (report.var_estimate, report.cvar_estimate) == expected
+
+
+def unmemoized_optimize_theta(inputs, outputs, kind, restarts, seed):
+    """The LOO search of :func:`optimize_theta` with every theta evaluated
+    afresh, as many times as it is asked for."""
+    bounds = default_theta_bounds(inputs)
+    log_lo, log_hi = np.log(bounds[:, 0]), np.log(bounds[:, 1])
+    penalty_scale = np.sqrt(_PENALTY * (1.0 + float(outputs @ outputs)) / len(outputs))
+
+    def residual_fn(log_theta):
+        res = surrogate_mod._loo_residuals(np.exp(log_theta), inputs, outputs, kind)
+        return np.full(len(outputs), penalty_scale) if res is None else res
+
+    rng = np.random.default_rng(seed)
+    candidates, diagnostics = [], []
+    probe_best = None
+    for q in np.linspace(0.02, 0.98, 16):
+        log_theta = log_lo + q * (log_hi - log_lo)
+        obj = loo_cv_objective(np.exp(log_theta), inputs, outputs, kind)
+        candidates.append((obj, np.exp(log_theta)))
+        if probe_best is None or obj < probe_best[0]:
+            probe_best = (obj, log_theta)
+    starts = [log_lo + 0.1 * (log_hi - log_lo), probe_best[1], 0.5 * (log_lo + log_hi)]
+    for _ in range(restarts - 3):
+        starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
+    solver_ok = False
+    for start in starts[:restarts]:
+        candidates.append((loo_cv_objective(np.exp(start), inputs, outputs, kind), np.exp(start)))
+        result = least_squares(residual_fn, start, bounds=(log_lo, log_hi), method="trf")
+        theta = np.exp(result.x)
+        obj = loo_cv_objective(theta, inputs, outputs, kind)
+        candidates.append((obj, theta))
+        solver_ok = solver_ok or result.status > 0
+        diagnostics.append({"start": np.exp(start).tolist(), "theta": theta.tolist(),
+                            "objective": obj, "status": int(result.status)})
+    best_obj, best_theta = min(candidates, key=lambda item: item[0])
+    return best_theta, {"objective": best_obj, "fallback": not solver_ok, "starts": diagnostics}
+
+
+class TestLooMemo:
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    def test_memo_leaves_search_unchanged_and_saves_evaluations(self, kind, monkeypatch):
+        rng = np.random.default_rng(67)
+        x = rng.uniform(-2, 2, size=(25, 2))
+        b = np.cos(x[:, 0]) * x[:, 1]
+        seen = []
+        original = surrogate_mod._loo_residuals
+
+        def counting(theta, *args):
+            seen.append(theta.tobytes())
+            return original(theta, *args)
+
+        monkeypatch.setattr(surrogate_mod, "_loo_residuals", counting)
+        theta, info = optimize_theta(x, b, kind=kind, restarts=5, seed=3, full_output=True)
+        memo_calls = len(seen)
+        assert memo_calls == len(set(seen))  # no theta evaluated twice
+
+        seen.clear()
+        want_theta, want_info = unmemoized_optimize_theta(x, b, kind, restarts=5, seed=3)
+        assert np.array_equal(theta, want_theta)
+        assert info == want_info
+        assert memo_calls < len(seen)
 
 
 class TestModeDominance:
