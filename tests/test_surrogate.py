@@ -53,12 +53,16 @@ def corr09():
 
 
 class TestKernels:
-    def test_cross_correlation_hand_values(self):
+    def test_coincident_points(self):
         k = KernelSpec("gaussian", np.array([1.0, 2.0]))
         assert cross_correlation([[0.3, -1.0]], [[0.3, -1.0]], k)[0, 0] == 1.0
+
+    def test_gaussian_single_term(self):
         k = KernelSpec("gaussian", np.array([1.0, 1.0]))
         got = cross_correlation([[1.0, 0.0]], [[0.0, 0.0]], k)[0, 0]
         assert got == pytest.approx(math.exp(-1), rel=1e-15)
+
+    def test_exponential_hand_value(self):
         k = KernelSpec("exponential", np.array([2.0]))
         got = cross_correlation([[1.0]], [[0.0]], k)[0, 0]
         assert got == pytest.approx(math.exp(-0.5), rel=1e-15)
