@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 from .exceptions import InvalidModelError, UnsupportedDimensionError
 
@@ -344,6 +343,10 @@ def _uniform_stream(scheme: str, dimension: int, seed: int, skip: int):
             return rng.standard_normal((count, dimension))
 
     elif scheme == "sobol":
+        # Imported here: scipy.stats dominates the package import time, and
+        # only the quasi-random schemes need it.
+        from scipy.stats import qmc
+
         if dimension > _SOBOL_MAX_DIMENSION:
             raise UnsupportedDimensionError(
                 f"sobol supports up to {_SOBOL_MAX_DIMENSION} dimensions, got {dimension}"
@@ -361,6 +364,8 @@ def _uniform_stream(scheme: str, dimension: int, seed: int, skip: int):
             return ndtri(u)
 
     elif scheme == "lhs":
+        from scipy.stats import qmc
+
         engine = qmc.LatinHypercube(d=dimension, seed=seed)
 
         def draw(count):

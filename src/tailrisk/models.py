@@ -301,10 +301,9 @@ def evaluate_model(model, points) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(model, ModelHandle):
         return model.evaluate_batch(points)
-    try:
-        result = np.asarray(model(points), dtype=float)
-    except Exception:
-        result = None
-    if result is None or result.shape != (len(points),):
+    # Errors raised by the callable propagate; only a result of the wrong
+    # shape (a per-point callable) falls back to row-by-row evaluation.
+    result = np.asarray(model(points), dtype=float)
+    if result.shape != (len(points),):
         result = np.array([float(model(row)) for row in points])
     return result

@@ -16,13 +16,15 @@ kernel correlation matrix.  The predictor at a new point ``x`` is
 
 which interpolates the training data exactly.  Kernel length scales are
 chosen by minimizing the closed-form leave-one-out residual sum with a
-bounded trust-region-reflective least-squares search, multi-started for
-robustness.  In ``"chaos"`` mode the GP term is dropped (``R = I``): the
+bounded trust-region-reflective least-squares search that uses the
+analytic gradient ``dR^-1 = -R^-1 dR R^-1`` (Dubrule 1983), multi-started
+for robustness.  In ``"chaos"`` mode the GP term is dropped (``R = I``): the
 coefficients reduce to ordinary least squares and predictions carry zero
 variance.
 
-All solves go through Cholesky factorizations and triangular solves; no
-matrix is inverted explicitly.
+All solves go through Cholesky factorizations and triangular solves.
+Only the LOO search inverts a matrix, the triangular factor ``L``, whose
+inverse gives both ``diag(R^-1)`` and the gradient.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.lapack import dtrtri
 from scipy.optimize import least_squares
 from scipy.spatial.distance import cdist
 
@@ -109,8 +113,10 @@ _MIN_DIAG_RATIO_SQ = 1e-10
 def _factor_correlation(corr):
     """Cholesky of R with the nugget-on-failure policy.
 
-    Returns ``(factor, nugget_used)`` or ``None`` when the matrix is
-    numerically singular even with the nugget.
+    The nugget is tried when the plain factorization fails or leaves a
+    pivot below the conditioning cut-off.  Returns ``(factor,
+    nugget_used)`` or ``None`` when the matrix is numerically singular
+    even with the nugget.
     """
     n = len(corr)
     for boost in (0.0, _RELATIVE_NUGGET):
@@ -121,10 +127,38 @@ def _factor_correlation(corr):
         except LinAlgError:
             continue
         diag = np.diag(factor[0])
-        if (diag.min() / diag.max()) ** 2 < _MIN_DIAG_RATIO_SQ:
-            return None
-        return factor, bool(boost)
+        if (diag.min() / diag.max()) ** 2 >= _MIN_DIAG_RATIO_SQ:
+            return factor, bool(boost)
     return None
+
+
+def _loo_state(theta, inputs, outputs, kind):
+    """Factorization behind the LOO residuals, or None when R(theta) is singular.
+
+    Returns ``(R, L^-1, R^-1 b, diag(R^-1))`` with ``R = L L^T``; the
+    diagonal of ``R^-1 = L^-T L^-1`` is the column sums of squares of
+    ``L^-1``.
+    """
+    corr = correlation_matrix(inputs, KernelSpec(kind, theta))
+    # Search on the un-nuggeted matrix only: residuals of a regularized
+    # stand-in undersell how badly these length scales interpolate.
+    try:
+        chol = cholesky(corr, lower=True)
+    except LinAlgError:
+        return None
+    diag = np.diag(chol)
+    if (diag.min() / diag.max()) ** 2 < _MIN_DIAG_RATIO_SQ:
+        return None
+    chol_inv = dtrtri(chol, lower=1)[0]
+    rinv_b = cho_solve((chol, True), outputs)
+    rinv_diag = np.einsum("ij,ij->j", chol_inv, chol_inv)
+    if (
+        np.any(rinv_diag <= 0.0)
+        or not np.isfinite(rinv_b).all()
+        or not np.isfinite(rinv_diag).all()
+    ):
+        return None
+    return corr, chol_inv, rinv_b, rinv_diag
 
 
 def _loo_residuals(theta, inputs, outputs, kind):
@@ -133,22 +167,34 @@ def _loo_residuals(theta, inputs, outputs, kind):
     The residual of sample ``l`` under a zero-trend refit without it is
     ``(R^-1 b)_l / (R^-1)_ll``; the LOO criterion is the sum of squares.
     """
-    kernel = KernelSpec(kind, theta)
-    corr = correlation_matrix(inputs, kernel)
-    # Search on the un-nuggeted matrix only: residuals of a regularized
-    # stand-in undersell how badly these length scales interpolate.
-    try:
-        factor = cho_factor(corr, lower=True)
-    except LinAlgError:
-        return None
-    diag = np.diag(factor[0])
-    if (diag.min() / diag.max()) ** 2 < _MIN_DIAG_RATIO_SQ:
-        return None
-    rinv_b = cho_solve(factor, outputs)
-    rinv_diag = np.diag(cho_solve(factor, np.eye(len(outputs))))
-    if np.any(rinv_diag <= 0.0) or not np.all(np.isfinite(rinv_b)):
-        return None
-    return rinv_b / rinv_diag
+    state = _loo_state(theta, inputs, outputs, kind)
+    return None if state is None else state[2] / state[3]
+
+
+def _loo_jacobian(theta, inputs, state, kind):
+    """Jacobian of the LOO residuals in log-length-scale coordinates.
+
+    With ``alpha = R^-1 b``, ``c = diag(R^-1)``, ``G = R^-1`` and
+    ``P_k = dR/dlog(theta_k)``: ``dalpha = -G P_k alpha`` and
+    ``dc = -diag(G P_k G)`` (Dubrule 1983), so the residual ``alpha / c``
+    moves by ``dalpha / c - alpha dc / c^2``.
+    """
+    corr, chol_inv, alpha, c = state
+    # Products go through scipy's BLAS, not numpy's matmul: the two can be
+    # separate OpenBLAS builds, and at two BLAS threads alternating their
+    # thread pools with the factorizations made each call several times
+    # slower.
+    gram = dgemm(1.0, chol_inv, chol_inv, trans_a=1)
+    jac = np.empty((len(alpha), len(theta)))
+    for k, scale in enumerate(theta):
+        dx = (inputs[:, k, None] - inputs[None, :, k]) / scale
+        # Gaussian: R = exp(-sum (dx/theta)^2); exponential: exp(-sum |dx|/theta).
+        dcorr = corr * (2.0 * dx * dx if kind == "gaussian" else np.abs(dx))
+        g_dcorr = dgemm(1.0, gram, dcorr)
+        d_alpha = -dgemv(1.0, g_dcorr, alpha)
+        d_c = -np.einsum("ij,ij->i", g_dcorr, gram)
+        jac[:, k] = d_alpha / c - alpha * d_c / c**2
+    return jac
 
 
 def loo_cv_objective(theta, inputs, outputs, kind="gaussian") -> float:
@@ -189,7 +235,8 @@ def optimize_theta(
     """Minimize the LOO-CV criterion over length scales.
 
     Runs a bounded trust-region-reflective least-squares search on the LOO
-    residual vector in log-scale coordinates, from ``restarts`` start
+    residual vector in log-scale coordinates, with the analytic Jacobian
+    of :func:`_loo_jacobian`, from ``restarts`` start
     points: a short-scale anchor, the best rung of a deterministic
     isotropic probe ladder, the box center, then seeded log-uniform
     draws.  The best candidate ever evaluated is returned, so more
@@ -221,13 +268,23 @@ def optimize_theta(
     )
 
     # The solver re-evaluates its start and its final point, and the
-    # probe-best start repeats a ladder rung: evaluate each theta once.
+    # probe-best start repeats a ladder rung: evaluate each theta's
+    # residuals once.  The Jacobian follows the residuals at the same
+    # theta, so the last factorization is kept for it.
     memo = {}
+    last = [None, None]
+
+    def state_at(theta):
+        key = theta.tobytes()
+        if last[0] != key:
+            last[:] = [key, _loo_state(theta, inputs, outputs, kind)]
+        return last[1]
 
     def residuals(theta):
         key = theta.tobytes()
         if key not in memo:
-            memo[key] = _loo_residuals(theta, inputs, outputs, kind)
+            state = state_at(theta)
+            memo[key] = None if state is None else state[2] / state[3]
         res = memo[key]
         return None if res is None else res.copy()
 
@@ -239,6 +296,13 @@ def optimize_theta(
         if res is None:
             return np.full(len(outputs), penalty_scale)
         return res
+
+    def jacobian_fn(log_theta, *_):
+        theta = np.exp(log_theta)
+        state = state_at(theta)
+        if state is None:  # the penalty plateau is flat
+            return np.zeros((len(outputs), len(theta)))
+        return _loo_jacobian(theta, inputs, state, kind)
 
     rng = np.random.default_rng(seed)
 
@@ -269,7 +333,8 @@ def optimize_theta(
         candidates.append((start_obj, np.exp(start)))
         try:
             result = least_squares(
-                residual_fn, start, bounds=(log_lo, log_hi), method="trf"
+                residual_fn, start, jac=jacobian_fn,
+                bounds=(log_lo, log_hi), method="trf",
             )
         except Exception as exc:  # keep searching from the other starts
             diagnostics.append({"start": np.exp(start).tolist(), "error": str(exc)})

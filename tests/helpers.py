@@ -1,13 +1,19 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and a fresh-interpreter runner.
 
-These deliberately avoid the library's own code paths: Gaussian moments
-come from the double-factorial formula, and tail statistics from a plain
-Python walk over the sorted samples.
+The oracles deliberately avoid the library's own code paths: Gaussian
+moments come from the double-factorial formula, and tail statistics from
+a plain Python walk over the sorted samples.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+
+import tailrisk
 
 
 def gaussian_moment(power: int) -> float:
@@ -83,3 +89,17 @@ def brute_force_var_cvar(values, probabilities, beta):
         if values[i] > var:
             excess += probabilities[i] * (values[i] - var)
     return var, var + excess / (1.0 - beta)
+
+
+def run_python(script, **env):
+    """Run ``script`` in a fresh interpreter that imports this tailrisk;
+    ``env`` entries override the environment.  Returns its stdout."""
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(tailrisk.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True, timeout=300,
+    )
+    return result.stdout

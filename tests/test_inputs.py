@@ -16,6 +16,8 @@ from tailrisk import (
     sample,
 )
 
+from helpers import run_python
+
 
 @pytest.fixture(scope="module")
 def corr09():
@@ -57,6 +59,20 @@ class TestConstruction:
 
 
 class TestSampling:
+    def test_import_leaves_scipy_stats_until_quasi_random_sampling(self):
+        script = (
+            "import sys\n"
+            "import tailrisk.cli\n"
+            "from tailrisk import Gaussian, InputModel, sample\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+            "model = InputModel([Gaussian(0, 1), Gaussian(0, 1)])\n"
+            "assert sample(model, 'mc', 8, seed=0).points.shape == (8, 2)\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+            "assert sample(model, 'sobol', 8, seed=0).points.shape == (8, 2)\n"
+            "assert sample(model, 'lhs', 8, seed=0).points.shape == (8, 2)\n"
+        )
+        run_python(script)
+
     def test_sobol_1d_uniform_first_points(self):
         model = InputModel([Uniform(0, 1)])
         pts = sample(model, "sobol", 3, seed=0).points.ravel()

@@ -214,3 +214,14 @@ class TestEvaluateModel:
         scalar_fn = lambda x: float(np.sum(np.asarray(x) ** 2))
         expected = np.sum(pts**2, axis=1)
         np.testing.assert_allclose(evaluate_model(scalar_fn, pts), expected)
+
+    def test_batch_error_propagates_after_one_call(self):
+        calls = []
+
+        def failing(points):
+            calls.append(len(points))
+            raise RuntimeError("simulator crashed")
+
+        with pytest.raises(RuntimeError, match="simulator crashed"):
+            evaluate_model(failing, np.zeros((5, 2)))
+        assert calls == [5]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from tailrisk.surrogate import (
     default_theta_bounds,
 )
 
-from helpers import analytic_gaussian_gram
+from helpers import analytic_gaussian_gram, run_python
 
 
 def hermite_basis_1d(degree):
@@ -144,6 +145,21 @@ class TestFitting:
         x = np.array([[0.0], [1.0], [1.0], [2.0]])
         with pytest.raises(DegenerateTrainingError):
             fit(x, np.arange(4.0), basis)
+
+    def test_nugget_rescues_tiny_pivot(self):
+        # Appended, the near-coincident pair factors by roundoff with a
+        # pivot far below the cut-off; the nugget factor passes it.
+        basis = hermite_basis_2d(1, 2)
+        x = np.random.default_rng(63).normal(size=(40, 2))
+        y = np.sin(x[:, 0]) + x[:, 1] ** 2
+        pair = np.array([[0.0, 0.0], [1e-20, 0.0]])
+        kernel = KernelSpec("gaussian", np.array([0.5, 0.5]))
+        for design in (np.vstack([x, pair]), np.vstack([pair, x])):
+            factored = surrogate_mod._factor_correlation(correlation_matrix(design, kernel))
+            assert factored is not None and factored[1] is True
+            targets = np.sin(design[:, 0]) + design[:, 1] ** 2
+            sur = fit(design, targets, basis, kernel_kind="gaussian", theta=[0.5, 0.5])
+            assert sur.provenance["nugget"] is True
 
     def test_rank_deficient_design_rejected(self):
         from tailrisk import ConditioningError
@@ -333,8 +349,8 @@ class TestPrediction:
 
 
 def unmemoized_optimize_theta(inputs, outputs, kind, restarts, seed):
-    """The LOO search of :func:`optimize_theta` with every theta evaluated
-    afresh, as many times as it is asked for."""
+    """The LOO search of :func:`optimize_theta` with every theta factorized
+    afresh, as many times as its residuals or its Jacobian are asked for."""
     bounds = default_theta_bounds(inputs)
     log_lo, log_hi = np.log(bounds[:, 0]), np.log(bounds[:, 1])
     penalty_scale = np.sqrt(_PENALTY * (1.0 + float(outputs @ outputs)) / len(outputs))
@@ -342,6 +358,13 @@ def unmemoized_optimize_theta(inputs, outputs, kind, restarts, seed):
     def residual_fn(log_theta):
         res = surrogate_mod._loo_residuals(np.exp(log_theta), inputs, outputs, kind)
         return np.full(len(outputs), penalty_scale) if res is None else res
+
+    def jacobian_fn(log_theta, *_):
+        theta = np.exp(log_theta)
+        state = surrogate_mod._loo_state(theta, inputs, outputs, kind)
+        if state is None:
+            return np.zeros((len(outputs), len(theta)))
+        return surrogate_mod._loo_jacobian(theta, inputs, state, kind)
 
     rng = np.random.default_rng(seed)
     candidates, diagnostics = [], []
@@ -358,7 +381,9 @@ def unmemoized_optimize_theta(inputs, outputs, kind, restarts, seed):
     solver_ok = False
     for start in starts[:restarts]:
         candidates.append((loo_cv_objective(np.exp(start), inputs, outputs, kind), np.exp(start)))
-        result = least_squares(residual_fn, start, bounds=(log_lo, log_hi), method="trf")
+        result = least_squares(
+            residual_fn, start, jac=jacobian_fn, bounds=(log_lo, log_hi), method="trf"
+        )
         theta = np.exp(result.x)
         obj = loo_cv_objective(theta, inputs, outputs, kind)
         candidates.append((obj, theta))
@@ -376,22 +401,97 @@ class TestLooMemo:
         x = rng.uniform(-2, 2, size=(25, 2))
         b = np.cos(x[:, 0]) * x[:, 1]
         seen = []
-        original = surrogate_mod._loo_residuals
+        original = surrogate_mod._loo_state
 
         def counting(theta, *args):
             seen.append(theta.tobytes())
             return original(theta, *args)
 
-        monkeypatch.setattr(surrogate_mod, "_loo_residuals", counting)
+        monkeypatch.setattr(surrogate_mod, "_loo_state", counting)
         theta, info = optimize_theta(x, b, kind=kind, restarts=5, seed=3, full_output=True)
         memo_calls = len(seen)
-        assert memo_calls == len(set(seen))  # no theta evaluated twice
+        # Only a Jacobian at a theta whose residuals came from the memo
+        # (the probe-best start) refactorizes.
+        assert memo_calls - len(set(seen)) <= 1
 
         seen.clear()
         want_theta, want_info = unmemoized_optimize_theta(x, b, kind, restarts=5, seed=3)
         assert np.array_equal(theta, want_theta)
         assert info == want_info
         assert memo_calls < len(seen)
+
+
+def central_difference_jacobian(log_theta, x, b, kind, step=1e-5):
+    cols = []
+    for k in range(len(log_theta)):
+        shift = np.zeros_like(log_theta)
+        shift[k] = step
+        hi = surrogate_mod._loo_residuals(np.exp(log_theta + shift), x, b, kind)
+        lo = surrogate_mod._loo_residuals(np.exp(log_theta - shift), x, b, kind)
+        cols.append((hi - lo) / (2 * step))
+    return np.column_stack(cols)
+
+
+class TestLooJacobian:
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    def test_matches_central_differences(self, kind):
+        rng = np.random.default_rng(71)
+        x = rng.uniform(-2, 2, size=(30, 2))
+        b = np.sin(2 * x[:, 0]) - 0.5 * x[:, 1] ** 2
+        for theta in ([0.7, 1.1], [0.3, 2.0]):
+            log_theta = np.log(theta)
+            state = surrogate_mod._loo_state(np.exp(log_theta), x, b, kind)
+            jac = surrogate_mod._loo_jacobian(np.exp(log_theta), x, state, kind)
+            fd = central_difference_jacobian(log_theta, x, b, kind)
+            np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+    def test_diagonal_matches_solve_against_identity(self):
+        rng = np.random.default_rng(73)
+        x = rng.uniform(-2, 2, size=(40, 2))
+        b = x[:, 0] - x[:, 1] ** 3
+        corr, _, rinv_b, rinv_diag = surrogate_mod._loo_state(np.array([0.8, 0.6]), x, b, "gaussian")
+        factor = cho_factor(corr, lower=True)
+        np.testing.assert_allclose(rinv_diag, np.diag(cho_solve(factor, np.eye(40))), rtol=1e-10)
+        np.testing.assert_allclose(rinv_b, cho_solve(factor, b), rtol=1e-12)
+
+    def test_singular_theta_gives_penalty_and_flat_jacobian(self, monkeypatch):
+        # A pair 1e-9 apart makes R singular at the long end of the box.
+        x = np.array([[0.0], [1e-9], [0.3], [0.7], [1.0]])
+        b = np.array([1.0, 2.0, 0.0, -1.0, 0.5])
+        log_hi = np.log(default_theta_bounds(x)[:, 1])
+        assert surrogate_mod._loo_state(np.exp(log_hi), x, b, "gaussian") is None
+        seen = []
+        original = surrogate_mod.least_squares
+
+        def spy(fun, x0, jac, **kwargs):
+            seen.append((fun(log_hi), jac(log_hi)))
+            return original(fun, x0, jac=jac, **kwargs)
+
+        monkeypatch.setattr(surrogate_mod, "least_squares", spy)
+        optimize_theta(x, b, restarts=1, seed=0)
+        residual, jac = seen[0]
+        penalty_scale = np.sqrt(_PENALTY * (1.0 + float(b @ b)) / len(b))
+        assert np.array_equal(residual, np.full(len(b), penalty_scale))
+        assert np.array_equal(jac, np.zeros((len(b), 1)))
+
+    def test_theta_independent_of_blas_threads(self):
+        script = (
+            "import json\n"
+            "from tailrisk import cli, inputs, surrogate\n"
+            "exp = cli.Experiment(cli.load_config(preset='example1-corr09'))\n"
+            "seed = exp.seed\n"
+            "train = inputs.sample(exp.input_model, 'mc', exp.training_size,\n"
+            "                      cli._derived_seed(seed, 0, cli._TRAIN))\n"
+            "y = exp.build_model().evaluate_batch(train.points)\n"
+            "theta = surrogate.optimize_theta(train.points, y, kind=exp.kernel,\n"
+            "    restarts=exp.restarts, seed=cli._derived_seed(seed, 0, cli._FIT))\n"
+            "print(json.dumps(theta.tolist()))\n"
+        )
+        thetas = [
+            json.loads(run_python(script, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n))
+            for n in ("1", "2")
+        ]
+        np.testing.assert_allclose(thetas[0], thetas[1], rtol=1e-5)
 
 
 class TestModeDominance:
