@@ -38,7 +38,6 @@ from .inputs import (
     Lognormal,
     SampleSet,
     Uniform,
-    log_density,
     sample,
 )
 from .metrics import TrialEnsemble, budget, max_lf_cost, mrd, nrmsd, pcc
@@ -48,7 +47,6 @@ from .models import (
     DatasetModel,
     ModelHandle,
     cross_in_tray,
-    external_evaluate,
     rastrigin,
     rastrigin_lf,
 )

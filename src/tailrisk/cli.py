@@ -278,15 +278,14 @@ class Experiment:
         prefix = "lf_" if low_fidelity else ""
         kind = self.model_cfg.get(prefix + "kind", "builtin")
         name = self.model_cfg.get(prefix + "name")
-        cost = float(self.model_cfg.get(prefix + "cost", 1.0))
         if kind == "builtin":
-            return models.BuiltinModel(name, cost=cost)
+            return models.BuiltinModel(name)
         if kind == "dataset":
-            return models.DatasetModel(self.model_cfg[prefix + "path"], cost=cost)
+            return models.DatasetModel(self.model_cfg[prefix + "path"])
         if kind == "command":
             argv = self.model_cfg[prefix + "command"].split()
             timeout = float(self.model_cfg.get(prefix + "timeout", 30.0))
-            return models.CommandModel(argv, timeout=timeout, cost=cost)
+            return models.CommandModel(argv, timeout=timeout)
         raise ConfigError([f"model.kind: unknown kind {kind!r}"])
 
 

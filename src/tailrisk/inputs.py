@@ -1,4 +1,4 @@
-"""Joint input models with dependence, samplers, and density evaluation.
+"""Joint input models with dependence and their samplers.
 
 An :class:`InputModel` couples per-coordinate marginal distributions
 (Gaussian, uniform, lognormal) through a correlation matrix applied in an
@@ -33,10 +33,7 @@ __all__ = [
     "InputModel",
     "SampleSet",
     "sample",
-    "log_density",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # scipy's Sobol direction-number table (Joe & Kuo) tops out here.
 _SOBOL_MAX_DIMENSION = 21201
@@ -57,13 +54,6 @@ class Gaussian:
 
     def from_gauss(self, z):
         return self.mean + self.std * z
-
-    def to_gauss(self, x):
-        return (np.asarray(x, dtype=float) - self.mean) / self.std
-
-    def log_pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.std
-        return -0.5 * z * z - math.log(self.std) - 0.5 * _LOG_2PI
 
     def cdf(self, x):
         return ndtr((np.asarray(x, dtype=float) - self.mean) / self.std)
@@ -88,17 +78,6 @@ class Uniform:
 
     def from_gauss(self, z):
         return self.lower + (self.upper - self.lower) * ndtr(z)
-
-    def to_gauss(self, x):
-        u = (np.asarray(x, dtype=float) - self.lower) / (self.upper - self.lower)
-        with np.errstate(invalid="ignore"):
-            z = ndtri(np.clip(u, 0.0, 1.0))
-        return np.where(u < 0.0, -np.inf, np.where(u > 1.0, np.inf, z))
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lower) & (x <= self.upper)
-        return np.where(inside, -math.log(self.upper - self.lower), -np.inf)
 
     def cdf(self, x):
         u = (np.asarray(x, dtype=float) - self.lower) / (self.upper - self.lower)
@@ -140,19 +119,6 @@ class Lognormal:
 
     def from_gauss(self, z):
         return np.exp(self.mu_log + self.sigma_log * z)
-
-    def to_gauss(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (np.log(x) - self.mu_log) / self.sigma_log
-        return np.where(x > 0.0, z, -np.inf)
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (np.log(x) - self.mu_log) / self.sigma_log
-            val = -0.5 * z * z - np.log(x) - math.log(self.sigma_log) - 0.5 * _LOG_2PI
-        return np.where(x > 0.0, val, -np.inf)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -201,8 +167,6 @@ class InputModel:
             # very high-dimensional models stay cheap.
             self._corr = None
             self._chol = None
-            self._blocks = tuple((i,) for i in range(n))
-            self._block_chols = {}
             return
 
         corr = np.array(correlation, dtype=float)
@@ -226,12 +190,6 @@ class InputModel:
         self._chol = chol
         self._corr.setflags(write=False)
         self._chol.setflags(write=False)
-        self._blocks = _dependence_blocks(corr)
-        self._block_chols = {
-            b: np.linalg.cholesky(corr[np.ix_(list(b), list(b))])
-            for b in self._blocks
-            if len(b) > 1
-        }
 
     @property
     def dimension(self) -> int:
@@ -429,36 +387,3 @@ def iter_sample_blocks(model, scheme, size, seed, block_size, skip=0):
         yield model.transform_gauss(draw(count))
         produced += count
 
-
-def log_density(model: InputModel, x) -> float:
-    """Natural log of the joint density at ``x``.
-
-    Returns ``-inf`` (not an exception) outside the support, e.g. beyond a
-    uniform marginal's bounds.  Independent groups factor; correlated
-    groups use the Gaussian dependence structure of the model.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dimension,):
-        raise ValueError(f"expected a {model.dimension}-vector, got shape {x.shape}")
-
-    total = 0.0
-    for block in model._blocks:
-        idx = list(block)
-        lp = sum(float(model.marginals[i].log_pdf(x[i])) for i in idx)
-        if len(block) > 1:
-            z = np.array([float(model.marginals[i].to_gauss(x[i])) for i in idx])
-            if not np.all(np.isfinite(z)):
-                return -np.inf
-            chol = model._block_chols[block]
-            v = np.linalg.solve(chol, z)
-            log_mvn = (
-                -0.5 * float(v @ v)
-                - float(np.sum(np.log(np.diag(chol))))
-                - 0.5 * len(idx) * _LOG_2PI
-            )
-            log_std_norm = float(np.sum(-0.5 * z * z - 0.5 * _LOG_2PI))
-            lp += log_mvn - log_std_norm
-        total += lp
-        if total == -np.inf:
-            return -np.inf
-    return float(total)

@@ -5,10 +5,11 @@ Rastrigin surface, four degraded low-fidelity variants of it, and a
 cross-in-tray surface with an overflow-safe log-space evaluation).
 External models plug in either as CSV datasets of precomputed runs or as
 a line-oriented child process: one whitespace-separated input line in,
-one numeric output line back.
+one numeric output line back.  A batch streams through the child, its
+input lines written while the replies are read; the timeout applies to
+each reply, and a failed request kills the child.
 
-Every handle counts its evaluations and carries a declared cost per
-evaluation for budget accounting.
+Every handle counts its evaluations.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "BuiltinModel",
     "DatasetModel",
     "CommandModel",
-    "external_evaluate",
     "evaluate_model",
 ]
 
@@ -98,13 +98,12 @@ BUILTIN_MODELS = {
 
 
 class ModelHandle:
-    """Base class: evaluation counting plus a declared per-call cost."""
+    """Base class: evaluation counting."""
 
     kind = "abstract"
 
-    def __init__(self, name: str, cost: float = 1.0):
+    def __init__(self, name: str):
         self.name = name
-        self.cost = float(cost)
         self._count = 0
         self._lock = threading.Lock()
 
@@ -129,12 +128,12 @@ class BuiltinModel(ModelHandle):
 
     kind = "builtin"
 
-    def __init__(self, name: str, cost: float = 1.0):
+    def __init__(self, name: str):
         if name not in BUILTIN_MODELS:
             raise ValueError(
                 f"unknown builtin model {name!r}; available: {sorted(BUILTIN_MODELS)}"
             )
-        super().__init__(name, cost)
+        super().__init__(name)
         self._fn = BUILTIN_MODELS[name]
 
     def evaluate(self, x) -> float:
@@ -162,8 +161,8 @@ class DatasetModel(ModelHandle):
 
     kind = "dataset"
 
-    def __init__(self, path, cost: float = 1.0, name: str | None = None):
-        super().__init__(name or str(path), cost)
+    def __init__(self, path, name: str | None = None):
+        super().__init__(name or str(path))
         self._table = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -194,19 +193,23 @@ class DatasetModel(ModelHandle):
 class CommandModel(ModelHandle):
     """One evaluation per line over a child process's stdin/stdout.
 
-    The protocol: write one whitespace-separated input line, flush, read
-    one numeric output line.  Timeouts, crashes, and non-numeric replies
-    raise :class:`EvaluationError` with captured diagnostics.  A handle
-    owns one child and serializes requests; use one handle per worker for
-    concurrent evaluation.
+    The protocol: one whitespace-separated input line in, one numeric
+    output line back, in order.  A batch is streamed: input lines are
+    written while replies are read, so the child must answer each line
+    without waiting for the end of its input.  ``timeout`` bounds the wait
+    for each reply.  Timeouts, crashes, and non-numeric replies raise
+    :class:`EvaluationError` with captured diagnostics and kill the child;
+    the next request starts a fresh one.  A handle owns one child and
+    serializes requests; use one handle per worker for concurrent
+    evaluation.
     """
 
     kind = "command"
 
-    def __init__(self, argv, timeout: float = 30.0, cost: float = 1.0, name=None):
+    def __init__(self, argv, timeout: float = 30.0, name=None):
         if isinstance(argv, (str, os.PathLike)):
             argv = [str(argv)]
-        super().__init__(name or " ".join(map(str, argv)), cost)
+        super().__init__(name or " ".join(map(str, argv)))
         self.timeout = float(timeout)
         self._argv = [str(a) for a in argv]
         self._proc = None
@@ -220,29 +223,10 @@ class CommandModel(ModelHandle):
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
             )
+            # Writes go straight to the descriptor, only when select
+            # reports room, so a full pipe never blocks the reader.
+            os.set_blocking(self._proc.stdin.fileno(), False)
             self._buffer = b""
-
-    def _read_line(self) -> str:
-        fd = self._proc.stdout.fileno()
-        deadline = time.monotonic() + self.timeout
-        while b"\n" not in self._buffer:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise EvaluationError(
-                    f"model command timed out after {self.timeout}s: {self.name}"
-                )
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                continue
-            chunk = os.read(fd, 4096)
-            if not chunk:
-                stderr = self._drain_stderr()
-                raise EvaluationError(
-                    f"model command closed its output (exit={self._proc.poll()}): {stderr}"
-                )
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
-        return line.decode()
 
     def _drain_stderr(self) -> str:
         try:
@@ -254,46 +238,100 @@ class CommandModel(ModelHandle):
         except Exception:
             return ""
 
+    def _kill(self):
+        """Discard the child and any output it left unread."""
+        proc, self._proc, self._buffer = self._proc, None, b""
+        if proc is not None:
+            proc.kill()
+            proc.wait()
+            for stream in (proc.stdin, proc.stdout, proc.stderr):
+                stream.close()
+
     def evaluate(self, x) -> float:
+        return float(self.evaluate_batch(np.reshape(x, (1, -1)))[0])
+
+    def evaluate_batch(self, points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         with self._lock:
             self._ensure_started()
-            line = " ".join(repr(float(v)) for v in np.atleast_1d(x)) + "\n"
             try:
-                self._proc.stdin.write(line.encode())
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
+                return self._stream(points)
+            except BaseException:
+                self._kill()
+                raise
+
+    def _stream(self, points) -> np.ndarray:
+        """Write every input line and read one reply per line, interleaved."""
+        pending = memoryview(
+            "".join(" ".join(map(repr, row)) + "\n" for row in points.tolist()).encode()
+        )
+        stdin_fd = self._proc.stdin.fileno()
+        stdout_fd = self._proc.stdout.fileno()
+        values = np.empty(len(points))
+        received = 0
+        rejected = None
+        deadline = time.monotonic() + self.timeout
+        while received < len(points):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise EvaluationError(
-                    f"model command rejected input: {self._drain_stderr()}"
-                ) from exc
-            reply = self._read_line()
-            try:
-                value = float(reply)
-            except ValueError as exc:
+                    f"model command timed out after {self.timeout}s: {self.name}"
+                )
+            writers = [stdin_fd] if pending else []
+            readable, writable, _ = select.select([stdout_fd], writers, [], remaining)
+            if writable:
+                try:
+                    pending = pending[os.write(stdin_fd, pending):]
+                except BlockingIOError:
+                    pass
+                except BrokenPipeError as exc:
+                    # The child stopped reading; collect the replies it
+                    # already wrote, then fail at the end of its output.
+                    rejected, pending = exc, pending[:0]
+            if not readable:
+                continue
+            chunk = os.read(stdout_fd, 65536)
+            if not chunk:
+                stderr = self._drain_stderr()
+                if rejected is not None:
+                    raise EvaluationError(
+                        f"model command rejected input: {stderr}"
+                    ) from rejected
                 raise EvaluationError(
-                    f"model command returned non-numeric output {reply!r}"
-                ) from exc
-            self._count += 1
-            return value
+                    f"model command closed its output (exit={self._proc.poll()}): {stderr}"
+                )
+            *replies, self._buffer = (self._buffer + chunk).split(
+                b"\n", len(points) - received
+            )
+            for reply in replies:
+                try:
+                    values[received] = float(reply)
+                except ValueError as exc:
+                    raise EvaluationError(
+                        "model command returned non-numeric output "
+                        f"{reply.decode(errors='replace')!r}"
+                    ) from exc
+                received += 1
+                self._count += 1
+            if replies:
+                deadline = time.monotonic() + self.timeout
+        return values
 
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
+        """Close the child's input, give it 5 s to exit, then kill it."""
+        if self._proc is not None:
+            self._proc.stdin.close()
             try:
-                self._proc.stdin.close()
                 self._proc.wait(timeout=5.0)
-            except Exception:
-                self._proc.kill()
-        self._proc = None
+            except subprocess.TimeoutExpired:
+                pass
+        self._kill()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         self.close()
-
-
-def external_evaluate(handle: ModelHandle, x) -> float:
-    """Evaluate a configured external model handle at one input point."""
-    return handle.evaluate(x)
 
 
 def evaluate_model(model, points) -> np.ndarray:

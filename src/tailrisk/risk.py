@@ -42,7 +42,7 @@ __all__ = [
     "mfis_estimate",
 ]
 
-METHODS = ("mcs", "surrogate_mcs", "is", "mfis_hf", "mfis_lf")
+METHODS = ("mcs", "surrogate_mcs", "mfis_hf", "mfis_lf")
 
 REPORT_CSV_HEADER = (
     "method,interaction_order,degree,cvar_estimate,mrd_pct,nrmsd_pct,"

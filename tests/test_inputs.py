@@ -12,7 +12,6 @@ from tailrisk import (
     SampleSet,
     Uniform,
     UnsupportedDimensionError,
-    log_density,
     sample,
 )
 
@@ -56,6 +55,12 @@ class TestConstruction:
     def test_rejects_bad_marginal_parameters(self, marginal):
         with pytest.raises(InvalidModelError):
             marginal()
+
+    def test_lognormal_moment_matching(self):
+        m = Lognormal(0.144, 6.0)
+        pts = m.from_gauss(np.random.default_rng(0).standard_normal(2_000_000))
+        assert np.mean(pts) == pytest.approx(0.144, rel=2e-3)
+        assert np.std(pts) == pytest.approx(0.144 * 0.06, rel=5e-3)
 
 
 class TestSampling:
@@ -162,53 +167,6 @@ class TestSampling:
         whole = sample(model, "sobol", 32, seed=0).points
         tail = sample(model, "sobol", 16, seed=0, skip=16).points
         assert np.array_equal(whole[16:], tail)
-
-
-class TestLogDensity:
-    def test_standard_normal_at_origin(self):
-        model = InputModel([Gaussian(0, 1)])
-        assert log_density(model, [0.0]) == pytest.approx(
-            math.log(1.0 / math.sqrt(2 * math.pi)), abs=1e-14
-        )
-
-    def test_uniform_inside_and_outside(self):
-        model = InputModel([Uniform(0, 1)])
-        assert log_density(model, [0.5]) == pytest.approx(0.0, abs=1e-14)
-        assert log_density(model, [1.5]) == -np.inf
-
-    def test_bivariate_gaussian_closed_form(self, corr09):
-        expected = -math.log(2 * math.pi * 4.0 * math.sqrt(1 - 0.81))
-        assert log_density(corr09, [0.0, 0.0]) == pytest.approx(expected, abs=1e-12)
-
-    def test_independent_blocks_factor(self):
-        model = InputModel(
-            [Gaussian(0, 1), Uniform(0, 2), Lognormal(1.0, 30.0)]
-        )
-        x = [0.3, 1.1, 0.8]
-        expected = sum(
-            float(m.log_pdf(xi)) for m, xi in zip(model.marginals, x)
-        )
-        assert log_density(model, x) == pytest.approx(expected, abs=1e-12)
-
-    def test_lognormal_block_density_matches_scipy(self):
-        from scipy.stats import multivariate_normal
-
-        model = InputModel(
-            [Lognormal(0.144, 6.0), Lognormal(0.144, 6.0)], [[1, 0.5], [0.5, 1]]
-        )
-        m = model.marginals[0]
-        x = np.array([0.15, 0.13])
-        z = (np.log(x) - m.mu_log) / m.sigma_log
-        expected = multivariate_normal(
-            cov=[[1, 0.5], [0.5, 1]]
-        ).logpdf(z) - np.sum(np.log(m.sigma_log * x))
-        assert log_density(model, x) == pytest.approx(expected, rel=1e-12)
-
-    def test_lognormal_moment_matching(self):
-        m = Lognormal(0.144, 6.0)
-        pts = m.from_gauss(np.random.default_rng(0).standard_normal(2_000_000))
-        assert np.mean(pts) == pytest.approx(0.144, rel=2e-3)
-        assert np.std(pts) == pytest.approx(0.144 * 0.06, rel=5e-3)
 
 
 class TestSampleSet:

@@ -1,6 +1,7 @@
 import math
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from tailrisk import (
     Gaussian,
     InputModel,
     cross_in_tray,
-    external_evaluate,
     pcc,
     rastrigin,
     rastrigin_lf,
@@ -117,7 +117,7 @@ class TestDatasetModel:
         path = tmp_path / "runs.csv"
         path.write_text("x1,x2,y\n1.0,2.0,7.5\n-0.25,3.5,1.25\n")
         model = DatasetModel(path)
-        assert external_evaluate(model, np.array([1.0, 2.0])) == 7.5
+        assert model.evaluate(np.array([1.0, 2.0])) == 7.5
         assert model.evaluations == 1
 
     def test_missing_row_keeps_counter(self, tmp_path):
@@ -148,19 +148,52 @@ class TestDatasetModel:
             DatasetModel(path)
 
 
+# The floating-point operations of the builtin ``rastrigin``, one line at a
+# time, so the replies equal it bit for bit.
 ECHO_RASTRIGIN = textwrap.dedent(
     """
+    import math
     import sys
     for line in sys.stdin:
-        parts = [float(v) for v in line.split()]
-        total = 10.0
-        for x in parts:
-            import math
-            total -= x * x - 5.0 * math.cos(2.0 * math.pi * x)
-        print(repr(total))
+        total = 0.0
+        for token in line.split():
+            x = float(token)
+            total += x * x - 5.0 * math.cos(2.0 * math.pi * x)
+        sys.stdout.write(repr(10.0 - total) + "\\n")
         sys.stdout.flush()
     """
 )
+
+# Enough random points that the input and the replies each overflow a pipe
+# buffer.
+PIPE_OVERFLOW_POINTS = 20_000
+
+
+def overflow_points(seed):
+    return np.random.default_rng(seed).normal(0, 2, size=(PIPE_OVERFLOW_POINTS, 2))
+
+
+def child(tmp_path, body):
+    """argv of a Python child running ``body``."""
+    script = tmp_path / "child.py"
+    script.write_text(body)
+    return [sys.executable, str(script)]
+
+
+def sum_child(tmp_path, prelude="", before_reply=""):
+    """A child replying with the sum of each input line.
+
+    ``prelude`` runs at start-up; ``before_reply`` runs before each reply,
+    with the 0-based line number in ``k``.
+    """
+    body = (
+        "import os, sys, time\n"
+        + textwrap.dedent(prelude)
+        + "for k, line in enumerate(sys.stdin):\n"
+        + textwrap.indent(textwrap.dedent(before_reply), "    ")
+        + "    print(repr(sum(float(v) for v in line.split())), flush=True)\n"
+    )
+    return child(tmp_path, body)
 
 
 class TestCommandModel:
@@ -202,6 +235,103 @@ class TestCommandModel:
         with CommandModel([sys.executable, str(script)], timeout=0.5) as model:
             with pytest.raises(EvaluationError, match="timed out"):
                 model.evaluate(np.array([1.0, 2.0]))
+
+    def test_failure_discards_late_reply(self, tmp_path):
+        # The first child answers only after the timeout; its late reply
+        # must not be taken as the answer to the next request.
+        marker = tmp_path / "started"
+        argv = sum_child(
+            tmp_path,
+            prelude=f"""
+                slow = not os.path.exists({str(marker)!r})
+                open({str(marker)!r}, "a").close()
+            """,
+            before_reply="""
+                if slow:
+                    time.sleep(1.0)
+            """,
+        )
+        with CommandModel(argv, timeout=0.5) as model:
+            with pytest.raises(EvaluationError, match="timed out"):
+                model.evaluate(np.array([1.0, 2.0]))
+            time.sleep(1.0)
+            assert model.evaluate(np.array([10.0, 20.0])) == 30.0
+            assert model.evaluations == 1
+
+    def test_batch_overflowing_the_pipes_matches_builtin(self, tmp_path):
+        pts = overflow_points(11)
+        with CommandModel(child(tmp_path, ECHO_RASTRIGIN)) as model:
+            got = model.evaluate_batch(pts)
+            assert model.evaluations == len(pts)
+        np.testing.assert_array_equal(got, rastrigin(pts))
+
+    @pytest.mark.parametrize("size", [50, PIPE_OVERFLOW_POINTS])
+    def test_child_exit_mid_batch_keeps_count(self, tmp_path, size):
+        # With the large batch the child exits while input is still being
+        # written, so the write fails on a broken pipe.
+        argv = sum_child(
+            tmp_path,
+            before_reply="""
+                if k == 7:
+                    sys.stderr.write("gave up after 7")
+                    sys.exit(2)
+            """,
+        )
+        with CommandModel(argv) as model:
+            with pytest.raises(EvaluationError, match="gave up after 7"):
+                model.evaluate_batch(overflow_points(13)[:size])
+            assert model.evaluations == 7
+
+    def test_non_numeric_reply_mid_batch_keeps_count(self, tmp_path):
+        argv = sum_child(
+            tmp_path,
+            before_reply="""
+                if k == 5:
+                    print("oops", flush=True)
+                    continue
+            """,
+        )
+        with CommandModel(argv) as model:
+            with pytest.raises(EvaluationError, match="non-numeric output 'oops'"):
+                model.evaluate_batch(overflow_points(14))
+            assert model.evaluations == 5
+
+    def test_timeout_applies_per_reply(self, tmp_path):
+        # After the warm-up line, three replies 0.25 s apart take longer
+        # than one timeout in total but each comes within it; then the
+        # child stalls.
+        argv = sum_child(
+            tmp_path,
+            before_reply="""
+                if k >= 4:
+                    time.sleep(30)
+                elif k >= 1:
+                    time.sleep(0.25)
+            """,
+        )
+        with CommandModel(argv, timeout=0.6) as model:
+            model.evaluate(np.zeros(2))
+            start = time.monotonic()
+            with pytest.raises(EvaluationError, match="timed out"):
+                model.evaluate_batch(np.ones((10, 2)))
+            assert model.evaluations == 4
+        assert time.monotonic() - start < 5.0
+
+    def test_single_evaluation_after_batch_reuses_child(self, tmp_path):
+        starts = tmp_path / "starts"
+        argv = sum_child(
+            tmp_path,
+            prelude=f"""
+                with open({str(starts)!r}, "a") as fh:
+                    print(os.getpid(), file=fh)
+            """,
+        )
+        pts = overflow_points(12)
+        with CommandModel(argv) as model:
+            np.testing.assert_allclose(model.evaluate_batch(pts), pts.sum(axis=1))
+            assert model.evaluate(np.array([1.5, 2.25])) == 3.75
+            assert model.evaluations == len(pts) + 1
+        assert len(starts.read_text().split()) == 1
 
 
 class TestEvaluateModel:
