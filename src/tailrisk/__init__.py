@@ -1,8 +1,10 @@
 """Tail-risk (CVaR) estimation for expensive models under dependent inputs.
 
 The package builds measure-consistent orthonormal polynomial bases by
-whitening quasi-Monte-Carlo moment matrices, fits chaos-Kriging
-surrogates with leave-one-out-tuned kernels, and estimates VaR/CVaR
+whitening monomial moment matrices, computed exactly by Gauss-Hermite
+quadrature in the Gaussian-copula space (with a bounded sampled fallback
+for grids too large to build), fits chaos-Kriging surrogates with
+leave-one-out-tuned kernels, and estimates VaR/CVaR
 either by sampling the surrogate directly or by multifidelity importance
 sampling from a confidence-interval-inflated risk region.
 """

@@ -11,8 +11,13 @@ The importance-sampling path inflates the surrogate-predicted tail by a
 confidence half-width ``eps(x) = Q_{1-alpha/2} sigma(x)``, collects the
 candidate samples whose upper limit clears the deflated tail threshold,
 and then evaluates the expensive model only on a uniform subsample of
-that region; each evaluation carries probability ``mass / M`` so the
-weighted estimator remains unbiased regardless of surrogate quality.
+that region; each evaluation carries probability ``mass / M``.  For a
+fixed threshold ``t`` whose exceedances all lie inside the region, the
+weighted sum ``t + sum_l p_l (y_l - t)_+ / (1 - beta)`` is an unbiased
+estimate of its value over all candidates.  The CVaR estimate, however,
+takes its VaR from the same subsample, and that empirical CVaR is biased
+low at finite ``M`` (Brown 2007, Oper. Res. Lett. 35:722); the bias
+shrinks as ``M`` grows.
 """
 
 from __future__ import annotations

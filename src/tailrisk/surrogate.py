@@ -17,10 +17,13 @@ kernel correlation matrix.  The predictor at a new point ``x`` is
 which interpolates the training data exactly.  Kernel length scales are
 chosen by minimizing the closed-form leave-one-out residual sum with a
 bounded trust-region-reflective least-squares search that uses the
-analytic gradient ``dR^-1 = -R^-1 dR R^-1`` (Dubrule 1983), multi-started
-for robustness.  In ``"chaos"`` mode the GP term is dropped (``R = I``): the
-coefficients reduce to ordinary least squares and predictions carry zero
-variance.
+analytic gradient ``dR^-1 = -R^-1 dR R^-1`` (Dubrule 1983).  The search
+runs in two phases: it explores with a loose tolerance from several
+starts, for robustness, and then polishes only the best explore endpoint
+at full tolerance, so starts that share a basin do not each pay for the
+solver's slow final convergence.  In ``"chaos"`` mode the GP term is
+dropped (``R = I``): the coefficients reduce to ordinary least squares
+and predictions carry zero variance.
 
 All solves go through Cholesky factorizations and triangular solves.
 Only the LOO search inverts a matrix, the triangular factor ``L``, whose
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dgemm, dgemv
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dlauum, dtrtri
 from scipy.optimize import least_squares
 from scipy.spatial.distance import cdist
 
@@ -68,6 +71,13 @@ SURROGATE_VERSION = 1
 _RELATIVE_NUGGET = 1e-10
 _PENALTY = 1e25
 _PREDICT_BLOCK = 8192
+# Tolerances of the explore runs of the LOO search; ``gtol`` keeps scipy's
+# default.  The rest of a run's work crawls toward the default ``ftol =
+# xtol = 1e-8``, which only the polish run pays.  Looser stops (1e-3) can
+# end a run partway down a curved valley: on one training set of about
+# 250 tried, that start was the only one leading to the best basin, and
+# the search returned an objective 30% higher.
+_EXPLORE_TOLERANCES = {"ftol": 1e-5, "xtol": 3e-4}
 
 
 @dataclass(frozen=True)
@@ -180,11 +190,15 @@ def _loo_jacobian(theta, inputs, state, kind):
     moves by ``dalpha / c - alpha dc / c^2``.
     """
     corr, chol_inv, alpha, c = state
-    # Products go through scipy's BLAS, not numpy's matmul: the two can be
-    # separate OpenBLAS builds, and at two BLAS threads alternating their
-    # thread pools with the factorizations made each call several times
-    # slower.
-    gram = dgemm(1.0, chol_inv, chol_inv, trans_a=1)
+    # Products go through scipy's BLAS and LAPACK, not numpy's matmul: the
+    # two can be separate OpenBLAS builds, and at two BLAS threads
+    # alternating their thread pools with the factorizations made each
+    # call several times slower.  ``dlauum`` forms the lower triangle of
+    # ``L^-T L^-1`` at about a third of a general product's cost; the upper
+    # triangle of ``L^-1`` is zero, so adding the transposed strict lower
+    # triangle completes the symmetric matrix.
+    gram = dlauum(chol_inv, lower=1)[0]
+    gram += np.tril(gram, -1).T
     jac = np.empty((len(alpha), len(theta)))
     for k, scale in enumerate(theta):
         dx = (inputs[:, k, None] - inputs[None, :, k]) / scale
@@ -236,19 +250,30 @@ def optimize_theta(
 
     Runs a bounded trust-region-reflective least-squares search on the LOO
     residual vector in log-scale coordinates, with the analytic Jacobian
-    of :func:`_loo_jacobian`, from ``restarts`` start
+    of :func:`_loo_jacobian`, in two phases.  *Explore* runs the solver
+    loosely (``_EXPLORE_TOLERANCES``) from each of ``restarts`` start
     points: a short-scale anchor, the best rung of a deterministic
     isotropic probe ladder, the box center, then seeded log-uniform
-    draws.  The best candidate ever evaluated is returned, so more
-    restarts never worsen the objective for a fixed seed.
+    draws.  *Polish* runs it once more, at scipy's default tolerances,
+    from the explore endpoint with the lowest objective.
+
+    The best candidate ever evaluated (probe, start or endpoint) is
+    returned, so the returned objective never exceeds the best explore
+    endpoint's.  For a fixed seed, the starts of a smaller ``restarts``
+    lead those of a larger one and their explore runs are identical, so
+    more restarts never worsen the best explore endpoint.  The polish run
+    may end elsewhere, so the returned objective itself is not monotone
+    in ``restarts``.
 
     Returns
     -------
     theta : ndarray
         Best length scales found.  With ``full_output=True``, also a dict
-        with the objective value, per-start diagnostics, and whether the
-        result fell back to a raw start point because every solver run
-        failed.
+        with the objective value; one record per solver run, with its
+        phase (``"explore"`` or ``"polish"``), start, endpoint, objective,
+        ``nfev``, ``njev`` and status; the number of correlation matrices
+        factorized; and whether the result fell back to a raw start point
+        because every solver run failed.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     outputs = np.asarray(outputs, dtype=float)
@@ -273,10 +298,12 @@ def optimize_theta(
     # theta, so the last factorization is kept for it.
     memo = {}
     last = [None, None]
+    factorizations = [0]
 
     def state_at(theta):
         key = theta.tobytes()
         if last[0] != key:
+            factorizations[0] += 1
             last[:] = [key, _loo_state(theta, inputs, outputs, kind)]
         return last[1]
 
@@ -307,7 +334,33 @@ def optimize_theta(
     rng = np.random.default_rng(seed)
 
     candidates = []
-    diagnostics = []
+    runs = []
+
+    def solve(start, phase, tolerances):
+        """One solver run; returns ``(objective, log endpoint)`` or None."""
+        try:
+            result = least_squares(
+                residual_fn, start, jac=jacobian_fn,
+                bounds=(log_lo, log_hi), method="trf", **tolerances,
+            )
+        except Exception as exc:  # keep searching from the other starts
+            runs.append({"phase": phase, "start": np.exp(start).tolist(), "error": str(exc)})
+            return None
+        theta = np.exp(result.x)
+        obj = objective(theta)
+        candidates.append((obj, theta))
+        runs.append(
+            {
+                "phase": phase,
+                "start": np.exp(start).tolist(),
+                "theta": theta.tolist(),
+                "objective": obj,
+                "nfev": int(result.nfev),
+                "njev": int(result.njev),
+                "status": int(result.status),
+            }
+        )
+        return obj, result.x
 
     # Deterministic isotropic ladder across the box: cheap probes that keep
     # narrow minima from being missed and seed the solver in their basin.
@@ -327,41 +380,29 @@ def optimize_theta(
     for _ in range(restarts - 3):
         starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
     starts = starts[:restarts]
-    solver_ok = False
+    explored = []
     for start in starts:
-        start_obj = objective(np.exp(start))
-        candidates.append((start_obj, np.exp(start)))
-        try:
-            result = least_squares(
-                residual_fn, start, jac=jacobian_fn,
-                bounds=(log_lo, log_hi), method="trf",
-            )
-        except Exception as exc:  # keep searching from the other starts
-            diagnostics.append({"start": np.exp(start).tolist(), "error": str(exc)})
-            continue
-        theta = np.exp(result.x)
-        obj = objective(theta)
-        candidates.append((obj, theta))
-        solver_ok = solver_ok or result.status > 0
-        diagnostics.append(
-            {
-                "start": np.exp(start).tolist(),
-                "theta": theta.tolist(),
-                "objective": obj,
-                "status": int(result.status),
-            }
-        )
+        candidates.append((objective(np.exp(start)), np.exp(start)))
+        run = solve(start, "explore", _EXPLORE_TOLERANCES)
+        if run is not None:
+            explored.append(run)
+    # Explore runs from different starts often share a basin; only the
+    # best endpoint pays for the solver's slow final convergence.
+    if explored:
+        solve(min(explored, key=lambda run: run[0])[1], "polish", {})
+    solver_ok = any(run.get("status", 0) > 0 for run in runs)
 
     finite = [(obj, th) for obj, th in candidates if np.isfinite(obj)]
     if not finite:
         raise OptimizationError(
-            f"every hyperparameter start failed; diagnostics: {diagnostics}"
+            f"every hyperparameter start failed; diagnostics: {runs}"
         )
     best_obj, best_theta = min(finite, key=lambda item: item[0])
     info = {
         "objective": best_obj,
         "fallback": not solver_ok,
-        "starts": diagnostics,
+        "runs": runs,
+        "factorizations": factorizations[0],
     }
     if full_output:
         return best_theta, info
@@ -626,6 +667,7 @@ def fit(
         )
         provenance["loo_objective"] = opt_info["objective"]
         provenance["theta_fallback"] = opt_info["fallback"]
+        provenance["loo_factorizations"] = opt_info["factorizations"]
     kernel = KernelSpec(kernel_kind, np.asarray(theta, dtype=float))
     provenance["theta"] = kernel.theta.tolist()
 

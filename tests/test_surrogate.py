@@ -8,6 +8,7 @@ from scipy.optimize import least_squares
 
 from tailrisk import (
     ArtifactError,
+    BuiltinModel,
     DegenerateTrainingError,
     FittedSurrogate,
     Gaussian,
@@ -26,6 +27,7 @@ from tailrisk import (
 )
 from tailrisk import surrogate as surrogate_mod
 from tailrisk.surrogate import (
+    _EXPLORE_TOLERANCES,
     _PENALTY,
     _PREDICT_BLOCK,
     _RELATIVE_NUGGET,
@@ -266,12 +268,65 @@ class TestOptimizeTheta:
         assert info["objective"] <= grid_best + 1e-12
 
     def test_restart_monotonicity(self):
+        # The promise of the two-phase search: the result is no worse than
+        # the best explore endpoint, and more restarts never worsen that
+        # endpoint.  The polished objective itself may move either way.
         rng = np.random.default_rng(41)
         x = rng.uniform(-2, 2, size=(20, 2))
         b = np.cos(x[:, 0]) * x[:, 1]
-        _, one = optimize_theta(x, b, restarts=1, seed=9, full_output=True)
-        _, five = optimize_theta(x, b, restarts=5, seed=9, full_output=True)
-        assert five["objective"] <= one["objective"]
+        best_explore = {}
+        for restarts in (1, 5):
+            _, info = optimize_theta(x, b, restarts=restarts, seed=9, full_output=True)
+            explored = [run for run in info["runs"] if run["phase"] == "explore"]
+            assert len(explored) == restarts
+            best_explore[restarts] = min(run["objective"] for run in explored)
+            assert info["objective"] <= best_explore[restarts]
+        assert best_explore[5] <= best_explore[1]
+
+    def test_explore_loosely_then_polish_the_best_endpoint(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-2, 2, size=(25, 2))
+        b = np.sin(x[:, 0]) * x[:, 1]
+        calls = []
+        original = surrogate_mod.least_squares
+
+        def spy(fun, x0, **kwargs):
+            result = original(fun, x0, **kwargs)
+            tolerances = {key: kwargs[key] for key in ("ftol", "xtol", "gtol") if key in kwargs}
+            calls.append((np.array(x0), tolerances, result))
+            return result
+
+        monkeypatch.setattr(surrogate_mod, "least_squares", spy)
+        _, info = optimize_theta(x, b, restarts=5, seed=2, full_output=True)
+        *explore, polish = calls
+        assert len(explore) == 5
+        assert all(tol == _EXPLORE_TOLERANCES for _, tol, _ in explore)
+        assert polish[1] == {}  # scipy's default tolerances
+        best = min(explore, key=lambda call: call[2].cost)[2]
+        assert np.array_equal(polish[0], best.x)
+        assert [run["phase"] for run in info["runs"]] == ["explore"] * 5 + ["polish"]
+        for run, (_, _, result) in zip(info["runs"], calls):
+            assert (run["nfev"], run["njev"], run["status"]) == (
+                result.nfev, result.njev, result.status
+            )
+
+    def test_explore_runs_do_not_stop_partway_down_a_valley(self, corr09):
+        # On this training set only the fourth start, a seeded draw, leads
+        # to the best basin, down a curved valley.  Explore runs stopped at
+        # ftol = xtol = gtol = 1e-3 left it at 4.7 times the optimum, so
+        # the polish went elsewhere and the search returned 29300.
+        train = sample(corr09, "mc", 300, seed=756955442)
+        y = BuiltinModel("rastrigin_lf1").evaluate_batch(train.points)
+        _, info = optimize_theta(train.points, y, restarts=5, seed=199277989, full_output=True)
+        assert info["objective"] < 22425.0
+
+    def test_fit_records_factorization_count(self):
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(30, 2))
+        b = np.sin(x[:, 0]) + x[:, 1] ** 2
+        _, info = optimize_theta(x, b, restarts=3, seed=5, full_output=True)
+        sur = fit(x, b, hermite_basis_2d(1, 2), restarts=3, seed=5)
+        assert sur.provenance["loo_factorizations"] == info["factorizations"]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(51)
@@ -349,8 +404,9 @@ class TestPrediction:
 
 
 def unmemoized_optimize_theta(inputs, outputs, kind, restarts, seed):
-    """The LOO search of :func:`optimize_theta` with every theta factorized
-    afresh, as many times as its residuals or its Jacobian are asked for."""
+    """The two-phase LOO search of :func:`optimize_theta` with every theta
+    factorized afresh, as many times as its residuals or its Jacobian are
+    asked for."""
     bounds = default_theta_bounds(inputs)
     log_lo, log_hi = np.log(bounds[:, 0]), np.log(bounds[:, 1])
     penalty_scale = np.sqrt(_PENALTY * (1.0 + float(outputs @ outputs)) / len(outputs))
@@ -367,7 +423,21 @@ def unmemoized_optimize_theta(inputs, outputs, kind, restarts, seed):
         return surrogate_mod._loo_jacobian(theta, inputs, state, kind)
 
     rng = np.random.default_rng(seed)
-    candidates, diagnostics = [], []
+    candidates, runs = [], []
+
+    def solve(start, phase, tolerances):
+        result = least_squares(
+            residual_fn, start, jac=jacobian_fn, bounds=(log_lo, log_hi), method="trf",
+            **tolerances,
+        )
+        theta = np.exp(result.x)
+        obj = loo_cv_objective(theta, inputs, outputs, kind)
+        candidates.append((obj, theta))
+        runs.append({"phase": phase, "start": np.exp(start).tolist(), "theta": theta.tolist(),
+                     "objective": obj, "nfev": int(result.nfev), "njev": int(result.njev),
+                     "status": int(result.status)})
+        return obj, result.x
+
     probe_best = None
     for q in np.linspace(0.02, 0.98, 16):
         log_theta = log_lo + q * (log_hi - log_lo)
@@ -378,20 +448,14 @@ def unmemoized_optimize_theta(inputs, outputs, kind, restarts, seed):
     starts = [log_lo + 0.1 * (log_hi - log_lo), probe_best[1], 0.5 * (log_lo + log_hi)]
     for _ in range(restarts - 3):
         starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
-    solver_ok = False
+    explored = []
     for start in starts[:restarts]:
         candidates.append((loo_cv_objective(np.exp(start), inputs, outputs, kind), np.exp(start)))
-        result = least_squares(
-            residual_fn, start, jac=jacobian_fn, bounds=(log_lo, log_hi), method="trf"
-        )
-        theta = np.exp(result.x)
-        obj = loo_cv_objective(theta, inputs, outputs, kind)
-        candidates.append((obj, theta))
-        solver_ok = solver_ok or result.status > 0
-        diagnostics.append({"start": np.exp(start).tolist(), "theta": theta.tolist(),
-                            "objective": obj, "status": int(result.status)})
+        explored.append(solve(start, "explore", _EXPLORE_TOLERANCES))
+    solve(min(explored, key=lambda run: run[0])[1], "polish", {})
+    solver_ok = any(run["status"] > 0 for run in runs)
     best_obj, best_theta = min(candidates, key=lambda item: item[0])
-    return best_theta, {"objective": best_obj, "fallback": not solver_ok, "starts": diagnostics}
+    return best_theta, {"objective": best_obj, "fallback": not solver_ok, "runs": runs}
 
 
 class TestLooMemo:
@@ -410,9 +474,12 @@ class TestLooMemo:
         monkeypatch.setattr(surrogate_mod, "_loo_state", counting)
         theta, info = optimize_theta(x, b, kind=kind, restarts=5, seed=3, full_output=True)
         memo_calls = len(seen)
+        assert info.pop("factorizations") == memo_calls
         # Only a Jacobian at a theta whose residuals came from the memo
-        # (the probe-best start) refactorizes.
-        assert memo_calls - len(set(seen)) <= 1
+        # refactorizes: at the probe-best start, which repeats a ladder
+        # rung, and at the polish start, an explore endpoint evaluated
+        # before later runs replaced the kept factorization.
+        assert memo_calls - len(set(seen)) <= 2
 
         seen.clear()
         want_theta, want_info = unmemoized_optimize_theta(x, b, kind, restarts=5, seed=3)
