@@ -55,10 +55,8 @@ from .models import (
 from .risk import (
     RiskRegion,
     RiskReport,
-    WeightedOutputs,
-    ci_half_width,
-    empirical_var_cvar,
     epsilon_risk_region,
+    half_width,
     mcs_estimate,
     mfis_estimate,
     surrogate_mcs_estimate,
@@ -67,7 +65,6 @@ from .risk import (
 from .surrogate import (
     FittedSurrogate,
     KernelSpec,
-    Prediction,
     fit,
     loo_cv_objective,
     optimize_theta,

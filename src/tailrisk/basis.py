@@ -275,17 +275,24 @@ class OrthonormalBasis:
                 f"basis artifact version {payload.get('version')} is not supported "
                 f"(expected {ARTIFACT_VERSION})"
             )
-        index_set = MultiIndexSet(
-            payload["dimension"],
-            payload["interaction_order"],
-            payload["degree"],
-            np.array(payload["indices"], dtype=int),
-        )
-        return cls(
-            index_set=index_set,
-            whitening=np.array(payload["whitening"], dtype=float),
-            provenance=dict(payload.get("provenance", {})),
-        )
+        try:
+            index_set = MultiIndexSet(
+                payload["dimension"],
+                payload["interaction_order"],
+                payload["degree"],
+                np.array(payload["indices"], dtype=int),
+            )
+            if index_set.indices.ndim != 2 or index_set.indices.shape[1] != index_set.dimension:
+                raise ValueError("indices need one column per input dimension")
+            return cls(
+                index_set=index_set,
+                whitening=np.array(payload["whitening"], dtype=float),
+                provenance=dict(payload.get("provenance", {})),
+            )
+        except KeyError as exc:
+            raise ArtifactError(f"basis artifact has no {exc.args[0]!r} field") from exc
+        except (TypeError, ValueError) as exc:
+            raise ArtifactError(f"malformed basis artifact: {exc}") from exc
 
     def save(self, path):
         with open(path, "w") as fh:

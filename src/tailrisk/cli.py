@@ -541,7 +541,7 @@ def _cmd_predict(args) -> int:
         writer.writerow(["mean", "variance", "epsilon"])
         if len(points):
             means, variances = fitted.predict_batch(points)
-            eps = risk._half_width(variances, args.alpha)
+            eps = risk.half_width(variances, args.alpha)
             for m, v, e in zip(means, variances, eps):
                 writer.writerow([repr(float(m)), repr(float(v)), repr(float(e))])
     print(f"wrote {out_path}")

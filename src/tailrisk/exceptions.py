@@ -6,6 +6,21 @@ handle specifically: invalid stochastic models, numerical breakdowns, and
 external-model protocol errors.
 """
 
+__all__ = [
+    "TailriskError",
+    "InvalidModelError",
+    "UnsupportedDimensionError",
+    "PositiveDefinitenessError",
+    "MomentMatrixError",
+    "DegenerateTrainingError",
+    "ConditioningError",
+    "OptimizationError",
+    "InsufficientMassError",
+    "DatasetLookupError",
+    "EvaluationError",
+    "ArtifactError",
+]
+
 
 class TailriskError(Exception):
     """Base class for package-specific errors."""

@@ -35,12 +35,10 @@ from .models import evaluate_model
 from .surrogate import FittedSurrogate
 
 __all__ = [
-    "WeightedOutputs",
     "RiskRegion",
     "RiskReport",
     "var_cvar",
-    "empirical_var_cvar",
-    "ci_half_width",
+    "half_width",
     "epsilon_risk_region",
     "mcs_estimate",
     "surrogate_mcs_estimate",
@@ -53,39 +51,6 @@ REPORT_CSV_HEADER = (
     "method,interaction_order,degree,cvar_estimate,mrd_pct,nrmsd_pct,"
     "hf_evals,lf_evals,surrogate_evals"
 )
-
-
-@dataclass(frozen=True)
-class WeightedOutputs:
-    """Output realizations with nonnegative probabilities.
-
-    The total weight need not be 1: region-restricted samples carry only
-    the region mass.  ``sample_indices`` optionally keeps the original
-    sample identity for deterministic tie-breaking and back-reference.
-    """
-
-    values: np.ndarray
-    probabilities: np.ndarray
-    sample_indices: np.ndarray | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        probs = np.asarray(self.probabilities, dtype=float)
-        if values.ndim != 1 or probs.shape != values.shape:
-            raise ValueError("values and probabilities must be matching 1-D arrays")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        values.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probabilities", probs)
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.probabilities))
 
 
 def var_cvar(values, probabilities, beta: float) -> tuple[float, float]:
@@ -132,28 +97,14 @@ def var_cvar(values, probabilities, beta: float) -> tuple[float, float]:
     return var, var + excess / tail
 
 
-def empirical_var_cvar(outputs: WeightedOutputs, beta: float) -> tuple[float, float]:
-    """VaR/CVaR of a :class:`WeightedOutputs`."""
-    return var_cvar(outputs.values, outputs.probabilities, beta)
+def half_width(variances, alpha: float):
+    """``Q_{1-alpha/2} * sqrt(variances)``, the CI half-width per point.
 
-
-def _half_width(variances, alpha: float):
-    """``Q_{1-alpha/2} * sqrt(variances)``, the CI half-width per point."""
+    Zero variance (a ``chaos``-mode surrogate) or ``alpha = 1`` gives zero.
+    """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     return float(ndtri(1.0 - alpha / 2.0)) * np.sqrt(variances)
-
-
-def ci_half_width(surrogate: FittedSurrogate, x, alpha: float):
-    """Half-width ``Q_{1-alpha/2} * sigma(x)`` of the predictor's CI.
-
-    Accepts a single point or a batch; a ``chaos``-mode surrogate (zero
-    predictive variance) yields zero everywhere, as does ``alpha = 1``.
-    """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    _, variances = surrogate.predict_batch(pts)
-    eps = _half_width(variances, alpha)
-    return float(eps[0]) if np.asarray(x).ndim == 1 else eps
 
 
 @dataclass(frozen=True)
@@ -191,7 +142,7 @@ def epsilon_risk_region(
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     means, variances = surrogate.predict_batch(samples.points)
-    eps = _half_width(variances, alpha)
+    eps = half_width(variances, alpha)
     if not np.any(np.isfinite(eps)):
         raise TailriskError("every confidence half-width is non-finite")
 
@@ -326,7 +277,7 @@ def _fresh_region_points(surrogate, input_model, region, count, seed):
             input_model, "mc", block, np.random.SeedSequence((seed, attempt)).generate_state(1)[0]
         )
         means, variances = surrogate.predict_batch(batch.points)
-        keep = means + _half_width(variances, region.alpha) >= region.threshold
+        keep = means + half_width(variances, region.alpha) >= region.threshold
         accepted = batch.points[keep]
         if len(accepted):
             collected.append(accepted)
@@ -403,12 +354,7 @@ def mfis_estimate(
     outputs = evaluate_model(hf_model, points)
     # Grouped so that m == |region| gives back exactly the original 1/L.
     weight = (len(region) / m) / len(samples)
-    weighted = WeightedOutputs(
-        values=outputs,
-        probabilities=np.full(m, weight),
-        sample_indices=chosen if fresh_points is None else None,
-    )
-    var, cvar = empirical_var_cvar(weighted, beta)
+    var, cvar = var_cvar(outputs, np.full(m, weight), beta)
     return RiskReport(
         var_estimate=var,
         cvar_estimate=cvar,

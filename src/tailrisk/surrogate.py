@@ -25,16 +25,21 @@ solver's slow final convergence.  In ``"chaos"`` mode the GP term is
 dropped (``R = I``): the coefficients reduce to ordinary least squares
 and predictions carry zero variance.
 
-All solves go through Cholesky factorizations and triangular solves.
-Only the LOO search inverts a matrix, the triangular factor ``L``, whose
-inverse gives both ``diag(R^-1)`` and the gradient.
+The system is built in one place, the :class:`FittedSurrogate`
+constructor, which factors ``R`` once at the chosen length scales.
+Loading an artifact runs the same constructor on the stored training data
+and refuses the artifact when its stored coefficients, process variance
+or training digest disagree with the rebuilt ones.  All solves go through
+Cholesky factorizations and triangular solves.  Only the LOO search
+inverts a matrix, the triangular factor ``L``, whose inverse gives both
+``diag(R^-1)`` and the gradient.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
@@ -53,7 +58,6 @@ from .exceptions import (
 
 __all__ = [
     "KernelSpec",
-    "Prediction",
     "FittedSurrogate",
     "correlation_matrix",
     "cross_correlation",
@@ -120,26 +124,21 @@ def correlation_matrix(points, kernel: KernelSpec) -> np.ndarray:
 _MIN_DIAG_RATIO_SQ = 1e-10
 
 
-def _factor_correlation(corr):
-    """Cholesky of R with the nugget-on-failure policy.
+def _cholesky(matrix):
+    """Lower Cholesky factor, or None when the matrix is numerically singular.
 
-    The nugget is tried when the plain factorization fails or leaves a
-    pivot below the conditioning cut-off.  Returns ``(factor,
-    nugget_used)`` or ``None`` when the matrix is numerically singular
-    even with the nugget.
+    The factor's upper triangle is zero, which ``dtrtri`` and the column
+    sums of ``L^-1`` in the LOO search rely on.  A factorization that
+    succeeds with a pivot below the conditioning cut-off counts as failed.
     """
-    n = len(corr)
-    for boost in (0.0, _RELATIVE_NUGGET):
-        try:
-            factor = cho_factor(
-                corr + boost * np.eye(n) if boost else corr, lower=True
-            )
-        except LinAlgError:
-            continue
-        diag = np.diag(factor[0])
-        if (diag.min() / diag.max()) ** 2 >= _MIN_DIAG_RATIO_SQ:
-            return factor, bool(boost)
-    return None
+    try:
+        chol = cholesky(matrix, lower=True)
+    except LinAlgError:
+        return None
+    diag = np.diag(chol)
+    if (diag.min() / diag.max()) ** 2 < _MIN_DIAG_RATIO_SQ:
+        return None
+    return chol
 
 
 def _loo_state(theta, inputs, outputs, kind):
@@ -152,12 +151,8 @@ def _loo_state(theta, inputs, outputs, kind):
     corr = correlation_matrix(inputs, KernelSpec(kind, theta))
     # Search on the un-nuggeted matrix only: residuals of a regularized
     # stand-in undersell how badly these length scales interpolate.
-    try:
-        chol = cholesky(corr, lower=True)
-    except LinAlgError:
-        return None
-    diag = np.diag(chol)
-    if (diag.min() / diag.max()) ** 2 < _MIN_DIAG_RATIO_SQ:
+    chol = _cholesky(corr)
+    if chol is None:
         return None
     chol_inv = dtrtri(chol, lower=1)[0]
     rinv_b = cho_solve((chol, True), outputs)
@@ -409,17 +404,30 @@ def optimize_theta(
     return best_theta
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Predictor mean and (clamped, nonnegative) variance at one point."""
-
-    mean: float
-    variance: float
-    clamped: bool = False
+def _training_data(training_inputs, training_outputs, basis, mode):
+    """Training arrays as floats; ``ValueError`` when they do not suit ``basis``."""
+    x = np.atleast_2d(np.asarray(training_inputs, dtype=float))
+    b = np.asarray(training_outputs, dtype=float)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if x.ndim != 2 or x.shape[1] != basis.index_set.dimension:
+        raise ValueError("training inputs do not match the basis dimension")
+    if b.shape != (x.shape[0],):
+        raise ValueError("training outputs must be one value per input row")
+    if x.shape[0] < len(basis):
+        raise ValueError(
+            "training size must be at least the number of basis functions "
+            f"(need >= {len(basis)}, got {x.shape[0]})"
+        )
+    return x, b
 
 
 class FittedSurrogate:
-    """Trained surrogate; immutable and safe to share across threads."""
+    """Trained surrogate; immutable and safe to share across threads.
+
+    The constructor builds the whole predictor from the training data;
+    :func:`fit` and :meth:`from_dict` both go through it.
+    """
 
     def __init__(
         self,
@@ -428,8 +436,6 @@ class FittedSurrogate:
         mode,
         training_inputs,
         training_outputs,
-        coefficients,
-        process_variance,
         provenance=None,
     ):
         self.basis = basis
@@ -437,42 +443,64 @@ class FittedSurrogate:
         self.mode = mode
         self.training_inputs = np.array(training_inputs, dtype=float)
         self.training_outputs = np.array(training_outputs, dtype=float)
-        self.coefficients = np.array(coefficients, dtype=float)
-        self.process_variance = float(process_variance)
         self.provenance = dict(provenance or {})
+        self._build()
         for arr in (self.training_inputs, self.training_outputs, self.coefficients):
             arr.setflags(write=False)
-        self._prepare()
 
-    def _prepare(self):
-        """Rebuild the cached factorizations from the stored fields."""
+    def _build(self):
+        """Trend, process variance and prediction caches from one factorization of R.
+
+        ``provenance["nugget"]`` records whether R needed the nugget.
+        """
         a = self.basis.evaluate(self.training_inputs)
+        b = self.training_outputs
+        n = len(b)
         if self.mode == "chaos":
-            self._r_factor = None
-            self._whitened_basis = None
-            self._gls_factor = None
-            self._rinv_residual = None
+            coeffs, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+            if rank < a.shape[1]:
+                raise ConditioningError(
+                    "basis matrix is rank deficient; use more samples or a smaller basis"
+                )
+            residual = b - a @ coeffs
+            self.coefficients = coeffs
+            self.process_variance = float(residual @ residual) / n
             return
+
         corr = correlation_matrix(self.training_inputs, self.kernel)
-        factored = _factor_correlation(corr)
-        if factored is None:
-            raise ConditioningError(
-                "correlation matrix of the stored surrogate is numerically singular"
-            )
-        self._r_factor, nugget = factored
+        chol = _cholesky(corr)
+        nugget = chol is None
         if nugget:
-            corr = corr + _RELATIVE_NUGGET * np.eye(len(corr))
+            corr = corr + _RELATIVE_NUGGET * np.eye(n)
+            chol = _cholesky(corr)
+        if chol is None:
+            raise ConditioningError(
+                "correlation matrix is numerically singular even with a nugget; "
+                "shrink the length scales or space the training points out"
+            )
+        self.provenance["nugget"] = nugget
+        r_factor = (chol, True)
+        gls = a.T @ cho_solve(r_factor, a)
+        try:
+            self._gls_factor = cho_factor(0.5 * (gls + gls.T), lower=True)
+        except LinAlgError as exc:
+            raise ConditioningError(
+                "generalized least-squares system is rank deficient; "
+                "use more samples or a smaller basis"
+            ) from exc
+        self.coefficients = cho_solve(self._gls_factor, a.T @ cho_solve(r_factor, b))
+        residual = b - a @ self.coefficients
+        self.process_variance = max(
+            float(residual @ cho_solve(r_factor, residual)) / n, 0.0
+        )
+        self._chol = chol
         # W = L^-1 A, so that A^T R^-1 r = W^T (L^-1 r) at prediction time.
-        self._whitened_basis = solve_triangular(self._r_factor[0], a, lower=True)
-        rinv_a = cho_solve(self._r_factor, a)
-        gls = a.T @ rinv_a
-        self._gls_factor = cho_factor(0.5 * (gls + gls.T), lower=True)
-        residual = self.training_outputs - a @ self.coefficients
+        self._whitened_basis = solve_triangular(chol, a, lower=True)
         # Two refinement sweeps pin the solve residual near machine level,
         # which is what the training-point interpolation identity rides on.
-        w = cho_solve(self._r_factor, residual)
+        w = cho_solve(r_factor, residual)
         for _ in range(2):
-            w = w + cho_solve(self._r_factor, residual - corr @ w)
+            w = w + cho_solve(r_factor, residual - corr @ w)
         self._rinv_residual = w
 
     def _predict(self, points, with_variance):
@@ -495,7 +523,7 @@ class FittedSurrogate:
             means[lo:hi] += r @ self._rinv_residual
             if not with_variance:
                 continue
-            v = solve_triangular(self._r_factor[0], r.T, lower=True, check_finite=False)
+            v = solve_triangular(self._chol, r.T, lower=True, check_finite=False)
             q_interp = np.einsum("ij,ij->j", v, v)
             u = self._whitened_basis.T @ v - psi[lo:hi].T
             q_trend = np.einsum("ij,ij->j", u, cho_solve(self._gls_factor, u))
@@ -516,16 +544,6 @@ class FittedSurrogate:
         if clamp:
             variances = np.maximum(variances, 0.0)
         return means, variances
-
-    def predict(self, x) -> Prediction:
-        """Predictor at a single point."""
-        means, raw = self.predict_batch(np.asarray(x, dtype=float)[None, :], clamp=False)
-        clamped = bool(raw[0] < 0.0)
-        return Prediction(
-            mean=float(means[0]),
-            variance=max(float(raw[0]), 0.0),
-            clamped=clamped,
-        )
 
     def training_digest(self) -> str:
         payload = self.training_inputs.tobytes() + self.training_outputs.tobytes()
@@ -549,6 +567,8 @@ class FittedSurrogate:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FittedSurrogate":
+        """Rebuild a surrogate from its training data; ``ArtifactError`` when
+        the payload is malformed or its stored fit disagrees with the rebuild."""
         if payload.get("format") != SURROGATE_FORMAT:
             raise ArtifactError(f"not a surrogate artifact: {payload.get('format')!r}")
         if payload.get("version") != SURROGATE_VERSION:
@@ -556,19 +576,38 @@ class FittedSurrogate:
                 f"surrogate artifact version {payload.get('version')} is not supported "
                 f"(expected {SURROGATE_VERSION})"
             )
-        kernel = None
-        if payload.get("kernel_kind") is not None:
-            kernel = KernelSpec(payload["kernel_kind"], np.array(payload["theta"]))
-        return cls(
-            basis=OrthonormalBasis.from_dict(payload["basis"]),
-            kernel=kernel,
-            mode=payload["mode"],
-            training_inputs=np.array(payload["training_inputs"], dtype=float),
-            training_outputs=np.array(payload["training_outputs"], dtype=float),
-            coefficients=np.array(payload["coefficients"], dtype=float),
-            process_variance=payload["process_variance"],
-            provenance=payload.get("provenance", {}),
-        )
+        try:
+            basis = OrthonormalBasis.from_dict(payload["basis"])
+            mode = payload["mode"]
+            x, b = _training_data(
+                payload["training_inputs"], payload["training_outputs"], basis, mode
+            )
+            kernel = None
+            if mode == "chaos_kriging":
+                kernel = KernelSpec(payload["kernel_kind"], payload["theta"])
+                if kernel.theta.shape != (x.shape[1],):
+                    raise ValueError("theta needs one length scale per input")
+            surrogate = cls(basis, kernel, mode, x, b, payload.get("provenance", {}))
+            if payload["training_digest"] != surrogate.training_digest():
+                raise ArtifactError("stored training digest does not match the training data")
+            for key in ("coefficients", "process_variance"):
+                stored = np.asarray(payload[key], dtype=float)
+                rebuilt = np.asarray(getattr(surrogate, key))
+                scale = np.max(np.abs(rebuilt), initial=0.0)
+                if stored.shape != rebuilt.shape or not np.all(
+                    np.abs(stored - rebuilt) <= 1e-8 * scale
+                ):
+                    raise ArtifactError(
+                        f"stored {key} disagree with the rebuilt fit beyond 1e-8 relative "
+                        "(edited, or fit under another BLAS build or thread count)"
+                    )
+        except KeyError as exc:
+            raise ArtifactError(f"surrogate artifact has no {exc.args[0]!r} field") from exc
+        except ArtifactError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ArtifactError(f"malformed surrogate artifact: {exc}") from exc
+        return surrogate
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -619,41 +658,10 @@ def fit(
         The generalized least-squares system is rank deficient; use more
         samples or a smaller basis.
     """
-    x = np.atleast_2d(np.asarray(training_inputs, dtype=float))
-    b = np.asarray(training_outputs, dtype=float)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if x.shape[1] != basis.index_set.dimension:
-        raise ValueError("training inputs do not match the basis dimension")
-    if b.shape != (x.shape[0],):
-        raise ValueError("training outputs must be one value per input row")
-    if x.shape[0] < len(basis):
-        raise ValueError(
-            "training size must be at least the number of basis functions "
-            f"(need >= {len(basis)}, got {x.shape[0]})"
-        )
-
-    a = basis.evaluate(x)
+    x, b = _training_data(training_inputs, training_outputs, basis, mode)
     provenance = {"kernel_kind": kernel_kind, "mode": mode, "seed": int(seed)}
-
     if mode == "chaos":
-        coeffs, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-        if rank < a.shape[1]:
-            raise ConditioningError(
-                "basis matrix is rank deficient; use more samples or a smaller basis"
-            )
-        residual = b - a @ coeffs
-        sigma2 = float(residual @ residual) / x.shape[0]
-        return FittedSurrogate(
-            basis=basis,
-            kernel=None,
-            mode=mode,
-            training_inputs=x,
-            training_outputs=b,
-            coefficients=coeffs,
-            process_variance=sigma2,
-            provenance=provenance,
-        )
+        return FittedSurrogate(basis, None, mode, x, b, provenance)
 
     if len(np.unique(x, axis=0)) != x.shape[0]:
         raise DegenerateTrainingError(
@@ -670,36 +678,4 @@ def fit(
         provenance["loo_factorizations"] = opt_info["factorizations"]
     kernel = KernelSpec(kernel_kind, np.asarray(theta, dtype=float))
     provenance["theta"] = kernel.theta.tolist()
-
-    factored = _factor_correlation(correlation_matrix(x, kernel))
-    if factored is None:
-        raise ConditioningError(
-            "correlation matrix is numerically singular even with a nugget; "
-            "shrink the length scales or space the training points out"
-        )
-    r_factor, nugget = factored
-    provenance["nugget"] = nugget
-
-    rinv_a = cho_solve(r_factor, a)
-    gls = a.T @ rinv_a
-    try:
-        gls_factor = cho_factor(0.5 * (gls + gls.T), lower=True)
-    except LinAlgError as exc:
-        raise ConditioningError(
-            "generalized least-squares system is rank deficient; "
-            "use more samples or a smaller basis"
-        ) from exc
-    coeffs = cho_solve(gls_factor, a.T @ cho_solve(r_factor, b))
-    residual = b - a @ coeffs
-    sigma2 = max(float(residual @ cho_solve(r_factor, residual)) / x.shape[0], 0.0)
-
-    return FittedSurrogate(
-        basis=basis,
-        kernel=kernel,
-        mode=mode,
-        training_inputs=x,
-        training_outputs=b,
-        coefficients=coeffs,
-        process_variance=sigma2,
-        provenance=provenance,
-    )
+    return FittedSurrogate(basis, kernel, mode, x, b, provenance)

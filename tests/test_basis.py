@@ -347,3 +347,18 @@ class TestSerialization:
         payload["version"] = 999
         with pytest.raises(ArtifactError):
             OrthonormalBasis.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda p: p.pop("indices"),
+            lambda p: p.pop("whitening"),
+            lambda p: p.update(whitening=p["whitening"][:-1]),
+            lambda p: p.update(indices=[row[:1] for row in p["indices"]]),
+        ],
+    )
+    def test_malformed_artifact_refused(self, corr09, tamper):
+        payload = build_basis(corr09, 1, 1, quadrature=5_000, seed=0).to_dict()
+        tamper(payload)
+        with pytest.raises(ArtifactError):
+            OrthonormalBasis.from_dict(payload)

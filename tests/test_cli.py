@@ -264,6 +264,30 @@ class TestFitPredict:
         assert code == 2
         assert "version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda p: p.pop("training_outputs"),
+            lambda p: p.update(coefficients=[0.0] * len(p["coefficients"])),
+        ],
+        ids=["missing-key", "tampered-coefficients"],
+    )
+    def test_predict_refuses_broken_artifact(self, fast_config, tmp_path, capsys, tamper):
+        out = tmp_path / "art"
+        run_cli("fit", "--config", fast_config, "--out", out)
+        artifact = out / "surrogate.json"
+        payload = json.loads(artifact.read_text())
+        tamper(payload)
+        artifact.write_text(json.dumps(payload))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n0.0,0.0\n")
+        capsys.readouterr()
+        code = run_cli("predict", "--artifact", artifact, "--points", pts,
+                       "--out", tmp_path / "p.csv")
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+
 
 class TestPresets:
     def test_presets_resolve_and_validate(self):

@@ -11,12 +11,10 @@ from tailrisk import (
     InsufficientMassError,
     RiskRegion,
     RiskReport,
-    WeightedOutputs,
     build_basis,
-    ci_half_width,
-    empirical_var_cvar,
     epsilon_risk_region,
     fit,
+    half_width,
     mcs_estimate,
     mfis_estimate,
     multi_index_set,
@@ -124,30 +122,20 @@ class TestVarCvar:
         assert shifted == pytest.approx(base + shift, rel=1e-9, abs=1e-9)
         assert scaled == pytest.approx(base * scale, rel=1e-9, abs=1e-9)
 
-    def test_weighted_outputs_wrapper(self):
-        outputs = WeightedOutputs(np.arange(1.0, 11.0), np.full(10, 0.1))
-        assert empirical_var_cvar(outputs, 0.8) == (8.0, 9.5)
-        assert outputs.total_weight == pytest.approx(1.0)
-
 
 class TestCiHalfWidth:
     def test_degenerate_alpha(self):
-        fake = FakeSurrogate([0.0], [4.0])
-        assert ci_half_width(fake, np.zeros((1, 2)), 1.0) == pytest.approx(0.0)
+        assert half_width([4.0], 1.0) == pytest.approx(0.0)
 
     def test_zero_variance(self):
-        fake = FakeSurrogate([1.0], [0.0])
-        assert ci_half_width(fake, np.zeros((1, 2)), 0.05) == pytest.approx(0.0)
+        assert half_width([0.0], 0.05) == pytest.approx(0.0)
 
     def test_hand_value(self):
-        fake = FakeSurrogate([0.0], [4.0])
-        eps = ci_half_width(fake, np.zeros((1, 2)), 0.05)
-        assert eps[0] == pytest.approx(3.919927969080108, abs=1e-9)
+        assert half_width([4.0], 0.05)[0] == pytest.approx(3.919927969080108, abs=1e-9)
 
     def test_bad_alpha(self):
-        fake = FakeSurrogate([0.0], [1.0])
         with pytest.raises(ValueError):
-            ci_half_width(fake, np.zeros((1, 2)), 0.0)
+            half_width([1.0], 0.0)
 
 
 def make_samples(n, dimension=2, seed=0):
@@ -299,8 +287,11 @@ class TestMfis:
         assert report.metadata["fresh_points"] == 7
         assert report.evaluations["surrogate"] == counting.points > 0
 
-    def test_unbiased_at_desk_scale(self):
-        # 200-point discrete instance with a known exhaustive tail value
+    def test_biased_low_by_under_one_percent_at_desk_scale(self):
+        # 200-point discrete instance with a known exhaustive tail value.  The
+        # subsampled empirical CVaR takes its VaR from the subsample, so it
+        # is biased low at finite m (Brown 2007); 2000 seeds resolve the
+        # bias, which stays small.
         n = 200
         rng = np.random.default_rng(21)
         samples = make_samples(n, dimension=1, seed=21)
@@ -314,11 +305,12 @@ class TestMfis:
         m = len(region) // 2
         estimates = [
             mfis_estimate(region, samples, truth, m, 0.8, seed=s).cvar_estimate
-            for s in range(500)
+            for s in range(2000)
         ]
         mean = np.mean(estimates)
         se = np.std(estimates, ddof=1) / math.sqrt(len(estimates))
-        assert abs(mean - exhaustive) <= 2 * se
+        assert mean < exhaustive - 2 * se
+        assert abs(mean - exhaustive) <= 0.01 * abs(exhaustive)
 
     def test_coverage_reported_not_failed(self, corr09, capsys):
         basis = build_basis(corr09, 1, 2, quadrature=50_000, seed=0)

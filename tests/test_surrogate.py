@@ -131,10 +131,10 @@ class TestFitting:
         far = np.array([[50.0]])
         r = cross_correlation(far, x, sur.kernel)
         assert np.max(r) < 1e-12
-        pred = sur.predict(far[0])
+        means, variances = sur.predict_batch(far, clamp=False)
         psi = basis.evaluate(far[0])
-        assert pred.mean == pytest.approx(float(psi @ sur.coefficients), rel=1e-10)
-        assert pred.variance >= sur.process_variance
+        assert means[0] == pytest.approx(float(psi @ sur.coefficients), rel=1e-10)
+        assert variances[0] >= sur.process_variance
 
     def test_too_few_samples_rejected(self):
         basis = hermite_basis_1d(3)
@@ -157,8 +157,7 @@ class TestFitting:
         pair = np.array([[0.0, 0.0], [1e-20, 0.0]])
         kernel = KernelSpec("gaussian", np.array([0.5, 0.5]))
         for design in (np.vstack([x, pair]), np.vstack([pair, x])):
-            factored = surrogate_mod._factor_correlation(correlation_matrix(design, kernel))
-            assert factored is not None and factored[1] is True
+            assert surrogate_mod._cholesky(correlation_matrix(design, kernel)) is None
             targets = np.sin(design[:, 0]) + design[:, 1] ** 2
             sur = fit(design, targets, basis, kernel_kind="gaussian", theta=[0.5, 0.5])
             assert sur.provenance["nugget"] is True
@@ -171,6 +170,14 @@ class TestFitting:
         x = np.column_stack([np.linspace(-1, 1, 8), np.zeros(8)])
         with pytest.raises(ConditioningError):
             fit(x, np.sin(x[:, 0]), basis, mode="chaos")
+        with pytest.raises(ConditioningError):
+            fit(x, np.sin(x[:, 0]), basis, theta=[0.5, 0.5])
+        # A load rebuilds the same system, and refuses it the same way.
+        spread = np.column_stack([x[:, 0], np.linspace(-1, 1, 8) ** 2])
+        payload = fit(spread, np.sin(x[:, 0]), basis, theta=[0.5, 0.5]).to_dict()
+        payload["training_inputs"] = x.tolist()
+        with pytest.raises(ConditioningError):
+            FittedSurrogate.from_dict(payload)
 
     def test_gls_equals_ols_when_correlation_is_identity(self):
         basis = hermite_basis_1d(2)
@@ -598,5 +605,48 @@ class TestSerialization:
         sur = fit(x, np.ones(4), basis, mode="chaos")
         payload = sur.to_dict()
         payload["version"] = 99
+        with pytest.raises(ArtifactError):
+            FittedSurrogate.from_dict(payload)
+
+    def test_fit_and_load_factor_r_once(self, tmp_path, monkeypatch):
+        basis = hermite_basis_2d(1, 2)
+        x = np.random.default_rng(19).normal(size=(25, 2))
+        calls = []
+        original = surrogate_mod._cholesky
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(surrogate_mod, "_cholesky", counting)
+        sur = fit(x, np.cos(x[:, 0]) + x[:, 1], basis, theta=[0.7, 0.9])
+        assert calls == [25]
+        sur.save(tmp_path / "surrogate.json")
+        calls.clear()
+        FittedSurrogate.load(tmp_path / "surrogate.json")
+        assert calls == [25]
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda p: p.pop("training_outputs"),
+            lambda p: p.pop("training_digest"),
+            lambda p: p["basis"].pop("whitening"),
+            lambda p: p.update(coefficients=[0.0] * len(p["coefficients"])),
+            lambda p: p.update(coefficients=p["coefficients"][:-1]),
+            lambda p: p.update(process_variance=2.0 * p["process_variance"]),
+            lambda p: p.update(training_digest="0" * 64),
+            lambda p: p.update(training_inputs=[row[:1] for row in p["training_inputs"]]),
+            lambda p: p.update(training_outputs=p["training_outputs"][:-1]),
+            lambda p: p.update(theta=p["theta"][:1]),
+            lambda p: p["basis"].update(whitening=[[1.0]]),
+        ],
+    )
+    def test_malformed_or_inconsistent_artifact_refused(self, tamper):
+        basis = hermite_basis_2d(1, 2)
+        x = np.random.default_rng(23).normal(size=(20, 2))
+        payload = fit(x, np.sin(x[:, 0]) - x[:, 1], basis, theta=[0.8, 0.8]).to_dict()
+        FittedSurrogate.from_dict(json.loads(json.dumps(payload)))
+        tamper(payload)
         with pytest.raises(ArtifactError):
             FittedSurrogate.from_dict(payload)
