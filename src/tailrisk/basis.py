@@ -32,7 +32,6 @@ which collapses to ``C(N+m, m)`` when ``S = N``.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -293,15 +292,6 @@ class OrthonormalBasis:
             raise ArtifactError(f"basis artifact has no {exc.args[0]!r} field") from exc
         except (TypeError, ValueError) as exc:
             raise ArtifactError(f"malformed basis artifact: {exc}") from exc
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "OrthonormalBasis":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _lower_cholesky(matrix: np.ndarray):

@@ -22,10 +22,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +248,11 @@ class Experiment:
                                  lambda v: v >= 1, "must be >= 1")
         self.restarts = number("surrogate", "restarts", int, "5",
                                lambda v: v >= 1, "must be >= 1")
+        self.timeouts = {
+            prefix: number("model", prefix + "timeout", float, "30",
+                           lambda v: 0 < v < math.inf, "must be a positive finite number")
+            for prefix in ("", "lf_")
+        }
 
         self.trials = number("run", "trials", int, "1", lambda v: v >= 1, "must be >= 1")
         self.seed = number("run", "seed", int, "0")
@@ -275,18 +282,15 @@ class Experiment:
         self.raw = cfg
 
     def build_model(self, low_fidelity=False) -> models.ModelHandle:
+        """A new handle; the constructor has validated its kind and timeout."""
         prefix = "lf_" if low_fidelity else ""
         kind = self.model_cfg.get(prefix + "kind", "builtin")
-        name = self.model_cfg.get(prefix + "name")
-        if kind == "builtin":
-            return models.BuiltinModel(name)
         if kind == "dataset":
             return models.DatasetModel(self.model_cfg[prefix + "path"])
         if kind == "command":
             argv = self.model_cfg[prefix + "command"].split()
-            timeout = float(self.model_cfg.get(prefix + "timeout", 30.0))
-            return models.CommandModel(argv, timeout=timeout)
-        raise ConfigError([f"model.kind: unknown kind {kind!r}"])
+            return models.CommandModel(argv, timeout=self.timeouts[prefix])
+        return models.BuiltinModel(self.model_cfg.get(prefix + "name"))
 
 
 def _build_basis(exp: Experiment) -> basis_mod.OrthonormalBasis:
@@ -303,86 +307,103 @@ def _derived_seed(master: int, *key: int) -> int:
     return int(np.random.SeedSequence(master, spawn_key=tuple(key)).generate_state(1)[0])
 
 
-def _fit_trial_surrogate(exp, shared_basis, trial, low_fidelity):
-    model = exp.build_model(low_fidelity=low_fidelity)
+@contextmanager
+def _open_models(exp, fidelities=("hf",)):
+    """Model handles keyed by fidelity (``"hf"``, ``"lf"``), closed on exit."""
+    with ExitStack() as stack:
+        yield {
+            fidelity: stack.enter_context(exp.build_model(low_fidelity=fidelity == "lf"))
+            for fidelity in fidelities
+        }
+
+
+def _fit_trial_surrogate(exp, shared_basis, trial, model):
     train = inputs.sample(
         exp.input_model, "mc", exp.training_size, _derived_seed(exp.seed, trial, _TRAIN)
     )
-    outputs = model.evaluate_batch(train.points)
-    fitted = surrogate.fit(
+    return surrogate.fit(
         train.points,
-        outputs,
+        model.evaluate_batch(train.points),
         shared_basis,
         kernel_kind=exp.kernel,
         mode=exp.mode,
         restarts=exp.restarts,
         seed=_derived_seed(exp.seed, trial, _FIT),
     )
-    return fitted, model
 
 
-def _run_trial(exp: Experiment, shared_basis, trial: int) -> risk.RiskReport:
+def _run_trial(exp: Experiment, shared_basis, trial: int, handles) -> risk.RiskReport:
+    """One estimation trial; its counts are the batch sizes it sent."""
     estimate_seed = _derived_seed(exp.seed, trial, _ESTIMATE)
     candidates = inputs.sample(exp.input_model, exp.scheme, exp.samples, estimate_seed)
 
     if exp.method == "mcs":
-        model = exp.build_model()
-        return risk.mcs_estimate(model, candidates, exp.beta, seed=estimate_seed)
+        return risk.mcs_estimate(handles["hf"], candidates, exp.beta, seed=estimate_seed)
 
+    fidelity = "lf" if exp.method == "mfis_lf" else "hf"
+    fitted = _fit_trial_surrogate(exp, shared_basis, trial, handles[fidelity])
     if exp.method == "surrogate_mcs":
-        fitted, train_model = _fit_trial_surrogate(exp, shared_basis, trial, False)
         report = risk.surrogate_mcs_estimate(fitted, candidates, exp.beta, seed=estimate_seed)
-        report.evaluations["hf"] = train_model.evaluations
-        return report
-
-    low_fidelity = exp.method == "mfis_lf"
-    fitted, train_model = _fit_trial_surrogate(exp, shared_basis, trial, low_fidelity)
-    hf_model = exp.build_model()
-    region = risk.epsilon_risk_region(fitted, candidates, exp.beta, exp.alpha)
-    report = risk.mfis_estimate(
-        region,
-        candidates,
-        hf_model,
-        exp.subsample_size,
-        exp.beta,
-        seed=_derived_seed(exp.seed, trial, _SUBSAMPLE),
-        method=exp.method,
-        surrogate=fitted,
-        input_model=exp.input_model,
-    )
-    report.evaluations["hf"] = hf_model.evaluations + (
-        0 if low_fidelity else train_model.evaluations
-    )
-    report.evaluations["lf"] = train_model.evaluations if low_fidelity else 0
-    report.evaluations["surrogate"] += len(candidates)
+    else:
+        region = risk.epsilon_risk_region(fitted, candidates, exp.beta, exp.alpha)
+        report = risk.mfis_estimate(
+            region,
+            candidates,
+            handles["hf"],
+            exp.subsample_size,
+            exp.beta,
+            seed=_derived_seed(exp.seed, trial, _SUBSAMPLE),
+            method=exp.method,
+            surrogate=fitted,
+            input_model=exp.input_model,
+        )
+        report.evaluations["surrogate"] += len(candidates)
+    report.evaluations[fidelity] += exp.training_size
     return report
 
 
-def _benchmark_trial(exp: Experiment, trial: int) -> risk.RiskReport:
+def _benchmark_trial(exp: Experiment, trial: int, handles) -> risk.RiskReport:
     seed = _derived_seed(exp.seed, trial, _BENCHMARK)
     candidates = inputs.sample(exp.input_model, exp.scheme, exp.samples, seed)
-    return risk.mcs_estimate(exp.build_model(), candidates, exp.beta, seed=seed)
+    return risk.mcs_estimate(handles["hf"], candidates, exp.beta, seed=seed)
 
 
-def _map_trials(fn, count, threads):
-    if threads <= 1:
-        return [fn(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+def _map_trials(exp, fn, fidelities=("hf",)):
+    """``fn(k, handles)`` for every trial ``k``, returned in trial order.
+
+    Trials are strided over ``min(threads, trials)`` workers, and each
+    worker opens its own handles for the whole phase: a command model
+    runs one child per worker, never one per trial.
+    """
+    workers = min(exp.threads, exp.trials)
+    results = [None] * exp.trials
+
+    def work(first):
+        with _open_models(exp, fidelities) as handles:
+            for k in range(first, exp.trials, workers):
+                results[k] = fn(k, handles)
+
+    if workers == 1:
+        work(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
+    return results
 
 
 def run_experiment(exp: Experiment) -> dict:
     """Execute the configured trials; returns the report document."""
     shared_basis = _build_basis(exp) if exp.method in SURROGATE_METHODS else None
 
-    reports = _map_trials(lambda k: _run_trial(exp, shared_basis, k), exp.trials, exp.threads)
+    fidelities = ("hf", "lf") if exp.method == "mfis_lf" else ("hf",)
+    reports = _map_trials(
+        exp, lambda k, handles: _run_trial(exp, shared_basis, k, handles), fidelities
+    )
 
     benchmark_reports = []
     benchmark_value = exp.benchmark_value
     if exp.benchmark_mode == "auto" and exp.method != "mcs":
-        benchmark_reports = _map_trials(
-            lambda k: _benchmark_trial(exp, k), exp.trials, exp.threads
-        )
+        benchmark_reports = _map_trials(exp, lambda k, handles: _benchmark_trial(exp, k, handles))
         benchmark_value = float(np.mean([r.cvar_estimate for r in benchmark_reports]))
     elif exp.benchmark_mode == "auto":
         benchmark_value = float(np.mean([r.cvar_estimate for r in reports]))
@@ -510,7 +531,8 @@ def _cmd_fit(args) -> int:
         cfg.setdefault("risk", {})["method"] = "surrogate_mcs"
     exp = Experiment(cfg)
     shared_basis = _build_basis(exp)
-    fitted, _ = _fit_trial_surrogate(exp, shared_basis, 0, low_fidelity=False)
+    with _open_models(exp) as handles:
+        fitted = _fit_trial_surrogate(exp, shared_basis, 0, handles["hf"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "surrogate.json"
@@ -519,22 +541,26 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _read_points(path) -> np.ndarray:
+def _read_points(path, dimension) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ConfigError([f"points: {path} is empty (no header)"])
         coord_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-        if not coord_cols:
-            raise ConfigError([f"points: {path} must have x1,...,xN columns"])
-        rows = [[float(row[i]) for i in coord_cols] for row in reader if row]
-    return np.array(rows, dtype=float).reshape(len(rows), len(coord_cols))
+        if len(coord_cols) != dimension:
+            raise ConfigError([f"points: {path} has {len(coord_cols)} x columns, "
+                               f"the surrogate takes {dimension} inputs"])
+        rows = [row for row in reader if row]
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigError([f"points: {path} has a row without one value per column"])
+    return np.array([[float(row[i]) for i in coord_cols] for row in rows],
+                    dtype=float).reshape(len(rows), dimension)
 
 
 def _cmd_predict(args) -> int:
     fitted = surrogate.FittedSurrogate.load(args.artifact)
-    points = _read_points(args.points)
+    points = _read_points(args.points, fitted.basis.index_set.dimension)
     out_path = Path(args.out)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -16,7 +16,6 @@ Latin hypercube sampling (``lhs``).  All samplers are deterministic given
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -277,14 +276,6 @@ class SampleSet:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
-
-    def to_csv(self, path):
-        """Write ``x1,...,xN,p`` rows."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i + 1}" for i in range(self.dimension)] + ["p"])
-            for row, p in zip(self.points, self.probabilities):
-                writer.writerow([repr(float(v)) for v in row] + [repr(float(p))])
 
 
 def _uniform_stream(scheme: str, dimension: int, seed: int, skip: int):

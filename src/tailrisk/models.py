@@ -9,7 +9,10 @@ one numeric output line back.  A batch streams through the child, its
 input lines written while the replies are read; the timeout applies to
 each reply, and a failed request kills the child.
 
-Every handle counts its evaluations.
+Every handle counts its evaluations and is a context manager whose exit
+calls ``close()``.  ``tailrisk run`` opens one handle per fidelity and
+worker thread for each phase (trials, then reference trials) and closes
+it when the phase ends; ``tailrisk fit`` opens and closes one.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ BUILTIN_MODELS = {
 
 
 class ModelHandle:
-    """Base class: evaluation counting."""
+    """Base class: evaluation counting, and ``close()`` as a context manager."""
 
     kind = "abstract"
 
@@ -121,6 +124,15 @@ class ModelHandle:
     def evaluate_batch(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.array([self.evaluate(row) for row in points])
+
+    def close(self):
+        """Release what the handle holds; closing twice is harmless."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 class BuiltinModel(ModelHandle):
@@ -171,7 +183,6 @@ class DatasetModel(ModelHandle):
                 raise ValueError(
                     f"dataset {path} must have header x1,...,xN,y"
                 )
-            self.dimension = len(header) - 1
             for row in reader:
                 if not row:
                     continue
@@ -199,9 +210,11 @@ class CommandModel(ModelHandle):
     without waiting for the end of its input.  ``timeout`` bounds the wait
     for each reply.  Timeouts, crashes, and non-numeric replies raise
     :class:`EvaluationError` with captured diagnostics and kill the child;
-    the next request starts a fresh one.  A handle owns one child and
-    serializes requests; use one handle per worker for concurrent
-    evaluation.
+    the next request starts a fresh one.  A handle owns one child, started
+    by its first batch, and serializes requests; use one handle per worker
+    for concurrent evaluation, as ``tailrisk run`` does (one per fidelity
+    and worker, closed when the phase ends).  Like every handle it is a
+    context manager; ``close()`` stops the child.
     """
 
     kind = "command"
@@ -326,12 +339,6 @@ class CommandModel(ModelHandle):
             except subprocess.TimeoutExpired:
                 pass
         self._kill()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
 
 def evaluate_model(model, points) -> np.ndarray:

@@ -22,7 +22,6 @@ shrinks as ``M`` grows.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -190,21 +189,6 @@ class RiskReport:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for key in ("hf", "lf", "surrogate"):
             self.evaluations.setdefault(key, 0)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "var_estimate": self.var_estimate,
-                "cvar_estimate": self.cvar_estimate,
-                "method": self.method,
-                "beta": self.beta,
-                "alpha": self.alpha,
-                "evaluations": self.evaluations,
-                "wall_clock": self.wall_clock,
-                "seed": self.seed,
-                "metadata": self.metadata,
-            }
-        )
 
     def csv_row(self, interaction_order="", degree="", mrd="", nrmsd="") -> str:
         """Row for the report table; column layout in ``REPORT_CSV_HEADER``."""

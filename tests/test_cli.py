@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailrisk
 from tailrisk.cli import main
 from tailrisk.risk import REPORT_CSV_HEADER
 
@@ -52,6 +57,53 @@ def fast_config(tmp_path):
     path = tmp_path / "config.ini"
     path.write_text(FAST_CONFIG)
     return path
+
+
+# A line-protocol Rastrigin child that appends its PID to the file named by
+# its argument, so a test can find every child a run started.
+PID_RECORDING_RASTRIGIN = textwrap.dedent(
+    """
+    import math
+    import os
+    import sys
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    for line in sys.stdin:
+        total = 0.0
+        for token in line.split():
+            x = float(token)
+            total += x * x - 5.0 * math.cos(2.0 * math.pi * x)
+        sys.stdout.write(repr(10.0 - total) + "\\n")
+        sys.stdout.flush()
+    """
+)
+
+
+@pytest.fixture()
+def command_config(tmp_path):
+    """FAST_CONFIG with the HF model behind the line protocol; returns
+    the config path and the file the children record their PIDs in."""
+    script = tmp_path / "child.py"
+    script.write_text(PID_RECORDING_RASTRIGIN)
+    pids = tmp_path / "pids.txt"
+    path = tmp_path / "command.ini"
+    path.write_text(FAST_CONFIG.replace(
+        "kind = builtin\nname = rastrigin\n",
+        f"kind = command\ncommand = {sys.executable} {script} {pids}\n",
+    ))
+    return path, pids
+
+
+def started_children(pids):
+    return [int(line) for line in pids.read_text().split()] if pids.exists() else []
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def run_cli(*args):
@@ -135,11 +187,65 @@ class TestRun:
         assert doc["summary"]["evaluations"]["lf"] == 40
         assert doc["summary"]["evaluations"]["hf"] == 30
 
-    def test_threads_do_not_change_results(self, fast_config, tmp_path):
+    @pytest.mark.parametrize("model", ["builtin", "command"])
+    def test_threads_do_not_change_results(self, request, tmp_path, model):
+        config = (request.getfixturevalue("fast_config") if model == "builtin"
+                  else request.getfixturevalue("command_config")[0])
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        run_cli("run", "--config", fast_config, "--out", out1, "--threads", "1")
-        run_cli("run", "--config", fast_config, "--out", out2, "--threads", "4")
+        assert run_cli("run", "--config", config, "--out", out1, "--threads", "1") == 0
+        assert run_cli("run", "--config", config, "--out", out2, "--threads", "4") == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+class TestModelHandles:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("method", ["mfis_lf", "mfis_hf"])
+    def test_run_starts_one_child_per_worker_and_phase_and_stops_it(
+        self, command_config, tmp_path, method, threads
+    ):
+        config, pids = command_config
+        assert run_cli("run", "--config", config, "--method", method, "--trials", 3,
+                       "--threads", threads, "--out", tmp_path / "out") == 0
+        started = started_children(pids)
+        # Two phases (trials, then reference trials), one child per worker.
+        assert 0 < len(started) <= 2 * threads
+        assert not [pid for pid in started if alive(pid)]
+
+    def test_fit_stops_its_child(self, command_config, tmp_path):
+        config, pids = command_config
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "art") == 0
+        started = started_children(pids)
+        assert len(started) == 1
+        assert not alive(started[0])
+
+    def test_no_unclosed_child_or_pipe_under_dev_mode(self, command_config, tmp_path):
+        config, _ = command_config
+        env = {**os.environ, "PYTHONPATH": str(Path(tailrisk.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "tailrisk.cli", "run",
+             "--config", str(config), "--method", "mfis_hf", "--threads", "2",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "ResourceWarning" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "method, hf, lf",
+        [("mcs", 2000, 0), ("surrogate_mcs", 40, 0), ("mfis_hf", 70, 0), ("mfis_lf", 30, 40)],
+    )
+    def test_per_trial_counts_are_what_each_trial_sent(
+        self, command_config, tmp_path, method, hf, lf
+    ):
+        config, _ = command_config
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", config, "--method", method, "--trials", 3,
+                       "--threads", 2, "--out", out) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert [(t["evaluations"]["hf"], t["evaluations"]["lf"]) for t in doc["trials"]] \
+            == [(hf, lf)] * 3
+        assert [t["evaluations"]["hf"] for t in doc["benchmark_trials"]] \
+            == ([] if method == "mcs" else [2000] * 3)
 
 
 class TestValidation:
@@ -179,6 +285,22 @@ class TestValidation:
 
     def test_missing_config_and_preset(self, tmp_path, capsys):
         assert run_cli("run", "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("line", ["timeout = -1", "timeout = abc",
+                                      "lf_timeout = 0", "lf_timeout = nan"])
+    def test_bad_timeout_fails_up_front(self, command_config, tmp_path, capsys, line,
+                                        monkeypatch):
+        from tailrisk import cli
+
+        def no_basis(exp):
+            raise AssertionError("the basis was built before the timeout was checked")
+
+        monkeypatch.setattr(cli, "_build_basis", no_basis)
+        config, _ = command_config
+        config.write_text(config.read_text().replace("[surrogate]", f"{line}\n\n[surrogate]"))
+        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: model.{line.split()[0]}: ")
 
 
 class TestFitPredict:
@@ -240,6 +362,23 @@ class TestFitPredict:
         assert run_cli("predict", "--artifact", out / "surrogate.json",
                        "--points", pts, "--out", pred_path) == 0
         assert pred_path.read_text().strip() == "mean,variance,epsilon"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x1,x2\n0.3\n", "x1\n0.3\n", "x1,x2,x3\n0.1,0.2,0.3\n"],
+        ids=["short-row", "one-column", "three-columns"],
+    )
+    def test_predict_refuses_malformed_points(self, fast_config, tmp_path, capsys, text):
+        out = tmp_path / "art"
+        run_cli("fit", "--config", fast_config, "--out", out)
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text)
+        capsys.readouterr()
+        code = run_cli("predict", "--artifact", out / "surrogate.json", "--points", pts,
+                       "--out", tmp_path / "p.csv")
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: points: ")
 
     def test_fit_validates_sample_count_rule(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

@@ -170,18 +170,6 @@ class TestSampling:
 
 
 class TestSampleSet:
-    def test_csv_export_round_trip(self, tmp_path, corr09):
-        s = sample(corr09, "mc", 10, seed=1)
-        path = tmp_path / "samples.csv"
-        s.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1,x2,p"
-        loaded = np.array(
-            [[float(v) for v in line.split(",")] for line in lines[1:]]
-        )
-        np.testing.assert_array_equal(loaded[:, :2], s.points)
-        np.testing.assert_array_equal(loaded[:, 2], s.probabilities)
-
     def test_rejects_negative_probabilities(self):
         with pytest.raises(ValueError):
             SampleSet(points=np.zeros((2, 1)), probabilities=np.array([0.5, -0.5]))
