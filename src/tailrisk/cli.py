@@ -23,7 +23,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
@@ -36,8 +35,6 @@ from . import basis as basis_mod
 from . import inputs, models, risk, surrogate
 from .exceptions import ArtifactError, TailriskError
 from .metrics import TrialEnsemble, mrd, nrmsd
-
-THREADS_ENV_VAR = "TAILRISK_THREADS"
 
 _TRAIN, _FIT, _ESTIMATE, _SUBSAMPLE, _BENCHMARK, _BASIS = range(6)
 
@@ -256,9 +253,7 @@ class Experiment:
 
         self.trials = number("run", "trials", int, "1", lambda v: v >= 1, "must be >= 1")
         self.seed = number("run", "seed", int, "0")
-        self.threads = number("run", "threads", int,
-                              os.environ.get(THREADS_ENV_VAR, "1"),
-                              lambda v: v >= 1, "must be >= 1")
+        self.threads = number("run", "threads", int, "1", lambda v: v >= 1, "must be >= 1")
 
         if self.method in SURROGATE_METHODS and self.input_model is not None:
             needed = basis_mod.cardinality(
@@ -401,12 +396,11 @@ def run_experiment(exp: Experiment) -> dict:
     )
 
     benchmark_reports = []
-    benchmark_value = exp.benchmark_value
     if exp.benchmark_mode == "auto" and exp.method != "mcs":
         benchmark_reports = _map_trials(exp, lambda k, handles: _benchmark_trial(exp, k, handles))
-        benchmark_value = float(np.mean([r.cvar_estimate for r in benchmark_reports]))
-    elif exp.benchmark_mode == "auto":
-        benchmark_value = float(np.mean([r.cvar_estimate for r in reports]))
+    benchmark_value = exp.benchmark_value
+    if exp.benchmark_mode == "auto":  # an MCS run is its own reference
+        benchmark_value = float(np.mean([r.cvar_estimate for r in benchmark_reports or reports]))
 
     estimates = np.array([r.cvar_estimate for r in reports])
     summary = {
@@ -447,44 +441,40 @@ def run_experiment(exp: Experiment) -> dict:
         "summary": summary,
         "trials": [trial_doc(r) for r in reports],
         "benchmark_trials": [trial_doc(r) for r in benchmark_reports],
-        "reports": reports,
-        "benchmark_reports": benchmark_reports,
     }
+
+
+REPORT_CSV_HEADER = (
+    "method,interaction_order,degree,cvar_estimate,mrd_pct,nrmsd_pct,"
+    "hf_evals,lf_evals,surrogate_evals"
+)
+
+
+def _table_row(method, cvar, evaluations, interaction_order="", degree="", mrd="", nrmsd=""):
+    """One ``table.csv`` row; column layout in ``REPORT_CSV_HEADER``."""
+    fmt = lambda v: "" if v == "" else format(float(v), ".10g")
+    return ",".join(
+        [method, str(interaction_order), str(degree), fmt(cvar), fmt(mrd), fmt(nrmsd)]
+        + [str(evaluations.get(key, 0)) for key in ("hf", "lf", "surrogate")]
+    )
 
 
 def _write_outputs(document: dict, exp: Experiment, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    serializable = {k: v for k, v in document.items()
-                    if k not in ("reports", "benchmark_reports")}
     (out_dir / "report.json").write_text(
-        json.dumps(serializable, indent=2, sort_keys=True) + "\n"
+        json.dumps(document, indent=2, sort_keys=True) + "\n"
     )
 
     summary = document["summary"]
     rows = []
-    if document["benchmark_reports"]:
-        bench_estimates = [r.cvar_estimate for r in document["benchmark_reports"]]
-        bench = risk.RiskReport(
-            var_estimate=float(np.mean([r.var_estimate for r in document["benchmark_reports"]])),
-            cvar_estimate=float(np.mean(bench_estimates)),
-            method="mcs",
-            beta=exp.beta,
-            evaluations={
-                "hf": sum(r.evaluations["hf"] for r in document["benchmark_reports"]),
-                "lf": 0,
-                "surrogate": 0,
-            },
-        )
-        rows.append(bench.csv_row())
-    mean_report = risk.RiskReport(
-        var_estimate=summary["mean_var"],
-        cvar_estimate=summary["mean_cvar"],
-        method=exp.method,
-        beta=exp.beta,
-        evaluations=summary["evaluations"],
-    )
+    if document["benchmark_trials"]:
+        hf = sum(t["evaluations"]["hf"] for t in document["benchmark_trials"])
+        rows.append(_table_row("mcs", summary["benchmark"], {"hf": hf}))
     rows.append(
-        mean_report.csv_row(
+        _table_row(
+            exp.method,
+            summary["mean_cvar"],
+            summary["evaluations"],
             interaction_order=exp.interaction_order,
             degree=exp.degree,
             mrd=summary.get("mrd_pct", ""),
@@ -492,7 +482,7 @@ def _write_outputs(document: dict, exp: Experiment, out_dir: Path):
         )
     )
     (out_dir / "table.csv").write_text(
-        risk.REPORT_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+        REPORT_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     )
 
 
@@ -554,22 +544,27 @@ def _read_points(path, dimension) -> np.ndarray:
         rows = [row for row in reader if row]
     if any(len(row) != len(header) for row in rows):
         raise ConfigError([f"points: {path} has a row without one value per column"])
-    return np.array([[float(row[i]) for i in coord_cols] for row in rows],
-                    dtype=float).reshape(len(rows), dimension)
+    try:
+        values = [[float(row[i]) for i in coord_cols] for row in rows]
+    except ValueError as exc:
+        raise ConfigError([f"points: {path}: {exc}"]) from None
+    return np.array(values, dtype=float).reshape(len(rows), dimension)
 
 
 def _cmd_predict(args) -> int:
+    if not 0.0 < args.alpha <= 1.0:
+        raise ConfigError([f"alpha: must be in (0, 1], got {args.alpha}"])
     fitted = surrogate.FittedSurrogate.load(args.artifact)
     points = _read_points(args.points, fitted.basis.index_set.dimension)
+    means, variances = fitted.predict_batch(points)
+    eps = risk.half_width(variances, args.alpha)
+    rows = [[repr(float(m)), repr(float(v)), repr(float(e))]
+            for m, v, e in zip(means, variances, eps)]
     out_path = Path(args.out)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mean", "variance", "epsilon"])
-        if len(points):
-            means, variances = fitted.predict_batch(points)
-            eps = risk.half_width(variances, args.alpha)
-            for m, v, e in zip(means, variances, eps):
-                writer.writerow([repr(float(m)), repr(float(v)), repr(float(e))])
+        writer.writerows(rows)
     print(f"wrote {out_path}")
     return 0
 
@@ -588,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override run.seed")
         p.add_argument("--trials", type=int, help="override run.trials")
         p.add_argument("--threads", type=int,
-                       help=f"override run.threads (default from ${THREADS_ENV_VAR})")
+                       help="override run.threads")
 
     p_run = sub.add_parser("run", help="run a CVaR estimation experiment")
     common(p_run)

@@ -273,10 +273,6 @@ class SampleSet:
     def __len__(self):
         return self.points.shape[0]
 
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
 
 def _uniform_stream(scheme: str, dimension: int, seed: int, skip: int):
     """Stateful generator of uniform/(standard normal) block draws.

@@ -9,10 +9,11 @@ one numeric output line back.  A batch streams through the child, its
 input lines written while the replies are read; the timeout applies to
 each reply, and a failed request kills the child.
 
-Every handle counts its evaluations and is a context manager whose exit
-calls ``close()``.  ``tailrisk run`` opens one handle per fidelity and
-worker thread for each phase (trials, then reference trials) and closes
-it when the phase ends; ``tailrisk fit`` opens and closes one.
+Handles keep no evaluation count: callers count the points they send.
+Every handle is a context manager whose exit calls ``close()``.
+``tailrisk run`` opens one handle per fidelity and worker thread for
+each phase (trials, then reference trials) and closes it when the phase
+ends; ``tailrisk fit`` opens and closes one.
 """
 
 from __future__ import annotations
@@ -101,29 +102,19 @@ BUILTIN_MODELS = {
 
 
 class ModelHandle:
-    """Base class: evaluation counting, and ``close()`` as a context manager."""
+    """Base class: a named model, and ``close()`` as a context manager."""
 
     kind = "abstract"
 
     def __init__(self, name: str):
         self.name = name
-        self._count = 0
-        self._lock = threading.Lock()
-
-    @property
-    def evaluations(self) -> int:
-        return self._count
-
-    def _charge(self, count: int = 1):
-        with self._lock:
-            self._count += count
 
     def evaluate(self, x) -> float:
-        raise NotImplementedError
+        """One evaluation: a batch of one point."""
+        return float(self.evaluate_batch(np.reshape(x, (1, -1)))[0])
 
     def evaluate_batch(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([self.evaluate(row) for row in points])
+        raise NotImplementedError
 
     def close(self):
         """Release what the handle holds; closing twice is harmless."""
@@ -148,13 +139,8 @@ class BuiltinModel(ModelHandle):
         super().__init__(name)
         self._fn = BUILTIN_MODELS[name]
 
-    def evaluate(self, x) -> float:
-        self._charge()
-        return float(self._fn(np.asarray(x, dtype=float)))
-
     def evaluate_batch(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        self._charge(len(points))
         return np.asarray(self._fn(points), dtype=float)
 
 
@@ -168,7 +154,7 @@ class DatasetModel(ModelHandle):
 
     Inputs are matched by their canonical 15-significant-digit rendering,
     so a design written out and read back hits exactly.  A miss raises
-    :class:`DatasetLookupError` without charging the counter.
+    :class:`DatasetLookupError`.
     """
 
     kind = "dataset"
@@ -189,16 +175,12 @@ class DatasetModel(ModelHandle):
                 key = _dataset_key([float(v) for v in row[:-1]])
                 self._table[key] = float(row[-1])
 
-    def evaluate(self, x) -> float:
-        key = _dataset_key(x)
+    def evaluate_batch(self, points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         try:
-            value = self._table[key]
-        except KeyError:
-            raise DatasetLookupError(
-                f"no dataset row matches input {np.asarray(x).tolist()}"
-            ) from None
-        self._charge()
-        return value
+            return np.array([self._table[_dataset_key(row)] for row in points])
+        except KeyError as exc:
+            raise DatasetLookupError(f"no dataset row matches input {exc.args[0]}") from None
 
 
 class CommandModel(ModelHandle):
@@ -227,6 +209,7 @@ class CommandModel(ModelHandle):
         self._argv = [str(a) for a in argv]
         self._proc = None
         self._buffer = b""
+        self._lock = threading.Lock()
 
     def _ensure_started(self):
         if self._proc is None or self._proc.poll() is not None:
@@ -259,9 +242,6 @@ class CommandModel(ModelHandle):
             proc.wait()
             for stream in (proc.stdin, proc.stdout, proc.stderr):
                 stream.close()
-
-    def evaluate(self, x) -> float:
-        return float(self.evaluate_batch(np.reshape(x, (1, -1)))[0])
 
     def evaluate_batch(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -325,7 +305,6 @@ class CommandModel(ModelHandle):
                         f"{reply.decode(errors='replace')!r}"
                     ) from exc
                 received += 1
-                self._count += 1
             if replies:
                 deadline = time.monotonic() + self.timeout
         return values

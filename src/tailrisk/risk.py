@@ -18,16 +18,21 @@ estimate of its value over all candidates.  The CVaR estimate, however,
 takes its VaR from the same subsample, and that empirical CVaR is biased
 low at finite ``M`` (Brown 2007, Oper. Res. Lett. 35:722); the bias
 shrinks as ``M`` grows.
+
+The tail rule (descending order and snapped tail index) and the region's
+membership rule each live in one helper, ``_tail_index`` and
+``_in_region``; the empirical estimator, the region, and the region's
+top-up all call them.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
+from . import inputs
 from .exceptions import InsufficientMassError, TailriskError
 from .inputs import SampleSet
 from .models import evaluate_model
@@ -46,10 +51,37 @@ __all__ = [
 
 METHODS = ("mcs", "surrogate_mcs", "mfis_hf", "mfis_lf")
 
-REPORT_CSV_HEADER = (
-    "method,interaction_order,degree,cvar_estimate,mrd_pct,nrmsd_pct,"
-    "hf_evals,lf_evals,surrogate_evals"
-)
+
+def _tail_index(scores, probabilities, beta: float):
+    """``(order, k)``: the descending order of ``scores`` (ties broken by
+    position) and the smallest index ``k`` into it whose cumulative
+    probability exceeds ``1 - beta``.
+
+    Raises ``ValueError`` for ``beta`` outside (0, 1) and
+    ``InsufficientMassError`` when the total probability does not exceed
+    ``1 - beta`` (the tail is not covered).
+    """
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    tail = 1.0 - beta
+    # Cumulative weights that equal 1 - beta up to roundoff (e.g. 0.1 + 0.1
+    # against beta = 0.8) must not count as exceeding it, or the tail index
+    # lands one sample early.
+    snapped = tail * (1.0 + 1e-12)
+    order = np.argsort(-scores, kind="stable")
+    cumulative = np.cumsum(probabilities[order])
+    if not cumulative[-1] > snapped:
+        raise InsufficientMassError(
+            f"total weight {cumulative[-1]:.6g} does not exceed 1 - beta = {tail:.6g}"
+        )
+    return order, int(np.searchsorted(cumulative, snapped, side="right"))
+
+
+def _in_region(means, eps, threshold):
+    """The region's membership rule: ``mean + eps`` reaches ``threshold``
+    and ``mean - eps`` is finite."""
+    with np.errstate(invalid="ignore"):
+        return (means + eps >= threshold) & np.isfinite(means - eps)
 
 
 def var_cvar(values, probabilities, beta: float) -> tuple[float, float]:
@@ -62,7 +94,7 @@ def var_cvar(values, probabilities, beta: float) -> tuple[float, float]:
     Raises
     ------
     ValueError
-        Empty input or ``beta`` outside (0, 1).
+        Empty input, a non-finite value, or ``beta`` outside (0, 1).
     InsufficientMassError
         Total weight below ``1 - beta`` (the tail is not covered).
     """
@@ -70,30 +102,17 @@ def var_cvar(values, probabilities, beta: float) -> tuple[float, float]:
     probs = np.asarray(probabilities, dtype=float)
     if values.size == 0:
         raise ValueError("cannot estimate a tail from zero outputs")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    tail = 1.0 - beta
-    # Cumulative weights that equal 1 - beta up to roundoff (e.g. 0.1 + 0.1
-    # against beta = 0.8) must not count as exceeding it, or the tail index
-    # lands one sample early.
-    snapped = tail * (1.0 + 1e-12)
-
-    order = np.argsort(-values, kind="stable")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("cannot estimate a tail from non-finite outputs")
+    order, k = _tail_index(values, probs, beta)
     sorted_values = values[order]
-    sorted_probs = probs[order]
-    cumulative = np.cumsum(sorted_probs)
-    if not cumulative[-1] > snapped:
-        raise InsufficientMassError(
-            f"total weight {cumulative[-1]:.6g} does not exceed 1 - beta = {tail:.6g}"
-        )
-    k = int(np.searchsorted(cumulative, snapped, side="right"))
     var = float(sorted_values[k])
 
     exceeding = sorted_values > var
     excess = float(
-        np.sum(sorted_probs[exceeding] * (sorted_values[exceeding] - var))
+        np.sum(probs[order][exceeding] * (sorted_values[exceeding] - var))
     )
-    return var, var + excess / tail
+    return var, var + excess / (1.0 - beta)
 
 
 def half_width(variances, alpha: float):
@@ -138,29 +157,16 @@ def epsilon_risk_region(
     reaches it.  With ``eps == 0`` this collapses to the plain discrete
     risk region ``{ l : mean_l >= VaR_beta }``.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
     means, variances = surrogate.predict_batch(samples.points)
     eps = half_width(variances, alpha)
     if not np.any(np.isfinite(eps)):
         raise TailriskError("every confidence half-width is non-finite")
 
     score = means - eps
-    finite = np.isfinite(score)
-    score = np.where(finite, score, -np.inf)
-    order = np.argsort(-score, kind="stable")
-    cumulative = np.cumsum(samples.probabilities[order])
-    snapped = (1.0 - beta) * (1.0 + 1e-12)
-    k = int(np.searchsorted(cumulative, snapped, side="right"))
-    if k >= len(samples):
-        raise InsufficientMassError(
-            "candidate samples do not carry enough mass for the requested level"
-        )
+    score = np.where(np.isfinite(score), score, -np.inf)
+    order, k = _tail_index(score, samples.probabilities, beta)
     threshold = float(means[order[k]])
-
-    with np.errstate(invalid="ignore"):
-        member_mask = (means + eps >= threshold) & finite
-    members = np.flatnonzero(member_mask)
+    members = np.flatnonzero(_in_region(means, eps, threshold))
     return RiskRegion(
         member_indices=members,
         mass=len(members) / len(samples),
@@ -178,9 +184,7 @@ class RiskReport:
     cvar_estimate: float
     method: str
     beta: float
-    alpha: float | None = None
     evaluations: dict = field(default_factory=dict)
-    wall_clock: float = 0.0
     seed: int | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -190,27 +194,9 @@ class RiskReport:
         for key in ("hf", "lf", "surrogate"):
             self.evaluations.setdefault(key, 0)
 
-    def csv_row(self, interaction_order="", degree="", mrd="", nrmsd="") -> str:
-        """Row for the report table; column layout in ``REPORT_CSV_HEADER``."""
-        fmt = lambda v: "" if v == "" else format(float(v), ".10g")
-        return ",".join(
-            [
-                self.method,
-                str(interaction_order),
-                str(degree),
-                fmt(self.cvar_estimate),
-                fmt(mrd),
-                fmt(nrmsd),
-                str(self.evaluations.get("hf", 0)),
-                str(self.evaluations.get("lf", 0)),
-                str(self.evaluations.get("surrogate", 0)),
-            ]
-        )
-
 
 def mcs_estimate(model, samples: SampleSet, beta: float, seed=None) -> RiskReport:
     """Standard Monte Carlo estimate: evaluate the model at every sample."""
-    start = time.perf_counter()
     outputs = evaluate_model(model, samples.points)
     var, cvar = var_cvar(outputs, samples.probabilities, beta)
     return RiskReport(
@@ -219,7 +205,6 @@ def mcs_estimate(model, samples: SampleSet, beta: float, seed=None) -> RiskRepor
         method="mcs",
         beta=beta,
         evaluations={"hf": len(samples), "lf": 0, "surrogate": 0},
-        wall_clock=time.perf_counter() - start,
         seed=seed,
     )
 
@@ -231,7 +216,6 @@ def surrogate_mcs_estimate(
 
     Only the mean is predicted: the variance plays no part here.
     """
-    start = time.perf_counter()
     means = surrogate.predict_mean(samples.points)
     var, cvar = var_cvar(means, samples.probabilities, beta)
     return RiskReport(
@@ -240,7 +224,6 @@ def surrogate_mcs_estimate(
         method="surrogate_mcs",
         beta=beta,
         evaluations={"hf": 0, "lf": 0, "surrogate": len(samples)},
-        wall_clock=time.perf_counter() - start,
         seed=seed,
     )
 
@@ -251,18 +234,17 @@ def _fresh_region_points(surrogate, input_model, region, count, seed):
     Returns ``(points, predictions)``: ``count`` accepted points and the
     number of surrogate predictions it took to find them.
     """
-    from .inputs import sample as draw_sample
-
     collected = []
     got = 0
     block = 8192
     for attempt in range(512):
-        batch = draw_sample(
+        batch = inputs.sample(
             input_model, "mc", block, np.random.SeedSequence((seed, attempt)).generate_state(1)[0]
         )
         means, variances = surrogate.predict_batch(batch.points)
-        keep = means + half_width(variances, region.alpha) >= region.threshold
-        accepted = batch.points[keep]
+        accepted = batch.points[
+            _in_region(means, half_width(variances, region.alpha), region.threshold)
+        ]
         if len(accepted):
             collected.append(accepted)
             got += len(accepted)
@@ -309,10 +291,7 @@ def mfis_estimate(
     InsufficientMassError
         Region mass below ``1 - beta``.
     """
-    start = time.perf_counter()
     m = int(subsample_size)
-    fresh_points = None
-    predictions = 0
     if m < 1:
         raise ValueError(f"subsample size must be >= 1, got {subsample_size}")
     if m > len(region) and (surrogate is None or input_model is None):
@@ -323,18 +302,19 @@ def mfis_estimate(
         raise InsufficientMassError(
             f"region mass {region.mass:.6g} is below 1 - beta = {1.0 - beta:.6g}"
         )
-    if m > len(region):
-        fresh_points, predictions = _fresh_region_points(
-            surrogate, input_model, region, m - len(region), seed
-        )
 
     rng = np.random.default_rng(seed)
-    if fresh_points is None:
-        chosen = np.sort(rng.choice(region.member_indices, size=m, replace=False))
-        points = samples.points[chosen]
-    else:
-        chosen = np.sort(region.member_indices)
-        points = np.vstack([samples.points[chosen], fresh_points])
+    chosen = np.sort(
+        rng.choice(region.member_indices, size=min(m, len(region)), replace=False)
+    )
+    points = samples.points[chosen]
+    shortfall = max(m - len(region), 0)
+    predictions = 0
+    if shortfall:
+        fresh_points, predictions = _fresh_region_points(
+            surrogate, input_model, region, shortfall, seed
+        )
+        points = np.vstack([points, fresh_points])
     outputs = evaluate_model(hf_model, points)
     # Grouped so that m == |region| gives back exactly the original 1/L.
     weight = (len(region) / m) / len(samples)
@@ -344,13 +324,11 @@ def mfis_estimate(
         cvar_estimate=cvar,
         method=method,
         beta=beta,
-        alpha=region.alpha,
         evaluations={"hf": m, "lf": 0, "surrogate": predictions},
-        wall_clock=time.perf_counter() - start,
         seed=seed,
         metadata={
             "region_size": len(region),
             "region_mass": region.mass,
-            "fresh_points": 0 if fresh_points is None else int(len(fresh_points)),
+            "fresh_points": shortfall,
         },
     )

@@ -297,16 +297,21 @@ def test_criterion_09_estimator_oracles():
 
 
 def test_criterion_09_external_adapter(tmp_path):
-    # the same full-region identity driven through a command-mode model
+    # the same full-region identity driven through a command-mode model;
+    # the child appends one line per answered input to a log
     script = tmp_path / "model.py"
+    answered = tmp_path / "answered.log"
     script.write_text(textwrap.dedent(
-        """
+        f"""
         import math, sys
+        log = open({str(answered)!r}, "a")
         for line in sys.stdin:
             x = [float(v) for v in line.split()]
             total = 10.0
             for xi in x:
                 total -= xi * xi - 5.0 * math.cos(2.0 * math.pi * xi)
+            log.write(line)
+            log.flush()
             print(repr(total))
             sys.stdout.flush()
         """
@@ -327,7 +332,7 @@ def test_criterion_09_external_adapter(tmp_path):
         rep = tr.mfis_estimate(
             region, samples, command_model, len(region), 0.9, seed=seed(19)
         )
-        evaluations = command_model.evaluations
+    evaluations = len(answered.read_text().splitlines())
     ok = (rep.var_estimate, rep.cvar_estimate) == direct and evaluations == len(region)
     report("9-ext", ok, f"command-mode MFIS identity: {ok} "
                         f"({evaluations} child evaluations)")

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import tailrisk
-from tailrisk.cli import main
-from tailrisk.risk import REPORT_CSV_HEADER
+from tailrisk.cli import REPORT_CSV_HEADER, main
 
 FAST_CONFIG = textwrap.dedent(
     """
@@ -126,6 +125,46 @@ class TestRun:
         # auto benchmark adds an mcs row before the method row
         assert lines[1].startswith("mcs,")
         assert lines[2].startswith("surrogate_mcs,")
+
+    def test_table_rows_match_report(self, fast_config, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", fast_config, "--method", "mfis_hf",
+                       "--out", out) == 0
+        doc = json.loads((out / "report.json").read_text())
+        summary = doc["summary"]
+        header, reference, method = (out / "table.csv").read_text().splitlines()
+        assert header == REPORT_CSV_HEADER
+        for row in (reference, method):
+            assert row.count(",") == header.count(",")
+        fmt = lambda v: format(v, ".10g")
+        # the reference row: mean reference CVaR and the summed hf counts
+        reference_cvar = float(np.mean([t["cvar_estimate"] for t in doc["benchmark_trials"]]))
+        reference_hf = sum(t["evaluations"]["hf"] for t in doc["benchmark_trials"])
+        assert reference_hf == 2 * 2000
+        assert reference.split(",") == [
+            "mcs", "", "", fmt(reference_cvar), "", "", str(reference_hf), "0", "0"
+        ]
+        # the method row: the summary
+        counts = summary["evaluations"]
+        assert method.split(",") == [
+            "mfis_hf", "1", "2", fmt(summary["mean_cvar"]), fmt(summary["mrd_pct"]),
+            fmt(summary["nrmsd_pct"]),
+            str(counts["hf"]), str(counts["lf"]), str(counts["surrogate"]),
+        ]
+
+    def test_nan_reply_fails_the_run(self, tmp_path, capsys):
+        script = tmp_path / "nan.py"
+        script.write_text("import sys\nfor line in sys.stdin:\n    print('nan', flush=True)\n")
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text(FAST_CONFIG.replace(
+            "kind = builtin\nname = rastrigin\n",
+            f"kind = command\ncommand = {sys.executable} {script}\n",
+        ))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--method", "mcs", "--trials", 1,
+                       "--out", out) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_report_contents(self, fast_config, tmp_path):
         out = tmp_path / "out"
@@ -350,8 +389,43 @@ class TestFitPredict:
         for _, variance, eps in rows:
             assert eps == float(ndtri(0.95)) * np.sqrt(variance)
         assert run_cli("predict", "--artifact", out / "surrogate.json", "--points", pts,
-                       "--out", pred_path, "--alpha", "0") == 1
+                       "--out", pred_path, "--alpha", "0") == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0", "1.5", "nan"])
+    def test_predict_checks_alpha_before_loading(self, tmp_path, capsys, monkeypatch, alpha):
+        from tailrisk.surrogate import FittedSurrogate
+
+        def no_load(path):
+            raise AssertionError("the artifact was loaded before alpha was checked")
+
+        monkeypatch.setattr(FittedSurrogate, "load", no_load)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n0.0,0.0\n")
+        pred_path = tmp_path / "preds.csv"
+        assert run_cli("predict", "--artifact", tmp_path / "none.json", "--points", pts,
+                       "--out", pred_path, "--alpha", alpha) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: alpha: ")
+        assert not pred_path.exists()
+
+    def test_predict_writes_nothing_when_prediction_fails(self, fast_config, tmp_path,
+                                                          monkeypatch):
+        from tailrisk.surrogate import FittedSurrogate
+
+        out = tmp_path / "art"
+        run_cli("fit", "--config", fast_config, "--out", out)
+
+        def failing(self, points, clamp=True):
+            raise ValueError("prediction failed")
+
+        monkeypatch.setattr(FittedSurrogate, "predict_batch", failing)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n0.0,0.0\n")
+        pred_path = tmp_path / "preds.csv"
+        assert run_cli("predict", "--artifact", out / "surrogate.json", "--points", pts,
+                       "--out", pred_path) == 1
+        assert not pred_path.exists()
 
     def test_predict_empty_points_file(self, fast_config, tmp_path):
         out = tmp_path / "art"
@@ -365,8 +439,8 @@ class TestFitPredict:
 
     @pytest.mark.parametrize(
         "text",
-        ["x1,x2\n0.3\n", "x1\n0.3\n", "x1,x2,x3\n0.1,0.2,0.3\n"],
-        ids=["short-row", "one-column", "three-columns"],
+        ["x1,x2\n0.3\n", "x1\n0.3\n", "x1,x2,x3\n0.1,0.2,0.3\n", "x1,x2\n0.3,abc\n"],
+        ids=["short-row", "one-column", "three-columns", "non-numeric"],
     )
     def test_predict_refuses_malformed_points(self, fast_config, tmp_path, capsys, text):
         out = tmp_path / "art"
@@ -379,6 +453,7 @@ class TestFitPredict:
         assert code == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: points: ")
+        assert not (tmp_path / "p.csv").exists()
 
     def test_fit_validates_sample_count_rule(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

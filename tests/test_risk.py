@@ -85,6 +85,13 @@ class TestVarCvar:
         with pytest.raises(ValueError):
             var_cvar(np.array([]), np.array([]), 0.9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # A non-finite output must not be ranked as some value of the tail.
+        values = np.array([bad, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.2, 0.1, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            var_cvar(values, np.full(10, 0.1), 0.8)
+
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5, 2.0])
     def test_bad_beta(self, beta):
         with pytest.raises(ValueError):
@@ -287,6 +294,34 @@ class TestMfis:
         assert report.metadata["fresh_points"] == 7
         assert report.evaluations["surrogate"] == counting.points > 0
 
+    def test_top_up_admits_only_region_members(self):
+        # Above x = 1 the predictor has infinite variance, so ``mean - eps``
+        # is not finite there and the region's rule rejects those points;
+        # the top-up must reject them too.
+        class HalfBlind:
+            def predict_batch(self, points, clamp=True):
+                x = np.atleast_2d(points)[:, 0]
+                return x.copy(), np.where(x > 1.0, np.inf, 0.0)
+
+        input_model = InputModel([Gaussian(0, 1)])
+        candidates = sample(input_model, "mc", 500, seed=41)
+        region = epsilon_risk_region(HalfBlind(), candidates, 0.9, 0.05)
+        assert np.all(candidates.points[region.member_indices, 0] <= 1.0)
+        sent = []
+
+        def model(points):
+            sent.append(np.array(points))
+            return points[:, 0]
+
+        report = mfis_estimate(
+            region, candidates, model, len(region) + 20, 0.9, seed=42,
+            surrogate=HalfBlind(), input_model=input_model,
+        )
+        assert report.metadata["fresh_points"] == 20
+        evaluated = np.vstack(sent)[:, 0]
+        assert len(evaluated) == len(region) + 20
+        assert np.all((evaluated >= region.threshold) & (evaluated <= 1.0))
+
     def test_biased_low_by_under_one_percent_at_desk_scale(self):
         # 200-point discrete instance with a known exhaustive tail value.  The
         # subsampled empirical CVaR takes its VaR from the subsample, so it
@@ -343,19 +378,32 @@ class TestEstimators:
         assert report.cvar_estimate >= report.var_estimate
 
     def test_report_counts_match_model_counter(self, corr09):
-        from tailrisk import BuiltinModel
+        from tailrisk import BuiltinModel, ModelHandle
 
-        handle = BuiltinModel("rastrigin")
+        class RowCounting(ModelHandle):
+            """Counts the rows sent through it to a builtin handle."""
+
+            def __init__(self):
+                super().__init__("rastrigin")
+                self.inner = BuiltinModel("rastrigin")
+                self.rows = 0
+
+            def evaluate_batch(self, points):
+                points = np.atleast_2d(points)
+                self.rows += len(points)
+                return self.inner.evaluate_batch(points)
+
+        handle = RowCounting()
         samples = sample(corr09, "mc", 250, seed=31)
         report = mcs_estimate(handle, samples, 0.9)
-        assert report.evaluations["hf"] == handle.evaluations == 250
+        assert report.evaluations["hf"] == handle.rows == 250
 
         means = rastrigin(samples.points)
         fake = FakeSurrogate(means, np.zeros(250))
         region = epsilon_risk_region(fake, samples, 0.9, 0.05)
-        handle2 = BuiltinModel("rastrigin")
+        handle2 = RowCounting()
         rep2 = mfis_estimate(region, samples, handle2, 10, 0.9, seed=1)
-        assert rep2.evaluations["hf"] == handle2.evaluations == 10
+        assert rep2.evaluations["hf"] == handle2.rows == 10
         assert rep2.evaluations["surrogate"] == 0  # no top-up, no predictions
 
     def test_surrogate_mcs_exact_for_representable_target(self, corr09):
@@ -394,17 +442,3 @@ class TestRiskReport:
             evaluations={"hf": 10}, seed=7,
         )
         assert report.evaluations == {"hf": 10, "lf": 0, "surrogate": 0}
-
-    def test_csv_row_layout(self):
-        from tailrisk.risk import REPORT_CSV_HEADER
-
-        report = RiskReport(
-            var_estimate=1.0, cvar_estimate=2.5, method="mfis_hf", beta=0.99,
-            evaluations={"hf": 300, "lf": 150, "surrogate": 10_000},
-        )
-        row = report.csv_row(interaction_order=1, degree=3, mrd=0.5, nrmsd=0.7)
-        assert REPORT_CSV_HEADER.count(",") == row.count(",")
-        fields = row.split(",")
-        assert fields[0] == "mfis_hf"
-        assert fields[3] == "2.5"
-        assert fields[6:] == ["300", "150", "10000"]
