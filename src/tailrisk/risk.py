@@ -132,7 +132,6 @@ class RiskRegion:
     member_indices: np.ndarray
     mass: float
     threshold: float
-    beta: float
     alpha: float
 
     def __post_init__(self):
@@ -171,7 +170,6 @@ def epsilon_risk_region(
         member_indices=members,
         mass=len(members) / len(samples),
         threshold=threshold,
-        beta=beta,
         alpha=alpha,
     )
 
@@ -183,7 +181,6 @@ class RiskReport:
     var_estimate: float
     cvar_estimate: float
     method: str
-    beta: float
     evaluations: dict = field(default_factory=dict)
     seed: int | None = None
     metadata: dict = field(default_factory=dict)
@@ -203,7 +200,6 @@ def mcs_estimate(model, samples: SampleSet, beta: float, seed=None) -> RiskRepor
         var_estimate=var,
         cvar_estimate=cvar,
         method="mcs",
-        beta=beta,
         evaluations={"hf": len(samples), "lf": 0, "surrogate": 0},
         seed=seed,
     )
@@ -222,7 +218,6 @@ def surrogate_mcs_estimate(
         var_estimate=var,
         cvar_estimate=cvar,
         method="surrogate_mcs",
-        beta=beta,
         evaluations={"hf": 0, "lf": 0, "surrogate": len(samples)},
         seed=seed,
     )
@@ -323,7 +318,6 @@ def mfis_estimate(
         var_estimate=var,
         cvar_estimate=cvar,
         method=method,
-        beta=beta,
         evaluations={"hf": m, "lf": 0, "surrogate": predictions},
         seed=seed,
         metadata={

@@ -166,6 +166,20 @@ class TestRun:
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_nan_lf_reply_fails_the_training(self, tmp_path, capsys):
+        script = tmp_path / "nan.py"
+        script.write_text("import sys\nfor line in sys.stdin:\n    print('nan', flush=True)\n")
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text(FAST_CONFIG.replace(
+            "lf_kind = builtin\nlf_name = rastrigin_lf1\n",
+            f"lf_kind = command\nlf_command = {sys.executable} {script}\n",
+        ))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--method", "mfis_lf", "--trials", 1,
+                       "--out", out) == 1
+        assert "training outputs hold a non-finite value" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_report_contents(self, fast_config, tmp_path):
         out = tmp_path / "out"
         run_cli("run", "--config", fast_config, "--out", out)

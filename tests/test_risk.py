@@ -238,8 +238,7 @@ class TestMfis:
     def test_subsample_larger_than_region_rejected_without_surrogate(self):
         samples = make_samples(30, seed=6)
         region = RiskRegion(
-            member_indices=np.array([0, 1, 2]), mass=0.1, threshold=0.0,
-            beta=0.9, alpha=0.05,
+            member_indices=np.array([0, 1, 2]), mass=0.1, threshold=0.0, alpha=0.05,
         )
         with pytest.raises(ValueError):
             mfis_estimate(region, samples, lambda p: np.zeros(len(np.atleast_2d(p))), 5, 0.9, seed=0)
@@ -247,8 +246,7 @@ class TestMfis:
     def test_low_mass_region_rejected(self):
         samples = make_samples(100, seed=7)
         region = RiskRegion(
-            member_indices=np.array([0, 1]), mass=0.02, threshold=0.0,
-            beta=0.9, alpha=0.05,
+            member_indices=np.array([0, 1]), mass=0.02, threshold=0.0, alpha=0.05,
         )
         with pytest.raises(InsufficientMassError):
             mfis_estimate(region, samples, lambda p: np.zeros(len(np.atleast_2d(p))), 2, 0.9, seed=0)
@@ -260,8 +258,7 @@ class TestMfis:
 
         samples = make_samples(100, seed=7)
         region = RiskRegion(
-            member_indices=np.array([0, 1]), mass=0.02, threshold=0.0,
-            beta=0.9, alpha=0.05,
+            member_indices=np.array([0, 1]), mass=0.02, threshold=0.0, alpha=0.05,
         )
         with pytest.raises(InsufficientMassError):
             mfis_estimate(
@@ -434,11 +431,11 @@ class TestEstimators:
 class TestRiskReport:
     def test_method_validated(self):
         with pytest.raises(ValueError):
-            RiskReport(var_estimate=0, cvar_estimate=0, method="bogus", beta=0.9)
+            RiskReport(var_estimate=0, cvar_estimate=0, method="bogus")
 
     def test_evaluation_defaults(self):
         report = RiskReport(
-            var_estimate=1.0, cvar_estimate=2.0, method="mcs", beta=0.99,
+            var_estimate=1.0, cvar_estimate=2.0, method="mcs",
             evaluations={"hf": 10}, seed=7,
         )
         assert report.evaluations == {"hf": 10, "lf": 0, "surrogate": 0}

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import least_squares
+from scipy.spatial.distance import cdist
 
 from tailrisk import (
     ArtifactError,
@@ -37,6 +39,22 @@ from tailrisk.surrogate import (
 )
 
 from helpers import analytic_gaussian_gram, run_python
+
+TINY = np.finfo(float).tiny
+# Per kernel, a length scale short enough that the unflushed kernel holds
+# subnormal entries for ``spread_points``, and a long one that still
+# factors.
+SHORT_AND_LONG = [("gaussian", 0.3), ("gaussian", 1.5), ("exponential", 0.015), ("exponential", 3.0)]
+
+
+def spread_points(n=120, seed=1):
+    return np.random.default_rng(seed).normal(scale=2.0, size=(n, 2))
+
+
+def unflushed_correlation(points_a, points_b, kernel):
+    """The kernel matrix as plain ``exp(-cdist)``, subnormals kept."""
+    metric = "sqeuclidean" if kernel.kind == "gaussian" else "cityblock"
+    return np.exp(-cdist(points_a / kernel.theta, points_b / kernel.theta, metric))
 
 
 def hermite_basis_1d(degree):
@@ -83,6 +101,23 @@ class TestKernels:
         corr = correlation_matrix(pts, KernelSpec("exponential", np.array([1.0, 1.0])))
         np.testing.assert_array_equal(np.diag(corr), np.ones(40))
         assert np.array_equal(corr, corr.T)
+
+    @pytest.mark.parametrize("kind, theta", SHORT_AND_LONG)
+    def test_correlation_matrix_is_cross_correlation_without_subnormals(self, kind, theta):
+        pts = spread_points()
+        kernel = KernelSpec(kind, np.full(2, theta))
+        raw = unflushed_correlation(pts, pts, kernel)
+        if theta < 1.0:  # the flush has work to do
+            assert np.any((raw > 0.0) & (raw < TINY))
+        corr = correlation_matrix(pts, kernel)
+        assert np.array_equal(corr, cross_correlation(pts, pts, kernel))
+        assert np.array_equal(corr, corr.T)
+        np.testing.assert_array_equal(np.diag(corr), 1.0)
+        assert not np.any((corr > 0.0) & (corr < TINY))
+        # Only the subnormal entries changed.
+        normal = raw >= TINY
+        assert np.array_equal(corr[normal], raw[normal])
+        assert np.all(corr[~normal] == 0.0)
 
 
 class TestFitting:
@@ -135,6 +170,31 @@ class TestFitting:
         psi = basis.evaluate(far[0])
         assert means[0] == pytest.approx(float(psi @ sur.coefficients), rel=1e-10)
         assert variances[0] >= sur.process_variance
+
+    @pytest.mark.parametrize("which", ["outputs", "inputs"])
+    def test_non_finite_training_data_rejected_before_the_search(self, which, monkeypatch):
+        basis = hermite_basis_2d(1, 2)
+        x = np.random.default_rng(9).normal(size=(20, 2))
+        y = np.sin(x[:, 0]) + x[:, 1]
+        payload = fit(x, y, basis, theta=[0.8, 0.8]).to_dict()
+        if which == "outputs":
+            y[3] = np.nan
+        else:
+            x[5, 1] = np.inf
+        calls = []
+        original = surrogate_mod._loo_state
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(surrogate_mod, "_loo_state", counting)
+        with pytest.raises(ValueError, match=f"training {which} hold a non-finite value"):
+            fit(x, y, basis)
+        assert calls == []
+        payload["training_inputs"], payload["training_outputs"] = x.tolist(), y.tolist()
+        with pytest.raises(ArtifactError, match="non-finite"):
+            FittedSurrogate.from_dict(payload)
 
     def test_too_few_samples_rejected(self):
         basis = hermite_basis_1d(3)
@@ -368,6 +428,13 @@ def two_solve_variance(sur, pts):
     return sur.process_variance * (1.0 - q_interp + q_trend)
 
 
+@pytest.fixture(scope="module")
+def n300_surrogate():
+    x = np.random.default_rng(79).normal(scale=2.0, size=(300, 2))
+    y = rastrigin(x)
+    return fit(x, y, hermite_basis_2d(1, 3), kernel_kind="gaussian", theta=[0.6, 0.6])
+
+
 class TestPrediction:
     @pytest.mark.parametrize("mode", ["chaos", "chaos_kriging"])
     def test_predict_mean_is_predict_batch_mean(self, mode):
@@ -398,6 +465,32 @@ class TestPrediction:
         np.testing.assert_allclose(
             raw, two_solve_variance(sur, pts), rtol=0, atol=1e-9 * sur.process_variance
         )
+
+    def test_blocks_do_not_change_predictions(self, n300_surrogate):
+        # OpenBLAS takes other kernels, which round differently, for the
+        # last rows of a block whose row count is not a multiple of 4 and
+        # for a narrow block (about 150 rows and fewer).  These cuts make
+        # neither, so the blocks must agree bit for bit.
+        pts = np.random.default_rng(83).normal(scale=2.0, size=(10_000, 2))
+        whole = n300_surrogate.predict_batch(pts, clamp=False)
+        parts = [n300_surrogate.predict_batch(pts[lo:hi], clamp=False)
+                 for lo, hi in ((0, 2000), (2000, 6500), (6500, 10_000))]
+        for got, want in zip(whole, zip(*parts)):
+            assert np.array_equal(got, np.concatenate(want))
+
+    @pytest.mark.parametrize("method, limit", [("predict_batch", 16e6), ("predict_mean", 10e6)])
+    def test_prediction_memory_is_bounded_by_the_block(self, n300_surrogate, method, limit):
+        # Traced peak at 10 000 points, n = 300: about 6 MB either way in
+        # 1024-row blocks, against 49 and 40 MB in 8192-row blocks.
+        pts = np.random.default_rng(89).normal(scale=2.0, size=(10_000, 2))
+        predict = getattr(n300_surrogate, method)
+        tracemalloc.start()
+        try:
+            predict(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
     def test_surrogate_mcs_needs_only_the_mean(self):
         class MeanOnly:
@@ -527,6 +620,17 @@ class TestLooJacobian:
         factor = cho_factor(corr, lower=True)
         np.testing.assert_allclose(rinv_diag, np.diag(cho_solve(factor, np.eye(40))), rtol=1e-10)
         np.testing.assert_allclose(rinv_b, cho_solve(factor, b), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind, theta", SHORT_AND_LONG)
+    def test_state_matches_plain_factorization_of_unflushed_matrix(self, kind, theta):
+        x = spread_points()
+        b = np.sin(x[:, 0]) + 0.5 * x[:, 1]
+        kernel = KernelSpec(kind, np.full(2, theta))
+        _, _, rinv_b, rinv_diag = surrogate_mod._loo_state(kernel.theta, x, b, kind)
+        raw = unflushed_correlation(x, x, kernel)
+        factor = cho_factor(raw, lower=True)
+        np.testing.assert_allclose(rinv_b, cho_solve(factor, b), rtol=1e-12)
+        np.testing.assert_allclose(rinv_diag, np.diag(cho_solve(factor, np.eye(len(b)))), rtol=1e-12)
 
     def test_singular_theta_gives_penalty_and_flat_jacobian(self, monkeypatch):
         # A pair 1e-9 apart makes R singular at the long end of the box.
