@@ -20,12 +20,12 @@ failure (with one diagnostic line per offending field).
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from configparser import ConfigParser
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
@@ -39,38 +39,29 @@ from .metrics import TrialEnsemble, mrd, nrmsd
 _TRAIN, _FIT, _ESTIMATE, _SUBSAMPLE, _BENCHMARK, _BASIS = range(6)
 
 SURROGATE_METHODS = ("surrogate_mcs", "mfis_hf", "mfis_lf")
-RUN_METHODS = ("mcs",) + SURROGATE_METHODS
+
+_EXAMPLE1 = {
+    "input": {
+        "marginals": "\ngaussian mean=0 std=2\ngaussian mean=0 std=2",
+        "correlation": "\n1.0 0.9\n0.9 1.0",
+    },
+    "model": {"kind": "builtin", "name": "rastrigin",
+              "lf_kind": "builtin", "lf_name": "rastrigin_lf1"},
+    "surrogate": {"interaction_order": "1", "degree": "3",
+                  "kernel": "gaussian", "mode": "chaos_kriging",
+                  "training_size": "300", "quadrature": "1000000"},
+    "risk": {"method": "surrogate_mcs", "beta": "0.99", "alpha": "0.05",
+             "samples": "10000", "subsample_size": "150",
+             "scheme": "mc", "benchmark": "auto"},
+    "run": {"trials": "10", "seed": "20240", "threads": "1"},
+}
 
 PRESETS = {
-    "example1-corr09": {
-        "input": {
-            "marginals": "\ngaussian mean=0 std=2\ngaussian mean=0 std=2",
-            "correlation": "\n1.0 0.9\n0.9 1.0",
-        },
-        "model": {"kind": "builtin", "name": "rastrigin",
-                  "lf_kind": "builtin", "lf_name": "rastrigin_lf1"},
-        "surrogate": {"interaction_order": "1", "degree": "3",
-                      "kernel": "gaussian", "mode": "chaos_kriging",
-                      "training_size": "300", "quadrature": "1000000"},
-        "risk": {"method": "surrogate_mcs", "beta": "0.99", "alpha": "0.05",
-                 "samples": "10000", "subsample_size": "150",
-                 "scheme": "mc", "benchmark": "auto"},
-        "run": {"trials": "10", "seed": "20240", "threads": "1"},
-    },
+    "example1-corr09": _EXAMPLE1,
     "example1-corr0": {
-        "input": {
-            "marginals": "\ngaussian mean=0 std=2\ngaussian mean=0 std=2",
-            "correlation": "\n1.0 0.0\n0.0 1.0",
-        },
-        "model": {"kind": "builtin", "name": "rastrigin",
-                  "lf_kind": "builtin", "lf_name": "rastrigin_lf1"},
-        "surrogate": {"interaction_order": "1", "degree": "3",
-                      "kernel": "gaussian", "mode": "chaos_kriging",
-                      "training_size": "300", "quadrature": "1000000"},
-        "risk": {"method": "surrogate_mcs", "beta": "0.99", "alpha": "0.05",
-                 "samples": "10000", "subsample_size": "150",
-                 "scheme": "mc", "benchmark": "auto"},
-        "run": {"trials": "10", "seed": "20241", "threads": "1"},
+        **_EXAMPLE1,
+        "input": {**_EXAMPLE1["input"], "correlation": "\n1.0 0.0\n0.0 1.0"},
+        "run": {**_EXAMPLE1["run"], "seed": "20241"},
     },
     "example2": {
         "input": {
@@ -97,20 +88,111 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.issues))
 
 
+def _one_of(allowed):
+    allowed = tuple(allowed)
+    return lambda v: None if v in allowed else f"must be one of {allowed}, got {v!r}"
+
+
+def _holds(predicate, describe):
+    return lambda v: None if predicate(v) else f"{describe}, got {v}"
+
+
+_AT_LEAST_0 = _holds(lambda v: v >= 0, "must be >= 0")
+_AT_LEAST_1 = _holds(lambda v: v >= 1, "must be >= 1")
+
+# The [model] keys of each kind, the model's source first. Each has an lf_
+# twin; a key is known only where its kind (or lf_kind) matches.
+_MODEL_KINDS = {"builtin": ("name",), "dataset": ("path",), "command": ("command", "timeout")}
+_KIND_OF = {key: kind for kind, keys in _MODEL_KINDS.items() for key in keys}
+
+# Every config key: (section, key, type, default, check). A default of None
+# leaves the key unset; ``check(value)`` says what is wrong, or returns None.
+_SCHEMA = (
+    ("input", "marginals", str, "", None),
+    ("input", "correlation",
+     lambda text: np.loadtxt(text.splitlines(), ndmin=2) if text.strip() else None, None, None),
+    *(row for prefix in ("", "lf_") for row in (
+        ("model", prefix + "kind", str, "builtin", _one_of(_MODEL_KINDS)),
+        ("model", prefix + "name", str, None, _one_of(models.BUILTIN_MODELS)),
+        ("model", prefix + "path", str, None, _holds(str.strip, "must not be empty")),
+        ("model", prefix + "command", str, None, _holds(str.strip, "must not be empty")),
+        ("model", prefix + "timeout", float, "30",
+         _holds(lambda v: 0 < v < math.inf, "must be a positive finite number")),
+    )),
+    ("surrogate", "interaction_order", int, "1", _AT_LEAST_0),
+    ("surrogate", "degree", int, "3", _AT_LEAST_0),
+    ("surrogate", "kernel", str, "gaussian", _one_of(surrogate.KERNEL_KINDS)),
+    ("surrogate", "mode", str, "chaos_kriging", _one_of(surrogate.MODES)),
+    ("surrogate", "training_size", int, "0", _AT_LEAST_0),
+    ("surrogate", "quadrature", int, str(basis_mod.DEFAULT_QUADRATURE), _AT_LEAST_1),
+    ("risk", "method", str, "mcs", _one_of(risk.METHODS)),
+    ("risk", "beta", float, "0.99", _holds(lambda v: 0 < v < 1, "must be in (0, 1)")),
+    ("risk", "alpha", float, "0.05", _holds(lambda v: 0 < v <= 1, "must be in (0, 1]")),
+    ("risk", "samples", int, "10000", _AT_LEAST_1),
+    ("risk", "subsample_size", int, "0", _AT_LEAST_0),
+    ("risk", "scheme", str, "mc", _one_of(inputs._SCHEMES)),
+    ("risk", "benchmark", str, "", None),
+    ("run", "trials", int, "1", _AT_LEAST_1),
+    ("run", "seed", int, "0", None),
+    ("run", "threads", int, "1", _AT_LEAST_1),
+)
+
+
+def _check_keys(cfg):
+    """Each key's value (None when unset or bad); an issue per bad value, unknown key or section."""
+    values, issues, known = {}, [], {}
+    for section, key, cast, default, check in _SCHEMA:
+        values[key] = None
+        prefix = "lf_" if key.startswith("lf_") else ""
+        kind = _KIND_OF.get(key.removeprefix(prefix))
+        if kind is not None and values[prefix + "kind"] not in (kind, None):
+            continue  # another kind's key: unknown when given
+        known.setdefault(section, []).append(key)
+        raw = cfg.get(section, {}).get(key, default)
+        try:
+            value = None if raw is None else cast(raw)
+            problem = value is not None and check and check(value)
+        except ValueError as exc:
+            problem = exc
+        if problem:
+            issues.append(f"{section}.{key}: {problem}")
+        else:
+            values[key] = value
+
+    for section, given in cfg.items():
+        if section not in known:
+            issues.append(f"[{section}]: unknown section; known: {', '.join(known)}")
+            continue
+        issues += [f"{section}.{key}: unknown key; known: {', '.join(known[section])}"
+                   for key in given if key not in known[section]]
+    return values, issues
+
+
+# Each marginal kind's class and its parameters, in constructor order.
+_MARGINALS = {
+    "gaussian": (inputs.Gaussian, ("mean", "std")),
+    "uniform": (inputs.Uniform, ("lower", "upper")),
+    "lognormal": (inputs.Lognormal, ("mean", "cov")),
+}
+
+
 def _parse_marginal(line: str):
-    tokens = line.split()
-    kind = tokens[0].lower()
+    kind, *tokens = line.split()
+    kind = kind.lower()
+    if kind not in _MARGINALS:
+        raise ValueError(f"unknown marginal kind {kind!r}; known: {', '.join(_MARGINALS)}")
+    cls, names = _MARGINALS[kind]
     params = {}
-    for token in tokens[1:]:
-        key, _, value = token.partition("=")
-        params[key] = float(value)
-    if kind == "gaussian":
-        return inputs.Gaussian(mean=params["mean"], std=params["std"])
-    if kind == "uniform":
-        return inputs.Uniform(lower=params["lower"], upper=params["upper"])
-    if kind == "lognormal":
-        return inputs.Lognormal(mean=params["mean"], cov_percent=params["cov"])
-    raise ValueError(f"unknown marginal kind {kind!r}")
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if not eq or name not in names or name in params:
+            raise ValueError(
+                f"{kind} takes {' and '.join(names)} once as name=value, got {token!r}")
+        params[name] = float(value)
+    for name in names:
+        if name not in params:
+            raise ValueError(f"{kind} needs {name}")
+    return cls(*(params[name] for name in names))
 
 
 def load_config(path=None, preset=None) -> dict:
@@ -122,11 +204,14 @@ def load_config(path=None, preset=None) -> dict:
                                f"available: {sorted(PRESETS)}"])
         layers.append(PRESETS[preset])
     if path is not None:
-        parser = ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser()
+        try:
+            read = parser.read(path)
+            layers.append({s: dict(parser.items(s)) for s in parser.sections()})
+        except configparser.Error as exc:
+            raise ConfigError([f"config: {' '.join(str(exc).splitlines())}"]) from None
         if not read:
             raise ConfigError([f"config: cannot read {path}"])
-        layers.append({s: dict(parser.items(s)) for s in parser.sections()})
     if not layers:
         raise ConfigError(["config: provide --config and/or --preset"])
 
@@ -137,123 +222,48 @@ def load_config(path=None, preset=None) -> dict:
     return merged
 
 
-def _get(cfg, section, key, default=None):
-    return cfg.get(section, {}).get(key, default)
-
-
 class Experiment:
-    """Validated experiment settings resolved from a raw config dict."""
+    """Validated experiment settings resolved from a raw config dict.
+
+    Every ``_SCHEMA`` key is an attribute of the same name; the rules that
+    span keys are checked after the keys themselves.
+    """
 
     def __init__(self, cfg: dict):
-        issues = []
+        values, issues = _check_keys(cfg)
+        vars(self).update(values)
 
-        marg_lines = [
-            ln.strip() for ln in _get(cfg, "input", "marginals", "").splitlines()
-            if ln.strip()
-        ]
+        lines = [ln.strip() for ln in self.marginals.splitlines() if ln.strip()]
         marginals = []
-        for i, line in enumerate(marg_lines):
+        for i, line in enumerate(lines):
             try:
                 marginals.append(_parse_marginal(line))
-            except (KeyError, ValueError, IndexError) as exc:
-                issues.append(f"input.marginals[{i}]: {exc}")
-        corr_text = _get(cfg, "input", "correlation", "").strip()
-        correlation = None
-        if corr_text:
-            try:
-                correlation = np.array(
-                    [[float(v) for v in ln.split()] for ln in corr_text.splitlines() if ln.strip()]
-                )
             except ValueError as exc:
-                issues.append(f"input.correlation: {exc}")
+                issues.append(f"input.marginals[{i}]: {exc}")
+        if not lines:
+            issues.append("input.marginals: at least one marginal is required")
         self.input_model = None
-        if marginals and not issues:
+        if lines and len(marginals) == len(lines):
             try:
-                self.input_model = inputs.InputModel(marginals, correlation)
+                self.input_model = inputs.InputModel(marginals, self.correlation)
             except TailriskError as exc:
                 issues.append(f"input: {exc}")
-        elif not marginals:
-            issues.append("input.marginals: at least one marginal is required")
 
-        self.model_cfg = dict(cfg.get("model", {}))
-        for prefix in ("", "lf_"):
-            if prefix == "lf_" and not any(k.startswith("lf_") for k in self.model_cfg):
-                continue
-            kind = self.model_cfg.get(prefix + "kind", "builtin")
-            if kind == "builtin" and not self.model_cfg.get(prefix + "name"):
-                issues.append(f"model.{prefix}name: required for builtin models")
-            elif kind == "dataset" and not self.model_cfg.get(prefix + "path"):
-                issues.append(f"model.{prefix}path: required for dataset models")
-            elif kind == "command" and not self.model_cfg.get(prefix + "command"):
-                issues.append(f"model.{prefix}command: required for command models")
-            elif kind not in ("builtin", "dataset", "command"):
-                issues.append(f"model.{prefix}kind: unknown kind {kind!r}")
+        model = cfg.get("model", {})
+        has_lf = "lf_kind" in model or "lf_name" in model
+        for prefix in ("", "lf_") if has_lf else ("",):
+            kind = values[prefix + "kind"]
+            if kind is not None and prefix + _MODEL_KINDS[kind][0] not in model:
+                issues.append(f"model.{prefix}{_MODEL_KINDS[kind][0]}: required for {kind} models")
+        if self.method == "mfis_lf" and not has_lf:
+            issues.append("model.lf_name: mfis_lf requires a low-fidelity model")
 
-        def number(section, key, cast, default, predicate=None, describe=""):
-            raw = _get(cfg, section, key, default)
-            try:
-                value = cast(raw)
-            except (TypeError, ValueError):
-                issues.append(f"{section}.{key}: not a valid {cast.__name__}: {raw!r}")
-                return None
-            if predicate is not None and not predicate(value):
-                issues.append(f"{section}.{key}: {describe}, got {value}")
-            return value
-
-        self.method = _get(cfg, "risk", "method", "mcs")
-        if self.method not in RUN_METHODS:
-            issues.append(f"risk.method: must be one of {RUN_METHODS}, got {self.method!r}")
-        self.beta = number("risk", "beta", float, "0.99",
-                           lambda v: 0 < v < 1, "must be in (0, 1)")
-        self.alpha = number("risk", "alpha", float, "0.05",
-                            lambda v: 0 < v <= 1, "must be in (0, 1]")
-        self.samples = number("risk", "samples", int, "10000",
-                              lambda v: v >= 1, "must be >= 1")
-        self.subsample_size = number("risk", "subsample_size", int, "0",
-                                     lambda v: v >= 0, "must be >= 0")
-        self.scheme = _get(cfg, "risk", "scheme", "mc")
-        if self.scheme not in ("mc", "sobol", "lhs"):
-            issues.append(f"risk.scheme: must be mc, sobol, or lhs, got {self.scheme!r}")
-        benchmark = _get(cfg, "risk", "benchmark", "")
-        self.benchmark_mode = None
         self.benchmark_value = None
-        if benchmark == "auto":
-            self.benchmark_mode = "auto"
-        elif benchmark:
+        if self.benchmark not in ("", "auto"):
             try:
-                self.benchmark_value = float(benchmark)
-                self.benchmark_mode = "fixed"
+                self.benchmark_value = float(self.benchmark)
             except ValueError:
-                issues.append(f"risk.benchmark: must be 'auto' or a number, got {benchmark!r}")
-
-        self.interaction_order = number("surrogate", "interaction_order", int, "1",
-                                        lambda v: v >= 0, "must be >= 0")
-        self.degree = number("surrogate", "degree", int, "3",
-                             lambda v: v >= 0, "must be >= 0")
-        self.kernel = _get(cfg, "surrogate", "kernel", "gaussian")
-        if self.kernel not in surrogate.KERNEL_KINDS:
-            issues.append(
-                f"surrogate.kernel: must be one of {surrogate.KERNEL_KINDS}, got {self.kernel!r}"
-            )
-        self.mode = _get(cfg, "surrogate", "mode", "chaos_kriging")
-        if self.mode not in surrogate.MODES:
-            issues.append(f"surrogate.mode: must be one of {surrogate.MODES}, got {self.mode!r}")
-        self.training_size = number("surrogate", "training_size", int, "0",
-                                    lambda v: v >= 0, "must be >= 0")
-        self.quadrature = number("surrogate", "quadrature", int,
-                                 str(basis_mod.DEFAULT_QUADRATURE),
-                                 lambda v: v >= 1, "must be >= 1")
-        self.restarts = number("surrogate", "restarts", int, "5",
-                               lambda v: v >= 1, "must be >= 1")
-        self.timeouts = {
-            prefix: number("model", prefix + "timeout", float, "30",
-                           lambda v: 0 < v < math.inf, "must be a positive finite number")
-            for prefix in ("", "lf_")
-        }
-
-        self.trials = number("run", "trials", int, "1", lambda v: v >= 1, "must be >= 1")
-        self.seed = number("run", "seed", int, "0")
-        self.threads = number("run", "threads", int, "1", lambda v: v >= 1, "must be >= 1")
+                issues.append(f"risk.benchmark: must be 'auto' or a number, got {self.benchmark!r}")
 
         if self.method in SURROGATE_METHODS and self.input_model is not None:
             needed = basis_mod.cardinality(
@@ -264,13 +274,8 @@ class Experiment:
                     "surrogate.training_size: must be at least the number of basis "
                     f"functions (need >= {needed}, got {self.training_size})"
                 )
-        if self.method in ("mfis_hf", "mfis_lf"):
-            if self.subsample_size is not None and self.subsample_size < 1:
-                issues.append("risk.subsample_size: must be >= 1 for importance sampling")
-        if self.method == "mfis_lf" and not (
-            self.model_cfg.get("lf_name") or self.model_cfg.get("lf_kind")
-        ):
-            issues.append("model.lf_name: mfis_lf requires a low-fidelity model")
+        if self.method in ("mfis_hf", "mfis_lf") and self.subsample_size == 0:
+            issues.append("risk.subsample_size: must be >= 1 for importance sampling")
 
         if issues:
             raise ConfigError(issues)
@@ -279,13 +284,13 @@ class Experiment:
     def build_model(self, low_fidelity=False) -> models.ModelHandle:
         """A new handle; the constructor has validated its kind and timeout."""
         prefix = "lf_" if low_fidelity else ""
-        kind = self.model_cfg.get(prefix + "kind", "builtin")
+        kind = getattr(self, prefix + "kind")
+        source = getattr(self, prefix + _MODEL_KINDS[kind][0])
         if kind == "dataset":
-            return models.DatasetModel(self.model_cfg[prefix + "path"])
+            return models.DatasetModel(source)
         if kind == "command":
-            argv = self.model_cfg[prefix + "command"].split()
-            return models.CommandModel(argv, timeout=self.timeouts[prefix])
-        return models.BuiltinModel(self.model_cfg.get(prefix + "name"))
+            return models.CommandModel(source.split(), timeout=getattr(self, prefix + "timeout"))
+        return models.BuiltinModel(source)
 
 
 def _build_basis(exp: Experiment) -> basis_mod.OrthonormalBasis:
@@ -322,7 +327,6 @@ def _fit_trial_surrogate(exp, shared_basis, trial, model):
         shared_basis,
         kernel_kind=exp.kernel,
         mode=exp.mode,
-        restarts=exp.restarts,
         seed=_derived_seed(exp.seed, trial, _FIT),
     )
 
@@ -396,10 +400,10 @@ def run_experiment(exp: Experiment) -> dict:
     )
 
     benchmark_reports = []
-    if exp.benchmark_mode == "auto" and exp.method != "mcs":
+    if exp.benchmark == "auto" and exp.method != "mcs":
         benchmark_reports = _map_trials(exp, lambda k, handles: _benchmark_trial(exp, k, handles))
     benchmark_value = exp.benchmark_value
-    if exp.benchmark_mode == "auto":  # an MCS run is its own reference
+    if exp.benchmark == "auto":  # an MCS run is its own reference
         benchmark_value = float(np.mean([r.cvar_estimate for r in benchmark_reports or reports]))
 
     estimates = np.array([r.cvar_estimate for r in reports])
@@ -503,14 +507,9 @@ def _cmd_run(args) -> int:
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        cfg.setdefault("run", {})["seed"] = str(args.seed)
-    if getattr(args, "trials", None) is not None:
-        cfg.setdefault("run", {})["trials"] = str(args.trials)
-    if getattr(args, "threads", None) is not None:
-        cfg.setdefault("run", {})["threads"] = str(args.threads)
-    if getattr(args, "method", None) is not None:
-        cfg.setdefault("risk", {})["method"] = args.method
+    for key in ("seed", "trials", "threads", "method"):
+        if getattr(args, key, None) is not None:
+            cfg.setdefault("risk" if key == "method" else "run", {})[key] = str(getattr(args, key))
 
 
 def _cmd_fit(args) -> int:
@@ -587,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a CVaR estimation experiment")
     common(p_run)
-    p_run.add_argument("--method", choices=RUN_METHODS, help="override risk.method")
+    p_run.add_argument("--method", choices=risk.METHODS, help="override risk.method")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.set_defaults(fn=_cmd_run)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,8 @@ import pytest
 
 import tailrisk
 from tailrisk.cli import REPORT_CSV_HEADER, main
+
+REPO = Path(__file__).parents[1]
 
 FAST_CONFIG = textwrap.dedent(
     """
@@ -107,6 +110,27 @@ def alive(pid):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+@pytest.fixture()
+def no_basis(monkeypatch):
+    """Fail any run that gets as far as building the basis."""
+    from tailrisk import cli
+
+    def fail(exp):
+        raise AssertionError("the basis was built before the config was checked")
+
+    monkeypatch.setattr(cli, "_build_basis", fail)
+
+
+def config_errors(tmp_path, capsys, text):
+    """Run ``text`` as a config: it must exit 2; returns its stderr lines."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert all(line.startswith("config error: ") for line in lines)
+    return [line.removeprefix("config error: ") for line in lines]
 
 
 class TestRun:
@@ -342,18 +366,104 @@ class TestValidation:
     @pytest.mark.parametrize("line", ["timeout = -1", "timeout = abc",
                                       "lf_timeout = 0", "lf_timeout = nan"])
     def test_bad_timeout_fails_up_front(self, command_config, tmp_path, capsys, line,
-                                        monkeypatch):
-        from tailrisk import cli
-
-        def no_basis(exp):
-            raise AssertionError("the basis was built before the timeout was checked")
-
-        monkeypatch.setattr(cli, "_build_basis", no_basis)
+                                        no_basis):
         config, _ = command_config
-        config.write_text(config.read_text().replace("[surrogate]", f"{line}\n\n[surrogate]"))
-        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error: model.{line.split()[0]}: ")
+        text = config.read_text().replace("[surrogate]", f"{line}\n\n[surrogate]")
+        # lf_timeout is a key of command models only
+        text = text.replace("lf_kind = builtin\nlf_name = rastrigin_lf1\n",
+                            f"lf_kind = command\nlf_command = {sys.executable}\n")
+        errors = config_errors(tmp_path, capsys, text)
+        assert len(errors) == 1 and errors[0].startswith(f"model.{line.split()[0]}: ")
+        assert "unknown key" not in errors[0]
+
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("correlation =", "correlaton =", "input.correlaton"),
+            ("name = rastrigin\n", "name = rastrigin\ncost = 1\n", "model.cost"),
+            ("quadrature = 20000", "quadrature = 20000\nrestarts = 3", "surrogate.restarts"),
+            ("beta = 0.95", "betta = 0.95", "risk.betta"),
+            ("trials = 2", "trails = 2", "run.trails"),
+            ("[run]", "[rnu]\ntrials = 2\n\n[run]", "[rnu]"),
+            ("name = rastrigin\n", "name = rastrigin\npath = nowhere.csv\n", "model.path"),
+            ("lf_name = rastrigin_lf1\n", "lf_name = rastrigin_lf1\nlf_command = ./sim\n",
+             "model.lf_command"),
+            ("lf_kind = builtin\nlf_name = rastrigin_lf1\n", "lf_timeout = 5\n",
+             "model.lf_timeout"),
+        ],
+        ids=["input", "model", "surrogate", "risk", "run", "section", "kind", "lf_kind",
+             "no-lf-model"],
+    )
+    def test_unknown_key_is_one_config_error(self, tmp_path, capsys, no_basis, old, new, field):
+        assert FAST_CONFIG.count(old) == 1
+        errors = config_errors(tmp_path, capsys, FAST_CONFIG.replace(old, new))
+        assert len(errors) == 1 and errors[0].startswith(f"{field}: unknown ")
+
+    def test_every_offending_field_gets_one_line(self, tmp_path, capsys, no_basis):
+        text = (FAST_CONFIG.replace("std=2\n    gaussian", "std=2 sd=9\n    gaussian")
+                .replace("name = rastrigin\n", "name = rastrigin\npath = nowhere.csv\n")
+                .replace("quadrature = 20000", "quadrature = 20000\nrestart = 3")
+                .replace("beta = 0.95", "betta = 0.5")
+                + "\n[rnu]\ntrials = 2\n")
+        errors = config_errors(tmp_path, capsys, text)
+        assert sorted(error.split(": ")[0] for error in errors) == sorted(
+            ["input.marginals[0]", "model.path", "surrogate.restart", "risk.betta", "[rnu]"]
+        )
+
+    @pytest.mark.parametrize("key, value", [("name", "rastrgin"), ("lf_name", "rastrigin_lf9")])
+    def test_unknown_builtin_model_fails_up_front(self, tmp_path, capsys, no_basis, key, value):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", FAST_CONFIG, flags=re.M)
+        errors = config_errors(tmp_path, capsys, text)
+        assert len(errors) == 1 and errors[0].startswith(f"model.{key}: must be one of ")
+
+    @pytest.mark.parametrize(
+        "model, field",
+        [("kind = dataset\n", "model.path: required"), ("kind = dataset\npath =\n", "model.path: "),
+         ("kind = command\ncommand =  \n", "model.command: ")],
+        ids=["missing", "blank-path", "blank-command"],
+    )
+    def test_model_source_is_required(self, tmp_path, capsys, no_basis, model, field):
+        text = FAST_CONFIG.replace("kind = builtin\nname = rastrigin\n", model)
+        errors = config_errors(tmp_path, capsys, text)
+        assert len(errors) == 1 and errors[0].startswith(field)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            FAST_CONFIG.replace("beta = 0.95", "beta = 0.95\nbeta = 0.9"),
+            "beta = 0.9\n" + FAST_CONFIG,
+            FAST_CONFIG + "\n[run]\nseed = 1\n",
+        ],
+        ids=["duplicate-key", "no-section-header", "duplicate-section"],
+    )
+    def test_malformed_ini_is_one_config_error(self, tmp_path, capsys, no_basis, text):
+        errors = config_errors(tmp_path, capsys, text)
+        assert len(errors) == 1 and errors[0].startswith("config: ")
+
+    @pytest.mark.parametrize(
+        "marginals, expected",
+        [
+            (["gaussian mean=0"], ["[0]: gaussian needs std"]),
+            (["gaussian mean=0 std=2 sd=9"],
+             ["[0]: gaussian takes mean and std once as name=value, got 'sd=9'"]),
+            (["uniform lower=0 upper"],
+             ["[0]: uniform takes lower and upper once as name=value, got 'upper'"]),
+            (["gaussian mean=0 mean=5 std=2"],
+             ["[0]: gaussian takes mean and std once as name=value, got 'mean=5'"]),
+            (["lognormal mean=1", "uniform upper=1"],
+             ["[0]: lognormal needs cov", "[1]: uniform needs lower"]),
+        ],
+        ids=["missing", "unknown", "no-equals", "repeated", "every-line-fails"],
+    )
+    def test_marginal_parameters_are_checked(self, tmp_path, capsys, no_basis, marginals,
+                                             expected):
+        text = FAST_CONFIG.replace(
+            "    gaussian mean=0 std=2\n    gaussian mean=0 std=2\n",
+            "".join(f"    {line}\n" for line in marginals),
+        )
+        assert config_errors(tmp_path, capsys, text) == [
+            f"input.marginals{line}" for line in expected
+        ]
 
 
 class TestFitPredict:
@@ -525,3 +635,20 @@ class TestPresets:
             exp = Experiment(load_config(preset=name))
             assert exp.input_model.dimension == 2
             assert exp.beta == 0.99
+        workloads = sorted((REPO / "perfbench" / "workloads").glob("*.ini"))
+        assert workloads
+        for path in workloads:
+            Experiment(load_config(path))
+
+    def test_readme_config_block_lists_every_key(self):
+        from tailrisk.cli import _SCHEMA
+
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("### Config format", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+        listed, section = set(), None
+        for line in block.splitlines():
+            if header := re.match(r"\[(\w+)\]", line):
+                section = header[1]
+            elif key := re.match(r";?\s*(\w+)\s*=", line):
+                listed.add((section, key[1]))
+        assert listed == {(section, key) for section, key, *_ in _SCHEMA}

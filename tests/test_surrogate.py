@@ -662,7 +662,7 @@ class TestLooJacobian:
             "                      cli._derived_seed(seed, 0, cli._TRAIN))\n"
             "y = exp.build_model().evaluate_batch(train.points)\n"
             "theta = surrogate.optimize_theta(train.points, y, kind=exp.kernel,\n"
-            "    restarts=exp.restarts, seed=cli._derived_seed(seed, 0, cli._FIT))\n"
+            "    seed=cli._derived_seed(seed, 0, cli._FIT))\n"
             "print(json.dumps(theta.tolist()))\n"
         )
         thetas = [
