@@ -212,6 +212,9 @@ def load_config(path=None, preset=None) -> dict:
             raise ConfigError([f"config: {' '.join(str(exc).splitlines())}"]) from None
         if not read:
             raise ConfigError([f"config: cannot read {path}"])
+        if parser.defaults():  # configparser would copy these into every section
+            raise ConfigError(["config: a [DEFAULT] section is not supported; "
+                               "give each key in its own section"])
     if not layers:
         raise ConfigError(["config: provide --config and/or --preset"])
 

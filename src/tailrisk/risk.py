@@ -150,11 +150,15 @@ def epsilon_risk_region(
 ) -> RiskRegion:
     """CI-based risk region of the surrogate over candidate samples.
 
-    Sorts ``mean - eps`` in descending order, locates the tail index for
-    level ``beta`` over the sample probabilities, takes the predictor mean
-    there as threshold, and keeps every sample whose ``mean + eps``
-    reaches it.  With ``eps == 0`` this collapses to the plain discrete
-    risk region ``{ l : mean_l >= VaR_beta }``.
+    The threshold is the empirical VaR at level ``beta`` of the lower
+    limit ``mean - eps``, and the region keeps every sample whose upper
+    limit ``mean + eps`` reaches it: the epsilon-risk region of
+    Heinkenschloss, Kramer, Takhtaganov & Willcox (2018, SIAM/ASA JUQ
+    6:1395).  Every sample ranked at or above the tail index clears the
+    threshold, so the region's mass is at least ``1 - beta``; and when
+    every output lies within ``eps`` of its mean, the true tail lies
+    inside the region.  With ``eps == 0`` this collapses to the plain
+    discrete risk region ``{ l : mean_l >= VaR_beta }``.
     """
     means, variances = surrogate.predict_batch(samples.points)
     eps = half_width(variances, alpha)
@@ -164,7 +168,7 @@ def epsilon_risk_region(
     score = means - eps
     score = np.where(np.isfinite(score), score, -np.inf)
     order, k = _tail_index(score, samples.probabilities, beta)
-    threshold = float(means[order[k]])
+    threshold = float(score[order[k]])
     members = np.flatnonzero(_in_region(means, eps, threshold))
     return RiskRegion(
         member_indices=members,

@@ -21,7 +21,11 @@ analytic gradient ``dR^-1 = -R^-1 dR R^-1`` (Dubrule 1983).  The search
 runs in two phases: it explores with a loose tolerance from several
 starts, for robustness, and then polishes only the best explore endpoint
 at full tolerance, so starts that share a basin do not each pay for the
-solver's slow final convergence.  In ``"chaos"`` mode the GP term is
+solver's slow final convergence.  Length scales whose ``R`` is
+numerically singular (the conditioning wall) score a penalty; the probe
+ladder stops at its first singular rung after a factorizable one, and the
+polish ends at its first singular evaluation, so neither pays for
+factorizations past the wall.  In ``"chaos"`` mode the GP term is
 dropped (``R = I``): the coefficients reduce to ordinary least squares
 and predictions carry zero variance.
 
@@ -299,6 +303,16 @@ def optimize_theta(
     draws.  *Polish* runs it once more, at scipy's default tolerances,
     from the explore endpoint with the lowest objective.
 
+    Length scales whose correlation matrix is numerically singular score
+    the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
+    to long scales and stops at its first singular rung after a
+    factorizable one.  The polish ends at its first singular evaluation
+    and keeps the best point it evaluated: past that wall the objective
+    is flat, and crawling along it gains at most a few parts in 1e4.
+    Every later residual request of that run gets the penalty without a
+    factorization, so the solver's step shrinks until its own ``xtol``
+    test stops it.
+
     The best candidate ever evaluated (probe, start or endpoint) is
     returned, so the returned objective never exceeds the best explore
     endpoint's.  For a fixed seed, the starts of a smaller ``restarts``
@@ -313,9 +327,10 @@ def optimize_theta(
         Best length scales found.  With ``full_output=True``, also a dict
         with the objective value; one record per solver run, with its
         phase (``"explore"`` or ``"polish"``), start, endpoint, objective,
-        ``nfev``, ``njev`` and status; the number of correlation matrices
-        factorized; and whether the result fell back to a raw start point
-        because every solver run failed.
+        ``nfev``, ``njev``, status and whether it ended at the wall; the
+        number of correlation matrices factorized and how many of them
+        were singular; and whether the result fell back to a raw start
+        point because every solver run failed.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     outputs = np.asarray(outputs, dtype=float)
@@ -340,13 +355,17 @@ def optimize_theta(
     # theta, so the last factorization is kept for it.
     memo = {}
     last = [None, None]
-    factorizations = [0]
+    counts = {"factorizations": 0, "singular_factorizations": 0}
+    # Whether the current solver run ends at the wall, and whether it has.
+    wall = {"stop": False, "reached": False}
 
     def state_at(theta):
         key = theta.tobytes()
         if last[0] != key:
-            factorizations[0] += 1
-            last[:] = [key, _loo_state(theta, inputs, outputs, kind)]
+            state = _loo_state(theta, inputs, outputs, kind)
+            counts["factorizations"] += 1
+            counts["singular_factorizations"] += state is None
+            last[:] = [key, state]
         return last[1]
 
     def residuals(theta):
@@ -361,8 +380,9 @@ def optimize_theta(
         return _loo_objective(residuals(theta), outputs)
 
     def residual_fn(log_theta):
-        res = residuals(np.exp(log_theta))
+        res = None if wall["reached"] else residuals(np.exp(log_theta))
         if res is None:
+            wall["reached"] = wall["stop"]
             return np.full(len(outputs), penalty_scale)
         return res
 
@@ -379,7 +399,12 @@ def optimize_theta(
     runs = []
 
     def solve(start, phase, tolerances):
-        """One solver run; returns ``(objective, log endpoint)`` or None."""
+        """One solver run; returns ``(objective, log endpoint)`` or None.
+
+        A polish run ends at the wall.  The solver only moves to a point
+        that lowers the objective, so it returns the best point it evaluated.
+        """
+        wall.update(stop=phase == "polish", reached=False)
         try:
             result = least_squares(
                 residual_fn, start, jac=jacobian_fn,
@@ -400,19 +425,28 @@ def optimize_theta(
                 "nfev": int(result.nfev),
                 "njev": int(result.njev),
                 "status": int(result.status),
+                "wall": wall["reached"],
             }
         )
         return obj, result.x
 
     # Deterministic isotropic ladder across the box: cheap probes that keep
     # narrow minima from being missed and seed the solver in their basin.
+    # The rungs lengthen every scale, which brings R closer to singular, so
+    # the first singular rung after a factorizable one ends the ladder.
     probe_best = None
+    factorizable = False
     for q in np.linspace(0.02, 0.98, 16):
         log_theta = log_lo + q * (log_hi - log_lo)
-        obj = objective(np.exp(log_theta))
+        res = residuals(np.exp(log_theta))
+        obj = _loo_objective(res, outputs)
         candidates.append((obj, np.exp(log_theta)))
         if probe_best is None or obj < probe_best[0]:
             probe_best = (obj, log_theta)
+        if res is not None:
+            factorizable = True
+        elif factorizable:
+            break
 
     # The short-scale anchor keeps one start where R is always factorizable
     # (near-diagonal), so smooth-kernel searches never begin on a penalty
@@ -440,12 +474,7 @@ def optimize_theta(
             f"every hyperparameter start failed; diagnostics: {runs}"
         )
     best_obj, best_theta = min(finite, key=lambda item: item[0])
-    info = {
-        "objective": best_obj,
-        "fallback": not solver_ok,
-        "runs": runs,
-        "factorizations": factorizations[0],
-    }
+    info = {"objective": best_obj, "fallback": not solver_ok, "runs": runs, **counts}
     if full_output:
         return best_theta, info
     return best_theta
@@ -730,6 +759,7 @@ def fit(
         provenance["loo_objective"] = opt_info["objective"]
         provenance["theta_fallback"] = opt_info["fallback"]
         provenance["loo_factorizations"] = opt_info["factorizations"]
+        provenance["loo_singular_factorizations"] = opt_info["singular_factorizations"]
     kernel = KernelSpec(kernel_kind, np.asarray(theta, dtype=float))
     provenance["theta"] = kernel.theta.tolist()
     return FittedSurrogate(basis, kernel, mode, x, b, provenance)

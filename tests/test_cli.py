@@ -247,7 +247,8 @@ class TestRun:
 
         monkeypatch.setattr(FittedSurrogate, "predict_batch", counting)
         cfg = tmp_path / "topup.ini"
-        cfg.write_text(FAST_CONFIG.replace("subsample_size = 30", "subsample_size = 1000"))
+        # More draws than candidates: the region cannot hold them all.
+        cfg.write_text(FAST_CONFIG.replace("subsample_size = 30", "subsample_size = 2500"))
         out = tmp_path / "out"
         assert run_cli("run", "--config", cfg, "--method", "mfis_hf",
                        "--trials", "1", "--out", out) == 0
@@ -255,6 +256,22 @@ class TestRun:
         assert trial["metadata"]["fresh_points"] > 0
         # 2000 candidates for the region, then whole 8192-point top-up blocks
         assert trial["evaluations"]["surrogate"] == predicted[0] > 2000 + 8192 - 1
+
+    def test_region_mass_covers_the_tail_on_a_recorded_failure(self):
+        # mfis-lf-cmd.ini at seed 21000, trial 7, with the builtin rastrigin
+        # as the HF model (the command model's outputs equal it bit for
+        # bit).  With the mean at the tail index as the region's threshold,
+        # this trial's region held mass 0.0086 < 1 - beta and the run failed.
+        from tailrisk import cli
+
+        raw = cli.load_config(REPO / "perfbench" / "workloads" / "mfis-lf-cmd.ini")
+        raw["model"].update(kind="builtin", name="rastrigin")
+        del raw["model"]["command"]
+        raw["run"]["seed"] = "21000"
+        exp = cli.Experiment(raw)
+        with cli._open_models(exp, ("hf", "lf")) as handles:
+            report = cli._run_trial(exp, cli._build_basis(exp), 7, handles)
+        assert report.metadata["region_mass"] >= 1.0 - exp.beta
 
     def test_mfis_lf_counts_split(self, fast_config, tmp_path):
         out = tmp_path / "out"
@@ -433,8 +450,9 @@ class TestValidation:
             FAST_CONFIG.replace("beta = 0.95", "beta = 0.95\nbeta = 0.9"),
             "beta = 0.9\n" + FAST_CONFIG,
             FAST_CONFIG + "\n[run]\nseed = 1\n",
+            "[DEFAULT]\nseed = 3\n" + FAST_CONFIG,
         ],
-        ids=["duplicate-key", "no-section-header", "duplicate-section"],
+        ids=["duplicate-key", "no-section-header", "duplicate-section", "default-section"],
     )
     def test_malformed_ini_is_one_config_error(self, tmp_path, capsys, no_basis, text):
         errors = config_errors(tmp_path, capsys, text)

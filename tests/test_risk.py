@@ -168,12 +168,33 @@ class TestEpsilonRiskRegion:
         means = np.arange(10.0, 0.0, -1.0)
         fake = FakeSurrogate(means, np.full(10, (0.5 / 1.959963984540054) ** 2))
         region = epsilon_risk_region(fake, samples, 0.8, 0.05)
-        # sorted means - eps: 9.5, 8.5, ...; k lands on the third sample
-        assert region.threshold == pytest.approx(8.0)
-        assert {0, 1}.issubset(set(region.member_indices.tolist()))
-        # membership: mean + 0.5 >= 8 keeps exactly the top three
-        assert set(region.member_indices.tolist()) == {0, 1, 2}
-        assert region.mass == pytest.approx(0.3)
+        # sorted means - eps: 9.5, 8.5, 7.5, ...; k lands on the third
+        # sample, whose lower limit is the threshold
+        assert region.threshold == pytest.approx(7.5)
+        # membership: mean + 0.5 >= 7.5 keeps exactly the top four
+        assert set(region.member_indices.tolist()) == {0, 1, 2, 3}
+        assert region.mass == pytest.approx(0.4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(5, 400),
+        beta=st.floats(0.5, 0.99),
+        eps_scale=st.floats(0.0, 3.0),
+    )
+    def test_bounded_error_keeps_the_true_tail_and_the_mass(self, seed, n, beta, eps_scale):
+        # Outputs within eps of the surrogate mean: the region holds every
+        # sample of the true tail, and its mass is at least 1 - beta.
+        rng = np.random.default_rng(seed)
+        samples = make_samples(n, seed=seed)
+        means = rng.normal(size=n)
+        variances = (eps_scale * rng.uniform(size=n)) ** 2
+        eps = half_width(variances, 0.05)
+        truth = means + rng.uniform(-1.0, 1.0, size=n) * eps
+        region = epsilon_risk_region(FakeSurrogate(means, variances), samples, beta, 0.05)
+        var, _ = var_cvar(truth, samples.probabilities, beta)
+        assert set(np.flatnonzero(truth >= var)) <= set(region.member_indices.tolist())
+        assert region.mass >= 1.0 - beta
 
     def test_monotone_widening_in_alpha(self, corr09):
         basis = build_basis(corr09, 1, 2, quadrature=50_000, seed=0)
