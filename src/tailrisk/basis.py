@@ -74,7 +74,20 @@ ARTIFACT_VERSION = 1
 
 
 def cardinality(dimension: int, interaction_order: int, degree: int) -> int:
-    """Number of multi-indices with at most S nonzero entries and degree <= m."""
+    """Number of multi-indices with at most S nonzero entries and degree <= m.
+
+    Raises
+    ------
+    ValueError
+        If ``N < 1``, ``S > N``, ``S < 0``, or ``m < S``.
+    """
+    n, s_max, m = dimension, interaction_order, degree
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if not 0 <= s_max <= n:
+        raise ValueError(f"interaction order must be in [0, {n}], got {s_max}")
+    if m < s_max:
+        raise ValueError(f"degree must be >= interaction order, got m={m} < S={s_max}")
     return 1 + sum(
         math.comb(dimension, s) * math.comb(degree, s)
         for s in range(1, interaction_order + 1)
@@ -114,15 +127,10 @@ def multi_index_set(dimension: int, interaction_order: int, degree: int) -> Mult
     Raises
     ------
     ValueError
-        If ``S > N``, ``S < 0``, or ``m < S``.
+        Where :func:`cardinality` does.
     """
     n, s_max, m = dimension, interaction_order, degree
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if not 0 <= s_max <= n:
-        raise ValueError(f"interaction order must be in [0, {n}], got {s_max}")
-    if m < s_max:
-        raise ValueError(f"degree must be >= interaction order, got m={m} < S={s_max}")
+    size = cardinality(n, s_max, m)
 
     indices = [(0,) * n]
     for s in range(1, s_max + 1):
@@ -137,7 +145,7 @@ def multi_index_set(dimension: int, interaction_order: int, degree: int) -> Mult
     indices.sort(key=lambda j: (sum(j), tuple(-e for e in j)))
 
     out = MultiIndexSet(n, s_max, m, np.array(indices, dtype=int))
-    assert len(out) == cardinality(n, s_max, m)
+    assert len(out) == size
     return out
 
 
@@ -175,10 +183,9 @@ def moment_matrix(
     index_set: MultiIndexSet,
     model: InputModel,
     quadrature: int = DEFAULT_QUADRATURE,
-    seed: int = 0,
-    skip: int = 0,
 ) -> np.ndarray:
-    """Estimate ``G = E[M(X) M(X)^T]`` with a Sobol quasi-MC stream.
+    """Estimate ``G = E[M(X) M(X)^T]`` from the first ``quadrature`` points
+    of the (deterministic) Sobol stream.
 
     Accumulation is blockwise in a fixed order, so the result does not
     depend on memory limits or threading.  The returned matrix is exactly
@@ -200,9 +207,7 @@ def moment_matrix(
             f"quadrature count {quadrature} is below the basis size {size}"
         )
     gram = np.zeros((size, size))
-    for block in iter_sample_blocks(
-        model, "sobol", quadrature, seed, _QUADRATURE_BLOCK, skip=skip
-    ):
+    for block in iter_sample_blocks(model, "sobol", quadrature, 0, _QUADRATURE_BLOCK):
         m = monomial_matrix(block, index_set)
         gram += m.T @ m
     gram /= quadrature
@@ -504,18 +509,19 @@ def build_basis(
     interaction_order: int,
     degree: int,
     quadrature: int = DEFAULT_QUADRATURE,
-    seed: int = 0,
 ) -> OrthonormalBasis:
     """Full pipeline: index set, moment matrix, whitening.
 
     The moment matrix comes from :func:`_exact_moment_matrix`, so the basis
     is orthonormal under the input measure itself, not under a sample of
-    it; ``quadrature`` and ``seed`` then do not change the basis.  When a
-    moment would need a tensor grid above ``_MAX_GRID`` points, the matrix
-    is instead estimated by :func:`moment_matrix` from ``quadrature``
-    Sobol points of stream ``seed``, with a ``RuntimeWarning``.
-    ``provenance`` records which (``"moments"``: ``"exact"`` or
-    ``"sampled"``) together with ``quadrature`` and ``seed``.
+    it; ``quadrature`` then does not change the basis.  When a moment
+    would need a tensor grid above ``_MAX_GRID`` points, the matrix is
+    instead estimated by :func:`moment_matrix` from ``quadrature`` Sobol
+    points, with a ``RuntimeWarning``.  The Sobol stream is unscrambled,
+    so the basis takes no seed: it is a function of the model, the orders
+    and ``quadrature`` alone.  ``provenance`` records which
+    (``"moments"``: ``"exact"`` or ``"sampled"``) together with
+    ``quadrature``.
     Conditioning scaling uses the model's marginal standard deviations.
 
     Raises
@@ -532,10 +538,10 @@ def build_basis(
             "points instead, so the basis is orthonormal only approximately",
             RuntimeWarning,
         )
-        gram, moments = moment_matrix(index_set, model, quadrature, seed), "sampled"
+        gram, moments = moment_matrix(index_set, model, quadrature), "sampled"
     return whiten(
         gram,
         index_set,
         coordinate_scales=model.marginal_stddevs,
-        provenance={"moments": moments, "quadrature": int(quadrature), "seed": int(seed)},
+        provenance={"moments": moments, "quadrature": int(quadrature)},
     )

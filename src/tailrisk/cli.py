@@ -36,7 +36,7 @@ from . import inputs, models, risk, surrogate
 from .exceptions import ArtifactError, TailriskError
 from .metrics import TrialEnsemble, mrd, nrmsd
 
-_TRAIN, _FIT, _ESTIMATE, _SUBSAMPLE, _BENCHMARK, _BASIS = range(6)
+_TRAIN, _FIT, _ESTIMATE, _SUBSAMPLE, _BENCHMARK = range(5)
 
 SURROGATE_METHODS = ("surrogate_mcs", "mfis_hf", "mfis_lf")
 
@@ -133,7 +133,7 @@ _SCHEMA = (
     ("risk", "scheme", str, "mc", _one_of(inputs._SCHEMES)),
     ("risk", "benchmark", str, "", None),
     ("run", "trials", int, "1", _AT_LEAST_1),
-    ("run", "seed", int, "0", None),
+    ("run", "seed", int, "0", _AT_LEAST_0),
     ("run", "threads", int, "1", _AT_LEAST_1),
 )
 
@@ -268,15 +268,20 @@ class Experiment:
             except ValueError:
                 issues.append(f"risk.benchmark: must be 'auto' or a number, got {self.benchmark!r}")
 
-        if self.method in SURROGATE_METHODS and self.input_model is not None:
-            needed = basis_mod.cardinality(
-                self.input_model.dimension, self.interaction_order or 0, self.degree or 0
-            )
-            if self.training_size is not None and self.training_size < needed:
-                issues.append(
-                    "surrogate.training_size: must be at least the number of basis "
-                    f"functions (need >= {needed}, got {self.training_size})"
-                )
+        orders = (self.interaction_order, self.degree)
+        if (self.method in SURROGATE_METHODS and self.input_model is not None
+                and None not in orders):
+            try:
+                needed = basis_mod.cardinality(self.input_model.dimension, *orders)
+            except ValueError as exc:  # the basis's own rule, reported per key
+                key = "degree" if str(exc).startswith("degree") else "interaction_order"
+                issues.append(f"surrogate.{key}: {exc}")
+            else:
+                if self.training_size is not None and self.training_size < needed:
+                    issues.append(
+                        "surrogate.training_size: must be at least the number of basis "
+                        f"functions (need >= {needed}, got {self.training_size})"
+                    )
         if self.method in ("mfis_hf", "mfis_lf") and self.subsample_size == 0:
             issues.append("risk.subsample_size: must be >= 1 for importance sampling")
 
@@ -298,11 +303,7 @@ class Experiment:
 
 def _build_basis(exp: Experiment) -> basis_mod.OrthonormalBasis:
     return basis_mod.build_basis(
-        exp.input_model,
-        exp.interaction_order,
-        exp.degree,
-        quadrature=exp.quadrature,
-        seed=_derived_seed(exp.seed, _BASIS),
+        exp.input_model, exp.interaction_order, exp.degree, quadrature=exp.quadrature
     )
 
 

@@ -11,14 +11,15 @@ which guarantees a valid joint law for any admissible target matrix.
 Three sampling schemes are supported: plain Monte Carlo (``mc``), the Sobol
 sequence (``sobol``, unscrambled, initial all-zeros point skipped), and
 Latin hypercube sampling (``lhs``).  All samplers are deterministic given
-``(scheme, size, seed)`` and return immutable :class:`SampleSet` objects.
+``(scheme, size, seed)`` and return immutable, equally weighted
+:class:`SampleSet` objects: each of ``L`` points carries probability ``1/L``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -244,42 +245,32 @@ def _dependence_blocks(corr: np.ndarray):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Realizations of an input vector with per-point probabilities.
+    """Equally weighted realizations of an input vector.
 
-    ``points`` is an ``(L, N)`` array and ``probabilities`` a length-``L``
-    vector of nonnegative weights; a freshly drawn empirical measure carries
-    ``1/L`` each.  ``provenance`` records the sampler kind, seed, and skip
-    count so the set can be regenerated bit-for-bit.
+    ``points`` is an ``(L, N)`` read-only array; each point carries
+    probability ``1/L``, so the set is the empirical measure of its draws.
     """
 
     points: np.ndarray
-    probabilities: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        probs = np.asarray(self.probabilities, dtype=float)
         if pts.shape[0] < 1:
             raise ValueError("a sample set needs at least one point")
-        if probs.shape != (pts.shape[0],):
-            raise ValueError("probabilities must match the number of points")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be nonnegative")
         pts.setflags(write=False)
-        probs.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probabilities", probs)
 
     def __len__(self):
         return self.points.shape[0]
 
 
-def _uniform_stream(scheme: str, dimension: int, seed: int, skip: int):
+def _uniform_stream(scheme: str, dimension: int, seed: int):
     """Stateful generator of uniform/(standard normal) block draws.
 
     Returns a callable ``draw(count) -> (count, N) standard-normal block``.
-    Consecutive calls continue one underlying stream, so blockwise
-    generation concatenates to the one-shot result.
+    For ``mc`` and ``sobol``, consecutive calls continue one underlying
+    stream, so blockwise generation concatenates to the one-shot result;
+    each ``lhs`` call stratifies its own block.
     """
     if scheme == "mc":
         rng = np.random.default_rng(seed)
@@ -300,7 +291,7 @@ def _uniform_stream(scheme: str, dimension: int, seed: int, skip: int):
             warnings.simplefilter("ignore", UserWarning)
             engine = qmc.Sobol(d=dimension, scramble=False)
         # Skip the initial all-zeros point: it maps to -inf under ndtri.
-        engine.fast_forward(1 + skip)
+        engine.fast_forward(1)
 
         def draw(count):
             with warnings.catch_warnings():
@@ -321,8 +312,8 @@ def _uniform_stream(scheme: str, dimension: int, seed: int, skip: int):
     return draw
 
 
-def sample(model: InputModel, scheme: str, size: int, seed: int, skip: int = 0) -> SampleSet:
-    """Draw ``size`` points from the joint law of ``model``.
+def sample(model: InputModel, scheme: str, size: int, seed: int) -> SampleSet:
+    """Draw ``size`` equally weighted points from the joint law of ``model``.
 
     Parameters
     ----------
@@ -335,42 +326,25 @@ def sample(model: InputModel, scheme: str, size: int, seed: int, skip: int = 0) 
     size : int
         Number of points, at least 1.
     seed : int
-        Drives ``mc`` and ``lhs``; recorded but inert for the deterministic
-        ``sobol`` stream.
-    skip : int, optional
-        Extra points of the Sobol sequence to skip (beyond the initial
-        zero point); lets callers carve disjoint quasi-MC streams.  Only
-        valid with ``scheme="sobol"``.
-
-    Returns
-    -------
-    SampleSet
-        With uniform probabilities ``1/size``.
+        Drives ``mc`` and ``lhs``; inert for the deterministic ``sobol``
+        stream.
     """
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
-    if skip and scheme != "sobol":
-        raise ValueError("skip is only meaningful for the sobol scheme")
-    draw = _uniform_stream(scheme, model.dimension, seed, skip)
-    points = model.transform_gauss(draw(size))
-    probs = np.full(size, 1.0 / size)
-    return SampleSet(
-        points=points,
-        probabilities=probs,
-        provenance={"scheme": scheme, "seed": int(seed), "skip": int(skip), "size": int(size)},
-    )
+    draw = _uniform_stream(scheme, model.dimension, seed)
+    return SampleSet(model.transform_gauss(draw(size)))
 
 
-def iter_sample_blocks(model, scheme, size, seed, block_size, skip=0):
+def iter_sample_blocks(model, scheme, size, seed, block_size):
     """Yield the :func:`sample` point array in consecutive blocks.
 
-    Blockwise output concatenates exactly to the one-shot ``sample``
-    points; used to keep large quadratures out of memory.
+    For ``mc`` and ``sobol``, blockwise output concatenates exactly to the
+    one-shot ``sample`` points; used to keep large quadratures out of
+    memory.
     """
-    draw = _uniform_stream(scheme, model.dimension, seed, skip)
+    draw = _uniform_stream(scheme, model.dimension, seed)
     produced = 0
     while produced < size:
         count = min(block_size, size - produced)
         yield model.transform_gauss(draw(count))
         produced += count
-

@@ -19,10 +19,12 @@ takes its VaR from the same subsample, and that empirical CVaR is biased
 low at finite ``M`` (Brown 2007, Oper. Res. Lett. 35:722); the bias
 shrinks as ``M`` grows.
 
-The tail rule (descending order and snapped tail index) and the region's
-membership rule each live in one helper, ``_tail_index`` and
-``_in_region``; the empirical estimator, the region, and the region's
-top-up all call them.
+The tail rule (descending order and snapped tail index), the region's
+membership rule and the weights each live in one helper, ``_tail_index``,
+``_in_region`` and ``_weights``; the estimators, the region, and the
+region's top-up all call them.  Candidate sets are equally weighted
+(:class:`~tailrisk.inputs.SampleSet`), so every weight comes from counts:
+``1/L`` per candidate, and ``(|region| / M) / L`` per importance sample.
 """
 
 from __future__ import annotations
@@ -75,6 +77,18 @@ def _tail_index(scores, probabilities, beta: float):
             f"total weight {cumulative[-1]:.6g} does not exceed 1 - beta = {tail:.6g}"
         )
     return order, int(np.searchsorted(cumulative, snapped, side="right"))
+
+
+def _weights(candidates, draws=None, members=None):
+    """Equal probabilities of ``draws`` points that stand for ``members``
+    of ``candidates`` equally weighted candidates: ``(members / draws) /
+    candidates`` each.  By default the points are the candidates
+    themselves.  Grouped so that ``draws == members`` gives exactly
+    ``1/candidates``: a subsample of the whole region weighs what its
+    candidates do."""
+    draws = candidates if draws is None else draws
+    members = draws if members is None else members
+    return np.full(draws, (members / draws) / candidates)
 
 
 def _in_region(means, eps, threshold):
@@ -167,7 +181,7 @@ def epsilon_risk_region(
 
     score = means - eps
     score = np.where(np.isfinite(score), score, -np.inf)
-    order, k = _tail_index(score, samples.probabilities, beta)
+    order, k = _tail_index(score, _weights(len(samples)), beta)
     threshold = float(score[order[k]])
     members = np.flatnonzero(_in_region(means, eps, threshold))
     return RiskRegion(
@@ -199,7 +213,7 @@ class RiskReport:
 def mcs_estimate(model, samples: SampleSet, beta: float, seed=None) -> RiskReport:
     """Standard Monte Carlo estimate: evaluate the model at every sample."""
     outputs = evaluate_model(model, samples.points)
-    var, cvar = var_cvar(outputs, samples.probabilities, beta)
+    var, cvar = var_cvar(outputs, _weights(len(samples)), beta)
     return RiskReport(
         var_estimate=var,
         cvar_estimate=cvar,
@@ -217,7 +231,7 @@ def surrogate_mcs_estimate(
     Only the mean is predicted: the variance plays no part here.
     """
     means = surrogate.predict_mean(samples.points)
-    var, cvar = var_cvar(means, samples.probabilities, beta)
+    var, cvar = var_cvar(means, _weights(len(samples)), beta)
     return RiskReport(
         var_estimate=var,
         cvar_estimate=cvar,
@@ -315,9 +329,7 @@ def mfis_estimate(
         )
         points = np.vstack([points, fresh_points])
     outputs = evaluate_model(hf_model, points)
-    # Grouped so that m == |region| gives back exactly the original 1/L.
-    weight = (len(region) / m) / len(samples)
-    var, cvar = var_cvar(outputs, np.full(m, weight), beta)
+    var, cvar = var_cvar(outputs, _weights(len(samples), m, len(region)), beta)
     return RiskReport(
         var_estimate=var,
         cvar_estimate=cvar,

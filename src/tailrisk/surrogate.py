@@ -283,25 +283,19 @@ def default_theta_bounds(inputs) -> np.ndarray:
     return np.column_stack([1e-2 * span, 10.0 * span])
 
 
-def optimize_theta(
-    inputs,
-    outputs,
-    kind="gaussian",
-    bounds=None,
-    restarts=5,
-    seed=0,
-    full_output=False,
-):
+def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     """Minimize the LOO-CV criterion over length scales.
 
     Runs a bounded trust-region-reflective least-squares search on the LOO
-    residual vector in log-scale coordinates, with the analytic Jacobian
-    of :func:`_loo_jacobian`, in two phases.  *Explore* runs the solver
-    loosely (``_EXPLORE_TOLERANCES``) from each of ``restarts`` start
-    points: a short-scale anchor, the best rung of a deterministic
-    isotropic probe ladder, the box center, then seeded log-uniform
-    draws.  *Polish* runs it once more, at scipy's default tolerances,
-    from the explore endpoint with the lowest objective.
+    residual vector in log-scale coordinates, over the box of
+    :func:`default_theta_bounds`, with the analytic Jacobian of
+    :func:`_loo_jacobian`, in two phases.  *Explore* runs the solver
+    loosely (``_EXPLORE_TOLERANCES``) from five start points: a
+    short-scale anchor a tenth of the way up the box in log scale, the
+    best rung of a deterministic isotropic probe ladder, the box center,
+    and two log-uniform draws from ``seed``.  *Polish* runs it once more,
+    at scipy's default tolerances, from the explore endpoint with the
+    lowest objective.
 
     Length scales whose correlation matrix is numerically singular score
     the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
@@ -311,22 +305,17 @@ def optimize_theta(
     is flat, and crawling along it gains at most a few parts in 1e4.
     Every later residual request of that run gets the penalty without a
     factorization, so the solver's step shrinks until its own ``xtol``
-    test stops it.
-
-    The best candidate ever evaluated (probe, start or endpoint) is
-    returned, so the returned objective never exceeds the best explore
-    endpoint's.  For a fixed seed, the starts of a smaller ``restarts``
-    lead those of a larger one and their explore runs are identical, so
-    more restarts never worsen the best explore endpoint.  The polish run
-    may end elsewhere, so the returned objective itself is not monotone
-    in ``restarts``.
+    test stops it.  The best candidate ever evaluated (probe, start or
+    endpoint) is returned, so the returned objective never exceeds the
+    best explore endpoint's.
 
     Returns
     -------
     theta : ndarray
-        Best length scales found.  With ``full_output=True``, also a dict
-        with the objective value; one record per solver run, with its
-        phase (``"explore"`` or ``"polish"``), start, endpoint, objective,
+        Best length scales found.
+    info : dict
+        The objective value; one record per solver run, with its phase
+        (``"explore"`` or ``"polish"``), start, endpoint, objective,
         ``nfev``, ``njev``, status and whether it ended at the wall; the
         number of correlation matrices factorized and how many of them
         were singular; and whether the result fell back to a raw start
@@ -334,15 +323,7 @@ def optimize_theta(
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     outputs = np.asarray(outputs, dtype=float)
-    if restarts < 1:
-        raise ValueError("need at least one start")
-    if bounds is None:
-        bounds = default_theta_bounds(inputs)
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    if bounds.shape != (inputs.shape[1], 2):
-        raise ValueError("bounds must be an (N, 2) array of positive limits")
-    if np.any(bounds <= 0.0) or not np.all(np.isfinite(bounds)):
-        raise ValueError("theta bounds must be finite and positive")
+    bounds = default_theta_bounds(inputs)
     log_lo, log_hi = np.log(bounds[:, 0]), np.log(bounds[:, 1])
 
     penalty_scale = np.sqrt(
@@ -453,9 +434,8 @@ def optimize_theta(
     # plateau; the box center and seeded draws cover the rest.
     anchor = log_lo + 0.1 * (log_hi - log_lo)
     starts = [anchor, probe_best[1], 0.5 * (log_lo + log_hi)]
-    for _ in range(restarts - 3):
+    for _ in range(2):
         starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
-    starts = starts[:restarts]
     explored = []
     for start in starts:
         candidates.append((objective(np.exp(start)), np.exp(start)))
@@ -474,10 +454,7 @@ def optimize_theta(
             f"every hyperparameter start failed; diagnostics: {runs}"
         )
     best_obj, best_theta = min(finite, key=lambda item: item[0])
-    info = {"objective": best_obj, "fallback": not solver_ok, "runs": runs, **counts}
-    if full_output:
-        return best_theta, info
-    return best_theta
+    return best_theta, {"objective": best_obj, "fallback": not solver_ok, "runs": runs, **counts}
 
 
 def _training_data(training_inputs, training_outputs, basis, mode):
@@ -709,8 +686,6 @@ def fit(
     kernel_kind="gaussian",
     mode="chaos_kriging",
     theta=None,
-    theta_bounds=None,
-    restarts=5,
     seed=0,
 ) -> FittedSurrogate:
     """Fit a surrogate to input-output training data.
@@ -728,7 +703,7 @@ def fit(
         zero predictive variance.
     theta : array_like, optional
         Fixed length scales; skips the LOO-CV search.
-    theta_bounds, restarts, seed
+    seed : int
         Passed to :func:`optimize_theta` when ``theta`` is not given.
 
     Raises
@@ -752,10 +727,7 @@ def fit(
         )
 
     if theta is None:
-        theta, opt_info = optimize_theta(
-            x, b, kind=kernel_kind, bounds=theta_bounds,
-            restarts=restarts, seed=seed, full_output=True,
-        )
+        theta, opt_info = optimize_theta(x, b, kind=kernel_kind, seed=seed)
         provenance["loo_objective"] = opt_info["objective"]
         provenance["theta_fallback"] = opt_info["fallback"]
         provenance["loo_factorizations"] = opt_info["factorizations"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -90,37 +91,37 @@ class TestMomentMatrix:
     def test_standard_normal_m2(self):
         model = InputModel([Gaussian(0, 1)])
         s = multi_index_set(1, 1, 2)
-        gram = moment_matrix(s, model, quadrature=1_000_000, seed=0)
+        gram = moment_matrix(s, model, quadrature=1_000_000)
         np.testing.assert_allclose(
             gram, [[1, 0, 1], [0, 1, 0], [1, 0, 3]], atol=5e-3
         )
 
     def test_constant_entry_exact(self, corr09):
         s = multi_index_set(2, 1, 2)
-        gram = moment_matrix(s, corr09, quadrature=4096, seed=0)
+        gram = moment_matrix(s, corr09, quadrature=4096)
         assert gram[0, 0] == 1.0
 
     def test_cross_moment_correlated(self, corr09):
         s = multi_index_set(2, 1, 1)
-        gram = moment_matrix(s, corr09, quadrature=1_000_000, seed=0)
+        gram = moment_matrix(s, corr09, quadrature=1_000_000)
         # indices are [(0,0), (1,0), (0,1)]; E[X1 X2] = rho * sigma^2
         assert gram[1, 2] == pytest.approx(3.6, abs=2e-2)
 
     def test_symmetry_exact(self, corr09):
         s = multi_index_set(2, 2, 3)
-        gram = moment_matrix(s, corr09, quadrature=20_000, seed=0)
+        gram = moment_matrix(s, corr09, quadrature=20_000)
         assert np.array_equal(gram, gram.T)
 
     def test_quadrature_below_cardinality_rejected(self, corr09):
         s = multi_index_set(2, 2, 3)
         with pytest.raises(ValueError):
-            moment_matrix(s, corr09, quadrature=5, seed=0)
+            moment_matrix(s, corr09, quadrature=5)
 
     def test_rank_deficient_estimate_rejected(self):
         model = InputModel([Gaussian(0, 1)])
         s = multi_index_set(1, 1, 20)
         with pytest.raises(MomentMatrixError):
-            moment_matrix(s, model, quadrature=21, seed=0)
+            moment_matrix(s, model, quadrature=21)
 
 
 class TestWhitening:
@@ -149,7 +150,7 @@ class TestWhitening:
 
     def test_scaled_whitening_same_identity(self, corr09):
         s = multi_index_set(2, 1, 3)
-        gram = moment_matrix(s, corr09, quadrature=100_000, seed=0)
+        gram = moment_matrix(s, corr09, quadrature=100_000)
         basis = whiten(gram, s, coordinate_scales=corr09.marginal_stddevs)
         residual = basis.whitening @ gram @ basis.whitening.T - np.eye(len(s))
         assert np.max(np.abs(residual)) < 1e-10
@@ -172,7 +173,7 @@ class TestWhitening:
 
 class TestBasisEvaluation:
     def test_first_entry_is_one(self, corr09):
-        basis = build_basis(corr09, 1, 3, quadrature=50_000, seed=0)
+        basis = build_basis(corr09, 1, 3, quadrature=50_000)
         pts = np.random.default_rng(1).normal(0, 2, size=(50, 2))
         values = basis.evaluate(pts)
         np.testing.assert_allclose(values[:, 0], 1.0, atol=1e-12)
@@ -187,10 +188,11 @@ class TestBasisEvaluation:
         # stream-to-stream noise; far higher degrees drown the tolerance
         # (the acceptance suite checks m=5 against exact moments).
         q = 1 << 20
-        basis = build_basis(corr09, 1, 3, quadrature=q, seed=0)
+        basis = build_basis(corr09, 1, 3, quadrature=q)
         acc = np.zeros((len(basis), len(basis)))
         count = 0
-        for block in iter_sample_blocks(corr09, "sobol", q, 0, 1 << 17, skip=q):
+        blocks = iter_sample_blocks(corr09, "sobol", 2 * q, 0, 1 << 17)
+        for block in itertools.islice(blocks, q >> 17, None):  # the next q points
             v = basis.evaluate(block)
             acc += v.T @ v
             count += len(block)
@@ -198,8 +200,8 @@ class TestBasisEvaluation:
         assert np.max(np.abs(residual)) <= 5e-3
 
     def test_nesting_property(self, corr09):
-        low = build_basis(corr09, 1, 2, quadrature=60_000, seed=0)
-        high = build_basis(corr09, 1, 3, quadrature=60_000, seed=0)
+        low = build_basis(corr09, 1, 2, quadrature=60_000)
+        high = build_basis(corr09, 1, 3, quadrature=60_000)
         pts = np.random.default_rng(2).normal(0, 2, size=(20, 2))
         low_values = low.evaluate(pts)
         high_values = high.evaluate(pts)
@@ -309,24 +311,26 @@ class TestExactMoments:
         tracemalloc.start()
         try:
             with pytest.warns(RuntimeWarning, match="estimated from 16384 Sobol points"):
-                basis = build_basis(model, 3, 3, quadrature=1 << 14, seed=5)
+                basis = build_basis(model, 3, 3, quadrature=1 << 14)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64e6
         assert basis.provenance["moments"] == "sampled"
         expected = whiten(
-            moment_matrix(basis.index_set, model, 1 << 14, 5),
+            moment_matrix(basis.index_set, model, 1 << 14),
             basis.index_set,
             coordinate_scales=model.marginal_stddevs,
         )
         np.testing.assert_array_equal(basis.whitening, expected.whitening)
 
     def test_quadrature_and_seed_recorded_but_inert(self, corr09):
-        basis = build_basis(corr09, 1, 3, quadrature=12_345, seed=6)
-        assert basis.provenance["moments"] == "exact"
-        assert basis.provenance["quadrature"] == 12_345
-        assert basis.provenance["seed"] == 6
+        # The Sobol stream is unscrambled, so the basis takes no seed.
+        basis = build_basis(corr09, 1, 3, quadrature=12_345)
+        assert basis.provenance == {"moments": "exact", "quadrature": 12_345, "jittered": False,
+                                    "coordinate_scales": [2.0, 2.0]}
+        with pytest.raises(TypeError):
+            build_basis(corr09, 1, 3, quadrature=12_345, seed=6)
         np.testing.assert_array_equal(
             basis.whitening, build_basis(corr09, 1, 3).whitening
         )
@@ -334,14 +338,14 @@ class TestExactMoments:
 
 class TestSerialization:
     def test_round_trip(self, corr09):
-        basis = build_basis(corr09, 1, 2, quadrature=30_000, seed=7)
+        basis = build_basis(corr09, 1, 2, quadrature=30_000)
         loaded = OrthonormalBasis.from_dict(json.loads(json.dumps(basis.to_dict())))
         np.testing.assert_array_equal(loaded.whitening, basis.whitening)
         np.testing.assert_array_equal(loaded.index_set.indices, basis.index_set.indices)
         assert loaded.provenance["quadrature"] == 30_000
 
     def test_version_mismatch(self, corr09):
-        basis = build_basis(corr09, 1, 1, quadrature=5_000, seed=0)
+        basis = build_basis(corr09, 1, 1, quadrature=5_000)
         payload = basis.to_dict()
         payload["version"] = 999
         with pytest.raises(ArtifactError):
@@ -357,7 +361,7 @@ class TestSerialization:
         ],
     )
     def test_malformed_artifact_refused(self, corr09, tamper):
-        payload = build_basis(corr09, 1, 1, quadrature=5_000, seed=0).to_dict()
+        payload = build_basis(corr09, 1, 1, quadrature=5_000).to_dict()
         tamper(payload)
         with pytest.raises(ArtifactError):
             OrthonormalBasis.from_dict(payload)

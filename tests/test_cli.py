@@ -427,6 +427,33 @@ class TestValidation:
             ["input.marginals[0]", "model.path", "surrogate.restart", "risk.betta", "[rnu]"]
         )
 
+    @pytest.mark.parametrize("command", ["run", "fit"])
+    @pytest.mark.parametrize(
+        "orders, expected",
+        [("interaction_order = 3\ndegree = 3",
+          "surrogate.interaction_order: interaction order must be in [0, 2], got 3"),
+         ("interaction_order = 2\ndegree = 1",
+          "surrogate.degree: degree must be >= interaction order, got m=1 < S=2")],
+        ids=["order-above-dimension", "degree-below-order"],
+    )
+    def test_basis_orders_are_one_config_error(self, tmp_path, capsys, no_basis, command,
+                                               orders, expected):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(FAST_CONFIG.replace("interaction_order = 1\ndegree = 2", orders))
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {expected}"]
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_one_config_error(self, tmp_path, capsys, no_basis, where):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(FAST_CONFIG.replace("seed = 77", "seed = -1") if where == "config"
+                       else FAST_CONFIG)
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert run_cli("run", "--config", cfg, *flag, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: run.seed: must be >= 0, got -1"
+        ]
+
     @pytest.mark.parametrize("key, value", [("name", "rastrgin"), ("lf_name", "rastrigin_lf9")])
     def test_unknown_builtin_model_fails_up_front(self, tmp_path, capsys, no_basis, key, value):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", FAST_CONFIG, flags=re.M)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from tailrisk import (
     UnsupportedDimensionError,
     sample,
 )
+from tailrisk.inputs import iter_sample_blocks
+from tailrisk.risk import _weights
 
 from helpers import run_python
 
@@ -90,11 +93,14 @@ class TestSampling:
 
     def test_single_sample_probability_is_one(self, corr09):
         s = sample(corr09, "mc", 1, seed=0)
-        np.testing.assert_array_equal(s.probabilities, [1.0])
+        assert len(s) == 1
+        np.testing.assert_array_equal(_weights(len(s)), [1.0])
 
     def test_probabilities_sum_to_one(self, corr09):
+        # Sample sets are equally weighted: the estimators weigh each of
+        # the L points 1/L.
         s = sample(corr09, "lhs", 1234, seed=3)
-        assert abs(s.probabilities.sum() - 1.0) < 1e-12
+        assert abs(_weights(len(s)).sum() - 1.0) < 1e-12
 
     def test_coloring_matches_covariance_within_three_standard_errors(self):
         model = InputModel(
@@ -126,7 +132,6 @@ class TestSampling:
             a = sample(corr09, scheme, 500, seed=9)
             b = sample(corr09, scheme, 500, seed=9)
             assert np.array_equal(a.points, b.points)
-            assert np.array_equal(a.probabilities, b.probabilities)
 
     def test_mc_seeds_differ(self, corr09):
         a = sample(corr09, "mc", 100, seed=1).points
@@ -155,24 +160,32 @@ class TestSampling:
             sample(corr09, "mc", 0, seed=0)
 
     def test_provenance_recorded(self, corr09):
-        s = sample(corr09, "sobol", 8, seed=4, skip=16)
-        assert s.provenance == {"scheme": "sobol", "seed": 4, "skip": 16, "size": 8}
+        # A sample set is its points; (scheme, size, seed) regenerate them.
+        s = sample(corr09, "sobol", 8, seed=4)
+        assert [f.name for f in dataclasses.fields(s)] == ["points"]
+        assert np.array_equal(s.points, sample(corr09, "sobol", 8, seed=4).points)
 
     def test_skip_only_for_sobol(self, corr09):
-        with pytest.raises(ValueError):
-            sample(corr09, "mc", 8, seed=4, skip=16)
+        for scheme in ("mc", "sobol"):
+            with pytest.raises(TypeError):
+                sample(corr09, scheme, 8, seed=4, skip=16)
 
     def test_sobol_skip_is_stream_continuation(self):
         model = InputModel([Uniform(0, 1), Uniform(0, 1)])
-        whole = sample(model, "sobol", 32, seed=0).points
-        tail = sample(model, "sobol", 16, seed=0, skip=16).points
-        assert np.array_equal(whole[16:], tail)
+        for scheme in ("mc", "sobol"):
+            whole = sample(model, scheme, 32, seed=0).points
+            blocks = list(iter_sample_blocks(model, scheme, 32, 0, 12))
+            assert [len(block) for block in blocks] == [12, 12, 8]
+            assert np.array_equal(np.vstack(blocks), whole)
 
 
 class TestSampleSet:
     def test_rejects_negative_probabilities(self):
-        with pytest.raises(ValueError):
+        # The points carry equal weights; there is no weight vector to give.
+        with pytest.raises(TypeError):
             SampleSet(points=np.zeros((2, 1)), probabilities=np.array([0.5, -0.5]))
+        with pytest.raises(ValueError):
+            SampleSet(points=np.zeros((0, 1)))
 
     def test_immutable(self, corr09):
         s = sample(corr09, "mc", 4, seed=0)

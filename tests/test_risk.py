@@ -157,7 +157,7 @@ class TestEpsilonRiskRegion:
         means = np.random.default_rng(1).normal(size=n)
         fake = FakeSurrogate(means, np.zeros(n))
         region = epsilon_risk_region(fake, samples, 0.9, 0.05)
-        var, _ = var_cvar(means, samples.probabilities, 0.9)
+        var, _ = var_cvar(means, np.full(len(samples), 1 / len(samples)), 0.9)
         np.testing.assert_array_equal(
             region.member_indices, np.flatnonzero(means >= var)
         )
@@ -192,12 +192,12 @@ class TestEpsilonRiskRegion:
         eps = half_width(variances, 0.05)
         truth = means + rng.uniform(-1.0, 1.0, size=n) * eps
         region = epsilon_risk_region(FakeSurrogate(means, variances), samples, beta, 0.05)
-        var, _ = var_cvar(truth, samples.probabilities, beta)
+        var, _ = var_cvar(truth, np.full(len(samples), 1 / len(samples)), beta)
         assert set(np.flatnonzero(truth >= var)) <= set(region.member_indices.tolist())
         assert region.mass >= 1.0 - beta
 
     def test_monotone_widening_in_alpha(self, corr09):
-        basis = build_basis(corr09, 1, 2, quadrature=50_000, seed=0)
+        basis = build_basis(corr09, 1, 2, quadrature=50_000)
         train = sample(corr09, "mc", 60, seed=8)
         sur = fit(train.points, rastrigin(train.points), basis, seed=2)
         candidates = sample(corr09, "mc", 100, seed=9)
@@ -241,7 +241,7 @@ class TestMfis:
         report = mfis_estimate(
             region, samples, truth, len(region), 0.9, seed=11
         )
-        var, cvar = var_cvar(values, samples.probabilities, 0.9)
+        var, cvar = var_cvar(values, np.full(len(samples), 1 / len(samples)), 0.9)
         assert report.var_estimate == var
         assert report.cvar_estimate == cvar
 
@@ -297,7 +297,7 @@ class TestMfis:
                 self.points += len(points)
                 return self.inner.predict_batch(points, clamp)
 
-        basis = build_basis(corr09, 1, 2, quadrature=50_000, seed=0)
+        basis = build_basis(corr09, 1, 2, quadrature=50_000)
         train = sample(corr09, "mc", 40, seed=12)
         sur = fit(train.points, rastrigin(train.points), basis, seed=3)
         candidates = sample(corr09, "mc", 500, seed=13)
@@ -366,14 +366,14 @@ class TestMfis:
         assert abs(mean - exhaustive) <= 0.01 * abs(exhaustive)
 
     def test_coverage_reported_not_failed(self, corr09, capsys):
-        basis = build_basis(corr09, 1, 2, quadrature=50_000, seed=0)
+        basis = build_basis(corr09, 1, 2, quadrature=50_000)
         missed_fractions = []
         for trial in range(20):
             train = sample(corr09, "mc", 50, seed=100 + trial)
             sur = fit(train.points, rastrigin(train.points), basis, seed=trial)
             candidates = sample(corr09, "mc", 400, seed=300 + trial)
             truth_vals = rastrigin(candidates.points)
-            true_var, _ = var_cvar(truth_vals, candidates.probabilities, 0.9)
+            true_var, _ = var_cvar(truth_vals, np.full(len(candidates), 1 / len(candidates)), 0.9)
             true_region = set(np.flatnonzero(truth_vals >= true_var).tolist())
             ci_region = set(
                 epsilon_risk_region(sur, candidates, 0.9, 0.05).member_indices.tolist()
@@ -425,7 +425,7 @@ class TestEstimators:
         assert rep2.evaluations["surrogate"] == 0  # no top-up, no predictions
 
     def test_surrogate_mcs_exact_for_representable_target(self, corr09):
-        basis = build_basis(corr09, 1, 2, quadrature=100_000, seed=0)
+        basis = build_basis(corr09, 1, 2, quadrature=100_000)
         rng = np.random.default_rng(9)
         coeffs = rng.normal(size=len(basis))
         target = lambda pts: basis.evaluate(np.atleast_2d(pts)) @ coeffs
@@ -441,7 +441,7 @@ class TestEstimators:
         assert via_surrogate.evaluations["surrogate"] == 2000
 
     def test_surrogate_fit_to_constant(self, corr09):
-        basis = build_basis(corr09, 1, 1, quadrature=20_000, seed=0)
+        basis = build_basis(corr09, 1, 1, quadrature=20_000)
         train = sample(corr09, "mc", 10, seed=12)
         sur = fit(train.points, np.full(10, 2.5), basis, mode="chaos")
         candidates = sample(corr09, "mc", 100, seed=13)

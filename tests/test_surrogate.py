@@ -324,38 +324,30 @@ class TestLooCv:
 class TestOptimizeTheta:
     def test_constant_objective_stays_in_bounds(self):
         x = np.linspace(0, 1, 8)[:, None]
-        bounds = np.array([[0.1, 10.0]])
-        theta = optimize_theta(x, np.zeros(8), bounds=bounds, restarts=2, seed=0)
-        assert 0.1 <= theta[0] <= 10.0
+        theta, _ = optimize_theta(x, np.zeros(8), seed=0)
+        assert 0.01 <= theta[0] <= 10.0
         assert loo_cv_objective(theta, x, np.zeros(8)) == 0.0
 
     def test_beats_log_grid(self):
         rng = np.random.default_rng(31)
         x = np.sort(rng.uniform(-2, 2, 25))[:, None]
         b = np.sin(3 * x[:, 0]) + 0.1 * x[:, 0] ** 2
-        bounds = np.array([[0.05, 5.0]])
-        theta, info = optimize_theta(
-            x, b, bounds=bounds, restarts=5, seed=4, full_output=True
-        )
-        grid = np.geomspace(0.05, 5.0, 50)
+        _, info = optimize_theta(x, b, seed=4)
+        grid = np.geomspace(*default_theta_bounds(x)[0], 50)
         grid_best = min(loo_cv_objective([t], x, b) for t in grid)
         assert info["objective"] <= grid_best + 1e-12
 
     def test_restart_monotonicity(self):
         # The promise of the two-phase search: the result is no worse than
-        # the best explore endpoint, and more restarts never worsen that
-        # endpoint.  The polished objective itself may move either way.
+        # the best explore endpoint, or than any of the five starts.
         rng = np.random.default_rng(41)
         x = rng.uniform(-2, 2, size=(20, 2))
         b = np.cos(x[:, 0]) * x[:, 1]
-        best_explore = {}
-        for restarts in (1, 5):
-            _, info = optimize_theta(x, b, restarts=restarts, seed=9, full_output=True)
-            explored = [run for run in info["runs"] if run["phase"] == "explore"]
-            assert len(explored) == restarts
-            best_explore[restarts] = min(run["objective"] for run in explored)
-            assert info["objective"] <= best_explore[restarts]
-        assert best_explore[5] <= best_explore[1]
+        _, info = optimize_theta(x, b, seed=9)
+        explored = [run for run in info["runs"] if run["phase"] == "explore"]
+        assert len(explored) == 5
+        assert info["objective"] <= min(run["objective"] for run in explored)
+        assert info["objective"] <= min(loo_cv_objective(run["start"], x, b) for run in explored)
 
     def test_explore_loosely_then_polish_the_best_endpoint(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -371,7 +363,7 @@ class TestOptimizeTheta:
             return result
 
         monkeypatch.setattr(surrogate_mod, "least_squares", spy)
-        _, info = optimize_theta(x, b, restarts=5, seed=2, full_output=True)
+        _, info = optimize_theta(x, b, seed=2)
         *explore, polish = calls
         assert len(explore) == 5
         assert all(tol == _EXPLORE_TOLERANCES for _, tol, _ in explore)
@@ -395,16 +387,16 @@ class TestOptimizeTheta:
         # The search ends at the conditioning wall at 22440 (+2.3%).
         train = sample(corr09, "mc", 300, seed=756955442)
         y = BuiltinModel("rastrigin_lf1").evaluate_batch(train.points)
-        _, info = optimize_theta(train.points, y, restarts=5, seed=199277989, full_output=True)
+        _, info = optimize_theta(train.points, y, seed=199277989)
         assert info["objective"] < 1.05 * 21926.3
 
     def test_fit_records_factorization_count(self):
         rng = np.random.default_rng(47)
         x = rng.normal(size=(30, 2))
         b = np.sin(x[:, 0]) + x[:, 1] ** 2
-        _, info = optimize_theta(x, b, restarts=3, seed=5, full_output=True)
+        _, info = optimize_theta(x, b, seed=5)
         assert 0 < info["singular_factorizations"] < info["factorizations"]
-        sur = fit(x, b, hermite_basis_2d(1, 2), restarts=3, seed=5)
+        sur = fit(x, b, hermite_basis_2d(1, 2), seed=5)
         assert sur.provenance["loo_factorizations"] == info["factorizations"]
         assert sur.provenance["loo_singular_factorizations"] == info["singular_factorizations"]
 
@@ -430,7 +422,7 @@ class TestOptimizeTheta:
 
         monkeypatch.setattr(surrogate_mod, "_loo_state", counting)
         monkeypatch.setattr(surrogate_mod, "least_squares", solver)
-        _, info = optimize_theta(x, b, restarts=5, seed=3, full_output=True)
+        _, info = optimize_theta(x, b, seed=3)
         rung_keys = [theta.tobytes() for theta in rungs]
         assert [key for key in factorized if key in rung_keys] == rung_keys[: first + 1]
         # The probe-best start is the full ladder's best rung.
@@ -456,7 +448,7 @@ class TestOptimizeTheta:
 
         monkeypatch.setattr(surrogate_mod, "_loo_state", recording)
         monkeypatch.setattr(surrogate_mod, "least_squares", solver)
-        _, info = optimize_theta(x, b, restarts=5, seed=3, full_output=True)
+        _, info = optimize_theta(x, b, seed=3)
         assert [res is None for res in polish] == [False] * (len(polish) - 1) + [True]
         run = info["runs"][-1]
         assert run["phase"] == "polish" and run["wall"]
@@ -467,13 +459,11 @@ class TestOptimizeTheta:
     def test_exponential_search_never_reaches_the_wall(self, corr09):
         train = sample(corr09, "mc", 100, seed=83)
         y = BuiltinModel("cross_in_tray").evaluate_batch(train.points)
-        theta, info = optimize_theta(
-            train.points, y, kind="exponential", restarts=5, seed=5, full_output=True
-        )
+        theta, info = optimize_theta(train.points, y, kind="exponential", seed=5)
         assert info["singular_factorizations"] == 0
         assert not any(run["wall"] for run in info["runs"])
         unstopped, _ = unmemoized_optimize_theta(
-            train.points, y, "exponential", restarts=5, seed=5, stop_at_wall=False
+            train.points, y, "exponential", seed=5, stop_at_wall=False
         )
         assert np.array_equal(theta, unstopped)
 
@@ -481,14 +471,20 @@ class TestOptimizeTheta:
         rng = np.random.default_rng(51)
         x = rng.uniform(-1, 1, size=(15, 2))
         b = x[:, 0] ** 2 - x[:, 1]
-        t1 = optimize_theta(x, b, restarts=3, seed=7)
-        t2 = optimize_theta(x, b, restarts=3, seed=7)
+        t1, info1 = optimize_theta(x, b, seed=7)
+        t2, info2 = optimize_theta(x, b, seed=7)
         np.testing.assert_array_equal(t1, t2)
+        assert info1 == info2
 
     def test_rejects_bad_bounds(self):
-        x = np.linspace(0, 1, 5)[:, None]
-        with pytest.raises(ValueError):
-            optimize_theta(x, np.ones(5), bounds=np.array([[0.0, 1.0]]))
+        # The search box always comes from the data, so it is valid even
+        # for a constant column: positive, finite and increasing.
+        x = np.column_stack([np.linspace(0, 1, 5), np.full(5, 3.0)])
+        bounds = default_theta_bounds(x)
+        assert np.all(np.isfinite(bounds)) and np.all(bounds > 0.0)
+        assert np.all(bounds[:, 0] < bounds[:, 1])
+        theta, _ = optimize_theta(x, np.linspace(-1, 1, 5), seed=0)
+        assert np.all((bounds[:, 0] <= theta) & (theta <= bounds[:, 1]))
 
 
 def two_solve_variance(sur, pts):
@@ -581,11 +577,12 @@ class TestPrediction:
 
         samples = sample(InputModel([Gaussian(0, 1)]), "mc", 1000, seed=65)
         report = surrogate_mcs_estimate(MeanOnly(), samples, 0.9)
-        expected = var_cvar(samples.points[:, 0] ** 3, samples.probabilities, 0.9)
+        weights = np.full(len(samples), 1 / len(samples))
+        expected = var_cvar(samples.points[:, 0] ** 3, weights, 0.9)
         assert (report.var_estimate, report.cvar_estimate) == expected
 
 
-def unmemoized_optimize_theta(inputs, outputs, kind, restarts, seed, stop_at_wall=True):
+def unmemoized_optimize_theta(inputs, outputs, kind, seed, stop_at_wall=True):
     """The two-phase LOO search of :func:`optimize_theta` with every theta
     factorized afresh, as many times as its residuals or its Jacobian are
     asked for.  With ``stop_at_wall=False`` the probe ladder runs every rung
@@ -640,10 +637,10 @@ def unmemoized_optimize_theta(inputs, outputs, kind, restarts, seed, stop_at_wal
             break
         factorizable = factorizable or not singular
     starts = [log_lo + 0.1 * (log_hi - log_lo), probe_best[1], 0.5 * (log_lo + log_hi)]
-    for _ in range(restarts - 3):
+    for _ in range(2):
         starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
     explored = []
-    for start in starts[:restarts]:
+    for start in starts:
         candidates.append((loo_cv_objective(np.exp(start), inputs, outputs, kind), np.exp(start)))
         explored.append(solve(start, "explore", _EXPLORE_TOLERANCES))
     solve(min(explored, key=lambda run: run[0])[1], "polish", {})
@@ -666,7 +663,7 @@ class TestLooMemo:
             return original(theta, *args)
 
         monkeypatch.setattr(surrogate_mod, "_loo_state", counting)
-        theta, info = optimize_theta(x, b, kind=kind, restarts=5, seed=3, full_output=True)
+        theta, info = optimize_theta(x, b, kind=kind, seed=3)
         memo_calls = len(seen)
         assert info.pop("factorizations") == memo_calls
         info.pop("singular_factorizations")
@@ -677,7 +674,7 @@ class TestLooMemo:
         assert memo_calls - len(set(seen)) <= 2
 
         seen.clear()
-        want_theta, want_info = unmemoized_optimize_theta(x, b, kind, restarts=5, seed=3)
+        want_theta, want_info = unmemoized_optimize_theta(x, b, kind, seed=3)
         assert np.array_equal(theta, want_theta)
         assert info == want_info
         assert memo_calls < len(seen)
@@ -741,7 +738,7 @@ class TestLooJacobian:
             return original(fun, x0, jac=jac, **kwargs)
 
         monkeypatch.setattr(surrogate_mod, "least_squares", spy)
-        optimize_theta(x, b, restarts=1, seed=0)
+        optimize_theta(x, b, seed=0)
         residual, jac = seen[0]
         penalty_scale = np.sqrt(_PENALTY * (1.0 + float(b @ b)) / len(b))
         assert np.array_equal(residual, np.full(len(b), penalty_scale))
@@ -756,7 +753,7 @@ class TestLooJacobian:
             "train = inputs.sample(exp.input_model, 'mc', exp.training_size,\n"
             "                      cli._derived_seed(seed, 0, cli._TRAIN))\n"
             "y = exp.build_model().evaluate_batch(train.points)\n"
-            "theta = surrogate.optimize_theta(train.points, y, kind=exp.kernel,\n"
+            "theta, _ = surrogate.optimize_theta(train.points, y, kind=exp.kernel,\n"
             "    seed=cli._derived_seed(seed, 0, cli._FIT))\n"
             "print(json.dumps(theta.tolist()))\n"
         )
@@ -769,7 +766,7 @@ class TestLooJacobian:
 
 class TestModeDominance:
     def test_kriging_beats_chaos_on_rastrigin(self, corr09):
-        basis = build_basis(corr09, 1, 3, quadrature=200_000, seed=0)
+        basis = build_basis(corr09, 1, 3, quadrature=200_000)
         train = sample(corr09, "mc", 300, seed=123)
         y = rastrigin(train.points)
         krig = fit(train.points, y, basis, seed=5)
