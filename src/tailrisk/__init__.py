@@ -16,7 +16,6 @@ from .basis import (
     cardinality,
     moment_matrix,
     monomial_matrix,
-    monomial_vector,
     multi_index_set,
     whiten,
 )

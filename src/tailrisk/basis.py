@@ -48,7 +48,6 @@ __all__ = [
     "OrthonormalBasis",
     "cardinality",
     "multi_index_set",
-    "monomial_vector",
     "monomial_matrix",
     "moment_matrix",
     "whiten",
@@ -117,9 +116,6 @@ class MultiIndexSet:
     def __len__(self):
         return self.indices.shape[0]
 
-    def __iter__(self):
-        return (tuple(row) for row in self.indices)
-
 
 def multi_index_set(dimension: int, interaction_order: int, degree: int) -> MultiIndexSet:
     """Enumerate the reduced multi-index set for (N, S, m).
@@ -162,11 +158,6 @@ def monomial_matrix(points, index_set: MultiIndexSet) -> np.ndarray:
         powers = pts[:, k, None] ** np.arange(max_deg + 1)
         out *= powers[:, degs]
     return out
-
-
-def monomial_vector(x, index_set: MultiIndexSet) -> np.ndarray:
-    """Monomial vector ``M(x)`` with entries ``prod_k x_k**j_k``."""
-    return monomial_matrix(np.asarray(x, dtype=float)[None, :], index_set)[0]
 
 
 def _scale_diagonal(index_set: MultiIndexSet, coordinate_scales) -> np.ndarray:
@@ -250,11 +241,8 @@ class OrthonormalBasis:
         return len(self.index_set)
 
     def evaluate(self, points) -> np.ndarray:
-        """Orthonormal polynomial values; ``(Q, L)`` for a batch, ``(L,)`` for one point."""
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        values = monomial_matrix(pts, self.index_set) @ self.whitening.T
-        return values[0] if single else values
+        """Orthonormal polynomial values at ``(Q, N)`` points: a ``(Q, L)`` array."""
+        return monomial_matrix(points, self.index_set) @ self.whitening.T
 
     def to_dict(self) -> dict:
         return {

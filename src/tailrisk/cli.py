@@ -24,6 +24,8 @@ import configparser
 import csv
 import json
 import math
+import re
+import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
@@ -107,6 +109,7 @@ _KIND_OF = {key: kind for kind, keys in _MODEL_KINDS.items() for key in keys}
 
 # Every config key: (section, key, type, default, check). A default of None
 # leaves the key unset; ``check(value)`` says what is wrong, or returns None.
+# A command is split into its argument list like a POSIX shell line.
 _SCHEMA = (
     ("input", "marginals", str, "", None),
     ("input", "correlation",
@@ -115,7 +118,7 @@ _SCHEMA = (
         ("model", prefix + "kind", str, "builtin", _one_of(_MODEL_KINDS)),
         ("model", prefix + "name", str, None, _one_of(models.BUILTIN_MODELS)),
         ("model", prefix + "path", str, None, _holds(str.strip, "must not be empty")),
-        ("model", prefix + "command", str, None, _holds(str.strip, "must not be empty")),
+        ("model", prefix + "command", shlex.split, None, _holds(bool, "must not be empty")),
         ("model", prefix + "timeout", float, "30",
          _holds(lambda v: 0 < v < math.inf, "must be a positive finite number")),
     )),
@@ -297,7 +300,7 @@ class Experiment:
         if kind == "dataset":
             return models.DatasetModel(source)
         if kind == "command":
-            return models.CommandModel(source.split(), timeout=getattr(self, prefix + "timeout"))
+            return models.CommandModel(source, timeout=getattr(self, prefix + "timeout"))
         return models.BuiltinModel(source)
 
 
@@ -535,16 +538,20 @@ def _cmd_fit(args) -> int:
 
 
 def _read_points(path, dimension) -> np.ndarray:
+    """The ``x1..xN`` columns of a points CSV, matched by name in any order;
+    columns with other names are ignored."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ConfigError([f"points: {path} is empty (no header)"])
-        coord_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-        if len(coord_cols) != dimension:
-            raise ConfigError([f"points: {path} has {len(coord_cols)} x columns, "
-                               f"the surrogate takes {dimension} inputs"])
         rows = [row for row in reader if row]
+    names = [f"x{k}" for k in range(1, dimension + 1)]
+    given = [name for name in header if re.fullmatch(r"x[1-9][0-9]*", name)]
+    if sorted(given) != sorted(names):
+        raise ConfigError([f"points: {path} has x columns {given}, "
+                           f"the surrogate takes x1..x{dimension} once each"])
+    coord_cols = [header.index(name) for name in names]
     if any(len(row) != len(header) for row in rows):
         raise ConfigError([f"points: {path} has a row without one value per column"])
     try:

@@ -55,9 +55,6 @@ class Gaussian:
     def from_gauss(self, z):
         return self.mean + self.std * z
 
-    def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.mean) / self.std)
-
     @property
     def stddev(self):
         return self.std
@@ -78,10 +75,6 @@ class Uniform:
 
     def from_gauss(self, z):
         return self.lower + (self.upper - self.lower) * ndtr(z)
-
-    def cdf(self, x):
-        u = (np.asarray(x, dtype=float) - self.lower) / (self.upper - self.lower)
-        return np.clip(u, 0.0, 1.0)
 
     @property
     def stddev(self):
@@ -119,12 +112,6 @@ class Lognormal:
 
     def from_gauss(self, z):
         return np.exp(self.mu_log + self.sigma_log * z)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            z = (np.log(np.maximum(x, 0.0)) - self.mu_log) / self.sigma_log
-        return np.where(x > 0.0, ndtr(z), 0.0)
 
     @property
     def stddev(self):

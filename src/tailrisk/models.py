@@ -109,10 +109,6 @@ class ModelHandle:
     def __init__(self, name: str):
         self.name = name
 
-    def evaluate(self, x) -> float:
-        """One evaluation: a batch of one point."""
-        return float(self.evaluate_batch(np.reshape(x, (1, -1)))[0])
-
     def evaluate_batch(self, points) -> np.ndarray:
         raise NotImplementedError
 
@@ -159,8 +155,8 @@ class DatasetModel(ModelHandle):
 
     kind = "dataset"
 
-    def __init__(self, path, name: str | None = None):
-        super().__init__(name or str(path))
+    def __init__(self, path):
+        super().__init__(str(path))
         self._table = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -201,10 +197,10 @@ class CommandModel(ModelHandle):
 
     kind = "command"
 
-    def __init__(self, argv, timeout: float = 30.0, name=None):
+    def __init__(self, argv, timeout: float = 30.0):
         if isinstance(argv, (str, os.PathLike)):
             argv = [str(argv)]
-        super().__init__(name or " ".join(map(str, argv)))
+        super().__init__(" ".join(map(str, argv)))
         self.timeout = float(timeout)
         self._argv = [str(a) for a in argv]
         self._proc = None

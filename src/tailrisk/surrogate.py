@@ -25,7 +25,9 @@ solver's slow final convergence.  Length scales whose ``R`` is
 numerically singular (the conditioning wall) score a penalty; the probe
 ladder stops at its first singular rung after a factorizable one, and the
 polish ends at its first singular evaluation, so neither pays for
-factorizations past the wall.  In ``"chaos"`` mode the GP term is
+factorizations past the wall.  The search keeps one factorization, for
+the Jacobian, and takes each endpoint's objective from the solver's
+residuals.  In ``"chaos"`` mode the GP term is
 dropped (``R = I``): the coefficients reduce to ordinary least squares
 and predictions carry zero variance.
 
@@ -305,9 +307,11 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     is flat, and crawling along it gains at most a few parts in 1e4.
     Every later residual request of that run gets the penalty without a
     factorization, so the solver's step shrinks until its own ``xtol``
-    test stops it.  The best candidate ever evaluated (probe, start or
-    endpoint) is returned, so the returned objective never exceeds the
-    best explore endpoint's.
+    test stops it.  The best ladder rung or solver endpoint is returned.
+    The solver only accepts steps that lower the objective, so no
+    endpoint is worse than its start, and the returned objective never
+    exceeds the best explore endpoint's.  If every solver run fails, the
+    candidates are the ladder rungs alone.
 
     Returns
     -------
@@ -318,8 +322,8 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         (``"explore"`` or ``"polish"``), start, endpoint, objective,
         ``nfev``, ``njev``, status and whether it ended at the wall; the
         number of correlation matrices factorized and how many of them
-        were singular; and whether the result fell back to a raw start
-        point because every solver run failed.
+        were singular; and whether no solver run converged
+        (``fallback``).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     outputs = np.asarray(outputs, dtype=float)
@@ -330,11 +334,8 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         _PENALTY * (1.0 + float(outputs @ outputs)) / max(len(outputs), 1)
     )
 
-    # The solver re-evaluates its start and its final point, and the
-    # probe-best start repeats a ladder rung: evaluate each theta's
-    # residuals once.  The Jacobian follows the residuals at the same
-    # theta, so the last factorization is kept for it.
-    memo = {}
+    # The Jacobian follows the residuals at the same theta, so the last
+    # factorization is kept for it.
     last = [None, None]
     counts = {"factorizations": 0, "singular_factorizations": 0}
     # Whether the current solver run ends at the wall, and whether it has.
@@ -350,15 +351,8 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         return last[1]
 
     def residuals(theta):
-        key = theta.tobytes()
-        if key not in memo:
-            state = state_at(theta)
-            memo[key] = None if state is None else state[2] / state[3]
-        res = memo[key]
-        return None if res is None else res.copy()
-
-    def objective(theta):
-        return _loo_objective(residuals(theta), outputs)
+        state = state_at(theta)
+        return None if state is None else state[2] / state[3]
 
     def residual_fn(log_theta):
         res = None if wall["reached"] else residuals(np.exp(log_theta))
@@ -395,7 +389,8 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
             runs.append({"phase": phase, "start": np.exp(start).tolist(), "error": str(exc)})
             return None
         theta = np.exp(result.x)
-        obj = objective(theta)
+        res = result.fun  # the endpoint's residuals; the penalty vector on the plateau
+        obj = _loo_objective(None if (res == penalty_scale).all() else res, outputs)
         candidates.append((obj, theta))
         runs.append(
             {
@@ -438,7 +433,6 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
     explored = []
     for start in starts:
-        candidates.append((objective(np.exp(start)), np.exp(start)))
         run = solve(start, "explore", _EXPLORE_TOLERANCES)
         if run is not None:
             explored.append(run)
@@ -594,16 +588,14 @@ class FittedSurrogate:
         """Predictor mean at many points, without the variance."""
         return self._predict(points, with_variance=False)[0]
 
-    def predict_batch(self, points, clamp=True):
+    def predict_batch(self, points):
         """Predictor mean and variance at many points.
 
         Returns ``(means, variances)`` arrays.  Negative variances from
-        roundoff are clamped to zero unless ``clamp=False``.
+        roundoff are clamped to zero.
         """
         means, variances = self._predict(points, with_variance=True)
-        if clamp:
-            variances = np.maximum(variances, 0.0)
-        return means, variances
+        return means, np.maximum(variances, 0.0)
 
     def training_digest(self) -> str:
         payload = self.training_inputs.tobytes() + self.training_outputs.tobytes()

@@ -19,7 +19,6 @@ from tailrisk import (
     cardinality,
     moment_matrix,
     monomial_matrix,
-    monomial_vector,
     multi_index_set,
     whiten,
 )
@@ -37,7 +36,7 @@ class TestMultiIndexSet:
     def test_hand_enumeration_n2_s1_m3(self):
         s = multi_index_set(2, 1, 3)
         expected = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3)]
-        assert [tuple(j) for j in s] == expected
+        assert [tuple(j) for j in s.indices] == expected
 
     def test_full_interaction_reduces_to_binomial(self):
         s = multi_index_set(2, 2, 3)
@@ -45,7 +44,7 @@ class TestMultiIndexSet:
 
     def test_constant_only(self):
         s = multi_index_set(5, 0, 4)
-        assert [tuple(j) for j in s] == [(0,) * 5]
+        assert [tuple(j) for j in s.indices] == [(0,) * 5]
 
     @pytest.mark.parametrize("n,s,m", [(2, 3, 3), (3, 2, 1), (2, -1, 3)])
     def test_rejects_bad_orders(self, n, s, m):
@@ -57,26 +56,26 @@ class TestMultiIndexSet:
         assert len(multi_index_set(n, s, m)) == cardinality(n, s, m)
 
     def test_lower_degree_set_is_prefix(self):
-        big = [tuple(j) for j in multi_index_set(3, 2, 4)]
-        small = [tuple(j) for j in multi_index_set(3, 2, 3)]
+        big = [tuple(j) for j in multi_index_set(3, 2, 4).indices]
+        small = [tuple(j) for j in multi_index_set(3, 2, 3).indices]
         assert big[: len(small)] == small
 
 
 class TestMonomials:
     def test_zero_point(self):
         s = multi_index_set(2, 2, 3)
-        v = monomial_vector(np.zeros(2), s)
+        v = monomial_matrix(np.zeros((1, 2)), s)[0]
         expected = np.zeros(len(s))
         expected[0] = 1.0
         np.testing.assert_array_equal(v, expected)
 
     def test_univariate_powers(self):
         s = multi_index_set(1, 1, 2)
-        np.testing.assert_array_equal(monomial_vector(np.array([2.0]), s), [1, 2, 4])
+        np.testing.assert_array_equal(monomial_matrix(np.array([[2.0]]), s)[0], [1, 2, 4])
 
     def test_hand_evaluation_matches_order(self):
         s = multi_index_set(2, 1, 3)
-        v = monomial_vector(np.array([2.0, 3.0]), s)
+        v = monomial_matrix(np.array([[2.0, 3.0]]), s)[0]
         np.testing.assert_array_equal(v, [1, 2, 3, 4, 9, 8, 27])
 
     def test_batch_matches_single(self):
@@ -84,7 +83,7 @@ class TestMonomials:
         pts = np.random.default_rng(0).normal(size=(7, 3))
         batch = monomial_matrix(pts, s)
         for row, x in zip(batch, pts):
-            np.testing.assert_allclose(row, monomial_vector(x, s), rtol=1e-15)
+            np.testing.assert_allclose(row, monomial_matrix(x[None], s)[0], rtol=1e-15)
 
 
 class TestMomentMatrix:
@@ -181,7 +180,7 @@ class TestBasisEvaluation:
     def test_hermite_at_one(self):
         s = multi_index_set(1, 1, 2)
         basis = whiten(np.array([[1.0, 0, 1], [0, 1, 0], [1, 0, 3]]), s)
-        np.testing.assert_allclose(basis.evaluate(np.array([1.0])), [1, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(basis.evaluate(np.array([[1.0]]))[0], [1, 1, 0], atol=1e-12)
 
     def test_orthonormality_on_independent_stream(self, corr09):
         # Degree-6 sample moments at 1e6 quasi-MC points carry ~1e-3
@@ -221,7 +220,7 @@ class TestBasisEvaluation:
             coeffs = [0] * n + [1]
             return hermeval(x, coeffs) / math.sqrt(math.factorial(n))
 
-        for col, j in enumerate(s):
+        for col, j in enumerate(s.indices):
             expected = hermite_norm(j[0], pts[:, 0]) * hermite_norm(j[1], pts[:, 1])
             np.testing.assert_allclose(values[:, col], expected, atol=1e-8)
 

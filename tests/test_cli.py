@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -241,9 +242,9 @@ class TestRun:
         predicted = [0]
         original = FittedSurrogate.predict_batch
 
-        def counting(self, points, clamp=True):
+        def counting(self, points):
             predicted[0] += len(points)
-            return original(self, points, clamp)
+            return original(self, points)
 
         monkeypatch.setattr(FittedSurrogate, "predict_batch", counting)
         cfg = tmp_path / "topup.ini"
@@ -323,6 +324,23 @@ class TestModelHandles:
         )
         assert result.returncode == 0, result.stderr
         assert "ResourceWarning" not in result.stderr
+
+    def test_quoted_command_path_with_a_space_runs(self, tmp_path):
+        folder = tmp_path / "sp ace"
+        folder.mkdir()
+        script, pids = folder / "model.py", folder / "pids.txt"
+        script.write_text(PID_RECORDING_RASTRIGIN)
+        command = f'{shlex.quote(sys.executable)} "{script}" "{pids}"'
+        cfg = tmp_path / "quoted.ini"
+        cfg.write_text(FAST_CONFIG.replace(
+            "kind = builtin\nname = rastrigin\n", f"kind = command\ncommand = {command}\n"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--method", "mcs", "--trials", 1,
+                       "--out", out) == 0
+        assert len(started_children(pids)) == 1
+        # The report echoes the command as written, quotes and all.
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["model"]["command"] == command
 
     @pytest.mark.parametrize(
         "method, hf, lf",
@@ -472,6 +490,19 @@ class TestValidation:
         assert len(errors) == 1 and errors[0].startswith(field)
 
     @pytest.mark.parametrize(
+        "old",
+        ["kind = builtin\nname = rastrigin\n", "lf_kind = builtin\nlf_name = rastrigin_lf1\n"],
+        ids=["hf", "lf"],
+    )
+    def test_unbalanced_quote_in_command_is_one_config_error(self, tmp_path, capsys, no_basis,
+                                                             old):
+        prefix = old[: old.index("kind")]
+        new = f'{prefix}kind = command\n{prefix}command = python3 "/nowhere/sp ace/model.py\n'
+        assert config_errors(tmp_path, capsys, FAST_CONFIG.replace(old, new)) == [
+            f"model.{prefix}command: No closing quotation"
+        ]
+
+    @pytest.mark.parametrize(
         "text",
         [
             FAST_CONFIG.replace("beta = 0.95", "beta = 0.95\nbeta = 0.9"),
@@ -542,9 +573,9 @@ class TestFitPredict:
         calls = []
         original = FittedSurrogate.predict_batch
 
-        def counting(self, points, clamp=True):
+        def counting(self, points):
             calls.append(len(points))
-            return original(self, points, clamp)
+            return original(self, points)
 
         monkeypatch.setattr(FittedSurrogate, "predict_batch", counting)
         pts = tmp_path / "pts.csv"
@@ -585,7 +616,7 @@ class TestFitPredict:
         out = tmp_path / "art"
         run_cli("fit", "--config", fast_config, "--out", out)
 
-        def failing(self, points, clamp=True):
+        def failing(self, points):
             raise ValueError("prediction failed")
 
         monkeypatch.setattr(FittedSurrogate, "predict_batch", failing)
@@ -608,8 +639,10 @@ class TestFitPredict:
 
     @pytest.mark.parametrize(
         "text",
-        ["x1,x2\n0.3\n", "x1\n0.3\n", "x1,x2,x3\n0.1,0.2,0.3\n", "x1,x2\n0.3,abc\n"],
-        ids=["short-row", "one-column", "three-columns", "non-numeric"],
+        ["x1,x2\n0.3\n", "x1\n0.3\n", "x1,x2,x3\n0.1,0.2,0.3\n", "x1,x2\n0.3,abc\n",
+         "x2,xx\n0.1,0.2\n", "x1,x1,x2\n0.1,0.2,0.3\n", "x1,x3\n0.1,0.2\n"],
+        ids=["short-row", "one-column", "three-columns", "non-numeric", "no-x1", "repeated",
+             "beyond-dimension"],
     )
     def test_predict_refuses_malformed_points(self, fast_config, tmp_path, capsys, text):
         out = tmp_path / "art"
@@ -623,6 +656,19 @@ class TestFitPredict:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: points: ")
         assert not (tmp_path / "p.csv").exists()
+
+    def test_predict_maps_columns_by_name(self, fast_config, tmp_path):
+        out = tmp_path / "art"
+        run_cli("fit", "--config", fast_config, "--out", out)
+        points = [(0.5, -1.5), (2.0, 0.25)]
+        predictions = []
+        for header, rows in (("x1,x2", points), ("x2,label,x1", [(b, 7, a) for a, b in points])):
+            pts = tmp_path / "pts.csv"
+            pts.write_text(header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+            assert run_cli("predict", "--artifact", out / "surrogate.json", "--points", pts,
+                           "--out", tmp_path / "p.csv") == 0
+            predictions.append((tmp_path / "p.csv").read_text())
+        assert predictions[0] == predictions[1]
 
     def test_fit_validates_sample_count_rule(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

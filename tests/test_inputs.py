@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, lognorm, norm, uniform
 
 from tailrisk import (
     Gaussian,
@@ -123,8 +123,16 @@ class TestSampling:
             [Gaussian(1.0, 2.0), Uniform(-1.0, 3.0), Lognormal(0.5, 20.0)]
         )
         pts = sample(model, "sobol", 100_000, seed=0).points
-        for i, marginal in enumerate(model.marginals):
-            stat = kstest(pts[:, i], marginal.cdf).statistic
+        # Reference CDFs from scipy.stats: mean 0.5 and 20% CoV give
+        # sigma_log^2 = ln(1.04) and mu_log = ln(0.5) - sigma_log^2 / 2.
+        sigma_log = math.sqrt(math.log(1.04))
+        references = (
+            norm(loc=1.0, scale=2.0),
+            uniform(loc=-1.0, scale=4.0),
+            lognorm(s=sigma_log, scale=math.exp(math.log(0.5) - 0.5 * sigma_log**2)),
+        )
+        for i, reference in enumerate(references):
+            stat = kstest(pts[:, i], reference.cdf).statistic
             assert stat < 0.01
 
     def test_determinism_bit_for_bit(self, corr09):

@@ -103,7 +103,7 @@ class TestBuiltinModel:
         pts = np.random.default_rng(0).normal(size=(17, 2))
         out = model.evaluate_batch(pts)
         np.testing.assert_array_equal(out, rastrigin(pts))
-        assert model.evaluate(pts[0]) == rastrigin(pts[0])
+        assert model.evaluate_batch(pts[0][None])[0] == rastrigin(pts[0])
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -115,14 +115,14 @@ class TestDatasetModel:
         path = tmp_path / "runs.csv"
         path.write_text("x1,x2,y\n1.0,2.0,7.5\n-0.25,3.5,1.25\n")
         model = DatasetModel(path)
-        assert model.evaluate(np.array([1.0, 2.0])) == 7.5
+        assert model.evaluate_batch(np.array([1.0, 2.0])[None])[0] == 7.5
 
     def test_missing_row_keeps_counter(self, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text("x1,x2,y\n1.0,2.0,7.5\n")
         model = DatasetModel(path)
         with pytest.raises(DatasetLookupError):
-            model.evaluate(np.array([9.0, 9.0]))
+            model.evaluate_batch(np.array([9.0, 9.0])[None])[0]
 
     def test_round_trip_through_sample_export(self, tmp_path, corr09):
         samples = sample(corr09, "mc", 20, seed=3)
@@ -204,8 +204,8 @@ class TestCommandModel:
         script = tmp_path / "model.py"
         script.write_text(ECHO_RASTRIGIN)
         with CommandModel([sys.executable, str(script)]) as model:
-            assert model.evaluate(np.array([0.5, 0.5])) == rastrigin(np.array([0.5, 0.5]))
-            assert model.evaluate(np.array([1.5, -0.5])) == rastrigin(np.array([1.5, -0.5]))
+            for x in (np.array([0.5, 0.5]), np.array([1.5, -0.5])):
+                assert model.evaluate_batch(x[None])[0] == rastrigin(x)
 
     def test_non_numeric_output(self, tmp_path):
         script = tmp_path / "bad.py"
@@ -214,21 +214,21 @@ class TestCommandModel:
         )
         with CommandModel([sys.executable, str(script)]) as model:
             with pytest.raises(EvaluationError, match="non-numeric"):
-                model.evaluate(np.array([1.0, 2.0]))
+                model.evaluate_batch(np.array([1.0, 2.0])[None])[0]
 
     def test_crashing_child_reports_stderr(self, tmp_path):
         script = tmp_path / "crash.py"
         script.write_text("import sys\nsys.stderr.write('boom')\nsys.exit(3)\n")
         with CommandModel([sys.executable, str(script)]) as model:
             with pytest.raises(EvaluationError):
-                model.evaluate(np.array([1.0, 2.0]))
+                model.evaluate_batch(np.array([1.0, 2.0])[None])[0]
 
     def test_timeout(self, tmp_path):
         script = tmp_path / "slow.py"
         script.write_text("import sys, time\nsys.stdin.readline()\ntime.sleep(30)\n")
         with CommandModel([sys.executable, str(script)], timeout=0.5) as model:
             with pytest.raises(EvaluationError, match="timed out"):
-                model.evaluate(np.array([1.0, 2.0]))
+                model.evaluate_batch(np.array([1.0, 2.0])[None])[0]
 
     def test_failure_discards_late_reply(self, tmp_path):
         # The first child answers only after the timeout; its late reply
@@ -247,9 +247,9 @@ class TestCommandModel:
         )
         with CommandModel(argv, timeout=0.5) as model:
             with pytest.raises(EvaluationError, match="timed out"):
-                model.evaluate(np.array([1.0, 2.0]))
+                model.evaluate_batch(np.array([1.0, 2.0])[None])[0]
             time.sleep(1.0)
-            assert model.evaluate(np.array([10.0, 20.0])) == 30.0
+            assert model.evaluate_batch(np.array([10.0, 20.0])[None])[0] == 30.0
 
     def test_batch_overflowing_the_pipes_matches_builtin(self, tmp_path):
         pts = overflow_points(11)
@@ -300,7 +300,7 @@ class TestCommandModel:
             """,
         )
         with CommandModel(argv, timeout=0.6) as model:
-            model.evaluate(np.zeros(2))
+            model.evaluate_batch(np.zeros(2)[None])[0]
             start = time.monotonic()
             with pytest.raises(EvaluationError, match="timed out"):
                 model.evaluate_batch(np.ones((10, 2)))
@@ -318,7 +318,7 @@ class TestCommandModel:
         pts = overflow_points(12)
         with CommandModel(argv) as model:
             np.testing.assert_allclose(model.evaluate_batch(pts), pts.sum(axis=1))
-            assert model.evaluate(np.array([1.5, 2.25])) == 3.75
+            assert model.evaluate_batch(np.array([1.5, 2.25])[None])[0] == 3.75
         assert len(starts.read_text().split()) == 1
 
 

@@ -35,7 +35,7 @@ class FakeSurrogate:
         self.means = np.asarray(means, dtype=float)
         self.variances = np.asarray(variances, dtype=float)
 
-    def predict_batch(self, points, clamp=True):
+    def predict_batch(self, points):
         return self.means.copy(), self.variances.copy()
 
 
@@ -274,7 +274,7 @@ class TestMfis:
 
     def test_low_mass_region_rejected_before_top_up(self, corr09):
         class Unusable:
-            def predict_batch(self, points, clamp=True):
+            def predict_batch(self, points):
                 raise AssertionError("the top-up ran before the mass check")
 
         samples = make_samples(100, seed=7)
@@ -293,9 +293,9 @@ class TestMfis:
                 self.inner = inner
                 self.points = 0
 
-            def predict_batch(self, points, clamp=True):
+            def predict_batch(self, points):
                 self.points += len(points)
-                return self.inner.predict_batch(points, clamp)
+                return self.inner.predict_batch(points)
 
         basis = build_basis(corr09, 1, 2, quadrature=50_000)
         train = sample(corr09, "mc", 40, seed=12)
@@ -317,7 +317,7 @@ class TestMfis:
         # is not finite there and the region's rule rejects those points;
         # the top-up must reject them too.
         class HalfBlind:
-            def predict_batch(self, points, clamp=True):
+            def predict_batch(self, points):
                 x = np.atleast_2d(points)[:, 0]
                 return x.copy(), np.where(x > 1.0, np.inf, 0.0)
 
