@@ -31,7 +31,6 @@ from .exceptions import (
     OptimizationError,
     PositiveDefinitenessError,
     TailriskError,
-    UnsupportedDimensionError,
 )
 from .inputs import (
     Gaussian,
@@ -41,7 +40,7 @@ from .inputs import (
     Uniform,
     sample,
 )
-from .metrics import TrialEnsemble, budget, max_lf_cost, mrd, nrmsd, pcc
+from .metrics import budget, max_lf_cost, mrd, nrmsd, pcc
 from .models import (
     BuiltinModel,
     CommandModel,

@@ -313,8 +313,8 @@ def whiten(
     ------
     PositiveDefinitenessError
         If the (scaled) matrix fails Cholesky even after one retry with a
-        relative diagonal jitter of ``1e-12 * trace / L``; carries the
-        failing pivot index.
+        relative diagonal jitter of ``1e-12 * trace / L``; the message
+        names the failing pivot.
     """
     gram = np.asarray(moment, dtype=float)
     size = len(index_set)
@@ -335,8 +335,7 @@ def whiten(
         jittered = True
         if factor is None:
             raise PositiveDefinitenessError(
-                f"moment matrix is not positive definite (pivot {pivot})",
-                pivot=pivot,
+                f"moment matrix is not positive definite (pivot {pivot})"
             )
 
     inv_factor = solve_triangular(factor, np.eye(size), lower=True)

@@ -36,7 +36,7 @@ import numpy as np
 from . import basis as basis_mod
 from . import inputs, models, risk, surrogate
 from .exceptions import ArtifactError, TailriskError
-from .metrics import TrialEnsemble, mrd, nrmsd
+from .metrics import mrd, nrmsd
 
 _TRAIN, _FIT, _ESTIMATE, _SUBSAMPLE, _BENCHMARK = range(5)
 
@@ -359,7 +359,6 @@ def _run_trial(exp: Experiment, shared_basis, trial: int, handles) -> risk.RiskR
             exp.subsample_size,
             exp.beta,
             seed=_derived_seed(exp.seed, trial, _SUBSAMPLE),
-            method=exp.method,
             surrogate=fitted,
             input_model=exp.input_model,
         )
@@ -420,15 +419,14 @@ def run_experiment(exp: Experiment) -> dict:
         "mean_var": float(np.mean([r.var_estimate for r in reports])),
         "trials": exp.trials,
         "evaluations": {
-            key: int(sum(r.evaluations.get(key, 0) for r in reports))
+            key: int(sum(r.evaluations[key] for r in reports))
             for key in ("hf", "lf", "surrogate")
         },
     }
     if benchmark_value is not None:
-        ensemble = TrialEnsemble(estimates, benchmark_value)
         summary["benchmark"] = benchmark_value
-        summary["mrd_pct"] = mrd(ensemble)
-        summary["nrmsd_pct"] = nrmsd(ensemble)
+        summary["mrd_pct"] = mrd(estimates, benchmark_value)
+        summary["nrmsd_pct"] = nrmsd(estimates, benchmark_value)
 
     def trial_doc(r):
         return {

@@ -1,15 +1,15 @@
 """Exception types raised across the package.
 
 Plain ``ValueError`` is used for ordinary argument mistakes (bad counts,
-out-of-range levels).  The classes below mark failures a caller may want to
-handle specifically: invalid stochastic models, numerical breakdowns, and
-external-model protocol errors.
+out-of-range levels, a malformed dataset), and scipy's is passed on where
+scipy already checks (a Sobol dimension above 21201).  The classes below
+mark failures a caller may want to handle specifically: invalid stochastic
+models, numerical breakdowns, and external-model protocol errors.
 """
 
 __all__ = [
     "TailriskError",
     "InvalidModelError",
-    "UnsupportedDimensionError",
     "PositiveDefinitenessError",
     "MomentMatrixError",
     "DegenerateTrainingError",
@@ -30,19 +30,9 @@ class InvalidModelError(TailriskError, ValueError):
     """An input model violates a construction invariant."""
 
 
-class UnsupportedDimensionError(TailriskError, ValueError):
-    """The requested sampler cannot handle the input dimension."""
-
-
 class PositiveDefinitenessError(TailriskError):
-    """A matrix required to be positive definite is not.
-
-    ``pivot`` is the 1-based index of the failing Cholesky pivot when known.
-    """
-
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
+    """A matrix required to be positive definite is not; the message
+    names the failing Cholesky pivot when it is known."""
 
 
 class MomentMatrixError(TailriskError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .exceptions import InvalidModelError, UnsupportedDimensionError
+from .exceptions import InvalidModelError
 
 __all__ = [
     "Gaussian",
@@ -34,9 +34,6 @@ __all__ = [
     "SampleSet",
     "sample",
 ]
-
-# scipy's Sobol direction-number table (Joe & Kuo) tops out here.
-_SOBOL_MAX_DIMENSION = 21201
 
 _SCHEMES = ("mc", "sobol", "lhs")
 
@@ -270,10 +267,6 @@ def _uniform_stream(scheme: str, dimension: int, seed: int):
         # only the quasi-random schemes need it.
         from scipy.stats import qmc
 
-        if dimension > _SOBOL_MAX_DIMENSION:
-            raise UnsupportedDimensionError(
-                f"sobol supports up to {_SOBOL_MAX_DIMENSION} dimensions, got {dimension}"
-            )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             engine = qmc.Sobol(d=dimension, scramble=False)

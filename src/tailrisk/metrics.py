@@ -1,20 +1,18 @@
 """Ensemble error measures and the evaluation-budget model.
 
-MRD is the mean absolute relative deviation of an estimator ensemble from
-a benchmark; N-RMSD the root-mean-square analogue.  Both are reported in
-percent to line up with standard result tables.  The budget model prices
-a surrogate-plus-importance-sampling run from per-evaluation costs of the
-high- and low-fidelity models.
+MRD is the mean absolute relative deviation of an ensemble of trial
+estimates from a benchmark; N-RMSD the root-mean-square analogue.  Both
+take the estimates and the benchmark value directly, and both are
+reported in percent to line up with standard result tables.  The budget
+model prices a surrogate-plus-importance-sampling run from
+per-evaluation costs of the high- and low-fidelity models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "TrialEnsemble",
     "mrd",
     "nrmsd",
     "pcc",
@@ -23,41 +21,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrialEnsemble:
-    """CVaR estimates from independent trials plus their benchmark value."""
-
-    estimates: np.ndarray
-    benchmark: float
-
-    def __post_init__(self):
-        estimates = np.atleast_1d(np.asarray(self.estimates, dtype=float))
-        if estimates.size < 1:
-            raise ValueError("an ensemble needs at least one estimate")
-        estimates.setflags(write=False)
-        object.__setattr__(self, "estimates", estimates)
+def _deviations(estimates, benchmark):
+    """``estimates - benchmark``; an empty ensemble or a zero benchmark is refused."""
+    estimates = np.atleast_1d(np.asarray(estimates, dtype=float))
+    if estimates.size < 1:
+        raise ValueError("an ensemble needs at least one estimate")
+    if benchmark == 0.0:
+        raise ValueError("relative metrics are undefined for a zero benchmark")
+    return estimates - benchmark
 
 
-def mrd(ensemble: TrialEnsemble) -> float:
+def mrd(estimates, benchmark: float) -> float:
     """Mean relative difference, in percent: ``100 * mean|Y_k - ref| / |ref|``."""
-    if ensemble.benchmark == 0.0:
-        raise ValueError("relative metrics are undefined for a zero benchmark")
-    return 100.0 * float(
-        np.mean(np.abs(ensemble.estimates - ensemble.benchmark))
-        / abs(ensemble.benchmark)
-    )
+    deviations = _deviations(estimates, benchmark)
+    return 100.0 * float(np.mean(np.abs(deviations)) / abs(benchmark))
 
 
-def nrmsd(ensemble: TrialEnsemble) -> float:
+def nrmsd(estimates, benchmark: float) -> float:
     """Normalized root-mean-square deviation, in percent."""
-    if ensemble.benchmark == 0.0:
-        raise ValueError("relative metrics are undefined for a zero benchmark")
-    return 100.0 * float(
-        np.sqrt(
-            np.mean((ensemble.estimates - ensemble.benchmark) ** 2)
-            / ensemble.benchmark**2
-        )
-    )
+    deviations = _deviations(estimates, benchmark)
+    return 100.0 * float(np.sqrt(np.mean(deviations**2) / benchmark**2))
 
 
 def pcc(a, b) -> float:

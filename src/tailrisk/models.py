@@ -3,9 +3,9 @@
 Built-ins cover the two-dimensional analytic benchmarks (a shifted
 Rastrigin surface, four degraded low-fidelity variants of it, and a
 cross-in-tray surface with an overflow-safe log-space evaluation).
-External models plug in either as CSV datasets of precomputed runs or as
-a line-oriented child process: one whitespace-separated input line in,
-one numeric output line back.  A batch streams through the child, its
+External models plug in either as CSV datasets of precomputed runs
+(checked when loaded) or as a line-oriented child process: one input
+line in, one numeric output line back.  A batch streams through the child, its
 input lines written while the replies are read; the timeout applies to
 each reply, and a failed request kills the child.
 
@@ -102,12 +102,9 @@ BUILTIN_MODELS = {
 
 
 class ModelHandle:
-    """Base class: a named model, and ``close()`` as a context manager."""
+    """Base class: ``evaluate_batch``, and ``close()`` as a context manager."""
 
     kind = "abstract"
-
-    def __init__(self, name: str):
-        self.name = name
 
     def evaluate_batch(self, points) -> np.ndarray:
         raise NotImplementedError
@@ -132,7 +129,6 @@ class BuiltinModel(ModelHandle):
             raise ValueError(
                 f"unknown builtin model {name!r}; available: {sorted(BUILTIN_MODELS)}"
             )
-        super().__init__(name)
         self._fn = BUILTIN_MODELS[name]
 
     def evaluate_batch(self, points) -> np.ndarray:
@@ -150,13 +146,14 @@ class DatasetModel(ModelHandle):
 
     Inputs are matched by their canonical 15-significant-digit rendering,
     so a design written out and read back hits exactly.  A miss raises
-    :class:`DatasetLookupError`.
+    :class:`DatasetLookupError`.  A row whose length differs from the
+    header's, or an input repeated with a different output, is a
+    ``ValueError`` naming the file and line; an exact repeat is allowed.
     """
 
     kind = "dataset"
 
     def __init__(self, path):
-        super().__init__(str(path))
         self._table = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -168,8 +165,12 @@ class DatasetModel(ModelHandle):
             for row in reader:
                 if not row:
                     continue
-                key = _dataset_key([float(v) for v in row[:-1]])
-                self._table[key] = float(row[-1])
+                where = f"dataset {path} line {reader.line_num}"
+                if len(row) != len(header):
+                    raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
+                key, y = _dataset_key([float(v) for v in row[:-1]]), float(row[-1])
+                if self._table.setdefault(key, y) != y:
+                    raise ValueError(f"{where}: {key} has outputs {self._table[key]!r} and {y!r}")
 
     def evaluate_batch(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -200,7 +201,6 @@ class CommandModel(ModelHandle):
     def __init__(self, argv, timeout: float = 30.0):
         if isinstance(argv, (str, os.PathLike)):
             argv = [str(argv)]
-        super().__init__(" ".join(map(str, argv)))
         self.timeout = float(timeout)
         self._argv = [str(a) for a in argv]
         self._proc = None
@@ -264,7 +264,7 @@ class CommandModel(ModelHandle):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise EvaluationError(
-                    f"model command timed out after {self.timeout}s: {self.name}"
+                    f"model command timed out after {self.timeout}s: {' '.join(self._argv)}"
                 )
             writers = [stdin_fd] if pending else []
             readable, writable, _ = select.select([stdout_fd], writers, [], remaining)

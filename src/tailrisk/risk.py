@@ -194,20 +194,13 @@ def epsilon_risk_region(
 
 @dataclass
 class RiskReport:
-    """One estimator run: estimates, method tag, evaluation accounting."""
+    """One estimator run: its estimates and its hf, lf and surrogate counts."""
 
     var_estimate: float
     cvar_estimate: float
-    method: str
-    evaluations: dict = field(default_factory=dict)
+    evaluations: dict
     seed: int | None = None
     metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        for key in ("hf", "lf", "surrogate"):
-            self.evaluations.setdefault(key, 0)
 
 
 def mcs_estimate(model, samples: SampleSet, beta: float, seed=None) -> RiskReport:
@@ -217,7 +210,6 @@ def mcs_estimate(model, samples: SampleSet, beta: float, seed=None) -> RiskRepor
     return RiskReport(
         var_estimate=var,
         cvar_estimate=cvar,
-        method="mcs",
         evaluations={"hf": len(samples), "lf": 0, "surrogate": 0},
         seed=seed,
     )
@@ -235,7 +227,6 @@ def surrogate_mcs_estimate(
     return RiskReport(
         var_estimate=var,
         cvar_estimate=cvar,
-        method="surrogate_mcs",
         evaluations={"hf": 0, "lf": 0, "surrogate": len(samples)},
         seed=seed,
     )
@@ -275,7 +266,6 @@ def mfis_estimate(
     subsample_size: int,
     beta: float,
     seed: int,
-    method: str = "mfis_hf",
     surrogate: FittedSurrogate | None = None,
     input_model=None,
 ) -> RiskReport:
@@ -333,7 +323,6 @@ def mfis_estimate(
     return RiskReport(
         var_estimate=var,
         cvar_estimate=cvar,
-        method=method,
         evaluations={"hf": m, "lf": 0, "surrogate": predictions},
         seed=seed,
         metadata={

@@ -211,13 +211,12 @@ def _loo_state(theta, inputs, outputs, kind):
     return corr, chol_inv, rinv_b, rinv_diag
 
 
-def _loo_residuals(theta, inputs, outputs, kind):
-    """Leave-one-out residual vector, or None when R(theta) is singular.
+def _loo_residuals(state):
+    """Leave-one-out residual vector of a ``_loo_state``, or None when R is singular.
 
     The residual of sample ``l`` under a zero-trend refit without it is
     ``(R^-1 b)_l / (R^-1)_ll``; the LOO criterion is the sum of squares.
     """
-    state = _loo_state(theta, inputs, outputs, kind)
     return None if state is None else state[2] / state[3]
 
 
@@ -266,8 +265,8 @@ def loo_cv_objective(theta, inputs, outputs, kind="gaussian") -> float:
     penalty so that a search routine retreats rather than aborts.
     """
     outputs = np.asarray(outputs, dtype=float)
-    residuals = _loo_residuals(np.asarray(theta, dtype=float), inputs, outputs, kind)
-    return _loo_objective(residuals, outputs)
+    state = _loo_state(np.asarray(theta, dtype=float), inputs, outputs, kind)
+    return _loo_objective(_loo_residuals(state), outputs)
 
 
 def _loo_objective(residuals, outputs) -> float:
@@ -350,12 +349,8 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
             last[:] = [key, state]
         return last[1]
 
-    def residuals(theta):
-        state = state_at(theta)
-        return None if state is None else state[2] / state[3]
-
     def residual_fn(log_theta):
-        res = None if wall["reached"] else residuals(np.exp(log_theta))
+        res = None if wall["reached"] else _loo_residuals(state_at(np.exp(log_theta)))
         if res is None:
             wall["reached"] = wall["stop"]
             return np.full(len(outputs), penalty_scale)
@@ -414,7 +409,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     factorizable = False
     for q in np.linspace(0.02, 0.98, 16):
         log_theta = log_lo + q * (log_hi - log_lo)
-        res = residuals(np.exp(log_theta))
+        res = _loo_residuals(state_at(np.exp(log_theta)))
         obj = _loo_objective(res, outputs)
         candidates.append((obj, np.exp(log_theta)))
         if probe_best is None or obj < probe_best[0]:
@@ -677,7 +672,6 @@ def fit(
     basis: OrthonormalBasis,
     kernel_kind="gaussian",
     mode="chaos_kriging",
-    theta=None,
     seed=0,
 ) -> FittedSurrogate:
     """Fit a surrogate to input-output training data.
@@ -693,10 +687,8 @@ def fit(
     mode : {"chaos_kriging", "chaos"}
         ``chaos`` drops the GP term: ordinary least squares on the basis,
         zero predictive variance.
-    theta : array_like, optional
-        Fixed length scales; skips the LOO-CV search.
     seed : int
-        Passed to :func:`optimize_theta` when ``theta`` is not given.
+        Passed to :func:`optimize_theta`, which sets the length scales.
 
     Raises
     ------
@@ -718,12 +710,11 @@ def fit(
             "duplicate training inputs cannot be interpolated; deduplicate the design"
         )
 
-    if theta is None:
-        theta, opt_info = optimize_theta(x, b, kind=kernel_kind, seed=seed)
-        provenance["loo_objective"] = opt_info["objective"]
-        provenance["theta_fallback"] = opt_info["fallback"]
-        provenance["loo_factorizations"] = opt_info["factorizations"]
-        provenance["loo_singular_factorizations"] = opt_info["singular_factorizations"]
-    kernel = KernelSpec(kernel_kind, np.asarray(theta, dtype=float))
+    theta, opt_info = optimize_theta(x, b, kind=kernel_kind, seed=seed)
+    provenance["loo_objective"] = opt_info["objective"]
+    provenance["theta_fallback"] = opt_info["fallback"]
+    provenance["loo_factorizations"] = opt_info["factorizations"]
+    provenance["loo_singular_factorizations"] = opt_info["singular_factorizations"]
+    kernel = KernelSpec(kernel_kind, theta)
     provenance["theta"] = kernel.theta.tolist()
     return FittedSurrogate(basis, kernel, mode, x, b, provenance)

@@ -121,8 +121,8 @@ def test_criterion_02_surrogate_mcs_vs_trend_only(
             tr.surrogate_mcs_estimate(trend, candidates_corr09[k], BETA).cvar_estimate
         )
     elapsed = time.perf_counter() - start
-    kriging_mrd = tr.mrd(tr.TrialEnsemble(np.array(kriging_vals), benchmark))
-    trend_mrd = tr.mrd(tr.TrialEnsemble(np.array(trend_vals), benchmark))
+    kriging_mrd = tr.mrd(np.array(kriging_vals), benchmark)
+    trend_mrd = tr.mrd(np.array(trend_vals), benchmark)
     ok = kriging_mrd <= 1.0 and trend_mrd >= 20.0 and elapsed < 120.0
     report(2, ok, f"kriging MRD = {kriging_mrd:.3f}% (<= 1%), "
                   f"trend-only MRD = {trend_mrd:.2f}% (>= 20%), "
@@ -145,7 +145,7 @@ def test_criterion_03_independent_inputs(corr0, basis3_corr0, candidates_corr0):
         values.append(
             tr.surrogate_mcs_estimate(sur, candidates_corr0[k], BETA).cvar_estimate
         )
-    mrd = tr.mrd(tr.TrialEnsemble(np.array(values), benchmark))
+    mrd = tr.mrd(np.array(values), benchmark)
     ok = mrd <= 1.5
     report(3, ok, f"independent-input surrogate MCS MRD = {mrd:.3f}% (<= 1.5%)")
     assert mrd <= 1.5
@@ -166,11 +166,11 @@ def test_criterion_04_mfis_low_fidelity_variants(
             region = tr.epsilon_risk_region(sur, candidates_corr09[k], BETA, 0.05)
             rep = tr.mfis_estimate(
                 region, candidates_corr09[k], tr.BuiltinModel("rastrigin"),
-                150, BETA, seed=seed(7, k), method="mfis_lf",
+                150, BETA, seed=seed(7, k),
                 surrogate=sur, input_model=corr09,
             )
             values.append(rep.cvar_estimate)
-        mrds[variant] = tr.mrd(tr.TrialEnsemble(np.array(values), benchmark))
+        mrds[variant] = tr.mrd(np.array(values), benchmark)
     ok = mrds[1] <= 3.0 and mrds[2] <= 3.0 and mrds[3] > mrds[2]
     report(4, ok, "MRD per variant: "
                   + ", ".join(f"#{v} {m:.2f}%" for v, m in mrds.items())
@@ -210,8 +210,8 @@ def test_criterion_05b_mfis_beats_surrogate_mcs(
         smc_vals.append(
             tr.surrogate_mcs_estimate(sur2, candidates_corr09[k], BETA).cvar_estimate
         )
-    mfis_mrd = tr.mrd(tr.TrialEnsemble(np.array(mfis_vals), benchmark))
-    smc_mrd = tr.mrd(tr.TrialEnsemble(np.array(smc_vals), benchmark))
+    mfis_mrd = tr.mrd(np.array(mfis_vals), benchmark)
+    smc_mrd = tr.mrd(np.array(smc_vals), benchmark)
     ok = mfis_mrd <= 6.0 and mfis_mrd < smc_mrd
     report("5b", ok, f"MFIS-HF (400 HF budget) MRD = {mfis_mrd:.3f}% (<= 6%), "
                      f"surrogate-MCS MRD = {smc_mrd:.3f}% (MFIS must be lower)")

@@ -167,7 +167,7 @@ class TestWhitening:
         gram = np.array([[1.0, 0, 1], [0, -1.0, 0], [1, 0, 1.0]])
         with pytest.raises(PositiveDefinitenessError) as err:
             whiten(gram, s)
-        assert err.value.pivot == 2
+        assert "pivot 2" in str(err.value)
 
 
 class TestBasisEvaluation:

@@ -731,8 +731,8 @@ class TestPresets:
         for path in workloads:
             Experiment(load_config(path))
 
-    def test_readme_config_block_lists_every_key(self):
-        from tailrisk.cli import _SCHEMA
+    def test_readme_config_block_lists_every_key(self, tmp_path):
+        from tailrisk.cli import _SCHEMA, Experiment, load_config
 
         readme = (REPO / "README.md").read_text()
         block = readme.split("### Config format", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
@@ -743,3 +743,6 @@ class TestPresets:
             elif key := re.match(r";?\s*(\w+)\s*=", line):
                 listed.add((section, key[1]))
         assert listed == {(section, key) for section, key, *_ in _SCHEMA}
+        # The block is a working config, comments and all.
+        (tmp_path / "readme.ini").write_text(block)
+        Experiment(load_config(tmp_path / "readme.ini"))

@@ -3,53 +3,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailrisk import TrialEnsemble, budget, max_lf_cost, mrd, nrmsd, pcc
+from tailrisk import budget, max_lf_cost, mrd, nrmsd, pcc
 
 
 class TestMrd:
     def test_zero_when_exact(self):
-        e = TrialEnsemble(np.full(5, 10.0), 10.0)
-        assert mrd(e) == 0.0
+        assert mrd(np.full(5, 10.0), 10.0) == 0.0
 
     def test_hand_value(self):
-        e = TrialEnsemble(np.array([9.0, 11.0]), 10.0)
-        assert mrd(e) == pytest.approx(10.0, abs=1e-12)
+        assert mrd(np.array([9.0, 11.0]), 10.0) == pytest.approx(10.0, abs=1e-12)
 
     def test_single_point_table_cross_check(self):
         # one-trial MRD of the published pair differs from the reported
         # ensemble value, which averaged fifty trials
-        e = TrialEnsemble(np.array([18.7366]), 18.7705)
-        assert mrd(e) == pytest.approx(0.1806, abs=1e-3)
-        assert abs(mrd(e) - 0.2043) > 0.01
+        e = (np.array([18.7366]), 18.7705)
+        assert mrd(*e) == pytest.approx(0.1806, abs=1e-3)
+        assert abs(mrd(*e) - 0.2043) > 0.01
 
     def test_zero_benchmark_rejected(self):
         with pytest.raises(ValueError):
-            mrd(TrialEnsemble(np.ones(3), 0.0))
+            mrd(np.ones(3), 0.0)
+        with pytest.raises(ValueError):
+            nrmsd(np.ones(3), 0.0)
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError):
+            mrd(np.array([]), 1.0)
+        with pytest.raises(ValueError):
+            nrmsd(np.array([]), 1.0)
 
 
 class TestNrmsd:
     def test_zero_when_exact(self):
-        assert nrmsd(TrialEnsemble(np.full(4, -3.0), -3.0)) == 0.0
+        assert nrmsd(np.full(4, -3.0), -3.0) == 0.0
 
     def test_hand_value(self):
-        assert nrmsd(TrialEnsemble(np.array([9.0, 11.0]), 10.0)) == pytest.approx(10.0)
+        assert nrmsd(np.array([9.0, 11.0]), 10.0) == pytest.approx(10.0)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 100_000), k=st.integers(1, 40))
     def test_dominates_mrd(self, seed, k):
         rng = np.random.default_rng(seed)
-        e = TrialEnsemble(rng.normal(5.0, 2.0, size=k), 5.0)
-        assert nrmsd(e) >= mrd(e) - 1e-12
+        e = (rng.normal(5.0, 2.0, size=k), 5.0)
+        assert nrmsd(*e) >= mrd(*e) - 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(scale=st.floats(0.01, 100), seed=st.integers(0, 1000))
     def test_scale_invariance(self, scale, seed):
         rng = np.random.default_rng(seed)
         estimates = rng.normal(3.0, 1.0, size=10)
-        base = TrialEnsemble(estimates, 3.0)
-        scaled = TrialEnsemble(estimates * scale, 3.0 * scale)
-        assert mrd(scaled) == pytest.approx(mrd(base), rel=1e-9)
-        assert nrmsd(scaled) == pytest.approx(nrmsd(base), rel=1e-9)
+        base = (estimates, 3.0)
+        scaled = (estimates * scale, 3.0 * scale)
+        assert mrd(*scaled) == pytest.approx(mrd(*base), rel=1e-9)
+        assert nrmsd(*scaled) == pytest.approx(nrmsd(*base), rel=1e-9)
 
 
 class TestPcc:

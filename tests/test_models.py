@@ -142,6 +142,23 @@ class TestDatasetModel:
         with pytest.raises(ValueError):
             DatasetModel(path)
 
+    def test_row_length_must_match_header(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text("x1,x2,y\n1,2,3\n4,5\n")
+        with pytest.raises(ValueError) as err:
+            DatasetModel(path)
+        assert f"{path} line 3" in str(err.value)
+
+    def test_repeated_input_needs_the_same_output(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text("x1,x2,y\n1,2,3\n1,2,5\n")
+        with pytest.raises(ValueError) as err:
+            DatasetModel(path)
+        assert f"{path} line 3" in str(err.value)
+        # An exact repeat, written differently, is the same run.
+        path.write_text("x1,x2,y\n1,2,3\n1.0,2.0,3.0\n")
+        assert DatasetModel(path).evaluate_batch(np.array([[1.0, 2.0]]))[0] == 3.0
+
 
 # The floating-point operations of the builtin ``rastrigin``, one line at a
 # time, so the replies equal it bit for bit.

@@ -38,6 +38,9 @@ class FakeSurrogate:
     def predict_batch(self, points):
         return self.means.copy(), self.variances.copy()
 
+    def predict_mean(self, points):
+        return self.means.copy()
+
 
 @pytest.fixture(scope="module")
 def corr09():
@@ -391,7 +394,6 @@ class TestEstimators:
     def test_mcs_counts_and_seed(self, corr09):
         samples = sample(corr09, "mc", 400, seed=3)
         report = mcs_estimate(rastrigin, samples, 0.95, seed=3)
-        assert report.method == "mcs"
         assert report.evaluations == {"hf": 400, "lf": 0, "surrogate": 0}
         assert report.cvar_estimate >= report.var_estimate
 
@@ -402,7 +404,6 @@ class TestEstimators:
             """Counts the rows sent through it to a builtin handle."""
 
             def __init__(self):
-                super().__init__("rastrigin")
                 self.inner = BuiltinModel("rastrigin")
                 self.rows = 0
 
@@ -451,12 +452,24 @@ class TestEstimators:
 
 class TestRiskReport:
     def test_method_validated(self):
-        with pytest.raises(ValueError):
-            RiskReport(var_estimate=0, cvar_estimate=0, method="bogus")
+        # Reports carry no method tag: a run's method is its config's.
+        with pytest.raises(TypeError):
+            RiskReport(var_estimate=0, cvar_estimate=0, evaluations={}, method="mcs")
 
     def test_evaluation_defaults(self):
-        report = RiskReport(
-            var_estimate=1.0, cvar_estimate=2.0, method="mcs",
-            evaluations={"hf": 10}, seed=7,
-        )
-        assert report.evaluations == {"hf": 10, "lf": 0, "surrogate": 0}
+        # No count defaults to zero: every estimator states all three.
+        with pytest.raises(TypeError):
+            RiskReport(var_estimate=1.0, cvar_estimate=2.0, seed=7)
+        samples = make_samples(50, seed=5)
+        fake = FakeSurrogate(np.random.default_rng(0).normal(size=50), np.zeros(50))
+        region = epsilon_risk_region(fake, samples, 0.8, 0.05)
+        model = lambda pts: np.atleast_2d(pts)[:, 0]
+        assert mcs_estimate(model, samples, 0.8).evaluations == {
+            "hf": 50, "lf": 0, "surrogate": 0,
+        }
+        assert surrogate_mcs_estimate(fake, samples, 0.8).evaluations == {
+            "hf": 0, "lf": 0, "surrogate": 50,
+        }
+        assert mfis_estimate(region, samples, model, 4, 0.8, seed=1).evaluations == {
+            "hf": 4, "lf": 0, "surrogate": 0,
+        }

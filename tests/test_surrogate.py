@@ -68,6 +68,11 @@ def hermite_basis_2d(interaction, degree):
     return whiten(analytic_gaussian_gram(s), s)
 
 
+def fixed_theta_fit(x, y, basis, theta, kind="gaussian"):
+    """A chaos-Kriging surrogate at the given length scales, no LOO search."""
+    return FittedSurrogate(basis, KernelSpec(kind, theta), "chaos_kriging", x, y)
+
+
 def wall_training_set():
     """A Gaussian-kernel training set whose probe ladder and polish both
     reach singular correlation matrices."""
@@ -169,7 +174,7 @@ class TestFitting:
         basis = hermite_basis_1d(1)
         x = np.linspace(-1, 1, 6)[:, None]
         y = 2.0 + x[:, 0]
-        sur = fit(x, y, basis, theta=[0.1], seed=0)
+        sur = fixed_theta_fit(x, y, basis, [0.1])
         far = np.array([[50.0]])
         r = cross_correlation(far, x, sur.kernel)
         assert np.max(r) < 1e-12
@@ -183,7 +188,7 @@ class TestFitting:
         basis = hermite_basis_2d(1, 2)
         x = np.random.default_rng(9).normal(size=(20, 2))
         y = np.sin(x[:, 0]) + x[:, 1]
-        payload = fit(x, y, basis, theta=[0.8, 0.8]).to_dict()
+        payload = fixed_theta_fit(x, y, basis, [0.8, 0.8]).to_dict()
         if which == "outputs":
             y[3] = np.nan
         else:
@@ -226,7 +231,7 @@ class TestFitting:
         for design in (np.vstack([x, pair]), np.vstack([pair, x])):
             assert surrogate_mod._cholesky(correlation_matrix(design, kernel)) is None
             targets = np.sin(design[:, 0]) + design[:, 1] ** 2
-            sur = fit(design, targets, basis, kernel_kind="gaussian", theta=[0.5, 0.5])
+            sur = fixed_theta_fit(design, targets, basis, [0.5, 0.5])
             assert sur.provenance["nugget"] is True
 
     def test_rank_deficient_design_rejected(self):
@@ -238,10 +243,10 @@ class TestFitting:
         with pytest.raises(ConditioningError):
             fit(x, np.sin(x[:, 0]), basis, mode="chaos")
         with pytest.raises(ConditioningError):
-            fit(x, np.sin(x[:, 0]), basis, theta=[0.5, 0.5])
+            fixed_theta_fit(x, np.sin(x[:, 0]), basis, [0.5, 0.5])
         # A load rebuilds the same system, and refuses it the same way.
         spread = np.column_stack([x[:, 0], np.linspace(-1, 1, 8) ** 2])
-        payload = fit(spread, np.sin(x[:, 0]), basis, theta=[0.5, 0.5]).to_dict()
+        payload = fixed_theta_fit(spread, np.sin(x[:, 0]), basis, [0.5, 0.5]).to_dict()
         payload["training_inputs"] = x.tolist()
         with pytest.raises(ConditioningError):
             FittedSurrogate.from_dict(payload)
@@ -253,7 +258,7 @@ class TestFitting:
         y = rng.normal(size=12)
         # theta far below the minimum spacing underflows every off-diagonal
         # correlation to exactly zero, so R is the identity bit-for-bit.
-        sur = fit(x, y, basis, theta=[1e-3], seed=0)
+        sur = fixed_theta_fit(x, y, basis, [1e-3])
         corr = correlation_matrix(x, sur.kernel)
         assert np.array_equal(corr, np.eye(12))
         ols = np.linalg.lstsq(basis.evaluate(x), y, rcond=None)[0]
@@ -510,7 +515,7 @@ def two_solve_variance(sur, pts):
 def n300_surrogate():
     x = np.random.default_rng(79).normal(scale=2.0, size=(300, 2))
     y = rastrigin(x)
-    return fit(x, y, hermite_basis_2d(1, 3), kernel_kind="gaussian", theta=[0.6, 0.6])
+    return fixed_theta_fit(x, y, hermite_basis_2d(1, 3), [0.6, 0.6])
 
 
 class TestPrediction:
@@ -536,7 +541,7 @@ class TestPrediction:
             x = np.vstack([[[0.0, 0.0], [1e-20, 0.0]], x])
         y = np.sin(x[:, 0]) + x[:, 1] ** 2
         theta = [0.5, 0.5] if kind == "gaussian" else [1.0, 1.0]
-        sur = fit(x, y, basis, kernel_kind=kind, theta=theta)
+        sur = fixed_theta_fit(x, y, basis, theta, kind)
         assert sur.provenance["nugget"] is nugget
         pts = np.vstack([rng.normal(size=(500, 2)), x + 1e-3 * rng.normal(size=x.shape)])
         _, raw = sur._predict(pts, True)
@@ -594,7 +599,7 @@ def unmemoized_optimize_theta(inputs, outputs, kind, seed, stop_at_wall=True):
 
     def residual_fn(log_theta):
         res = None if wall["reached"] else surrogate_mod._loo_residuals(
-            np.exp(log_theta), inputs, outputs, kind
+            surrogate_mod._loo_state(np.exp(log_theta), inputs, outputs, kind)
         )
         if res is None:
             wall["reached"] = wall["stop"]
@@ -683,8 +688,12 @@ def central_difference_jacobian(log_theta, x, b, kind, step=1e-5):
     for k in range(len(log_theta)):
         shift = np.zeros_like(log_theta)
         shift[k] = step
-        hi = surrogate_mod._loo_residuals(np.exp(log_theta + shift), x, b, kind)
-        lo = surrogate_mod._loo_residuals(np.exp(log_theta - shift), x, b, kind)
+        hi = surrogate_mod._loo_residuals(
+            surrogate_mod._loo_state(np.exp(log_theta + shift), x, b, kind)
+        )
+        lo = surrogate_mod._loo_residuals(
+            surrogate_mod._loo_state(np.exp(log_theta - shift), x, b, kind)
+        )
         cols.append((hi - lo) / (2 * step))
     return np.column_stack(cols)
 
@@ -813,7 +822,7 @@ class TestSerialization:
             return original(matrix)
 
         monkeypatch.setattr(surrogate_mod, "_cholesky", counting)
-        sur = fit(x, np.cos(x[:, 0]) + x[:, 1], basis, theta=[0.7, 0.9])
+        sur = fixed_theta_fit(x, np.cos(x[:, 0]) + x[:, 1], basis, [0.7, 0.9])
         assert calls == [25]
         sur.save(tmp_path / "surrogate.json")
         calls.clear()
@@ -839,7 +848,7 @@ class TestSerialization:
     def test_malformed_or_inconsistent_artifact_refused(self, tamper):
         basis = hermite_basis_2d(1, 2)
         x = np.random.default_rng(23).normal(size=(20, 2))
-        payload = fit(x, np.sin(x[:, 0]) - x[:, 1], basis, theta=[0.8, 0.8]).to_dict()
+        payload = fixed_theta_fit(x, np.sin(x[:, 0]) - x[:, 1], basis, [0.8, 0.8]).to_dict()
         FittedSurrogate.from_dict(json.loads(json.dumps(payload)))
         tamper(payload)
         with pytest.raises(ArtifactError):
