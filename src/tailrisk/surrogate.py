@@ -25,11 +25,20 @@ solver's slow final convergence.  Length scales whose ``R`` is
 numerically singular (the conditioning wall) score a penalty; the probe
 ladder stops at its first singular rung after a factorizable one, and the
 polish ends at its first singular evaluation, so neither pays for
-factorizations past the wall.  The search keeps one factorization, for
-the Jacobian, and takes each endpoint's objective from the solver's
-residuals.  In ``"chaos"`` mode the GP term is
-dropped (``R = I``): the coefficients reduce to ordinary least squares
-and predictions carry zero variance.
+factorizations past the wall.  The search keeps two factorizations: the
+last one, which serves the Jacobian that follows the residuals at the
+same length scales, and the best one so far, with its Jacobian, which
+serves the start of the next run (the first explore run starts at the
+best ladder rung, the polish at the best explore endpoint).  So nothing
+is factorized or differentiated twice.  It takes each endpoint's
+objective from the solver's residuals.  Each Jacobian column costs one
+triangular product: with ``G = R^-1``, the identity ``G R = I`` turns
+the Gaussian kernel's ``diag(G dR G)`` into column norms of ``L^T S G``
+(``S`` the diagonal of scaled coordinates), and the exponential
+kernel's, in the order that sorts the coordinate, into a product with
+the unit lower triangle of ``R`` (see :func:`_loo_jacobian`).  In
+``"chaos"`` mode the GP term is dropped (``R = I``): the coefficients
+reduce to ordinary least squares and predictions carry zero variance.
 
 The system is built in one place, the :class:`FittedSurrogate`
 constructor, which factors ``R`` once at the chosen length scales.
@@ -38,11 +47,17 @@ and refuses the artifact when its stored coefficients, process variance
 or training digest disagree with the rebuilt ones.  All solves go through
 Cholesky factorizations and triangular solves.  Only the LOO search
 inverts a matrix, the triangular factor ``L``, whose inverse gives both
-``diag(R^-1)`` and the gradient.  The factorization of ``R`` and the LOO
-search's ``R^-1 b`` call LAPACK's ``dpotrf`` and ``dpotrs`` directly:
-``R`` is symmetric, so its Fortran-ordered view ``R.T`` reaches LAPACK
-without a transposing copy, and the training data are checked for
-non-finite values once, up front, instead of on every call.  Correlations
+``diag(R^-1)`` and the gradient; it is inverted by recursive 2x2
+blocking, whose off-diagonal blocks are triangular products, because
+OpenBLAS's ``dtrtri`` runs at about half their speed.  Each search
+evaluation allocates no n x n matrix besides ``R`` (overwritten by ``L``
+for the Gaussian kernel), ``L^-1``, ``G`` and one scratch buffer per
+Jacobian, reused by every column (two for the exponential kernel).  The
+factorization of ``R`` and the LOO search's ``R^-1 b`` call LAPACK's
+``dpotrf`` and ``dpotrs`` directly: ``R`` is symmetric, so its
+Fortran-ordered view ``R.T`` reaches LAPACK without a transposing copy,
+and the training data are checked for non-finite values once, up front,
+instead of on every call.  Correlations
 below the smallest normal double are stored as zero, because subnormal
 entries make the products several times slower.  Prediction runs in
 blocks of 1024 rows, which bounds its temporaries to a few megabytes.
@@ -56,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.blas import dgemm, dsymv, dtrmm, dtrmv
 from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
 from scipy.optimize import least_squares
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -97,6 +112,9 @@ _PREDICT_BLOCK = 1024
 # 250 tried, that start was the only one leading to the best basin, and
 # the search returned an objective 30% higher.
 _EXPLORE_TOLERANCES = {"ftol": 1e-5, "xtol": 3e-4}
+# Triangular blocks of at most this many rows are inverted by ``dtrtri``;
+# larger ones are split in two (:func:`_invert_lower`).
+_TRTRI_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -116,7 +134,8 @@ class KernelSpec:
         object.__setattr__(self, "theta", theta)
 
 
-_TINY = np.finfo(float).tiny
+# The longest distance whose correlation ``exp(-d)`` is a normal double.
+_FLUSH_DISTANCE = 708.3964185322641
 
 
 def _correlation_from_distance(dist):
@@ -124,13 +143,13 @@ def _correlation_from_distance(dist):
     stored as zero.
 
     Subnormal correlations make every later product several times slower.
-    Distances past 709 give ``exp(-inf) = 0`` directly; the few results
-    between there and ``_TINY`` are zeroed after the ``exp``.
+    numpy's ``exp(-d)`` is a normal double exactly when ``d <=
+    _FLUSH_DISTANCE``, so the longer distances become ``inf`` before the
+    ``exp``, which turns them into zero in the same pass.
     """
-    dist[dist > 709.0] = np.inf
+    np.putmask(dist, dist > _FLUSH_DISTANCE, np.inf)
     np.negative(dist, out=dist)
     np.exp(dist, out=dist)
-    dist[dist < _TINY] = 0.0
     return dist
 
 
@@ -167,17 +186,19 @@ def correlation_matrix(points, kernel: KernelSpec) -> np.ndarray:
 _MIN_DIAG_RATIO_SQ = 1e-10
 
 
-def _cholesky(matrix):
+def _cholesky(matrix, overwrite=False):
     """Lower Cholesky factor of a symmetric matrix, or None when the matrix
     is numerically singular.
 
-    The factor's upper triangle is zero, which ``dtrtri`` and the column
-    sums of ``L^-1`` in the LOO search rely on.  A factorization that
-    succeeds with a pivot below the conditioning cut-off counts as failed.
+    The factor's upper triangle is zero, which the inverse, ``dlauum`` and
+    the column sums of ``L^-1`` in the LOO search rely on.  A factorization
+    that succeeds with a pivot below the conditioning cut-off counts as
+    failed.
     ``matrix.T`` is the same matrix in Fortran order, so LAPACK reads it
-    without a transposing copy.
+    without a transposing copy, and with ``overwrite`` writes the factor
+    over it.
     """
-    chol, info = dpotrf(matrix.T, lower=1, clean=1)
+    chol, info = dpotrf(matrix.T, lower=1, clean=1, overwrite_a=overwrite)
     if info > 0:
         return None
     diag = np.diag(chol)
@@ -186,21 +207,49 @@ def _cholesky(matrix):
     return chol
 
 
+def _invert_lower(block):
+    """Invert a lower-triangular matrix in place; returns it.
+
+    Recursive 2x2 blocking: with ``L = [[A, 0], [B, C]]``, ``L^-1 =
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]]``.  The off-diagonal block costs two
+    triangular products (``dtrmm``), which OpenBLAS runs about twice as
+    fast per flop as ``dtrtri``; blocks of at most ``_TRTRI_LEAF`` rows go
+    to ``dtrtri``.  The upper triangle is not touched.  LAPACK takes only
+    contiguous arrays, so a sub-block view is copied in and written back;
+    a Fortran-ordered ``block`` of at most ``_TRTRI_LEAF`` rows is
+    inverted where it is.
+    """
+    rows = block.shape[0]
+    if rows <= _TRTRI_LEAF:
+        block[...] = dtrtri(block, lower=1, overwrite_c=1)[0]
+        return block
+    half = rows // 2
+    head = _invert_lower(block[:half, :half])
+    tail = _invert_lower(block[half:, half:])
+    right = dtrmm(1.0, head, block[half:, :half], side=1, lower=1)
+    block[half:, :half] = dtrmm(-1.0, tail, right, lower=1, overwrite_b=1)
+    return block
+
+
 def _loo_state(theta, inputs, outputs, kind):
     """Factorization behind the LOO residuals, or None when R(theta) is singular.
 
-    Returns ``(R, L^-1, R^-1 b, diag(R^-1))`` with ``R = L L^T``; the
+    Returns ``(M, L^-1, R^-1 b, diag(R^-1))`` with ``R = L L^T``; the
     diagonal of ``R^-1 = L^-T L^-1`` is the column sums of squares of
-    ``L^-1``.
+    ``L^-1``.  ``M`` is what the kernel's Jacobian multiplies by: ``L``
+    for the Gaussian kernel, written over ``R``, and ``R`` for the
+    exponential kernel.
     """
     corr = correlation_matrix(inputs, KernelSpec(kind, theta))
     # Search on the un-nuggeted matrix only: residuals of a regularized
     # stand-in undersell how badly these length scales interpolate.
-    chol = _cholesky(corr)
+    gaussian = kind == "gaussian"
+    chol = _cholesky(corr, overwrite=gaussian)
     if chol is None:
         return None
-    chol_inv = dtrtri(chol, lower=1)[0]
     rinv_b = dpotrs(chol, outputs, lower=1)[0]
+    # Only the Gaussian kernel keeps L, so only there L^-1 needs a copy.
+    chol_inv = _invert_lower(np.array(chol, order="F") if gaussian else chol)
     rinv_diag = np.einsum("ij,ij->j", chol_inv, chol_inv)
     if (
         np.any(rinv_diag <= 0.0)
@@ -208,7 +257,7 @@ def _loo_state(theta, inputs, outputs, kind):
         or not np.isfinite(rinv_diag).all()
     ):
         return None
-    return corr, chol_inv, rinv_b, rinv_diag
+    return chol if gaussian else corr, chol_inv, rinv_b, rinv_diag
 
 
 def _loo_residuals(state):
@@ -226,35 +275,78 @@ def _loo_jacobian(theta, inputs, state, kind):
     With ``alpha = R^-1 b``, ``c = diag(R^-1)``, ``G = R^-1`` and
     ``P_k = dR/dlog(theta_k)``: ``dalpha = -G P_k alpha`` and
     ``dc = -diag(G P_k G)`` (Dubrule 1983), so the residual ``alpha / c``
-    moves by ``dalpha / c - alpha dc / c^2``.
+    moves by ``dalpha / c - alpha dc / c^2``.  ``G R = I`` brings each
+    column down to one triangular product (``dtrmm``, n^3 flops), where
+    ``G P_k G`` takes a general one (2 n^3).  With ``s = (x_k - mean) /
+    theta_k`` and ``S = diag(s)``:
+
+    - Gaussian: ``P_k = 2 (S^2 R + R S^2 - 2 S R S)``, so ``diag(G P_k G)
+      = 4 (s^2 c - q)`` with ``q_i = ||col_i(L^T S G)||^2``, and ``G P_k
+      alpha = 2 (G (s^2 R alpha) + s^2 alpha - 2 G (s R (s alpha)))``.
+    - Exponential: ``P_k = S Q - Q S`` with ``Q = R o sign(x_j - x_l)``.
+      In the order that sorts ``x_k``, ``Q = Rl - Rl^T`` for the strictly
+      lower part ``Rl`` of ``R`` (tied values do not matter: ``s_j - s_l``
+      is zero there), and ``G R = I`` gives ``G Q = 2 G (I + Rl) - G -
+      I``, so ``diag(G P_k G)_i = 2 G_ii s_i + 2 sum_j G_ij^2 s_j - 4
+      sum_j G_ij s_j V_ij`` with ``V = G (I + Rl)`` in that order.
     """
-    corr, chol_inv, alpha, c = state
+    factor, chol_inv, alpha, c = state
+    n = len(alpha)
     # Products go through scipy's BLAS and LAPACK, not numpy's matmul: the
     # two can be separate OpenBLAS builds, and at two BLAS threads
     # alternating their thread pools with the factorizations made each
-    # call several times slower.  ``dlauum`` forms the lower triangle of
-    # ``L^-T L^-1`` at about a third of a general product's cost; the upper
-    # triangle of ``L^-1`` is zero, so adding the transposed strict lower
-    # triangle completes the symmetric matrix.
-    gram = dlauum(chol_inv, lower=1)[0]
-    gram += np.tril(gram, -1).T
-    jac = np.empty((len(alpha), len(theta)))
-    for k, scale in enumerate(theta):
-        # Gaussian: R = exp(-sum (dx/theta)^2); exponential: exp(-sum |dx|/theta).
-        dcorr = inputs[:, k, None] - inputs[None, :, k]
-        dcorr /= scale
+    # call several times slower.  A symmetric C-ordered matrix reaches BLAS
+    # as its Fortran-ordered transpose, without a copy.  ``dlauum`` forms
+    # the lower triangle of ``L^-T L^-1`` at about a third of a general
+    # product's cost; the upper triangle of ``L^-1`` is zero, so adding the
+    # transpose and halving the diagonal completes ``G``.  The array
+    # ``dlauum`` returned is then the scratch buffer of every column.
+    scratch = dlauum(chol_inv, lower=1)[0].T
+    gram = np.add(scratch, scratch.T, out=np.empty((n, n)))
+    gram.flat[:: n + 1] *= 0.5
+    scaled = (inputs - inputs.mean(axis=0)) / theta
+    if kind == "gaussian":
+        r_alpha = dtrmv(factor, dtrmv(factor, alpha, lower=1, trans=1), lower=1)
+    else:
+        # sum_i s_i G_ij^2 for every coordinate at once, before ``spare``
+        # takes the reordered R.
+        spare = np.multiply(gram, gram, out=np.empty((n, n)))
+        g2_scaled = dgemm(1.0, spare.T, scaled)
+    jac = np.empty((n, len(theta)))
+    for k in range(len(theta)):
+        s = scaled[:, k]
         if kind == "gaussian":
-            dcorr *= dcorr
-            dcorr *= 2.0
+            # ``scratch`` becomes S G, whose Fortran-ordered view is G S;
+            # G S L = (L^T S G)^T, so the C-ordered columns are those of L^T S G.
+            np.multiply(s[:, None], gram, out=scratch)
+            dtrmm(1.0, factor, scratch.T, side=1, lower=1, overwrite_b=1)
+            gpg_diag = 4.0 * (s * s * c - np.einsum("ij,ij->j", scratch, scratch))
+            rs_alpha = dtrmv(factor, dtrmv(factor, s * alpha, lower=1, trans=1), lower=1)
+            p_alpha = s * (s * r_alpha - 2.0 * rs_alpha)
+            gp_alpha = 2.0 * (dsymv(1.0, gram.T, p_alpha) + s * s * alpha)
         else:
-            np.abs(dcorr, out=dcorr)
-        dcorr *= corr
-        # P_k is symmetric, so its Fortran-ordered transpose is the same
-        # matrix and reaches ``dgemm`` without a copy.
-        g_dcorr = dgemm(1.0, gram, dcorr.T)
-        d_alpha = -dgemv(1.0, g_dcorr, alpha)
-        d_c = -np.einsum("ij,ij->i", g_dcorr, gram)
-        jac[:, k] = d_alpha / c - alpha * d_c / c**2
+            order = np.argsort(inputs[:, k], kind="stable")
+            # R in that order; only its strictly lower part is read.
+            np.take(factor, order, axis=0, out=scratch, mode="clip")
+            r_ranked = np.take(scratch, order, axis=1, out=spare, mode="clip").T
+            # Q [alpha, s alpha] in that order, from (I + Rl) and its transpose.
+            s_ranked = s[order]
+            both = np.column_stack([alpha[order], s_ranked * alpha[order]])
+            q_both = dtrmm(1.0, r_ranked, both, lower=1, diag=1)
+            q_both -= dtrmm(1.0, r_ranked, both, lower=1, trans_a=1, diag=1)
+            p_alpha = np.empty(n)
+            p_alpha[order] = s_ranked * q_both[:, 0] - q_both[:, 1]
+            gp_alpha = dsymv(1.0, gram.T, p_alpha)
+            # G's rows in that order are, in Fortran order, its columns in
+            # that order: W = G P^T.  Then V = W (I + Rl), whose transpose
+            # in C order goes back to the original row order over R's buffer.
+            np.take(gram, order, axis=0, out=scratch, mode="clip")
+            dtrmm(1.0, r_ranked, scratch.T, side=1, lower=1, diag=1, overwrite_b=1)
+            np.take(scratch, np.argsort(order), axis=0, out=spare, mode="clip")
+            gpg_diag = 2.0 * (
+                np.diag(gram) * s + g2_scaled[:, k] - 2.0 * np.einsum("ij,ij,i->j", spare, gram, s)
+            )
+        jac[:, k] = alpha * gpg_diag / c**2 - gp_alpha / c
     return jac
 
 
@@ -291,12 +383,15 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     residual vector in log-scale coordinates, over the box of
     :func:`default_theta_bounds`, with the analytic Jacobian of
     :func:`_loo_jacobian`, in two phases.  *Explore* runs the solver
-    loosely (``_EXPLORE_TOLERANCES``) from five start points: a
-    short-scale anchor a tenth of the way up the box in log scale, the
-    best rung of a deterministic isotropic probe ladder, the box center,
-    and two log-uniform draws from ``seed``.  *Polish* runs it once more,
-    at scipy's default tolerances, from the explore endpoint with the
-    lowest objective.
+    loosely (``_EXPLORE_TOLERANCES``) from five start points, in this
+    order: the best rung of a deterministic isotropic probe ladder, a
+    short-scale anchor a tenth of the way up the box in log scale, the box
+    center, and two log-uniform draws from ``seed``.  *Polish* runs it
+    once more, at scipy's default tolerances, from the explore endpoint
+    with the lowest objective.  The search keeps the last and the best
+    factorization, and the best one's Jacobian, so no theta is factorized
+    twice in a row, and the starts of the first explore run and of the
+    polish are neither factorized nor differentiated again.
 
     Length scales whose correlation matrix is numerically singular score
     the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
@@ -333,24 +428,44 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         _PENALTY * (1.0 + float(outputs @ outputs)) / max(len(outputs), 1)
     )
 
-    # The Jacobian follows the residuals at the same theta, so the last
-    # factorization is kept for it.
-    last = [None, None]
+    # Two states are kept.  The solver asks for the Jacobian right after
+    # the residuals at the same theta, which the last state serves.  Each
+    # run starts where an earlier evaluation was the best so far: the
+    # first explore run at the best ladder rung, the polish at the best
+    # explore endpoint, whose Jacobian the solver has also had.  So the
+    # best state is kept too, with its Jacobian.  The computation is
+    # deterministic, so a reused value equals a recomputed one.
+    last = {"key": None, "state": None}
+    best = {"objective": np.inf, "key": None, "state": None, "jacobian": None}
     counts = {"factorizations": 0, "singular_factorizations": 0}
     # Whether the current solver run ends at the wall, and whether it has.
     wall = {"stop": False, "reached": False}
 
     def state_at(theta):
         key = theta.tobytes()
-        if last[0] != key:
+        if key == best["key"]:
+            return best["state"]
+        if key != last["key"]:
+            # Dropped first, so that the new state can reuse its memory.
+            # Freed only afterwards, it left memory at the top of the heap
+            # that the allocator gave back to the system; in about one
+            # process in four, each trial then faulted in some 1300 more
+            # pages.
+            last.update(key=None, state=None)
             state = _loo_state(theta, inputs, outputs, kind)
             counts["factorizations"] += 1
             counts["singular_factorizations"] += state is None
-            last[:] = [key, state]
-        return last[1]
+            last.update(key=key, state=state)
+        return last["state"]
+
+    def residuals_at(theta):
+        res = _loo_residuals(state_at(theta))
+        if res is not None and (obj := float(res @ res)) < best["objective"]:
+            best.update(objective=obj, key=theta.tobytes(), state=last["state"], jacobian=None)
+        return res
 
     def residual_fn(log_theta):
-        res = None if wall["reached"] else _loo_residuals(state_at(np.exp(log_theta)))
+        res = None if wall["reached"] else residuals_at(np.exp(log_theta))
         if res is None:
             wall["reached"] = wall["stop"]
             return np.full(len(outputs), penalty_scale)
@@ -358,10 +473,16 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
 
     def jacobian_fn(log_theta, *_):
         theta = np.exp(log_theta)
+        key = theta.tobytes()
+        if key == best["key"] and best["jacobian"] is not None:
+            return best["jacobian"]
         state = state_at(theta)
         if state is None:  # the penalty plateau is flat
             return np.zeros((len(outputs), len(theta)))
-        return _loo_jacobian(theta, inputs, state, kind)
+        jac = _loo_jacobian(theta, inputs, state, kind)
+        if key == best["key"]:
+            best["jacobian"] = jac
+        return jac
 
     rng = np.random.default_rng(seed)
 
@@ -409,7 +530,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     factorizable = False
     for q in np.linspace(0.02, 0.98, 16):
         log_theta = log_lo + q * (log_hi - log_lo)
-        res = _loo_residuals(state_at(np.exp(log_theta)))
+        res = residuals_at(np.exp(log_theta))
         obj = _loo_objective(res, outputs)
         candidates.append((obj, np.exp(log_theta)))
         if probe_best is None or obj < probe_best[0]:
@@ -421,9 +542,10 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
 
     # The short-scale anchor keeps one start where R is always factorizable
     # (near-diagonal), so smooth-kernel searches never begin on a penalty
-    # plateau; the box center and seeded draws cover the rest.
+    # plateau; the box center and seeded draws cover the rest.  The
+    # probe-best rung goes first, while it is still the best state kept.
     anchor = log_lo + 0.1 * (log_hi - log_lo)
-    starts = [anchor, probe_best[1], 0.5 * (log_lo + log_hi)]
+    starts = [probe_best[1], anchor, 0.5 * (log_lo + log_hi)]
     for _ in range(2):
         starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
     explored = []

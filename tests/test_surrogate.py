@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtri
 from scipy.optimize import least_squares
 from scipy.spatial.distance import cdist
 
@@ -130,6 +131,28 @@ class TestKernels:
         normal = raw >= TINY
         assert np.array_equal(corr[normal], raw[normal])
         assert np.all(corr[~normal] == 0.0)
+
+    def test_flush_matches_two_pass_oracle_across_the_boundary(self):
+        def two_pass(dist):
+            """The flush as two boolean passes: inf past 709, zero below TINY."""
+            dist[dist > 709.0] = np.inf
+            np.negative(dist, out=dist)
+            np.exp(dist, out=dist)
+            dist[dist < TINY] = 0.0
+            return dist
+
+        # Every double within 20 000 ulps of the cut-off, one nextafter
+        # step apart (the spacing is constant inside the binade), and a few
+        # distances far from it.
+        edge = 708.3964185322641
+        sweep = edge + np.arange(-20_000, 20_001) * np.spacing(edge)
+        assert sweep[20_001] == np.nextafter(edge, np.inf)
+        assert sweep[19_999] == np.nextafter(edge, -np.inf)
+        dist = np.concatenate([sweep, [0.0, 1.0, 700.0, 709.0, 709.5, 745.2, 800.0, np.inf]])
+        got = surrogate_mod._correlation_from_distance(dist.copy())
+        assert np.array_equal(got, two_pass(dist.copy()))
+        assert np.array_equal(got >= TINY, dist <= edge)
+        assert np.all((got == 0.0) | (got >= TINY))
 
 
 class TestFitting:
@@ -430,20 +453,23 @@ class TestOptimizeTheta:
         _, info = optimize_theta(x, b, seed=3)
         rung_keys = [theta.tobytes() for theta in rungs]
         assert [key for key in factorized if key in rung_keys] == rung_keys[: first + 1]
-        # The probe-best start is the full ladder's best rung.
+        # The probe-best start, which runs first, is the full ladder's best rung.
         full_best = min(rungs, key=lambda theta: loo_cv_objective(theta, x, b))
-        assert info["runs"][1]["start"] == full_best.tolist()
+        assert info["runs"][0]["start"] == full_best.tolist()
 
     def test_polish_ends_at_its_first_singular_evaluation(self, monkeypatch):
         x, b = wall_training_set()
         polish, phase = [], ["explore"]
-        original_state, original_solver = surrogate_mod._loo_state, surrogate_mod.least_squares
+        original_residuals = surrogate_mod._loo_residuals
+        original_solver = surrogate_mod.least_squares
 
-        def recording(theta, *args):
-            state = original_state(theta, *args)
+        # Every evaluation reads the residuals of a state, whether the
+        # state was factorized for it or reused, as at the polish's start.
+        def recording(state):
+            res = original_residuals(state)
             if phase[0] == "polish":
-                polish.append(None if state is None else state[2] / state[3])
-            return state
+                polish.append(res)
+            return res
 
         def solver(*args, **kwargs):
             phase[0] = "explore" if "ftol" in kwargs else "polish"
@@ -451,7 +477,7 @@ class TestOptimizeTheta:
             phase[0] = "done"
             return result
 
-        monkeypatch.setattr(surrogate_mod, "_loo_state", recording)
+        monkeypatch.setattr(surrogate_mod, "_loo_residuals", recording)
         monkeypatch.setattr(surrogate_mod, "least_squares", solver)
         _, info = optimize_theta(x, b, seed=3)
         assert [res is None for res in polish] == [False] * (len(polish) - 1) + [True]
@@ -471,6 +497,21 @@ class TestOptimizeTheta:
             train.points, y, "exponential", seed=5, stop_at_wall=False
         )
         assert np.array_equal(theta, unstopped)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    def test_search_memory_is_bounded(self, corr09, kind):
+        # Traced peak of one search at n = 300: 6.3 (Gaussian) and 7.2
+        # (exponential) n x n arrays, with two states kept and no fresh
+        # n x n temporary per Jacobian column.
+        train = sample(corr09, "mc", 300, seed=5)
+        y = rastrigin(train.points)
+        tracemalloc.start()
+        try:
+            optimize_theta(train.points, y, kind=kind, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * train.points.shape[0] ** 2 * 8
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(51)
@@ -641,7 +682,7 @@ def unmemoized_optimize_theta(inputs, outputs, kind, seed, stop_at_wall=True):
         if stop_at_wall and singular and factorizable:
             break
         factorizable = factorizable or not singular
-    starts = [log_lo + 0.1 * (log_hi - log_lo), probe_best[1], 0.5 * (log_lo + log_hi)]
+    starts = [probe_best[1], log_lo + 0.1 * (log_hi - log_lo), 0.5 * (log_lo + log_hi)]
     for _ in range(2):
         starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
     explored = []
@@ -682,6 +723,28 @@ class TestLooMemo:
         assert info == want_info
         assert kept_calls < len(seen)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    def test_no_theta_is_factorized_or_differentiated_twice(self, kind, monkeypatch):
+        # The first explore run starts at the best ladder rung and the
+        # polish at the best explore endpoint; both reuse the kept state.
+        x, b = wall_training_set()
+        factorized, differentiated = [], []
+        original_state, original_jacobian = surrogate_mod._loo_state, surrogate_mod._loo_jacobian
+
+        def state(theta, *args):
+            factorized.append(theta.tobytes())
+            return original_state(theta, *args)
+
+        def jacobian(theta, *args):
+            differentiated.append(theta.tobytes())
+            return original_jacobian(theta, *args)
+
+        monkeypatch.setattr(surrogate_mod, "_loo_state", state)
+        monkeypatch.setattr(surrogate_mod, "_loo_jacobian", jacobian)
+        _, info = optimize_theta(x, b, kind=kind, seed=3)
+        assert len(set(factorized)) == len(factorized) == info["factorizations"]
+        assert len(set(differentiated)) == len(differentiated)
+
 
 def central_difference_jacobian(log_theta, x, b, kind, step=1e-5):
     cols = []
@@ -698,6 +761,40 @@ def central_difference_jacobian(log_theta, x, b, kind, step=1e-5):
     return np.column_stack(cols)
 
 
+def dense_loo_jacobian(theta, inputs, state, kind):
+    """The LOO Jacobian from the dense formula: ``dalpha = -G P_k alpha``
+    and ``dc = -diag(G P_k G)`` with ``P_k = dR/dlog(theta_k)`` formed
+    entry by entry and one general product per coordinate."""
+    corr = correlation_matrix(inputs, KernelSpec(kind, theta))
+    _, chol_inv, alpha, c = state
+    gram = chol_inv.T @ chol_inv
+    jac = np.empty((len(alpha), len(theta)))
+    for k, scale in enumerate(theta):
+        diff = (inputs[:, k, None] - inputs[None, :, k]) / scale
+        dcorr = (2.0 * diff * diff if kind == "gaussian" else np.abs(diff)) * corr
+        g_dcorr = gram @ dcorr
+        d_alpha = -g_dcorr @ alpha
+        d_c = -np.einsum("ij,ij->i", g_dcorr, gram)
+        jac[:, k] = d_alpha / c - alpha * d_c / c**2
+    return jac
+
+
+def isotropic_wall(x, b, kind):
+    """The longest factorizable length scales on the isotropic ray through
+    the search box (bisection in log scale), or the box's top end when the
+    whole ray factorizes."""
+    log_lo, log_hi = np.log(default_theta_bounds(x)).T
+    if surrogate_mod._loo_state(np.exp(log_hi), x, b, kind) is not None:
+        return np.exp(log_hi)
+    good, bad = 0.0, 1.0
+    for _ in range(30):
+        mid = 0.5 * (good + bad)
+        theta = np.exp(log_lo + mid * (log_hi - log_lo))
+        singular = surrogate_mod._loo_state(theta, x, b, kind) is None
+        good, bad = (good, mid) if singular else (mid, bad)
+    return np.exp(log_lo + good * (log_hi - log_lo))
+
+
 class TestLooJacobian:
     @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
     def test_matches_central_differences(self, kind):
@@ -711,12 +808,39 @@ class TestLooJacobian:
             fd = central_difference_jacobian(log_theta, x, b, kind)
             np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
 
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("wall_fraction", [0.3, 0.95])
+    def test_matches_dense_formula(self, kind, dim, wall_fraction):
+        # In two and three dimensions the rounded inputs tie on every
+        # coordinate.  The exponential formulas agree to about 1e-12.  The
+        # Gaussian ones round at the scale of R's conditioning, which the
+        # squared pivot ratio tracks: next to the wall (ratio ~3e-10) they
+        # agree to 2.6e-4 of the largest entry, while both differ from
+        # central differences by 10% and more.
+        rng = np.random.default_rng(79 + dim)
+        x = np.unique(np.round(rng.uniform(-2, 2, size=(40, dim)), 1 if dim > 1 else 6), axis=0)
+        if dim > 1:
+            assert all(len(np.unique(col)) < len(x) for col in x.T)
+        b = np.sin(2 * x[:, 0]) - 0.5 * x.sum(axis=1) ** 2
+        theta = wall_fraction * isotropic_wall(x, b, kind)
+        state = surrogate_mod._loo_state(theta, x, b, kind)
+        want = dense_loo_jacobian(theta, x, state, kind)
+        got = surrogate_mod._loo_jacobian(theta, x, state, kind)
+        if kind == "gaussian":
+            pivots = np.diag(state[0])
+            tol = 1e-12 / (pivots.min() / pivots.max()) ** 2
+        else:
+            tol = 1e-11
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+
     def test_diagonal_matches_solve_against_identity(self):
         rng = np.random.default_rng(73)
         x = rng.uniform(-2, 2, size=(40, 2))
         b = x[:, 0] - x[:, 1] ** 3
-        corr, _, rinv_b, rinv_diag = surrogate_mod._loo_state(np.array([0.8, 0.6]), x, b, "gaussian")
-        factor = cho_factor(corr, lower=True)
+        theta = np.array([0.8, 0.6])
+        _, _, rinv_b, rinv_diag = surrogate_mod._loo_state(theta, x, b, "gaussian")
+        factor = cho_factor(correlation_matrix(x, KernelSpec("gaussian", theta)), lower=True)
         np.testing.assert_allclose(rinv_diag, np.diag(cho_solve(factor, np.eye(40))), rtol=1e-10)
         np.testing.assert_allclose(rinv_b, cho_solve(factor, b), rtol=1e-12)
 
@@ -769,6 +893,20 @@ class TestLooJacobian:
             for n in ("1", "2")
         ]
         np.testing.assert_allclose(thetas[0], thetas[1], rtol=1e-5)
+
+
+class TestInvertLower:
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_matches_dtrtri(self, n):
+        # Leaves of at most 128 rows go to dtrtri; 129 and 300 split.
+        a = np.random.default_rng(n).normal(size=(n, n))
+        chol = np.linalg.cholesky(a @ a.T / n + np.eye(n))
+        block = np.array(chol, order="F")
+        got = surrogate_mod._invert_lower(block)
+        assert got is block
+        want = dtrtri(chol, lower=1)[0]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        assert not np.any(np.triu(got, 1))
 
 
 class TestModeDominance:
