@@ -2,8 +2,8 @@
 
 The package builds measure-consistent orthonormal polynomial bases by
 whitening monomial moment matrices, computed exactly by Gauss-Hermite
-quadrature in the Gaussian-copula space (with a bounded sampled fallback
-for grids too large to build), fits chaos-Kriging surrogates with
+quadrature in the Gaussian-copula space (orders whose grids would be too
+large to build are refused), fits chaos-Kriging surrogates with
 leave-one-out-tuned kernels, and estimates VaR/CVaR
 either by sampling the surrogate directly or by multifidelity importance
 sampling from a confidence-interval-inflated risk region.
@@ -14,7 +14,6 @@ from .basis import (
     OrthonormalBasis,
     build_basis,
     cardinality,
-    moment_matrix,
     monomial_matrix,
     multi_index_set,
     whiten,
@@ -27,7 +26,6 @@ from .exceptions import (
     EvaluationError,
     InsufficientMassError,
     InvalidModelError,
-    MomentMatrixError,
     OptimizationError,
     PositiveDefinitenessError,
     TailriskError,

@@ -19,11 +19,10 @@ its latent ``z ~ N(0, C)``:
 * uniform factors ``a + (b - a) Phi(z)`` are not polynomial, so their node
   count doubles until successive estimates agree.
 
-Tensor grids grow as ``nodes**dimension``.  When a moment's first grid
-would exceed ``_MAX_GRID`` points (for instance five or more mutually
-correlated uniform coordinates in one entry), :func:`build_basis` falls
-back to the sampled quasi-Monte-Carlo estimate of :func:`moment_matrix`,
-which runs in fixed blockwise memory, and says so with a ``RuntimeWarning``.
+Tensor grids grow as ``nodes**dimension``.  :func:`build_basis` refuses
+with a ``ValueError``, before anything is integrated, a moment whose first
+grid would exceed ``_MAX_GRID`` points: for instance five or more mutually correlated
+uniform coordinates in one entry, which needs ``S >= 3``.
 
 The number of basis functions is ``1 + sum_{s=1}^{S} C(N,s) C(m,s)``,
 which collapses to ``C(N+m, m)`` when ``S = N``.
@@ -40,8 +39,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import lapack, solve_triangular
 
-from .exceptions import MomentMatrixError, PositiveDefinitenessError
-from .inputs import Gaussian, InputModel, Lognormal, _dependence_blocks, iter_sample_blocks
+from .exceptions import PositiveDefinitenessError
+from .inputs import Gaussian, InputModel, Lognormal, _dependence_blocks
 
 __all__ = [
     "MultiIndexSet",
@@ -49,20 +48,16 @@ __all__ = [
     "cardinality",
     "multi_index_set",
     "monomial_matrix",
-    "moment_matrix",
     "whiten",
     "build_basis",
 ]
-
-DEFAULT_QUADRATURE = 1_000_000
-_QUADRATURE_BLOCK = 1 << 17
 
 # Uniform coordinates are not polynomial in the latent Gaussian: their
 # Gauss-Hermite node count starts at _UNIFORM_NODES and doubles until two
 # successive estimates differ by at most _UNIFORM_TOL relative to
 # E|integrand|; the finer one is kept.  hermegauss overflows beyond
-# about 300 nodes.  No tensor grid has more than _MAX_GRID points: a
-# moment whose first grid would be larger is not integrated at all.
+# about 300 nodes.  No tensor grid has more than _MAX_GRID points: a basis
+# that needs a moment whose first grid would be larger is refused.
 _UNIFORM_NODES = 32
 _UNIFORM_MAX_NODES = 256
 _UNIFORM_TOL = 1e-10
@@ -170,51 +165,6 @@ def _scale_diagonal(index_set: MultiIndexSet, coordinate_scales) -> np.ndarray:
     return np.exp(-index_set.indices @ np.log(scales))
 
 
-def moment_matrix(
-    index_set: MultiIndexSet,
-    model: InputModel,
-    quadrature: int = DEFAULT_QUADRATURE,
-) -> np.ndarray:
-    """Estimate ``G = E[M(X) M(X)^T]`` from the first ``quadrature`` points
-    of the (deterministic) Sobol stream.
-
-    Accumulation is blockwise in a fixed order, so the result does not
-    depend on memory limits or threading.  The returned matrix is exactly
-    symmetric.
-
-    Raises
-    ------
-    ValueError
-        If ``quadrature`` is below the basis cardinality (the estimate
-        could not have full rank).
-    MomentMatrixError
-        If the symmetrized estimate is numerically non-positive-definite
-        even after conditioning scaling; increase ``quadrature`` or lower
-        the degree.
-    """
-    size = len(index_set)
-    if quadrature < size:
-        raise ValueError(
-            f"quadrature count {quadrature} is below the basis size {size}"
-        )
-    gram = np.zeros((size, size))
-    for block in iter_sample_blocks(model, "sobol", quadrature, 0, _QUADRATURE_BLOCK):
-        m = monomial_matrix(block, index_set)
-        gram += m.T @ m
-    gram /= quadrature
-    gram = 0.5 * (gram + gram.T)
-
-    scale = _scale_diagonal(index_set, model.marginal_stddevs)
-    probe = gram * np.outer(scale, scale)
-    _, info = lapack.dpotrf(probe, lower=1)
-    if info != 0:
-        raise MomentMatrixError(
-            "moment matrix estimate is not positive definite; "
-            "increase the quadrature count or reduce the polynomial degree"
-        )
-    return gram
-
-
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Whitening matrix plus its multi-index set.
@@ -299,7 +249,6 @@ def whiten(
     moment: np.ndarray,
     index_set: MultiIndexSet,
     coordinate_scales=None,
-    provenance: dict | None = None,
 ) -> OrthonormalBasis:
     """Whitening transformation of a monomial moment matrix.
 
@@ -341,15 +290,10 @@ def whiten(
     inv_factor = solve_triangular(factor, np.eye(size), lower=True)
     whitening = inv_factor * scale[None, :]
 
-    prov = dict(provenance or {})
-    prov["jittered"] = jittered
+    prov = {"jittered": jittered}
     if coordinate_scales is not None:
         prov["coordinate_scales"] = [float(s) for s in np.asarray(coordinate_scales)]
     return OrthonormalBasis(index_set=index_set, whitening=whitening, provenance=prov)
-
-
-class _GridTooLarge(Exception):
-    """A moment's first Gauss-Hermite grid would exceed ``_MAX_GRID`` points."""
 
 
 def _hermite_grid(nodes_per_axis) -> tuple:
@@ -446,9 +390,10 @@ def _exact_moment_matrix(index_set: MultiIndexSet, model: InputModel) -> np.ndar
 
     Raises
     ------
-    _GridTooLarge
+    ValueError
         Before anything is integrated, if some moment's first grid would
-        have more than ``_MAX_GRID`` points.
+        have more than ``_MAX_GRID`` points; the message names the
+        moment's exponents, the grid size and the cap.
     """
     idx = index_set.indices
     corr = model.correlation
@@ -474,9 +419,9 @@ def _exact_moment_matrix(index_set: MultiIndexSet, model: InputModel) -> np.ndar
     for group, exponents in moments:
         points = _first_grid_points([marginals[k] for k in group], exponents)
         if points > _MAX_GRID:
-            raise _GridTooLarge(
+            raise ValueError(
                 f"the moment with exponents {dict(zip(group, exponents))} needs "
-                f"{points} Gauss-Hermite points, more than {_MAX_GRID}"
+                f"{points} Gauss-Hermite points, more than the cap of {_MAX_GRID}"
             )
     for group, exponents in moments:
         moments[group, exponents] = _group_moment(
@@ -491,44 +436,23 @@ def _exact_moment_matrix(index_set: MultiIndexSet, model: InputModel) -> np.ndar
     return gram
 
 
-def build_basis(
-    model: InputModel,
-    interaction_order: int,
-    degree: int,
-    quadrature: int = DEFAULT_QUADRATURE,
-) -> OrthonormalBasis:
+def build_basis(model: InputModel, interaction_order: int, degree: int) -> OrthonormalBasis:
     """Full pipeline: index set, moment matrix, whitening.
 
     The moment matrix comes from :func:`_exact_moment_matrix`, so the basis
     is orthonormal under the input measure itself, not under a sample of
-    it; ``quadrature`` then does not change the basis.  When a moment
-    would need a tensor grid above ``_MAX_GRID`` points, the matrix is
-    instead estimated by :func:`moment_matrix` from ``quadrature`` Sobol
-    points, with a ``RuntimeWarning``.  The Sobol stream is unscrambled,
-    so the basis takes no seed: it is a function of the model, the orders
-    and ``quadrature`` alone.  ``provenance`` records which
-    (``"moments"``: ``"exact"`` or ``"sampled"``) together with
-    ``quadrature``.
+    it, and it is a function of the model and the orders alone.
     Conditioning scaling uses the model's marginal standard deviations.
 
     Raises
     ------
-    MomentMatrixError
-        If the sampled fallback's estimate is not positive definite.
+    ValueError
+        If a moment would need a tensor grid above ``_MAX_GRID`` points
+        (see :func:`_exact_moment_matrix`).
     """
     index_set = multi_index_set(model.dimension, interaction_order, degree)
-    try:
-        gram, moments = _exact_moment_matrix(index_set, model), "exact"
-    except _GridTooLarge as exc:
-        warnings.warn(
-            f"{exc}; the moment matrix is estimated from {quadrature} Sobol "
-            "points instead, so the basis is orthonormal only approximately",
-            RuntimeWarning,
-        )
-        gram, moments = moment_matrix(index_set, model, quadrature), "sampled"
     return whiten(
-        gram,
+        _exact_moment_matrix(index_set, model),
         index_set,
         coordinate_scales=model.marginal_stddevs,
-        provenance={"moments": moments, "quadrature": int(quadrature)},
     )

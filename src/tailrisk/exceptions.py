@@ -1,8 +1,9 @@
 """Exception types raised across the package.
 
 Plain ``ValueError`` is used for ordinary argument mistakes (bad counts,
-out-of-range levels, a malformed dataset), and scipy's is passed on where
-scipy already checks (a Sobol dimension above 21201).  The classes below
+out-of-range levels, a malformed dataset, basis orders whose moments
+would need a Gauss-Hermite grid above the cap), and scipy's is passed on
+where scipy already checks (a Sobol dimension above 21201).  The classes below
 mark failures a caller may want to handle specifically: invalid stochastic
 models, numerical breakdowns, and external-model protocol errors.
 """
@@ -11,7 +12,6 @@ __all__ = [
     "TailriskError",
     "InvalidModelError",
     "PositiveDefinitenessError",
-    "MomentMatrixError",
     "DegenerateTrainingError",
     "ConditioningError",
     "OptimizationError",
@@ -33,10 +33,6 @@ class InvalidModelError(TailriskError, ValueError):
 class PositiveDefinitenessError(TailriskError):
     """A matrix required to be positive definite is not; the message
     names the failing Cholesky pivot when it is known."""
-
-
-class MomentMatrixError(TailriskError):
-    """The estimated moment matrix is numerically unusable."""
 
 
 class DegenerateTrainingError(TailriskError, ValueError):

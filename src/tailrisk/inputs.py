@@ -248,50 +248,6 @@ class SampleSet:
         return self.points.shape[0]
 
 
-def _uniform_stream(scheme: str, dimension: int, seed: int):
-    """Stateful generator of uniform/(standard normal) block draws.
-
-    Returns a callable ``draw(count) -> (count, N) standard-normal block``.
-    For ``mc`` and ``sobol``, consecutive calls continue one underlying
-    stream, so blockwise generation concatenates to the one-shot result;
-    each ``lhs`` call stratifies its own block.
-    """
-    if scheme == "mc":
-        rng = np.random.default_rng(seed)
-
-        def draw(count):
-            return rng.standard_normal((count, dimension))
-
-    elif scheme == "sobol":
-        # Imported here: scipy.stats dominates the package import time, and
-        # only the quasi-random schemes need it.
-        from scipy.stats import qmc
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            engine = qmc.Sobol(d=dimension, scramble=False)
-        # Skip the initial all-zeros point: it maps to -inf under ndtri.
-        engine.fast_forward(1)
-
-        def draw(count):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                u = engine.random(count)
-            return ndtri(u)
-
-    elif scheme == "lhs":
-        from scipy.stats import qmc
-
-        engine = qmc.LatinHypercube(d=dimension, seed=seed)
-
-        def draw(count):
-            return ndtri(engine.random(count))
-
-    else:
-        raise ValueError(f"unknown sampling scheme {scheme!r}; expected one of {_SCHEMES}")
-    return draw
-
-
 def sample(model: InputModel, scheme: str, size: int, seed: int) -> SampleSet:
     """Draw ``size`` equally weighted points from the joint law of ``model``.
 
@@ -302,7 +258,9 @@ def sample(model: InputModel, scheme: str, size: int, seed: int) -> SampleSet:
         Plain Monte Carlo, the (unscrambled, zero-skipped) Sobol sequence,
         or Latin hypercube sampling.  Sobol and LHS uniforms are mapped
         through the inverse normal transform, colored by the correlation
-        Cholesky factor, and pushed through the marginal transforms.
+        Cholesky factor, and pushed through the marginal transforms.  For
+        ``mc`` and ``sobol``, a smaller ``size`` draws a prefix of a larger
+        one.
     size : int
         Number of points, at least 1.
     seed : int
@@ -311,20 +269,23 @@ def sample(model: InputModel, scheme: str, size: int, seed: int) -> SampleSet:
     """
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
-    draw = _uniform_stream(scheme, model.dimension, seed)
-    return SampleSet(model.transform_gauss(draw(size)))
+    if scheme == "mc":
+        z = np.random.default_rng(seed).standard_normal((size, model.dimension))
+    elif scheme == "sobol":
+        # Imported here: scipy.stats dominates the package import time, and
+        # only the quasi-random schemes need it.
+        from scipy.stats import qmc
 
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            engine = qmc.Sobol(d=model.dimension, scramble=False)
+            # Skip the initial all-zeros point: it maps to -inf under ndtri.
+            engine.fast_forward(1)
+            z = ndtri(engine.random(size))
+    elif scheme == "lhs":
+        from scipy.stats import qmc
 
-def iter_sample_blocks(model, scheme, size, seed, block_size):
-    """Yield the :func:`sample` point array in consecutive blocks.
-
-    For ``mc`` and ``sobol``, blockwise output concatenates exactly to the
-    one-shot ``sample`` points; used to keep large quadratures out of
-    memory.
-    """
-    draw = _uniform_stream(scheme, model.dimension, seed)
-    produced = 0
-    while produced < size:
-        count = min(block_size, size - produced)
-        yield model.transform_gauss(draw(count))
-        produced += count
+        z = ndtri(qmc.LatinHypercube(d=model.dimension, seed=seed).random(size))
+    else:
+        raise ValueError(f"unknown sampling scheme {scheme!r}; expected one of {_SCHEMES}")
+    return SampleSet(model.transform_gauss(z))

@@ -149,6 +149,8 @@ class DatasetModel(ModelHandle):
     :class:`DatasetLookupError`.  A row whose length differs from the
     header's, or an input repeated with a different output, is a
     ``ValueError`` naming the file and line; an exact repeat is allowed.
+    Points with another number of coordinates than the file's input
+    columns are a ``ValueError`` naming both counts.
     """
 
     kind = "dataset"
@@ -162,6 +164,7 @@ class DatasetModel(ModelHandle):
                 raise ValueError(
                     f"dataset {path} must have header x1,...,xN,y"
                 )
+            self._path, self._inputs = path, len(header) - 1
             for row in reader:
                 if not row:
                     continue
@@ -174,6 +177,11 @@ class DatasetModel(ModelHandle):
 
     def evaluate_batch(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != self._inputs:
+            raise ValueError(
+                f"dataset {self._path} has {self._inputs} inputs per row, "
+                f"the points have {points.shape[1]}"
+            )
         try:
             return np.array([self._table[_dataset_key(row)] for row in points])
         except KeyError as exc:

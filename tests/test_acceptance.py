@@ -21,7 +21,6 @@ MASTER = 20250808
 TRIALS = 10
 BETA = 0.99
 SAMPLES = 10_000
-QUADRATURE = 1_000_000
 
 
 def seed(*key):
@@ -45,17 +44,17 @@ def corr0():
 
 @pytest.fixture(scope="module")
 def basis3_corr09(corr09):
-    return tr.build_basis(corr09, 1, 3, quadrature=QUADRATURE)
+    return tr.build_basis(corr09, 1, 3)
 
 
 @pytest.fixture(scope="module")
 def basis3_corr0(corr0):
-    return tr.build_basis(corr0, 1, 3, quadrature=QUADRATURE)
+    return tr.build_basis(corr0, 1, 3)
 
 
 @pytest.fixture(scope="module")
 def basis4_corr09(corr09):
-    return tr.build_basis(corr09, 1, 4, quadrature=QUADRATURE)
+    return tr.build_basis(corr09, 1, 4)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +231,7 @@ def test_criterion_06_low_fidelity_correlations(corr0):
 
 
 def test_criterion_07_orthonormality_high_degree(corr09):
-    basis = tr.build_basis(corr09, 1, 5, quadrature=QUADRATURE)
+    basis = tr.build_basis(corr09, 1, 5)
     size = len(basis)
     # E[Psi Psi^T] = W G W^T with G the exact monomial moments of the input
     # pair, from an oracle that shares no code with the library.

@@ -42,9 +42,10 @@ def _scanned_files():
 
 
 def _references(path):
-    """Names a file uses: identifiers, attributes and the words of its string
-    literals (``perfbench`` names its hooks in strings), but not docstrings,
-    ``__all__`` lists or the names that ``def`` and ``class`` statements bind."""
+    """Names a file uses, one set per top-level statement: identifiers,
+    attributes and the words of its string literals (``perfbench`` names its
+    hooks in strings), but not docstrings, ``__all__`` lists or the names
+    that ``def`` and ``class`` statements bind."""
     tree = ast.parse(path.read_text())
     skipped = set()
     for node in ast.walk(tree):
@@ -55,23 +56,26 @@ def _references(path):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             skipped.update(id(n) for n in ast.walk(node.value))
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                and id(node) not in skipped):
-            names.update(re.findall(r"\w+", node.value))
-    return names
+    per_statement = []
+    for statement in tree.body:
+        names = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in skipped):
+                names.update(re.findall(r"\w+", node.value))
+        per_statement.append(names)
+    return per_statement
 
 
 def test_every_public_name_has_a_caller():
     # Public API that no pipeline path uses is deleted, not kept up: each
     # listed name must be used by the package, the benchmark or the
     # acceptance suite.
-    used = set().union(*(_references(p) for p in _scanned_files()))
+    used = set().union(*(names for p in _scanned_files() for names in _references(p)))
     unused = [f"{m.__name__}.{name}" for m in MODULES for name in getattr(m, "__all__", ())
               if name not in used]
     assert unused == []
@@ -119,3 +123,33 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                 ):
                     unset.append(f"{module.__name__}.{name}({param.name}=)")
     assert unset == []
+
+
+def _defined_names(statement):
+    """The functions, classes and constants a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def test_every_module_level_name_has_a_reader():
+    # A module-level function, class or constant that nothing reads is an
+    # orphan: the same files as above must read it outside its own
+    # definition (a recursive call does not count).
+    scanned = {path: _references(path) for path in _scanned_files()}
+    unread = []
+    for path in sorted(Path(tailrisk.__file__).parent.glob("*.py")):
+        statements = ast.parse(path.read_text()).body
+        for i, statement in enumerate(statements):
+            for name in _defined_names(statement):
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if not any(name in names
+                           for other, per_statement in scanned.items()
+                           for j, names in enumerate(per_statement)
+                           if other != path or j != i):
+                    unread.append(f"{path.stem}.{name}")
+    assert unread == []

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import tracemalloc
@@ -6,23 +5,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tailrisk
 from tailrisk import (
     ArtifactError,
     Gaussian,
     InputModel,
     Lognormal,
-    MomentMatrixError,
     OrthonormalBasis,
     PositiveDefinitenessError,
     Uniform,
     build_basis,
     cardinality,
-    moment_matrix,
     monomial_matrix,
     multi_index_set,
+    sample,
     whiten,
 )
-from tailrisk.inputs import iter_sample_blocks
+from tailrisk import basis as basis_mod
+from tailrisk import exceptions, inputs
 
 from helpers import analytic_gaussian_gram, correlated_gaussian_gram, gaussian_moment
 
@@ -87,40 +87,47 @@ class TestMonomials:
 
 
 class TestMomentMatrix:
+    # The moments are exact, so each check is an identity against a
+    # closed form or an oracle that shares no code with the library.
     def test_standard_normal_m2(self):
         model = InputModel([Gaussian(0, 1)])
         s = multi_index_set(1, 1, 2)
-        gram = moment_matrix(s, model, quadrature=1_000_000)
-        np.testing.assert_allclose(
-            gram, [[1, 0, 1], [0, 1, 0], [1, 0, 3]], atol=5e-3
-        )
+        gram = basis_mod._exact_moment_matrix(s, model)
+        np.testing.assert_allclose(gram, [[1, 0, 1], [0, 1, 0], [1, 0, 3]], rtol=0, atol=1e-14)
 
     def test_constant_entry_exact(self, corr09):
         s = multi_index_set(2, 1, 2)
-        gram = moment_matrix(s, corr09, quadrature=4096)
-        assert gram[0, 0] == 1.0
+        assert basis_mod._exact_moment_matrix(s, corr09)[0, 0] == 1.0
 
     def test_cross_moment_correlated(self, corr09):
-        s = multi_index_set(2, 1, 1)
-        gram = moment_matrix(s, corr09, quadrature=1_000_000)
-        # indices are [(0,0), (1,0), (0,1)]; E[X1 X2] = rho * sigma^2
-        assert gram[1, 2] == pytest.approx(3.6, abs=2e-2)
+        s = multi_index_set(2, 2, 3)
+        gram = basis_mod._exact_moment_matrix(s, corr09)
+        # indices start [(0,0), (1,0), (0,1)]; E[X1 X2] = rho * sigma^2
+        assert gram[1, 2] == pytest.approx(3.6, rel=1e-14)
+        want = correlated_gaussian_gram(s, 2.0, 0.9)
+        np.testing.assert_allclose(gram, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     def test_symmetry_exact(self, corr09):
         s = multi_index_set(2, 2, 3)
-        gram = moment_matrix(s, corr09, quadrature=20_000)
+        gram = basis_mod._exact_moment_matrix(s, corr09)
         assert np.array_equal(gram, gram.T)
 
     def test_quadrature_below_cardinality_rejected(self, corr09):
-        s = multi_index_set(2, 2, 3)
-        with pytest.raises(ValueError):
-            moment_matrix(s, corr09, quadrature=5)
+        # There is no sample count to get wrong: the sampled estimate and
+        # its parameter are gone.
+        assert not hasattr(basis_mod, "moment_matrix")
+        assert not hasattr(basis_mod, "DEFAULT_QUADRATURE")
+        with pytest.raises(TypeError):
+            build_basis(corr09, 2, 3, quadrature=5)
 
     def test_rank_deficient_estimate_rejected(self):
-        model = InputModel([Gaussian(0, 1)])
-        s = multi_index_set(1, 1, 20)
-        with pytest.raises(MomentMatrixError):
-            moment_matrix(s, model, quadrature=21)
+        # Twenty-one sampled points could not give a degree-20 moment
+        # matrix full rank; the exact one factors without jitter, and the
+        # error type for a bad estimate is gone.
+        basis = build_basis(InputModel([Gaussian(0, 1)]), 1, 20)
+        assert basis.provenance["jittered"] is False
+        assert not hasattr(exceptions, "MomentMatrixError")
+        assert not hasattr(tailrisk, "MomentMatrixError")
 
 
 class TestWhitening:
@@ -149,7 +156,7 @@ class TestWhitening:
 
     def test_scaled_whitening_same_identity(self, corr09):
         s = multi_index_set(2, 1, 3)
-        gram = moment_matrix(s, corr09, quadrature=100_000)
+        gram = correlated_gaussian_gram(s, 2.0, 0.9)
         basis = whiten(gram, s, coordinate_scales=corr09.marginal_stddevs)
         residual = basis.whitening @ gram @ basis.whitening.T - np.eye(len(s))
         assert np.max(np.abs(residual)) < 1e-10
@@ -172,7 +179,7 @@ class TestWhitening:
 
 class TestBasisEvaluation:
     def test_first_entry_is_one(self, corr09):
-        basis = build_basis(corr09, 1, 3, quadrature=50_000)
+        basis = build_basis(corr09, 1, 3)
         pts = np.random.default_rng(1).normal(0, 2, size=(50, 2))
         values = basis.evaluate(pts)
         np.testing.assert_allclose(values[:, 0], 1.0, atol=1e-12)
@@ -187,20 +194,18 @@ class TestBasisEvaluation:
         # stream-to-stream noise; far higher degrees drown the tolerance
         # (the acceptance suite checks m=5 against exact moments).
         q = 1 << 20
-        basis = build_basis(corr09, 1, 3, quadrature=q)
+        basis = build_basis(corr09, 1, 3)
+        points = sample(corr09, "sobol", 2 * q, 0).points
         acc = np.zeros((len(basis), len(basis)))
-        count = 0
-        blocks = iter_sample_blocks(corr09, "sobol", 2 * q, 0, 1 << 17)
-        for block in itertools.islice(blocks, q >> 17, None):  # the next q points
-            v = basis.evaluate(block)
+        for start in range(q, 2 * q, 1 << 17):  # the points after the first q
+            v = basis.evaluate(points[start:start + (1 << 17)])
             acc += v.T @ v
-            count += len(block)
-        residual = acc / count - np.eye(len(basis))
+        residual = acc / q - np.eye(len(basis))
         assert np.max(np.abs(residual)) <= 5e-3
 
     def test_nesting_property(self, corr09):
-        low = build_basis(corr09, 1, 2, quadrature=60_000)
-        high = build_basis(corr09, 1, 3, quadrature=60_000)
+        low = build_basis(corr09, 1, 2)
+        high = build_basis(corr09, 1, 3)
         pts = np.random.default_rng(2).normal(0, 2, size=(20, 2))
         low_values = low.evaluate(pts)
         high_values = high.evaluate(pts)
@@ -301,50 +306,57 @@ class TestExactMoments:
             build_basis(model, 2, 2)
 
     @pytest.mark.parametrize("axes", [5, 6])
-    def test_oversized_grid_falls_back_to_sampled_moments(self, axes):
+    def test_oversized_grid_falls_back_to_sampled_moments(self, axes, monkeypatch):
         # At S = 3 some entry couples five mutually correlated uniform axes,
-        # whose first grid would hold 32^5 points (over a gigabyte); the
-        # sampled moments, computed in fixed blocks, are used instead.
+        # whose first grid would hold 32^5 points (over a gigabyte): the
+        # basis is refused before any moment is integrated.
         corr = np.full((axes, axes), 0.3) + 0.7 * np.eye(axes)
         model = InputModel([Uniform(0.0, 1.0)] * axes, corr)
+
+        def integrate(*args):
+            raise AssertionError("a moment was integrated before the grids were checked")
+
+        monkeypatch.setattr(basis_mod, "_group_moment", integrate)
         tracemalloc.start()
         try:
-            with pytest.warns(RuntimeWarning, match="estimated from 16384 Sobol points"):
-                basis = build_basis(model, 3, 3, quadrature=1 << 14)
+            with pytest.raises(ValueError) as err:
+                build_basis(model, 3, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64e6
-        assert basis.provenance["moments"] == "sampled"
-        expected = whiten(
-            moment_matrix(basis.index_set, model, 1 << 14),
-            basis.index_set,
-            coordinate_scales=model.marginal_stddevs,
+        assert str(err.value) == (
+            "the moment with exponents {0: 1, 1: 1, 2: 1, 3: 1, 4: 1} needs "
+            f"{32**5} Gauss-Hermite points, more than the cap of {1 << 20}"
         )
-        np.testing.assert_array_equal(basis.whitening, expected.whitening)
 
     def test_quadrature_and_seed_recorded_but_inert(self, corr09):
-        # The Sobol stream is unscrambled, so the basis takes no seed.
-        basis = build_basis(corr09, 1, 3, quadrature=12_345)
-        assert basis.provenance == {"moments": "exact", "quadrature": 12_345, "jittered": False,
-                                    "coordinate_scales": [2.0, 2.0]}
+        # The basis is a function of the model and the orders alone: it takes
+        # no sample count and no seed, and its provenance records neither.
+        basis = build_basis(corr09, 1, 3)
+        assert basis.provenance == {"jittered": False, "coordinate_scales": [2.0, 2.0]}
         with pytest.raises(TypeError):
-            build_basis(corr09, 1, 3, quadrature=12_345, seed=6)
-        np.testing.assert_array_equal(
-            basis.whitening, build_basis(corr09, 1, 3).whitening
-        )
+            build_basis(corr09, 1, 3, quadrature=12_345)
+        with pytest.raises(TypeError):
+            build_basis(corr09, 1, 3, seed=6)
+        with pytest.raises(TypeError):
+            whiten(np.eye(len(basis)), basis.index_set, provenance={"moments": "exact"})
+        assert not hasattr(inputs, "iter_sample_blocks")
 
 
 class TestSerialization:
     def test_round_trip(self, corr09):
-        basis = build_basis(corr09, 1, 2, quadrature=30_000)
+        basis = build_basis(corr09, 1, 2)
         loaded = OrthonormalBasis.from_dict(json.loads(json.dumps(basis.to_dict())))
         np.testing.assert_array_equal(loaded.whitening, basis.whitening)
         np.testing.assert_array_equal(loaded.index_set.indices, basis.index_set.indices)
-        assert loaded.provenance["quadrature"] == 30_000
+        assert loaded.provenance == basis.provenance == {"jittered": False,
+                                                         "coordinate_scales": [2.0, 2.0]}
+        with pytest.raises(TypeError):
+            build_basis(corr09, 1, 2, quadrature=30_000)
 
     def test_version_mismatch(self, corr09):
-        basis = build_basis(corr09, 1, 1, quadrature=5_000)
+        basis = build_basis(corr09, 1, 1)
         payload = basis.to_dict()
         payload["version"] = 999
         with pytest.raises(ArtifactError):
@@ -360,7 +372,7 @@ class TestSerialization:
         ],
     )
     def test_malformed_artifact_refused(self, corr09, tamper):
-        payload = build_basis(corr09, 1, 1, quadrature=5_000).to_dict()
+        payload = build_basis(corr09, 1, 1).to_dict()
         tamper(payload)
         with pytest.raises(ArtifactError):
             OrthonormalBasis.from_dict(payload)

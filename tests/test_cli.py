@@ -37,7 +37,6 @@ FAST_CONFIG = textwrap.dedent(
     kernel = gaussian
     mode = chaos_kriging
     training_size = 40
-    quadrature = 20000
 
     [risk]
     method = surrogate_mcs
@@ -282,6 +281,20 @@ class TestRun:
         assert doc["summary"]["evaluations"]["lf"] == 40
         assert doc["summary"]["evaluations"]["hf"] == 30
 
+    def test_quadrature_key_is_accepted_and_inert(self, fast_config, tmp_path):
+        # The basis moments are exact; the key stays known for old configs.
+        with_key = tmp_path / "with.ini"
+        with_key.write_text(FAST_CONFIG.replace(
+            "training_size = 40", "training_size = 40\nquadrature = 1000000"))
+        docs = []
+        for config in (fast_config, with_key):
+            out = tmp_path / config.stem
+            assert run_cli("run", "--config", config, "--trials", 1, "--out", out) == 0
+            docs.append(json.loads((out / "report.json").read_text()))
+        without, with_ = docs
+        assert with_["config"]["surrogate"].pop("quadrature") == "1000000"
+        assert with_ == without
+
     @pytest.mark.parametrize("model", ["builtin", "command"])
     def test_threads_do_not_change_results(self, request, tmp_path, model):
         config = (request.getfixturevalue("fast_config") if model == "builtin"
@@ -416,7 +429,7 @@ class TestValidation:
         [
             ("correlation =", "correlaton =", "input.correlaton"),
             ("name = rastrigin\n", "name = rastrigin\ncost = 1\n", "model.cost"),
-            ("quadrature = 20000", "quadrature = 20000\nrestarts = 3", "surrogate.restarts"),
+            ("training_size = 40", "training_size = 40\nrestarts = 3", "surrogate.restarts"),
             ("beta = 0.95", "betta = 0.95", "risk.betta"),
             ("trials = 2", "trails = 2", "run.trails"),
             ("[run]", "[rnu]\ntrials = 2\n\n[run]", "[rnu]"),
@@ -437,7 +450,7 @@ class TestValidation:
     def test_every_offending_field_gets_one_line(self, tmp_path, capsys, no_basis):
         text = (FAST_CONFIG.replace("std=2\n    gaussian", "std=2 sd=9\n    gaussian")
                 .replace("name = rastrigin\n", "name = rastrigin\npath = nowhere.csv\n")
-                .replace("quadrature = 20000", "quadrature = 20000\nrestart = 3")
+                .replace("training_size = 40", "training_size = 40\nrestart = 3")
                 .replace("beta = 0.95", "betta = 0.5")
                 + "\n[rnu]\ntrials = 2\n")
         errors = config_errors(tmp_path, capsys, text)
@@ -460,6 +473,34 @@ class TestValidation:
         cfg.write_text(FAST_CONFIG.replace("interaction_order = 1\ndegree = 2", orders))
         assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: {expected}"]
+
+    @pytest.mark.parametrize("command", ["run", "fit"])
+    def test_oversized_moment_is_one_config_error(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        # At S = 3, five mutually correlated uniform inputs share one moment
+        # whose first Gauss-Hermite grid has 32^5 points.
+        from tailrisk import basis
+
+        def integrate(*args):
+            raise AssertionError("a moment was integrated before the grids were checked")
+
+        monkeypatch.setattr(basis, "_group_moment", integrate)
+        text = (FAST_CONFIG
+                .replace("gaussian mean=0 std=2\n    gaussian mean=0 std=2",
+                         "\n    ".join(["uniform lower=0 upper=1"] * 5))
+                .replace("1.0 0.9\n    0.9 1.0", "\n    ".join(
+                    " ".join("1.0" if i == j else "0.3" for j in range(5)) for i in range(5)))
+                .replace("interaction_order = 1\ndegree = 2", "interaction_order = 3\ndegree = 3")
+                .replace("training_size = 40", "training_size = 60"))
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(text)
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: surrogate.interaction_order: the moment with exponents "
+            "{0: 1, 1: 1, 2: 1, 3: 1, 4: 1} needs 33554432 Gauss-Hermite points, "
+            "more than the cap of 1048576"
+        ]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_seed_is_one_config_error(self, tmp_path, capsys, no_basis, where):

@@ -159,6 +159,19 @@ class TestDatasetModel:
         path.write_text("x1,x2,y\n1,2,3\n1.0,2.0,3.0\n")
         assert DatasetModel(path).evaluate_batch(np.array([[1.0, 2.0]]))[0] == 3.0
 
+    @pytest.mark.parametrize("columns, width", [(1, 2), (3, 2), (2, 1)])
+    def test_point_width_must_match_input_columns(self, tmp_path, columns, width):
+        # Not a lookup miss: no row of another width could ever match.
+        path = tmp_path / "runs.csv"
+        names = ",".join(f"x{k}" for k in range(1, columns + 1))
+        path.write_text(f"{names},y\n" + ",".join(["1"] * (columns + 1)) + "\n")
+        with pytest.raises(ValueError) as err:
+            DatasetModel(path).evaluate_batch(np.ones((3, width)))
+        assert not isinstance(err.value, KeyError)
+        assert str(err.value) == (
+            f"dataset {path} has {columns} inputs per row, the points have {width}"
+        )
+
 
 # The floating-point operations of the builtin ``rastrigin``, one line at a
 # time, so the replies equal it bit for bit.

@@ -200,7 +200,7 @@ class TestEpsilonRiskRegion:
         assert region.mass >= 1.0 - beta
 
     def test_monotone_widening_in_alpha(self, corr09):
-        basis = build_basis(corr09, 1, 2, quadrature=50_000)
+        basis = build_basis(corr09, 1, 2)
         train = sample(corr09, "mc", 60, seed=8)
         sur = fit(train.points, rastrigin(train.points), basis, seed=2)
         candidates = sample(corr09, "mc", 100, seed=9)
@@ -300,7 +300,7 @@ class TestMfis:
                 self.points += len(points)
                 return self.inner.predict_batch(points)
 
-        basis = build_basis(corr09, 1, 2, quadrature=50_000)
+        basis = build_basis(corr09, 1, 2)
         train = sample(corr09, "mc", 40, seed=12)
         sur = fit(train.points, rastrigin(train.points), basis, seed=3)
         candidates = sample(corr09, "mc", 500, seed=13)
@@ -369,7 +369,7 @@ class TestMfis:
         assert abs(mean - exhaustive) <= 0.01 * abs(exhaustive)
 
     def test_coverage_reported_not_failed(self, corr09, capsys):
-        basis = build_basis(corr09, 1, 2, quadrature=50_000)
+        basis = build_basis(corr09, 1, 2)
         missed_fractions = []
         for trial in range(20):
             train = sample(corr09, "mc", 50, seed=100 + trial)
@@ -426,7 +426,7 @@ class TestEstimators:
         assert rep2.evaluations["surrogate"] == 0  # no top-up, no predictions
 
     def test_surrogate_mcs_exact_for_representable_target(self, corr09):
-        basis = build_basis(corr09, 1, 2, quadrature=100_000)
+        basis = build_basis(corr09, 1, 2)
         rng = np.random.default_rng(9)
         coeffs = rng.normal(size=len(basis))
         target = lambda pts: basis.evaluate(np.atleast_2d(pts)) @ coeffs
@@ -442,7 +442,7 @@ class TestEstimators:
         assert via_surrogate.evaluations["surrogate"] == 2000
 
     def test_surrogate_fit_to_constant(self, corr09):
-        basis = build_basis(corr09, 1, 1, quadrature=20_000)
+        basis = build_basis(corr09, 1, 1)
         train = sample(corr09, "mc", 10, seed=12)
         sur = fit(train.points, np.full(10, 2.5), basis, mode="chaos")
         candidates = sample(corr09, "mc", 100, seed=13)

@@ -911,7 +911,7 @@ class TestInvertLower:
 
 class TestModeDominance:
     def test_kriging_beats_chaos_on_rastrigin(self, corr09):
-        basis = build_basis(corr09, 1, 3, quadrature=200_000)
+        basis = build_basis(corr09, 1, 3)
         train = sample(corr09, "mc", 300, seed=123)
         y = rastrigin(train.points)
         krig = fit(train.points, y, basis, seed=5)
@@ -939,6 +939,24 @@ class TestSerialization:
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(v1, v2)
         assert loaded.training_digest() == sur.training_digest()
+
+    def test_artifact_with_sampled_moment_provenance_loads(self, corr09, tmp_path):
+        # Artifacts written while the basis still had a sampled fallback
+        # record which moments it used and the sample count; both are inert.
+        x = sample(corr09, "mc", 30, seed=29).points
+        sur = fixed_theta_fit(x, rastrigin(x), build_basis(corr09, 1, 2), [1.1, 0.9])
+        payload = sur.to_dict()
+        assert payload["basis"]["provenance"] == {"jittered": False,
+                                                  "coordinate_scales": [2.0, 2.0]}
+        payload["basis"]["provenance"] = {"moments": "exact", "quadrature": 1000000,
+                                          **payload["basis"]["provenance"]}
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(payload))
+        loaded = FittedSurrogate.load(path)
+        assert loaded.basis.provenance["quadrature"] == 1000000
+        pts = sample(corr09, "mc", 50, seed=31).points
+        for got, want in zip(loaded.predict_batch(pts), sur.predict_batch(pts)):
+            np.testing.assert_array_equal(got, want)
 
     def test_version_mismatch(self):
         basis = hermite_basis_1d(1)
