@@ -44,7 +44,7 @@ class ConditioningError(TailriskError):
 
 
 class OptimizationError(TailriskError):
-    """Hyperparameter search failed on every start."""
+    """The length-scale search found no finite objective (the outputs' squares overflow)."""
 
 
 class InsufficientMassError(TailriskError):

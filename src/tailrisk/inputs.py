@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -38,6 +38,15 @@ __all__ = [
 _SCHEMES = ("mc", "sobol", "lhs")
 
 
+def _check_finite(marginal):
+    """Raise ``InvalidModelError`` naming the first non-finite parameter of ``marginal``."""
+    for field in fields(marginal):
+        value = getattr(marginal, field.name)
+        if not math.isfinite(value):
+            kind = type(marginal).__name__.lower()
+            raise InvalidModelError(f"{kind} {field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Normal marginal with the given mean and standard deviation."""
@@ -46,6 +55,7 @@ class Gaussian:
     std: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.std > 0.0:
             raise InvalidModelError(f"gaussian std must be positive, got {self.std}")
 
@@ -65,6 +75,7 @@ class Uniform:
     upper: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.lower < self.upper:
             raise InvalidModelError(
                 f"uniform bounds must satisfy lower < upper, got [{self.lower}, {self.upper}]"
@@ -91,6 +102,7 @@ class Lognormal:
     cov_percent: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.mean > 0.0:
             raise InvalidModelError(f"lognormal mean must be positive, got {self.mean}")
         if not self.cov_percent > 0.0:

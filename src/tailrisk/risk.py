@@ -108,7 +108,8 @@ def var_cvar(values, probabilities, beta: float) -> tuple[float, float]:
     Raises
     ------
     ValueError
-        Empty input, a non-finite value, or ``beta`` outside (0, 1).
+        Empty input, a non-finite value, not one weight per value, a
+        negative or non-finite weight, or ``beta`` outside (0, 1).
     InsufficientMassError
         Total weight below ``1 - beta`` (the tail is not covered).
     """
@@ -118,6 +119,10 @@ def var_cvar(values, probabilities, beta: float) -> tuple[float, float]:
         raise ValueError("cannot estimate a tail from zero outputs")
     if not np.all(np.isfinite(values)):
         raise ValueError("cannot estimate a tail from non-finite outputs")
+    if probs.shape != values.shape:
+        raise ValueError(f"need one weight per output, got {probs.size} for {values.size} outputs")
+    if not np.all(probs >= 0.0) or not np.all(np.isfinite(probs)):
+        raise ValueError("weights must be non-negative and finite")
     order, k = _tail_index(values, probs, beta)
     sorted_values = values[order]
     var = float(sorted_values[k])

@@ -27,11 +27,12 @@ ladder stops at its first singular rung after a factorizable one, and the
 polish ends at its first singular evaluation, so neither pays for
 factorizations past the wall.  The search keeps two factorizations: the
 last one, which serves the Jacobian that follows the residuals at the
-same length scales, and the best one so far, with its Jacobian, which
-serves the start of the next run (the first explore run starts at the
-best ladder rung, the polish at the best explore endpoint).  So nothing
-is factorized or differentiated twice.  It takes each endpoint's
-objective from the solver's residuals.  Each Jacobian column costs one
+same length scales, and the best one evaluated so far, with its
+Jacobian.  The best starts the next run (the first explore run at the
+best ladder rung, the polish at the best explore endpoint), so nothing
+is factorized or differentiated twice, and it is the search's result:
+the solver accepts only steps that lower the objective, so each run
+ends at the best point it evaluated.  Each Jacobian column costs one
 triangular product: with ``G = R^-1``, the identity ``G R = I`` turns
 the Gaussian kernel's ``diag(G dR G)`` into column norms of ``L^T S G``
 (``S`` the diagonal of scaled coordinates), and the exponential
@@ -350,22 +351,28 @@ def _loo_jacobian(theta, inputs, state, kind):
     return jac
 
 
+def _penalty_residuals(outputs):
+    """Residual vector scored where R is numerically singular.
+
+    Every entry is ``sqrt(_PENALTY (1 + b^T b) / n)``, so its sum of squares
+    is a large finite penalty and the plateau it spans is flat.
+    """
+    n = len(outputs)
+    return np.full(n, np.sqrt(_PENALTY * (1.0 + float(outputs @ outputs)) / max(n, 1)))
+
+
 def loo_cv_objective(theta, inputs, outputs, kind="gaussian") -> float:
     """Leave-one-out cross-validation criterion ``b^T R^-1 diag(R^-1)^-2 R^-1 b``.
 
-    A numerically singular correlation matrix yields a large finite
-    penalty so that a search routine retreats rather than aborts.
+    A numerically singular correlation matrix scores the sum of squares of
+    the penalty residuals, so that a search routine retreats rather than
+    aborts.
     """
     outputs = np.asarray(outputs, dtype=float)
-    state = _loo_state(np.asarray(theta, dtype=float), inputs, outputs, kind)
-    return _loo_objective(_loo_residuals(state), outputs)
-
-
-def _loo_objective(residuals, outputs) -> float:
-    """Sum of squared LOO residuals, or the penalty when R was singular."""
-    if residuals is None:
-        return _PENALTY * (1.0 + float(outputs @ outputs))
-    return float(residuals @ residuals)
+    res = _loo_residuals(_loo_state(np.asarray(theta, dtype=float), inputs, outputs, kind))
+    if res is None:
+        res = _penalty_residuals(outputs)
+    return float(res @ res)
 
 
 def default_theta_bounds(inputs) -> np.ndarray:
@@ -387,25 +394,23 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     order: the best rung of a deterministic isotropic probe ladder, a
     short-scale anchor a tenth of the way up the box in log scale, the box
     center, and two log-uniform draws from ``seed``.  *Polish* runs it
-    once more, at scipy's default tolerances, from the explore endpoint
-    with the lowest objective.  The search keeps the last and the best
-    factorization, and the best one's Jacobian, so no theta is factorized
-    twice in a row, and the starts of the first explore run and of the
-    polish are neither factorized nor differentiated again.
+    once more, at scipy's default tolerances, from the best explore
+    endpoint.  The search keeps the last and the best factorization, and
+    the best one's Jacobian, so no theta is factorized twice in a row, and
+    the starts of the first explore run and of the polish are neither
+    factorized nor differentiated again.
 
     Length scales whose correlation matrix is numerically singular score
     the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
     to long scales and stops at its first singular rung after a
-    factorizable one.  The polish ends at its first singular evaluation
-    and keeps the best point it evaluated: past that wall the objective
-    is flat, and crawling along it gains at most a few parts in 1e4.
-    Every later residual request of that run gets the penalty without a
-    factorization, so the solver's step shrinks until its own ``xtol``
-    test stops it.  The best ladder rung or solver endpoint is returned.
-    The solver only accepts steps that lower the objective, so no
-    endpoint is worse than its start, and the returned objective never
-    exceeds the best explore endpoint's.  If every solver run fails, the
-    candidates are the ladder rungs alone.
+    factorizable one.  The polish ends at its first singular evaluation:
+    past that wall the objective is flat, and crawling along it gains at
+    most a few parts in 1e4.  Every later residual request of that run
+    gets the penalty without a factorization, so the solver's step shrinks
+    until its own ``xtol`` test stops it.  The best point evaluated is
+    returned, which is the best rung or endpoint: the solver only accepts
+    steps that lower the objective, so each run ends at the best point it
+    evaluated.  When no length scale factorizes, it is the first rung.
 
     Returns
     -------
@@ -418,25 +423,33 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         number of correlation matrices factorized and how many of them
         were singular; and whether no solver run converged
         (``fallback``).
+
+    Raises
+    ------
+    OptimizationError
+        No objective is finite: the squares of the outputs overflow.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     outputs = np.asarray(outputs, dtype=float)
     bounds = default_theta_bounds(inputs)
     log_lo, log_hi = np.log(bounds[:, 0]), np.log(bounds[:, 1])
-
-    penalty_scale = np.sqrt(
-        _PENALTY * (1.0 + float(outputs @ outputs)) / max(len(outputs), 1)
-    )
+    # Deterministic isotropic ladder across the box: cheap probes that keep
+    # narrow minima from being missed and seed the solver in their basin.
+    rungs = [log_lo + q * (log_hi - log_lo) for q in np.linspace(0.02, 0.98, 16)]
+    penalty = _penalty_residuals(outputs)
 
     # Two states are kept.  The solver asks for the Jacobian right after
     # the residuals at the same theta, which the last state serves.  Each
-    # run starts where an earlier evaluation was the best so far: the
-    # first explore run at the best ladder rung, the polish at the best
-    # explore endpoint, whose Jacobian the solver has also had.  So the
-    # best state is kept too, with its Jacobian.  The computation is
-    # deterministic, so a reused value equals a recomputed one.
+    # run starts at the best point evaluated so far: the first explore run
+    # at the best ladder rung, the polish at the best explore endpoint,
+    # whose Jacobian the solver has also had.  So the best state is kept
+    # too, with its Jacobian and its log theta, the search's result; until
+    # a length scale factorizes, that is the first rung with the penalty.
+    # The computation is deterministic, so a reused value equals a
+    # recomputed one.
     last = {"key": None, "state": None}
-    best = {"objective": np.inf, "key": None, "state": None, "jacobian": None}
+    best = {"objective": float(penalty @ penalty), "log_theta": rungs[0]}
+    best.update(key=None, state=None, jacobian=None)
     counts = {"factorizations": 0, "singular_factorizations": 0}
     # Whether the current solver run ends at the wall, and whether it has.
     wall = {"stop": False, "reached": False}
@@ -458,17 +471,21 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
             last.update(key=key, state=state)
         return last["state"]
 
-    def residuals_at(theta):
+    def residuals_at(log_theta):
+        theta = np.exp(log_theta)
         res = _loo_residuals(state_at(theta))
         if res is not None and (obj := float(res @ res)) < best["objective"]:
-            best.update(objective=obj, key=theta.tobytes(), state=last["state"], jacobian=None)
+            best.update(
+                objective=obj, log_theta=np.array(log_theta), key=theta.tobytes(),
+                state=last["state"], jacobian=None,
+            )
         return res
 
     def residual_fn(log_theta):
-        res = None if wall["reached"] else residuals_at(np.exp(log_theta))
+        res = None if wall["reached"] else residuals_at(log_theta)
         if res is None:
             wall["reached"] = wall["stop"]
-            return np.full(len(outputs), penalty_scale)
+            return penalty
         return res
 
     def jacobian_fn(log_theta, *_):
@@ -485,16 +502,10 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         return jac
 
     rng = np.random.default_rng(seed)
-
-    candidates = []
     runs = []
 
     def solve(start, phase, tolerances):
-        """One solver run; returns ``(objective, log endpoint)`` or None.
-
-        A polish run ends at the wall.  The solver only moves to a point
-        that lowers the objective, so it returns the best point it evaluated.
-        """
+        """One solver run, recorded in ``runs``; a polish run ends at the wall."""
         wall.update(stop=phase == "polish", reached=False)
         try:
             result = least_squares(
@@ -503,69 +514,51 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
             )
         except Exception as exc:  # keep searching from the other starts
             runs.append({"phase": phase, "start": np.exp(start).tolist(), "error": str(exc)})
-            return None
-        theta = np.exp(result.x)
-        res = result.fun  # the endpoint's residuals; the penalty vector on the plateau
-        obj = _loo_objective(None if (res == penalty_scale).all() else res, outputs)
-        candidates.append((obj, theta))
+            return
         runs.append(
             {
                 "phase": phase,
                 "start": np.exp(start).tolist(),
-                "theta": theta.tolist(),
-                "objective": obj,
+                "theta": np.exp(result.x).tolist(),
+                "objective": float(result.fun @ result.fun),
                 "nfev": int(result.nfev),
                 "njev": int(result.njev),
                 "status": int(result.status),
                 "wall": wall["reached"],
             }
         )
-        return obj, result.x
 
-    # Deterministic isotropic ladder across the box: cheap probes that keep
-    # narrow minima from being missed and seed the solver in their basin.
     # The rungs lengthen every scale, which brings R closer to singular, so
     # the first singular rung after a factorizable one ends the ladder.
-    probe_best = None
     factorizable = False
-    for q in np.linspace(0.02, 0.98, 16):
-        log_theta = log_lo + q * (log_hi - log_lo)
-        res = residuals_at(np.exp(log_theta))
-        obj = _loo_objective(res, outputs)
-        candidates.append((obj, np.exp(log_theta)))
-        if probe_best is None or obj < probe_best[0]:
-            probe_best = (obj, log_theta)
-        if res is not None:
+    for log_theta in rungs:
+        if residuals_at(log_theta) is not None:
             factorizable = True
         elif factorizable:
             break
 
     # The short-scale anchor keeps one start where R is always factorizable
     # (near-diagonal), so smooth-kernel searches never begin on a penalty
-    # plateau; the box center and seeded draws cover the rest.  The
-    # probe-best rung goes first, while it is still the best state kept.
-    anchor = log_lo + 0.1 * (log_hi - log_lo)
-    starts = [probe_best[1], anchor, 0.5 * (log_lo + log_hi)]
+    # plateau; the box center and seeded draws cover the rest.  The best
+    # rung goes first, while it is still the best state kept.
+    starts = [best["log_theta"], log_lo + 0.1 * (log_hi - log_lo), 0.5 * (log_lo + log_hi)]
     for _ in range(2):
         starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
-    explored = []
     for start in starts:
-        run = solve(start, "explore", _EXPLORE_TOLERANCES)
-        if run is not None:
-            explored.append(run)
+        solve(start, "explore", _EXPLORE_TOLERANCES)
     # Explore runs from different starts often share a basin; only the
     # best endpoint pays for the solver's slow final convergence.
-    if explored:
-        solve(min(explored, key=lambda run: run[0])[1], "polish", {})
-    solver_ok = any(run.get("status", 0) > 0 for run in runs)
+    if any("error" not in run for run in runs):
+        solve(best["log_theta"], "polish", {})
 
-    finite = [(obj, th) for obj, th in candidates if np.isfinite(obj)]
-    if not finite:
+    if not np.isfinite(best["objective"]):
         raise OptimizationError(
-            f"every hyperparameter start failed; diagnostics: {runs}"
+            "the LOO objective is not finite at any length scale, because the squares "
+            f"of the training outputs overflow; rescale them. Diagnostics: {runs}"
         )
-    best_obj, best_theta = min(finite, key=lambda item: item[0])
-    return best_theta, {"objective": best_obj, "fallback": not solver_ok, "runs": runs, **counts}
+    solver_ok = any(run.get("status", 0) > 0 for run in runs)
+    info = {"objective": best["objective"], "fallback": not solver_ok, "runs": runs}
+    return np.exp(best["log_theta"]), {**info, **counts}
 
 
 def _training_data(training_inputs, training_outputs, basis, mode):

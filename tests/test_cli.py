@@ -569,8 +569,13 @@ class TestValidation:
              ["[0]: gaussian takes mean and std once as name=value, got 'mean=5'"]),
             (["lognormal mean=1", "uniform upper=1"],
              ["[0]: lognormal needs cov", "[1]: uniform needs lower"]),
+            (["gaussian mean=nan std=2"], ["[0]: gaussian mean must be finite, got nan"]),
+            (["gaussian mean=0 std=inf"], ["[0]: gaussian std must be finite, got inf"]),
+            (["uniform lower=-inf upper=1"], ["[0]: uniform lower must be finite, got -inf"]),
+            (["lognormal mean=inf cov=10"], ["[0]: lognormal mean must be finite, got inf"]),
         ],
-        ids=["missing", "unknown", "no-equals", "repeated", "every-line-fails"],
+        ids=["missing", "unknown", "no-equals", "repeated", "every-line-fails",
+             "nan-mean", "inf-std", "inf-lower", "inf-lognormal-mean"],
     )
     def test_marginal_parameters_are_checked(self, tmp_path, capsys, no_basis, marginals,
                                              expected):

@@ -57,6 +57,25 @@ class TestConstruction:
         with pytest.raises(InvalidModelError):
             marginal()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Gaussian(math.nan, 2.0), "gaussian mean must be finite, got nan"),
+            (lambda: Gaussian(0.0, math.inf), "gaussian std must be finite, got inf"),
+            (lambda: Uniform(-math.inf, 1.0), "uniform lower must be finite, got -inf"),
+            (lambda: Uniform(0.0, math.inf), "uniform upper must be finite, got inf"),
+            (lambda: Lognormal(math.inf, 10.0), "lognormal mean must be finite, got inf"),
+            (lambda: Lognormal(1.0, math.nan), "lognormal cov_percent must be finite, got nan"),
+        ],
+        ids=["gaussian-mean", "gaussian-std", "uniform-lower", "uniform-upper",
+             "lognormal-mean", "lognormal-cov"],
+    )
+    def test_rejects_non_finite_marginal_parameters(self, make, message):
+        # Such a marginal once sampled non-finite points.
+        with pytest.raises(InvalidModelError) as err:
+            make()
+        assert str(err.value) == message
+
     def test_lognormal_moment_matching(self):
         m = Lognormal(0.144, 6.0)
         pts = m.from_gauss(np.random.default_rng(0).standard_normal(2_000_000))

@@ -159,6 +159,16 @@ class TestDatasetModel:
         path.write_text("x1,x2,y\n1,2,3\n1.0,2.0,3.0\n")
         assert DatasetModel(path).evaluate_batch(np.array([[1.0, 2.0]]))[0] == 3.0
 
+    @pytest.mark.parametrize("row", ["1,1,nan", "1,inf,2", "-inf,1,2"])
+    def test_non_finite_value_is_refused(self, tmp_path, row):
+        # A nan output is not reported as a repeat with another output.
+        path = tmp_path / "runs.csv"
+        path.write_text(f"x1,x2,y\n0,0,1\n{row}\n")
+        bad = next(v for v in row.split(",") if not math.isfinite(float(v)))
+        with pytest.raises(ValueError) as err:
+            DatasetModel(path)
+        assert str(err.value) == f"dataset {path} line 3: {bad!r} is not a finite number"
+
     @pytest.mark.parametrize("columns, width", [(1, 2), (3, 2), (2, 1)])
     def test_point_width_must_match_input_columns(self, tmp_path, columns, width):
         # Not a lookup miss: no row of another width could ever match.

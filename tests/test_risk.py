@@ -95,6 +95,17 @@ class TestVarCvar:
         with pytest.raises(ValueError, match="non-finite"):
             var_cvar(values, np.full(10, 0.1), 0.8)
 
+    @pytest.mark.parametrize(
+        "probs",
+        [np.full(10, 0.1), np.full(3, 0.4), np.array([-0.1, 0.3, 0.3, 0.3, 0.2]),
+         np.array([np.nan, 0.25, 0.25, 0.25, 0.25]), np.array([np.inf, 0.1, 0.1, 0.1, 0.1])],
+        ids=["more-weights", "fewer-weights", "negative", "nan", "inf"],
+    )
+    def test_weights_must_fit_the_values(self, probs):
+        # Ten weights for five values once gave the first five's answer.
+        with pytest.raises(ValueError, match="weight"):
+            var_cvar(np.arange(5.0), probs, 0.8)
+
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5, 2.0])
     def test_bad_beta(self, beta):
         with pytest.raises(ValueError):

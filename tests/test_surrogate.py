@@ -17,6 +17,7 @@ from tailrisk import (
     Gaussian,
     InputModel,
     KernelSpec,
+    OptimizationError,
     build_basis,
     fit,
     loo_cv_objective,
@@ -532,6 +533,34 @@ class TestOptimizeTheta:
         theta, _ = optimize_theta(x, np.linspace(-1, 1, 5), seed=0)
         assert np.all((bounds[:, 0] <= theta) & (theta <= bounds[:, 1]))
 
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    def test_result_is_the_best_factorizable_evaluation(self, kind, monkeypatch):
+        # The solver accepts only steps that lower the objective, so the
+        # best point evaluated is also the best solver endpoint.
+        x, b = wall_training_set()
+        objectives = []
+        original = surrogate_mod._loo_residuals
+
+        def recording(state):
+            res = original(state)
+            if res is not None:
+                objectives.append(float(res @ res))
+            return res
+
+        monkeypatch.setattr(surrogate_mod, "_loo_residuals", recording)
+        theta, info = optimize_theta(x, b, kind=kind, seed=3)
+        assert info["objective"] == min(objectives)
+        assert info["objective"] == min(run["objective"] for run in info["runs"])
+        assert loo_cv_objective(theta, x, b, kind) == info["objective"]
+
+    def test_overflowing_outputs_raise(self):
+        # The squares of these outputs overflow, so no objective is
+        # finite, not even the penalty.
+        x, b = cosine_training_set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OptimizationError, match="overflow"):
+                optimize_theta(x, 1e160 * b, seed=3)
+
 
 def two_solve_variance(sur, pts):
     """Predictive variance the long way: two Cholesky solves against ``r``
@@ -695,12 +724,31 @@ def unmemoized_optimize_theta(inputs, outputs, kind, seed, stop_at_wall=True):
     return best_theta, {"objective": best_obj, "fallback": not solver_ok, "runs": runs}
 
 
+def cosine_training_set():
+    x = np.random.default_rng(67).uniform(-2, 2, size=(25, 2))
+    return x, np.cos(x[:, 0]) * x[:, 1]
+
+
+def singular_training_set():
+    """A pair 1e-9 apart makes R singular everywhere in the search box."""
+    x = np.array([[0.0], [1e-9], [0.3], [0.7], [1.0]])
+    return x, np.array([1.0, 2.0, 0.0, -1.0, 0.5])
+
+
 class TestLooMemo:
-    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
-    def test_memo_leaves_search_unchanged_and_saves_evaluations(self, kind, monkeypatch):
-        rng = np.random.default_rng(67)
-        x = rng.uniform(-2, 2, size=(25, 2))
-        b = np.cos(x[:, 0]) * x[:, 1]
+    @pytest.mark.parametrize(
+        "kind, training_set",
+        [
+            pytest.param("gaussian", cosine_training_set, id="gaussian"),
+            pytest.param("exponential", cosine_training_set, id="exponential"),
+            # Every rung is singular, so the result is the first rung.
+            pytest.param("gaussian", singular_training_set, id="gaussian-singular"),
+        ],
+    )
+    def test_memo_leaves_search_unchanged_and_saves_evaluations(
+        self, kind, training_set, monkeypatch
+    ):
+        x, b = training_set()
         seen = []
         original = surrogate_mod._loo_state
 
@@ -856,9 +904,7 @@ class TestLooJacobian:
         np.testing.assert_allclose(rinv_diag, np.diag(cho_solve(factor, np.eye(len(b)))), rtol=1e-12)
 
     def test_singular_theta_gives_penalty_and_flat_jacobian(self, monkeypatch):
-        # A pair 1e-9 apart makes R singular at the long end of the box.
-        x = np.array([[0.0], [1e-9], [0.3], [0.7], [1.0]])
-        b = np.array([1.0, 2.0, 0.0, -1.0, 0.5])
+        x, b = singular_training_set()
         log_hi = np.log(default_theta_bounds(x)[:, 1])
         assert surrogate_mod._loo_state(np.exp(log_hi), x, b, "gaussian") is None
         seen = []
