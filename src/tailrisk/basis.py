@@ -8,9 +8,11 @@ Gauss-Hermite quadrature in the Gaussian-copula space, and whiten: with
 orthonormal under the input measure.
 
 Each entry of ``G`` is a mixed moment ``E[prod_k X_k^e_k]`` over at most
-``2S`` coordinates.  They split into groups that are independent under
-the model's correlation, and each group's moment is an expectation over
-its latent ``z ~ N(0, C)``:
+``2S`` coordinates.  Coordinates in different dependence blocks are
+independent, so ``G`` is the elementwise product of one table per block,
+over pairs of the block's distinct exponent rows.  A table cell splits
+into groups that are independent under the model's correlation, and each
+group's moment is an expectation over its latent ``z ~ N(0, C)``:
 
 * lognormal factors tilt the Gaussian measure,
   ``E[p(z) e^{t.z}] = e^{t.C t/2} E[p(z + C t)]``, and leave the integrand;
@@ -39,7 +41,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import lapack, solve_triangular
 
-from .exceptions import PositiveDefinitenessError
+from .exceptions import ArtifactError, PositiveDefinitenessError
 from .inputs import Gaussian, InputModel, Lognormal, _dependence_blocks
 
 __all__ = [
@@ -208,8 +210,6 @@ class OrthonormalBasis:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OrthonormalBasis":
-        from .exceptions import ArtifactError
-
         if payload.get("format") != ARTIFACT_FORMAT:
             raise ArtifactError(f"not a basis artifact: {payload.get('format')!r}")
         if payload.get("version") != ARTIFACT_VERSION:
@@ -235,14 +235,6 @@ class OrthonormalBasis:
             raise ArtifactError(f"basis artifact has no {exc.args[0]!r} field") from exc
         except (TypeError, ValueError) as exc:
             raise ArtifactError(f"malformed basis artifact: {exc}") from exc
-
-
-def _lower_cholesky(matrix: np.ndarray):
-    """LAPACK Cholesky returning (factor, failing 1-based pivot or 0)."""
-    factor, info = lapack.dpotrf(matrix, lower=1)
-    if info != 0:
-        return None, info
-    return np.tril(factor), 0
 
 
 def whiten(
@@ -276,13 +268,13 @@ def whiten(
         scale = _scale_diagonal(index_set, coordinate_scales)
     scaled = gram * np.outer(scale, scale)
 
-    jittered = False
-    factor, pivot = _lower_cholesky(scaled)
-    if factor is None:
+    # dpotrf gives the failing 1-based pivot, or 0, and zeroes the upper triangle.
+    factor, pivot = lapack.dpotrf(scaled, lower=1)
+    jittered = pivot != 0
+    if jittered:
         jitter = 1e-12 * np.trace(scaled) / size
-        factor, pivot = _lower_cholesky(scaled + jitter * np.eye(size))
-        jittered = True
-        if factor is None:
+        factor, pivot = lapack.dpotrf(scaled + jitter * np.eye(size), lower=1)
+        if pivot:
             raise PositiveDefinitenessError(
                 f"moment matrix is not positive definite (pivot {pivot})"
             )
@@ -308,16 +300,16 @@ def _hermite_grid(nodes_per_axis) -> tuple:
     return points, weights
 
 
-def _first_grid_points(marginals, exponents) -> int:
-    """Points of the first tensor grid :func:`_group_moment` integrates on.
+def _grid_points(marginals, exponents, uniform_nodes: int) -> int:
+    """Points of a tensor grid :func:`_group_moment` integrates on.
 
-    Lognormal coordinates need no axis, each uniform axis starts at
-    ``_UNIFORM_NODES`` nodes, and each Gaussian axis takes the node count
+    Lognormal coordinates need no axis, each uniform axis has
+    ``uniform_nodes`` nodes, and each Gaussian axis takes the node count
     that is exact for the group's Gaussian polynomial degree.
     """
-    gaussian = [e for m, e in zip(marginals, exponents) if isinstance(m, Gaussian)]
+    gaussian = [int(e) for m, e in zip(marginals, exponents) if isinstance(m, Gaussian)]
     n_uniform = sum(not isinstance(m, (Gaussian, Lognormal)) for m in marginals)
-    return _UNIFORM_NODES**n_uniform * (sum(gaussian) // 2 + 1) ** len(gaussian)
+    return uniform_nodes**n_uniform * (sum(gaussian) // 2 + 1) ** len(gaussian)
 
 
 def _group_moment(marginals, corr: np.ndarray, exponents) -> float:
@@ -361,10 +353,9 @@ def _group_moment(marginals, corr: np.ndarray, exponents) -> float:
         return math.exp(log_scale) * integrate(0)[0]
     nodes = _UNIFORM_NODES
     previous, _ = integrate(nodes)
-    gaussian_points = gaussian_nodes ** (len(rest) - n_uniform)
     while (
         nodes < _UNIFORM_MAX_NODES
-        and (2 * nodes) ** n_uniform * gaussian_points <= _MAX_GRID
+        and _grid_points(rest_marginals, rest_exponents, 2 * nodes) <= _MAX_GRID
     ):
         nodes *= 2
         current, magnitude = integrate(nodes)
@@ -383,10 +374,13 @@ def _group_moment(marginals, corr: np.ndarray, exponents) -> float:
 def _exact_moment_matrix(index_set: MultiIndexSet, model: InputModel) -> np.ndarray:
     """Moment matrix ``G = E[M(X) M(X)^T]`` by Gauss-Hermite quadrature.
 
-    Exact (to rounding) for Gaussian and lognormal marginals.  Moments
-    with uniform factors are refined until successive estimates agree to
-    a relative ``1e-10``; a ``RuntimeWarning`` says when the grid limit
-    stops them short.  Moments shared by several entries are computed once.
+    ``G`` is the elementwise product of one table per dependence block,
+    whose cell for two of the block's distinct exponent rows is the product
+    of the moments of the independent groups their sum splits into.  Exact
+    (to rounding) for Gaussian and lognormal marginals.  Moments with
+    uniform factors are refined until successive estimates agree to a
+    relative ``1e-10``; a ``RuntimeWarning`` says when the grid limit stops
+    them short.  Moments shared by several cells are computed once.
 
     Raises
     ------
@@ -395,44 +389,46 @@ def _exact_moment_matrix(index_set: MultiIndexSet, model: InputModel) -> np.ndar
         have more than ``_MAX_GRID`` points; the message names the
         moment's exponents, the grid size and the cap.
     """
-    idx = index_set.indices
-    corr = model.correlation
-    marginals = model.marginals
-    size = len(index_set)
-
-    # Split every entry into moments of independent groups first, so that
-    # an oversized grid is found before any integration starts.
-    groups = {}
-    entries = []
-    moments = {}
-    for a in range(size):
-        for b in range(a, size):
-            exponents = idx[a] + idx[b]
-            support = tuple(int(k) for k in np.flatnonzero(exponents))
+    corr, marginals = model.correlation, model.marginals
+    # List every group moment before integrating any, so that an oversized
+    # grid is found first.  Cells follow each table's upper triangle row by
+    # row; moments go in the order that G's upper triangle first needs them.
+    groups, moments, tables = {}, {}, []
+    for block in _dependence_blocks(corr):
+        position = {}
+        block_rows = map(tuple, index_set.indices[:, block].tolist())
+        inverse = [position.setdefault(row, len(position)) for row in block_rows]
+        first = np.unique(inverse, return_index=True)[1].tolist()
+        cells = []
+        for (i, u), (j, v) in itertools.combinations_with_replacement(enumerate(position), 2):
+            exponents = {k: a + b for k, a, b in zip(block, u, v) if a + b}
+            support = tuple(exponents)
             if support not in groups:
                 blocks = _dependence_blocks(corr[np.ix_(support, support)])
-                groups[support] = [[support[i] for i in block] for block in blocks]
-            keys = [(tuple(g), tuple(int(e) for e in exponents[g])) for g in groups[support]]
-            moments.update(dict.fromkeys(keys))
-            entries.append(keys)
+                groups[support] = [tuple(support[p] for p in g) for g in blocks]
+            keys = [(g, tuple(exponents[k] for k in g)) for g in groups[support]]
+            moments.update((k, (first[i], first[j], k[0][0])) for k in keys if k not in moments)
+            cells.append(keys)
+        tables.append((inverse, len(position), cells))
 
-    for group, exponents in moments:
-        points = _first_grid_points([marginals[k] for k in group], exponents)
+    order = sorted(moments, key=moments.get)
+    for group, exponents in order:
+        points = _grid_points([marginals[k] for k in group], exponents, _UNIFORM_NODES)
         if points > _MAX_GRID:
             raise ValueError(
                 f"the moment with exponents {dict(zip(group, exponents))} needs "
                 f"{points} Gauss-Hermite points, more than the cap of {_MAX_GRID}"
             )
-    for group, exponents in moments:
+    for group, exponents in order:
         moments[group, exponents] = _group_moment(
             [marginals[k] for k in group], corr[np.ix_(group, group)], exponents
         )
 
-    gram = np.empty((size, size))
-    keys = iter(entries)
-    for a in range(size):
-        for b in range(a, size):
-            gram[a, b] = gram[b, a] = math.prod(moments[k] for k in next(keys))
+    gram = np.ones((len(index_set),) * 2)
+    for inverse, distinct, cells in tables:
+        upper, table = np.triu_indices(distinct), np.empty((distinct, distinct))
+        table[upper] = table[upper[::-1]] = [math.prod(map(moments.get, keys)) for keys in cells]
+        gram *= table[np.ix_(inverse, inverse)]
     return gram
 
 

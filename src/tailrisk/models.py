@@ -147,9 +147,9 @@ class DatasetModel(ModelHandle):
     Inputs are matched by their canonical 15-significant-digit rendering,
     so a design written out and read back hits exactly.  A miss raises
     :class:`DatasetLookupError`.  A row whose length differs from the
-    header's, a non-finite value, or an input repeated with a different
-    output, is a ``ValueError`` naming the file and line; an exact repeat
-    is allowed.
+    header's, a non-numeric or non-finite value, or an input repeated with
+    a different output, is a ``ValueError`` naming the file and line; an
+    exact repeat is allowed.
     Points with another number of coordinates than the file's input
     columns are a ``ValueError`` naming both counts.
     """
@@ -172,9 +172,13 @@ class DatasetModel(ModelHandle):
                 where = f"dataset {path} line {reader.line_num}"
                 if len(row) != len(header):
                     raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
-                values = [float(v) for v in row]
-                for text, value in zip(row, values):
-                    if not math.isfinite(value):
+                values = []
+                for text in row:
+                    try:
+                        values.append(float(text))
+                    except ValueError:
+                        raise ValueError(f"{where}: {text!r} is not a number") from None
+                    if not math.isfinite(values[-1]):
                         raise ValueError(f"{where}: {text!r} is not a finite number")
                 key, y = _dataset_key(values[:-1]), values[-1]
                 if self._table.setdefault(key, y) != y:

@@ -427,7 +427,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     Raises
     ------
     OptimizationError
-        No objective is finite: the squares of the outputs overflow.
+        Before any length scale is tried, if the squares of the outputs overflow.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     outputs = np.asarray(outputs, dtype=float)
@@ -450,6 +450,12 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     last = {"key": None, "state": None}
     best = {"objective": float(penalty @ penalty), "log_theta": rungs[0]}
     best.update(key=None, state=None, jacobian=None)
+    # The best objective only ever falls, so one finite here stays finite.
+    if not np.isfinite(best["objective"]):
+        raise OptimizationError(
+            "the squares of the training outputs overflow, so no LOO objective "
+            "is finite; rescale them"
+        )
     counts = {"factorizations": 0, "singular_factorizations": 0}
     # Whether the current solver run ends at the wall, and whether it has.
     wall = {"stop": False, "reached": False}
@@ -550,12 +556,6 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     # best endpoint pays for the solver's slow final convergence.
     if any("error" not in run for run in runs):
         solve(best["log_theta"], "polish", {})
-
-    if not np.isfinite(best["objective"]):
-        raise OptimizationError(
-            "the LOO objective is not finite at any length scale, because the squares "
-            f"of the training outputs overflow; rescale them. Diagnostics: {runs}"
-        )
     solver_ok = any(run.get("status", 0) > 0 for run in runs)
     info = {"objective": best["objective"], "fallback": not solver_ok, "runs": runs}
     return np.exp(best["log_theta"]), {**info, **counts}

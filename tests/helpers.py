@@ -72,6 +72,42 @@ def correlated_gaussian_gram(index_set, std, rho) -> np.ndarray:
     return gram
 
 
+def per_entry_moment_matrix(index_set, model) -> np.ndarray:
+    """Moment matrix entry by entry: the reference for the block tables.
+
+    Every upper-triangle entry ``E[M_a M_b]`` is split into the moments of
+    the groups of its support that are independent under the model's
+    correlation, and their product is taken in the order of each group's
+    smallest coordinate.  The group moments come from the library's
+    ``_group_moment``, so this checks the assembly, not the quadrature.
+    """
+    from tailrisk.basis import _group_moment
+    from tailrisk.inputs import _dependence_blocks
+
+    idx = index_set.indices
+    corr = model.correlation
+    moments = {}
+    size = len(index_set)
+    gram = np.empty((size, size))
+    for a in range(size):
+        for b in range(a, size):
+            exponents = idx[a] + idx[b]
+            support = np.flatnonzero(exponents)
+            factors = []
+            for block in _dependence_blocks(corr[np.ix_(support, support)]):
+                group = tuple(int(support[i]) for i in block)
+                key = (group, tuple(int(e) for e in exponents[list(group)]))
+                if key not in moments:
+                    moments[key] = _group_moment(
+                        [model.marginals[k] for k in group],
+                        corr[np.ix_(group, group)],
+                        key[1],
+                    )
+                factors.append(moments[key])
+            gram[a, b] = gram[b, a] = math.prod(factors)
+    return gram
+
+
 def brute_force_var_cvar(values, probabilities, beta):
     """Tail statistics by an explicit walk of the descending sort."""
     order = sorted(range(len(values)), key=lambda i: (-values[i], i))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -24,12 +25,46 @@ from tailrisk import (
 from tailrisk import basis as basis_mod
 from tailrisk import exceptions, inputs
 
-from helpers import analytic_gaussian_gram, correlated_gaussian_gram, gaussian_moment
+from helpers import (
+    analytic_gaussian_gram,
+    correlated_gaussian_gram,
+    gaussian_moment,
+    per_entry_moment_matrix,
+)
 
 
 @pytest.fixture(scope="module")
 def corr09():
     return InputModel([Gaussian(0, 2), Gaussian(0, 2)], [[1, 0.9], [0.9, 1]])
+
+
+_MARGINALS = {"g": Gaussian(1.0, 2.0), "l": Lognormal(2.0, 0.4), "u": Uniform(-1.0, 2.0)}
+
+
+def _model(kinds, corr):
+    """Marginals cycling through ``kinds`` ("g", "l", "u"), latent ``corr``."""
+    corr = np.asarray(corr, dtype=float)
+    return InputModel([_MARGINALS[kinds[k % len(kinds)]] for k in range(len(corr))], corr)
+
+
+def _correlated(dimension, pairs, rho=0.5):
+    """Identity with ``rho`` at the listed coordinate pairs."""
+    corr = np.eye(dimension)
+    for i, j in pairs:
+        corr[i, j] = corr[j, i] = rho
+    return corr
+
+
+def _adjacent_pairs(dimension):
+    return _correlated(dimension, [(k, k + 1) for k in range(0, dimension - 1, 2)])
+
+
+def _chain(dimension):
+    return _correlated(dimension, [(k, k + 1) for k in range(dimension - 1)])
+
+
+def _dense(dimension, rho=0.3):
+    return np.full((dimension, dimension), rho) + (1 - rho) * np.eye(dimension)
 
 
 class TestMultiIndexSet:
@@ -111,6 +146,56 @@ class TestMomentMatrix:
         s = multi_index_set(2, 2, 3)
         gram = basis_mod._exact_moment_matrix(s, corr09)
         assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize(
+        "kinds, corr, order, degree",
+        [
+            pytest.param("gl", _adjacent_pairs(6), 2, 3, id="pairs"),
+            pytest.param("lg", _dense(5), 2, 3, id="dense"),
+            pytest.param("gl", _dense(4), 3, 3, id="dense-s3"),
+            pytest.param("gl", _chain(6), 2, 3, id="chain"),
+            pytest.param("lg", np.eye(6), 2, 3, id="independent"),
+            pytest.param("ul", _adjacent_pairs(4), 2, 2, id="pairs-uniform"),
+            pytest.param("gu", _chain(4), 2, 2, id="chain-uniform"),
+            pytest.param("u", _dense(3), 2, 2, id="dense-uniform"),
+            pytest.param("ugl", np.eye(4), 2, 3, id="independent-uniform"),
+        ],
+    )
+    def test_block_tables_match_the_per_entry_assembly(self, kinds, corr, order, degree):
+        # The tables multiply the same group moments in the same order, so
+        # the bits agree whenever no entry's groups from one block fall
+        # between those of another.  In a chain, coordinates two apart
+        # still get separate groups where the link between them is absent.
+        model = _model(kinds, corr)
+        s = multi_index_set(model.dimension, order, degree)
+        gram = basis_mod._exact_moment_matrix(s, model)
+        assert np.array_equal(gram, per_entry_moment_matrix(s, model))
+
+    @pytest.mark.parametrize("kinds", ["gl", "lg"])
+    def test_block_tables_of_an_interleaved_chain_agree_to_rounding(self, kinds):
+        # Coordinates 0-2-4 are chained (C04 = 0), 1 and 3 are independent:
+        # an entry over 0, 1, 3 and 4 multiplies the groups {0} and {4} of
+        # one block first, so it may differ from the per-entry product in
+        # the last bit.
+        model = _model(kinds, _correlated(5, [(0, 2), (2, 4)]))
+        s = multi_index_set(5, 2, 3)
+        gram = basis_mod._exact_moment_matrix(s, model)
+        np.testing.assert_allclose(gram, per_entry_moment_matrix(s, model), rtol=1e-15, atol=0)
+        assert np.array_equal(gram, gram.T)
+
+    def test_memory_is_bounded_by_the_block_tables(self):
+        # Twenty inputs in correlated pairs: G is 631 x 631 (3.2 MB), and
+        # each pair's table is 10 x 10.  A list of moment keys for every
+        # entry of G would peak near 129 MB.
+        model = _model("gl", _adjacent_pairs(20))
+        tracemalloc.start()
+        try:
+            basis = build_basis(model, 2, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == 631
+        assert peak < 32e6
 
     def test_quadrature_below_cardinality_rejected(self, corr09):
         # There is no sample count to get wrong: the sampled estimate and
@@ -327,6 +412,41 @@ class TestExactMoments:
         assert peak < 64e6
         assert str(err.value) == (
             "the moment with exponents {0: 1, 1: 1, 2: 1, 3: 1, 4: 1} needs "
+            f"{32**5} Gauss-Hermite points, more than the cap of {1 << 20}"
+        )
+
+    @pytest.mark.parametrize(
+        "kinds, blocks, named",
+        [
+            # Two blocks of five interleaved: coordinate 0's block comes first
+            # in both the entry order and the block order.
+            pytest.param("u", [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]], [0, 2, 4, 6, 8], id="interleaved"),
+            # Coordinate 0 is Gaussian, so its block's first oversized moment
+            # is over 3..7, in a later entry than the other block's.
+            pytest.param("gu", [[0, 3, 4, 5, 6, 7], [1, 2, 8, 9, 10]], [1, 2, 8, 9, 10],
+                         id="later-block-first"),
+        ],
+    )
+    def test_oversized_grid_refusal_names_the_earliest_entry(self, kinds, blocks, named,
+                                                             monkeypatch):
+        # Across dependence blocks, the refused moment is the one that the
+        # earliest entry of G's upper triangle needs.
+        dimension = sum(map(len, blocks))
+        corr = _correlated(dimension, [p for b in blocks for p in itertools.combinations(b, 2)], 0.3)
+        model = InputModel(
+            [Gaussian(0.0, 1.0) if k == 0 and kinds == "gu" else Uniform(0.0, 1.0)
+             for k in range(dimension)],
+            corr,
+        )
+
+        def integrate(*args):
+            raise AssertionError("a moment was integrated before the grids were checked")
+
+        monkeypatch.setattr(basis_mod, "_group_moment", integrate)
+        with pytest.raises(ValueError) as err:
+            build_basis(model, 3, 3)
+        assert str(err.value) == (
+            f"the moment with exponents {dict.fromkeys(named, 1)} needs "
             f"{32**5} Gauss-Hermite points, more than the cap of {1 << 20}"
         )
 

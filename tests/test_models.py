@@ -169,6 +169,15 @@ class TestDatasetModel:
             DatasetModel(path)
         assert str(err.value) == f"dataset {path} line 3: {bad!r} is not a finite number"
 
+    @pytest.mark.parametrize("row, bad", [("1,2,abc", "abc"), ("1,,2", ""), ("one,1,2", "one")])
+    def test_non_numeric_value_is_refused(self, tmp_path, row, bad):
+        # Named with its file and line, like every other row defect.
+        path = tmp_path / "runs.csv"
+        path.write_text(f"x1,x2,y\n0,0,1\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            DatasetModel(path)
+        assert str(err.value) == f"dataset {path} line 3: {bad!r} is not a number"
+
     @pytest.mark.parametrize("columns, width", [(1, 2), (3, 2), (2, 1)])
     def test_point_width_must_match_input_columns(self, tmp_path, columns, width):
         # Not a lookup miss: no row of another width could ever match.

@@ -553,13 +553,17 @@ class TestOptimizeTheta:
         assert info["objective"] == min(run["objective"] for run in info["runs"])
         assert loo_cv_objective(theta, x, b, kind) == info["objective"]
 
-    def test_overflowing_outputs_raise(self):
+    def test_overflowing_outputs_raise(self, monkeypatch):
         # The squares of these outputs overflow, so no objective is
-        # finite, not even the penalty.
+        # finite, not even the penalty; that is known before any length
+        # scale is tried.
         x, b = cosine_training_set()
+        calls = []
+        monkeypatch.setattr(surrogate_mod, "_loo_state", lambda *args: calls.append(args))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OptimizationError, match="overflow"):
                 optimize_theta(x, 1e160 * b, seed=3)
+        assert calls == []
 
 
 def two_solve_variance(sur, pts):
