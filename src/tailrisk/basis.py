@@ -32,6 +32,7 @@ which collapses to ``C(N+m, m)`` when ``S = N``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -41,6 +42,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import lapack, solve_triangular
 
+from ._blas import matmul
 from .exceptions import ArtifactError, PositiveDefinitenessError
 from .inputs import Gaussian, InputModel, Lognormal, _dependence_blocks
 
@@ -194,7 +196,7 @@ class OrthonormalBasis:
 
     def evaluate(self, points) -> np.ndarray:
         """Orthonormal polynomial values at ``(Q, N)`` points: a ``(Q, L)`` array."""
-        return monomial_matrix(points, self.index_set) @ self.whitening.T
+        return matmul(monomial_matrix(points, self.index_set), self.whitening.T)
 
     def to_dict(self) -> dict:
         return {
@@ -288,9 +290,13 @@ def whiten(
     return OrthonormalBasis(index_set=index_set, whitening=whitening, provenance=prov)
 
 
+# Each node count's Gauss-Hermite rule, built once and shared, so never written to.
+_hermite_rule = functools.cache(hermegauss)
+
+
 def _hermite_grid(nodes_per_axis) -> tuple:
     """Tensor Gauss-Hermite grid for a standard normal vector: (points, weights)."""
-    rules = [hermegauss(n) for n in nodes_per_axis]
+    rules = [_hermite_rule(n) for n in nodes_per_axis]
     points = np.stack(
         np.meshgrid(*(r[0] for r in rules), indexing="ij"), axis=-1
     ).reshape(-1, len(rules))

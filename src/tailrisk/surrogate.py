@@ -2,63 +2,47 @@
 
 A surrogate combines an orthonormal polynomial trend with a zero-mean,
 unit-variance stationary Gaussian process scaled by a process variance.
-Fitting solves the generalized least-squares system
+With ``A`` the basis matrix at the training inputs, ``R = L L^T`` the
+kernel correlation matrix, ``W = L^-1 A`` and ``z = L^-1 b``, the
+generalized least-squares fit is ordinary least squares on the whitened
+system, solved by one thin SVD ``W = U S V^T``:
 
-    c_hat   = (A^T R^-1 A)^-1 A^T R^-1 b
-    sigma^2 = (b - A c_hat)^T R^-1 (b - A c_hat) / L'
+    c_hat   = V S^-1 U^T z
+    sigma^2 = ||z - W c_hat||^2 / L'
 
-where ``A`` is the basis matrix at the training inputs and ``R`` the
-kernel correlation matrix.  The predictor at a new point ``x`` is
+The predictor at a new point ``x``, with ``v = L^-1 r(x)``, is
 
     mean(x) = c_hat . Psi(x) + r(x)^T R^-1 (b - A c_hat)
-    var(x)  = sigma^2 (1 - r^T R^-1 r + u^T (A^T R^-1 A)^-1 u),
-    u       = A^T R^-1 r(x) - Psi(x)
+    var(x)  = sigma^2 (1 - v^T v + ||S^-1 V^T u||^2),
+    u       = W^T v - Psi(x)
 
-which interpolates the training data exactly.  Kernel length scales are
-chosen by minimizing the closed-form leave-one-out residual sum with a
-bounded trust-region-reflective least-squares search that uses the
-analytic gradient ``dR^-1 = -R^-1 dR R^-1`` (Dubrule 1983).  The search
-runs in two phases: it explores with a loose tolerance from several
-starts, for robustness, and then polishes only the best explore endpoint
-at full tolerance, so starts that share a basin do not each pay for the
-solver's slow final convergence.  Length scales whose ``R`` is
-numerically singular (the conditioning wall) score a penalty; the probe
-ladder stops at its first singular rung after a factorizable one, and the
-polish ends at its first singular evaluation, so neither pays for
-factorizations past the wall.  The search keeps two factorizations: the
-last one, which serves the Jacobian that follows the residuals at the
-same length scales, and the best one evaluated so far, with its
-Jacobian.  The best starts the next run (the first explore run at the
-best ladder rung, the polish at the best explore endpoint), so nothing
-is factorized or differentiated twice, and it is the search's result:
-the solver accepts only steps that lower the objective, so each run
-ends at the best point it evaluated.  Each Jacobian column costs one
-triangular product: with ``G = R^-1``, the identity ``G R = I`` turns
-the Gaussian kernel's ``diag(G dR G)`` into column norms of ``L^T S G``
-(``S`` the diagonal of scaled coordinates), and the exponential
-kernel's, in the order that sorts the coordinate, into a product with
-the unit lower triangle of ``R`` (see :func:`_loo_jacobian`).  In
-``"chaos"`` mode the GP term is dropped (``R = I``): the coefficients
-reduce to ordinary least squares and predictions carry zero variance.
+which interpolates the training data exactly.  In ``"chaos"`` mode the GP
+term is dropped (``R = I``, so ``W = A`` and ``z = b``): the same fit gives
+ordinary least squares, and predictions carry zero variance.
+
+Kernel length scales minimize the closed-form leave-one-out residual sum
+(Dubrule 1983) by a bounded trust-region-reflective least-squares search
+with an analytic Jacobian, explored loosely from several starts and
+polished from the best (:func:`optimize_theta`).  Length scales whose
+``R`` is numerically singular (the conditioning wall) score a penalty.
+Each Jacobian column costs one triangular product (:func:`_loo_jacobian`),
+and the search's only inverse, of ``L``, is by recursive blocking
+(:func:`_invert_lower`).  Each search evaluation allocates no n x n matrix
+besides ``R`` (overwritten by ``L`` for the Gaussian kernel), ``L^-1``,
+``G = R^-1`` and one scratch buffer per Jacobian, reused by every column
+(two for the exponential kernel).
 
 The system is built in one place, the :class:`FittedSurrogate`
 constructor, which factors ``R`` once at the chosen length scales.
 Loading an artifact runs the same constructor on the stored training data
 and refuses the artifact when its stored coefficients, process variance
-or training digest disagree with the rebuilt ones.  All solves go through
-Cholesky factorizations and triangular solves.  Only the LOO search
-inverts a matrix, the triangular factor ``L``, whose inverse gives both
-``diag(R^-1)`` and the gradient; it is inverted by recursive 2x2
-blocking, whose off-diagonal blocks are triangular products, because
-OpenBLAS's ``dtrtri`` runs at about half their speed.  Each search
-evaluation allocates no n x n matrix besides ``R`` (overwritten by ``L``
-for the Gaussian kernel), ``L^-1``, ``G`` and one scratch buffer per
-Jacobian, reused by every column (two for the exponential kernel).  The
-factorization of ``R`` and the LOO search's ``R^-1 b`` call LAPACK's
-``dpotrf`` and ``dpotrs`` directly: ``R`` is symmetric, so its
-Fortran-ordered view ``R.T`` reaches LAPACK without a transposing copy,
-and the training data are checked for non-finite values once, up front,
-instead of on every call.  Correlations
+or training digest disagree with the rebuilt ones.  Both modes share one
+fit path and one rank rule; ``R`` enters it only through its Cholesky
+factor and triangular solves.  The factorization of ``R`` and the LOO
+search's ``R^-1 b`` call LAPACK's ``dpotrf`` and ``dpotrs`` directly:
+``R`` is symmetric, so its Fortran-ordered view ``R.T`` reaches LAPACK
+without a transposing copy, and the training data are checked for
+non-finite values once, up front, instead of on every call.  Correlations
 below the smallest normal double are stored as zero, because subnormal
 entries make the products several times slower.  Prediction runs in
 blocks of 1024 rows, which bounds its temporaries to a few megabytes.
@@ -71,12 +55,13 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular, svd
 from scipy.linalg.blas import dgemm, dsymv, dtrmm, dtrmv
 from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
 from scipy.optimize import least_squares
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from ._blas import matmul
 from .basis import OrthonormalBasis
 from .exceptions import (
     ArtifactError,
@@ -194,10 +179,9 @@ def _cholesky(matrix, overwrite=False):
     The factor's upper triangle is zero, which the inverse, ``dlauum`` and
     the column sums of ``L^-1`` in the LOO search rely on.  A factorization
     that succeeds with a pivot below the conditioning cut-off counts as
-    failed.
-    ``matrix.T`` is the same matrix in Fortran order, so LAPACK reads it
-    without a transposing copy, and with ``overwrite`` writes the factor
-    over it.
+    failed.  ``matrix.T`` is the same matrix in Fortran order, so LAPACK
+    reads it without a transposing copy, and with ``overwrite`` writes the
+    factor over it.
     """
     chol, info = dpotrf(matrix.T, lower=1, clean=1, overwrite_a=overwrite)
     if info > 0:
@@ -293,10 +277,8 @@ def _loo_jacobian(theta, inputs, state, kind):
     """
     factor, chol_inv, alpha, c = state
     n = len(alpha)
-    # Products go through scipy's BLAS and LAPACK, not numpy's matmul: the
-    # two can be separate OpenBLAS builds, and at two BLAS threads
-    # alternating their thread pools with the factorizations made each
-    # call several times slower.  A symmetric C-ordered matrix reaches BLAS
+    # Products go through scipy's BLAS and LAPACK, not numpy's matmul (see
+    # ``_blas``).  A symmetric C-ordered matrix reaches BLAS
     # as its Fortran-ordered transpose, without a copy.  ``dlauum`` forms
     # the lower triangle of ``L^-T L^-1`` at about a third of a general
     # product's cost; the upper triangle of ``L^-1`` is zero, so adding the
@@ -358,7 +340,7 @@ def _penalty_residuals(outputs):
     is a large finite penalty and the plateau it spans is flat.
     """
     n = len(outputs)
-    return np.full(n, np.sqrt(_PENALTY * (1.0 + float(outputs @ outputs)) / max(n, 1)))
+    return np.full(n, np.sqrt(_PENALTY * (1.0 + float(matmul(outputs, outputs))) / max(n, 1)))
 
 
 def loo_cv_objective(theta, inputs, outputs, kind="gaussian") -> float:
@@ -372,7 +354,7 @@ def loo_cv_objective(theta, inputs, outputs, kind="gaussian") -> float:
     res = _loo_residuals(_loo_state(np.asarray(theta, dtype=float), inputs, outputs, kind))
     if res is None:
         res = _penalty_residuals(outputs)
-    return float(res @ res)
+    return float(matmul(res, res))
 
 
 def default_theta_bounds(inputs) -> np.ndarray:
@@ -438,17 +420,12 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     rungs = [log_lo + q * (log_hi - log_lo) for q in np.linspace(0.02, 0.98, 16)]
     penalty = _penalty_residuals(outputs)
 
-    # Two states are kept.  The solver asks for the Jacobian right after
-    # the residuals at the same theta, which the last state serves.  Each
-    # run starts at the best point evaluated so far: the first explore run
-    # at the best ladder rung, the polish at the best explore endpoint,
-    # whose Jacobian the solver has also had.  So the best state is kept
-    # too, with its Jacobian and its log theta, the search's result; until
-    # a length scale factorizes, that is the first rung with the penalty.
-    # The computation is deterministic, so a reused value equals a
-    # recomputed one.
+    # The last state serves the Jacobian asked for right after the residuals
+    # at the same theta.  The best one, with its Jacobian and log theta,
+    # starts each run and is the result; until a length scale factorizes, it
+    # is the first rung with the penalty.  Reused values equal recomputed ones.
     last = {"key": None, "state": None}
-    best = {"objective": float(penalty @ penalty), "log_theta": rungs[0]}
+    best = {"objective": float(matmul(penalty, penalty)), "log_theta": rungs[0]}
     best.update(key=None, state=None, jacobian=None)
     # The best objective only ever falls, so one finite here stays finite.
     if not np.isfinite(best["objective"]):
@@ -480,7 +457,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     def residuals_at(log_theta):
         theta = np.exp(log_theta)
         res = _loo_residuals(state_at(theta))
-        if res is not None and (obj := float(res @ res)) < best["objective"]:
+        if res is not None and (obj := float(matmul(res, res))) < best["objective"]:
             best.update(
                 objective=obj, log_theta=np.array(log_theta), key=theta.tobytes(),
                 state=last["state"], jacobian=None,
@@ -526,7 +503,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
                 "phase": phase,
                 "start": np.exp(start).tolist(),
                 "theta": np.exp(result.x).tolist(),
-                "objective": float(result.fun @ result.fun),
+                "objective": float(matmul(result.fun, result.fun)),
                 "nfev": int(result.nfev),
                 "njev": int(result.njev),
                 "status": int(result.status),
@@ -610,70 +587,53 @@ class FittedSurrogate:
             arr.setflags(write=False)
 
     def _build(self):
-        """Trend, process variance and prediction caches from one factorization of R.
+        """Trend, process variance and prediction caches from one whitened system.
 
+        Least squares on ``W = L^-1 A`` and ``z = L^-1 b`` (``A`` and ``b``
+        in ``"chaos"`` mode) by one thin SVD ``W = U S V^T``, and
+        ``R^-1 (b - A c) = L^-T (z - W c)``.  ``W`` is rank deficient, by
+        ``np.linalg.lstsq``'s default rule, when ``S_min <= eps max(n, p) S_max``.
         ``provenance["nugget"]`` records whether R needed the nugget.
         """
-        a = self.basis.evaluate(self.training_inputs)
-        b = self.training_outputs
-        n = len(b)
-        if self.mode == "chaos":
-            coeffs, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-            if rank < a.shape[1]:
-                raise ConditioningError(
-                    "basis matrix is rank deficient; use more samples or a smaller basis"
-                )
-            residual = b - a @ coeffs
-            self.coefficients = coeffs
-            self.process_variance = float(residual @ residual) / n
-            return
-
-        corr = correlation_matrix(self.training_inputs, self.kernel)
-        chol = _cholesky(corr)
-        nugget = chol is None
-        if nugget:
-            corr = corr + _RELATIVE_NUGGET * np.eye(n)
+        whitened = self.basis.evaluate(self.training_inputs)
+        z = self.training_outputs
+        n = len(z)
+        if self.mode == "chaos_kriging":
+            corr = correlation_matrix(self.training_inputs, self.kernel)
             chol = _cholesky(corr)
-        if chol is None:
-            raise ConditioningError(
-                "correlation matrix is numerically singular even with a nugget; "
-                "shrink the length scales or space the training points out"
-            )
-        self.provenance["nugget"] = nugget
-        r_factor = (chol, True)
-        gls = a.T @ cho_solve(r_factor, a)
-        try:
-            self._gls_factor = cho_factor(0.5 * (gls + gls.T), lower=True)
-        except LinAlgError as exc:
+            self.provenance["nugget"] = chol is None
+            if chol is None:
+                chol = _cholesky(corr + _RELATIVE_NUGGET * np.eye(n))
+            if chol is None:
+                raise ConditioningError(
+                    "correlation matrix is numerically singular even with a nugget; "
+                    "shrink the length scales or space the training points out"
+                )
+            whitened = solve_triangular(chol, whitened, lower=True)
+            z = solve_triangular(chol, z, lower=True)
+        u, s, vt = svd(whitened, full_matrices=False, check_finite=False)
+        if not s[-1] > np.finfo(float).eps * max(whitened.shape) * s[0]:  # also NaN
             raise ConditioningError(
                 "generalized least-squares system is rank deficient; "
                 "use more samples or a smaller basis"
-            ) from exc
-        self.coefficients = cho_solve(self._gls_factor, a.T @ cho_solve(r_factor, b))
-        residual = b - a @ self.coefficients
-        self.process_variance = max(
-            float(residual @ cho_solve(r_factor, residual)) / n, 0.0
-        )
-        self._chol = chol
-        # W = L^-1 A, so that A^T R^-1 r = W^T (L^-1 r) at prediction time.
-        self._whitened_basis = solve_triangular(chol, a, lower=True)
-        # Two refinement sweeps pin the solve residual near machine level,
-        # which is what the training-point interpolation identity rides on.
-        w = cho_solve(r_factor, residual)
-        for _ in range(2):
-            w = w + cho_solve(r_factor, residual - corr @ w)
-        self._rinv_residual = w
+            )
+        self.coefficients = matmul(vt.T, matmul(u.T, z) / s)
+        residual = z - matmul(whitened, self.coefficients)
+        self.process_variance = float(matmul(residual, residual)) / n
+        if self.mode == "chaos_kriging":
+            self._chol, self._whitened_basis, self._trend_map = chol, whitened, vt / s[:, None]
+            self._rinv_residual = solve_triangular(chol, residual, lower=True, trans="T")
 
     def _predict(self, points, with_variance):
         """Means, and raw unclamped variances when ``with_variance``.
 
-        With ``L`` the Cholesky factor of ``R`` and ``v = L^-1 r``, the
-        variance needs one triangular solve per block:
-        ``r^T R^-1 r = v^T v`` and ``u = W^T v - Psi``.
+        With ``v = L^-1 r``, the variance needs one triangular solve per
+        block: ``r^T R^-1 r = v^T v`` and ``u = W^T v - Psi``, whose trend
+        term ``u^T (W^T W)^-1 u`` is ``||S^-1 V^T u||^2``.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         psi = self.basis.evaluate(pts)
-        means = psi @ self.coefficients
+        means = matmul(psi, self.coefficients)
         if self.mode == "chaos":
             return means, np.zeros(len(pts)) if with_variance else None
 
@@ -681,16 +641,14 @@ class FittedSurrogate:
         for lo in range(0, len(pts), _PREDICT_BLOCK):
             hi = min(lo + _PREDICT_BLOCK, len(pts))
             r = cross_correlation(pts[lo:hi], self.training_inputs, self.kernel)
-            means[lo:hi] += r @ self._rinv_residual
+            means[lo:hi] += matmul(r, self._rinv_residual)
             if not with_variance:
                 continue
             # ``r.T`` is Fortran-ordered and no longer needed: solve in place.
-            v = solve_triangular(
-                self._chol, r.T, lower=True, overwrite_b=True, check_finite=False
-            )
+            v = solve_triangular(self._chol, r.T, lower=True, overwrite_b=True, check_finite=False)
             q_interp = np.einsum("ij,ij->j", v, v)
-            u = self._whitened_basis.T @ v - psi[lo:hi].T
-            q_trend = np.einsum("ij,ij->j", u, cho_solve(self._gls_factor, u))
+            trend = matmul(self._trend_map, matmul(self._whitened_basis.T, v) - psi[lo:hi].T)
+            q_trend = np.einsum("ij,ij->j", trend, trend)
             variances[lo:hi] = self.process_variance * (1.0 - q_interp + q_trend)
         return means, variances
 

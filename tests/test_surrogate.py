@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +302,39 @@ class TestFitting:
             means, _ = sur.predict_batch(test_pts)
             np.testing.assert_allclose(means, truth, atol=1e-6)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("nugget", [False, True])
+    def test_fit_matches_normal_equations(self, kind, nugget):
+        # c = (A^T R^-1 A)^-1 A^T R^-1 b and sigma^2 = (b - A c)^T R^-1 (b - A c) / n,
+        # solved through the normal matrix, on well-conditioned sets.
+        x = np.random.default_rng(67).normal(size=(40, 2))
+        if nugget:  # a pair whose correlation is exactly 1
+            x = np.vstack([[[0.0, 0.0], [1e-20, 0.0]], x])
+        b = np.sin(x[:, 0]) + x[:, 1] ** 2
+        theta = [0.5, 0.5] if kind == "gaussian" else [1.0, 1.0]
+        sur = fixed_theta_fit(x, b, hermite_basis_2d(1, 2), theta, kind)
+        assert sur.provenance["nugget"] is nugget
+        _, factor, a, gls_factor = normal_equations(sur)
+        coeffs = cho_solve(gls_factor, a.T @ cho_solve(factor, b))
+        residual = b - a @ coeffs
+        np.testing.assert_allclose(
+            sur.coefficients, coeffs, rtol=0, atol=1e-12 * np.abs(coeffs).max()
+        )
+        variance = residual @ cho_solve(factor, residual) / len(b)
+        assert sur.process_variance == pytest.approx(variance, rel=1e-12, abs=0)
+
+    def test_chaos_fit_matches_lstsq(self):
+        basis = hermite_basis_2d(2, 3)
+        x = np.random.default_rng(71).normal(size=(30, 2))
+        b = np.sin(x[:, 0]) + x[:, 1] ** 2
+        sur = fit(x, b, basis, mode="chaos")
+        coeffs, squares, rank, _ = np.linalg.lstsq(basis.evaluate(x), b, rcond=None)
+        assert rank == len(basis)
+        np.testing.assert_allclose(
+            sur.coefficients, coeffs, rtol=0, atol=1e-12 * np.abs(coeffs).max()
+        )
+        assert sur.process_variance == pytest.approx(squares[0] / len(b), rel=1e-12, abs=0)
+
     def test_variance_nonnegative_before_clamp(self):
         basis = hermite_basis_2d(1, 2)
         rng = np.random.default_rng(13)
@@ -566,16 +600,23 @@ class TestOptimizeTheta:
         assert calls == []
 
 
-def two_solve_variance(sur, pts):
-    """Predictive variance the long way: two Cholesky solves against ``r``
-    plus one refinement sweep, and ``A^T R^-1 r`` from the full solve."""
+def normal_equations(sur):
+    """The textbook generalized least-squares system at ``sur``'s length
+    scales: ``R`` (with the nugget when the fit took it), its Cholesky
+    factor, ``A`` and the Cholesky factor of the normal matrix ``A^T R^-1 A``."""
     corr = correlation_matrix(sur.training_inputs, sur.kernel)
     if sur.provenance["nugget"]:
         corr = corr + _RELATIVE_NUGGET * np.eye(len(corr))
     factor = cho_factor(corr, lower=True)
     a = sur.basis.evaluate(sur.training_inputs)
     gls = a.T @ cho_solve(factor, a)
-    gls_factor = cho_factor(0.5 * (gls + gls.T), lower=True)
+    return corr, factor, a, cho_factor(0.5 * (gls + gls.T), lower=True)
+
+
+def two_solve_variance(sur, pts):
+    """Predictive variance the long way: two Cholesky solves against ``r``
+    plus one refinement sweep, and ``A^T R^-1 r`` from the full solve."""
+    corr, factor, a, gls_factor = normal_equations(sur)
     r = cross_correlation(pts, sur.training_inputs, sur.kernel)
     rinv_r = cho_solve(factor, r.T)
     rinv_r += cho_solve(factor, r.T - corr @ rinv_r)
@@ -1007,6 +1048,22 @@ class TestSerialization:
         pts = sample(corr09, "mc", 50, seed=31).points
         for got, want in zip(loaded.predict_batch(pts), sur.predict_batch(pts)):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["chaos-kriging", "chaos"])
+    def test_normal_equation_artifact_loads(self, mode):
+        # Written by the fit that solved the normal matrix A^T R^-1 A (and
+        # chaos mode by lstsq); the whitened fit rebuilds the same system.
+        path = Path(__file__).parent / "data" / f"gls-{mode}.json"
+        payload = json.loads(path.read_text())
+        sur = FittedSurrogate.load(path)
+        stored = np.asarray(payload["coefficients"])
+        np.testing.assert_allclose(
+            sur.coefficients, stored, rtol=0, atol=1e-12 * np.abs(stored).max()
+        )
+        assert sur.process_variance == pytest.approx(payload["process_variance"], rel=1e-12)
+        means, _ = sur.predict_batch(sur.training_inputs)
+        if sur.mode == "chaos_kriging":
+            np.testing.assert_allclose(means, sur.training_outputs, rtol=1e-8)
 
     def test_version_mismatch(self):
         basis = hermite_basis_1d(1)
