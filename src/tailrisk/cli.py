@@ -29,6 +29,7 @@ import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +67,7 @@ PRESETS = {
         "run": {**_EXAMPLE1["run"], "seed": "20241"},
     },
     "example2": {
-        "input": {
-            "marginals": "\ngaussian mean=0 std=2\ngaussian mean=0 std=2",
-            "correlation": "\n1.0 0.9\n0.9 1.0",
-        },
+        "input": _EXAMPLE1["input"],
         "model": {"kind": "builtin", "name": "cross_in_tray"},
         "surrogate": {"interaction_order": "1", "degree": "4",
                       "kernel": "exponential", "mode": "chaos_kriging",
@@ -101,6 +99,17 @@ def _holds(predicate, describe):
 
 _AT_LEAST_0 = _holds(lambda v: v >= 0, "must be >= 0")
 _AT_LEAST_1 = _holds(lambda v: v >= 1, "must be >= 1")
+
+
+def _benchmark(text):
+    """``None`` when empty, ``"auto"``, or the number the text spells."""
+    if text in ("", "auto"):
+        return text or None
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"must be 'auto' or a number, got {text!r}") from None
+
 
 # The [model] keys of each kind, the model's source first. Each has an lf_
 # twin; a key is known only where its kind (or lf_kind) matches.
@@ -135,8 +144,10 @@ _SCHEMA = (
     ("risk", "alpha", float, "0.05", _holds(lambda v: 0 < v <= 1, "must be in (0, 1]")),
     ("risk", "samples", int, "10000", _AT_LEAST_1),
     ("risk", "subsample_size", int, "0", _AT_LEAST_0),
-    ("risk", "scheme", str, "mc", _one_of(inputs._SCHEMES)),
-    ("risk", "benchmark", str, "", None),
+    ("risk", "scheme", str, "mc", _one_of(inputs.SCHEMES)),
+    ("risk", "benchmark", _benchmark, None,
+     _holds(lambda v: v == "auto" or (v != 0 and math.isfinite(v)),
+            "must be 'auto' or a finite nonzero number")),
     ("run", "trials", int, "1", _AT_LEAST_1),
     ("run", "seed", int, "0", _AT_LEAST_0),
     ("run", "threads", int, "1", _AT_LEAST_1),
@@ -265,13 +276,6 @@ class Experiment:
                 issues.append(f"model.{prefix}{_MODEL_KINDS[kind][0]}: required for {kind} models")
         if self.method == "mfis_lf" and not has_lf:
             issues.append("model.lf_name: mfis_lf requires a low-fidelity model")
-
-        self.benchmark_value = None
-        if self.benchmark not in ("", "auto"):
-            try:
-                self.benchmark_value = float(self.benchmark)
-            except ValueError:
-                issues.append(f"risk.benchmark: must be 'auto' or a number, got {self.benchmark!r}")
 
         orders = (self.interaction_order, self.degree)
         if (self.method in SURROGATE_METHODS and self.input_model is not None
@@ -412,7 +416,7 @@ def run_experiment(exp: Experiment) -> dict:
     benchmark_reports = []
     if exp.benchmark == "auto" and exp.method != "mcs":
         benchmark_reports = _map_trials(exp, lambda k, handles: _benchmark_trial(exp, k, handles))
-    benchmark_value = exp.benchmark_value
+    benchmark_value = exp.benchmark
     if exp.benchmark == "auto":  # an MCS run is its own reference
         benchmark_value = float(np.mean([r.cvar_estimate for r in benchmark_reports or reports]))
 
@@ -432,15 +436,6 @@ def run_experiment(exp: Experiment) -> dict:
         summary["mrd_pct"] = mrd(estimates, benchmark_value)
         summary["nrmsd_pct"] = nrmsd(estimates, benchmark_value)
 
-    def trial_doc(r):
-        return {
-            "seed": r.seed,
-            "var_estimate": r.var_estimate,
-            "cvar_estimate": r.cvar_estimate,
-            "evaluations": r.evaluations,
-            "metadata": r.metadata,
-        }
-
     # The thread count is execution detail, not experiment identity; keep
     # reports byte-identical across --threads settings.
     config_echo = {
@@ -452,8 +447,8 @@ def run_experiment(exp: Experiment) -> dict:
     return {
         "config": config_echo,
         "summary": summary,
-        "trials": [trial_doc(r) for r in reports],
-        "benchmark_trials": [trial_doc(r) for r in benchmark_reports],
+        "trials": [asdict(r) for r in reports],
+        "benchmark_trials": [asdict(r) for r in benchmark_reports],
     }
 
 
@@ -593,12 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", help=f"named preset: {', '.join(sorted(PRESETS))}")
         p.add_argument("--seed", type=int, help="override run.seed")
-        p.add_argument("--trials", type=int, help="override run.trials")
-        p.add_argument("--threads", type=int,
-                       help="override run.threads")
 
     p_run = sub.add_parser("run", help="run a CVaR estimation experiment")
     common(p_run)
+    p_run.add_argument("--trials", type=int, help="override run.trials")
+    p_run.add_argument("--threads", type=int, help="override run.threads")
     p_run.add_argument("--method", choices=risk.METHODS, help="override risk.method")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.set_defaults(fn=_cmd_run)
@@ -629,10 +623,7 @@ def main(argv=None) -> int:
     except ArtifactError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except TailriskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (TailriskError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

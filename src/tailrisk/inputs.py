@@ -36,7 +36,7 @@ __all__ = [
     "sample",
 ]
 
-_SCHEMES = ("mc", "sobol", "lhs")
+SCHEMES = ("mc", "sobol", "lhs")
 
 
 def _check_finite(marginal):
@@ -219,27 +219,6 @@ class InputModel:
         return f"InputModel(dimension={self.dimension})"
 
 
-def _dependence_blocks(corr: np.ndarray):
-    """Connected components of the nonzero off-diagonal graph."""
-    n = corr.shape[0]
-    seen = [False] * n
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and corr[i, j] != 0.0:
-                    seen[j] = True
-                    stack.append(j)
-        blocks.append(tuple(sorted(comp)))
-    return tuple(blocks)
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """Equally weighted realizations of an input vector.
@@ -300,5 +279,5 @@ def sample(model: InputModel, scheme: str, size: int, seed: int) -> SampleSet:
 
         z = ndtri(qmc.LatinHypercube(d=model.dimension, seed=seed).random(size))
     else:
-        raise ValueError(f"unknown sampling scheme {scheme!r}; expected one of {_SCHEMES}")
+        raise ValueError(f"unknown sampling scheme {scheme!r}; expected one of {SCHEMES}")
     return SampleSet(model.transform_gauss(z))

@@ -22,12 +22,12 @@ __all__ = [
 
 
 def _deviations(estimates, benchmark):
-    """``estimates - benchmark``; an empty ensemble or a zero benchmark is refused."""
+    """``estimates - benchmark``; an empty ensemble or a zero or non-finite benchmark is refused."""
     estimates = np.atleast_1d(np.asarray(estimates, dtype=float))
     if estimates.size < 1:
         raise ValueError("an ensemble needs at least one estimate")
-    if benchmark == 0.0:
-        raise ValueError("relative metrics are undefined for a zero benchmark")
+    if benchmark == 0.0 or not np.isfinite(benchmark):
+        raise ValueError(f"relative metrics need a finite nonzero benchmark, got {benchmark}")
     return estimates - benchmark
 
 

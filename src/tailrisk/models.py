@@ -334,13 +334,13 @@ class CommandModel(ModelHandle):
 
 
 def evaluate_model(model, points) -> np.ndarray:
-    """Evaluate a model at many points; accepts handles or plain callables."""
+    """Evaluate a model at many points: a handle, or a callable called once on
+    the batch, whose errors propagate and which must return one value per point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(model, ModelHandle):
         return model.evaluate_batch(points)
-    # Errors raised by the callable propagate; only a result of the wrong
-    # shape (a per-point callable) falls back to row-by-row evaluation.
     result = np.asarray(model(points), dtype=float)
     if result.shape != (len(points),):
-        result = np.array([float(model(row)) for row in points])
+        raise ValueError(f"a model callable must return shape {(len(points),)}, "
+                         f"got {result.shape}")
     return result

@@ -410,6 +410,8 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     ------
     OptimizationError
         Before any length scale is tried, if the squares of the outputs overflow.
+    Exception
+        Whatever a solver run raises, uncaught: no start is skipped.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     outputs = np.asarray(outputs, dtype=float)
@@ -490,14 +492,10 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     def solve(start, phase, tolerances):
         """One solver run, recorded in ``runs``; a polish run ends at the wall."""
         wall.update(stop=phase == "polish", reached=False)
-        try:
-            result = least_squares(
-                residual_fn, start, jac=jacobian_fn,
-                bounds=(log_lo, log_hi), method="trf", **tolerances,
-            )
-        except Exception as exc:  # keep searching from the other starts
-            runs.append({"phase": phase, "start": np.exp(start).tolist(), "error": str(exc)})
-            return
+        result = least_squares(
+            residual_fn, start, jac=jacobian_fn,
+            bounds=(log_lo, log_hi), method="trf", **tolerances,
+        )
         runs.append(
             {
                 "phase": phase,
@@ -531,9 +529,8 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         solve(start, "explore", _EXPLORE_TOLERANCES)
     # Explore runs from different starts often share a basin; only the
     # best endpoint pays for the solver's slow final convergence.
-    if any("error" not in run for run in runs):
-        solve(best["log_theta"], "polish", {})
-    solver_ok = any(run.get("status", 0) > 0 for run in runs)
+    solve(best["log_theta"], "polish", {})
+    solver_ok = any(run["status"] > 0 for run in runs)
     info = {"objective": best["objective"], "fallback": not solver_ok, "runs": runs}
     return np.exp(best["log_theta"]), {**info, **counts}
 
@@ -564,21 +561,21 @@ class FittedSurrogate:
     """Trained surrogate; immutable and safe to share across threads.
 
     The constructor builds the whole predictor from the training data;
-    :func:`fit` and :meth:`from_dict` both go through it.
+    :func:`fit` and :meth:`from_dict` both go through it.  ``mode`` follows
+    from the kernel: ``"chaos"`` (the trend alone) when it is ``None``.
     """
 
     def __init__(
         self,
         basis: OrthonormalBasis,
         kernel,
-        mode,
         training_inputs,
         training_outputs,
         provenance=None,
     ):
         self.basis = basis
         self.kernel = kernel
-        self.mode = mode
+        self.mode = "chaos" if kernel is None else "chaos_kriging"
         self.training_inputs = np.array(training_inputs, dtype=float)
         self.training_outputs = np.array(training_outputs, dtype=float)
         self.provenance = dict(provenance or {})
@@ -707,7 +704,7 @@ class FittedSurrogate:
                 kernel = KernelSpec(payload["kernel_kind"], payload["theta"])
                 if kernel.theta.shape != (x.shape[1],):
                     raise ValueError("theta needs one length scale per input")
-            surrogate = cls(basis, kernel, mode, x, b, payload.get("provenance", {}))
+            surrogate = cls(basis, kernel, x, b, payload.get("provenance", {}))
             if payload["training_digest"] != surrogate.training_digest():
                 raise ArtifactError("stored training digest does not match the training data")
             for key in ("coefficients", "process_variance"):
@@ -775,19 +772,19 @@ def fit(
     """
     x, b = _training_data(training_inputs, training_outputs, basis, mode)
     provenance = {"kernel_kind": kernel_kind, "mode": mode, "seed": int(seed)}
-    if mode == "chaos":
-        return FittedSurrogate(basis, None, mode, x, b, provenance)
-
-    if len(np.unique(x, axis=0)) != x.shape[0]:
-        raise DegenerateTrainingError(
-            "duplicate training inputs cannot be interpolated; deduplicate the design"
+    kernel = None
+    if mode == "chaos_kriging":
+        if len(np.unique(x, axis=0)) != x.shape[0]:
+            raise DegenerateTrainingError(
+                "duplicate training inputs cannot be interpolated; deduplicate the design"
+            )
+        theta, opt_info = optimize_theta(x, b, kind=kernel_kind, seed=seed)
+        kernel = KernelSpec(kernel_kind, theta)
+        provenance.update(
+            loo_objective=opt_info["objective"],
+            theta_fallback=opt_info["fallback"],
+            loo_factorizations=opt_info["factorizations"],
+            loo_singular_factorizations=opt_info["singular_factorizations"],
+            theta=kernel.theta.tolist(),
         )
-
-    theta, opt_info = optimize_theta(x, b, kind=kernel_kind, seed=seed)
-    provenance["loo_objective"] = opt_info["objective"]
-    provenance["theta_fallback"] = opt_info["fallback"]
-    provenance["loo_factorizations"] = opt_info["factorizations"]
-    provenance["loo_singular_factorizations"] = opt_info["singular_factorizations"]
-    kernel = KernelSpec(kernel_kind, theta)
-    provenance["theta"] = kernel.theta.tolist()
-    return FittedSurrogate(basis, kernel, mode, x, b, provenance)
+    return FittedSurrogate(basis, kernel, x, b, provenance)

@@ -81,8 +81,7 @@ def per_entry_moment_matrix(index_set, model) -> np.ndarray:
     smallest coordinate.  The group moments come from the library's
     ``_group_moment``, so this checks the assembly, not the quadrature.
     """
-    from tailrisk.basis import _group_moment
-    from tailrisk.inputs import _dependence_blocks
+    from tailrisk.basis import _dependence_blocks, _group_moment
 
     idx = index_set.indices
     corr = model.correlation

@@ -153,3 +153,35 @@ def test_every_module_level_name_has_a_reader():
                            if other != path or j != i):
                     unread.append(f"{path.stem}.{name}")
     assert unread == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(path):
+    """Another package module's underscore names that a file reads, as
+    ``from .x import _y`` or as ``x._y`` on a module it imported."""
+    tree = ast.parse(path.read_text())
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "tailrisk"):
+            for alias in node.names:
+                if node.module in (None, "tailrisk"):  # the module itself
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    reads.append(f"from {'.' * node.level}{node.module} import {alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            reads.append(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_name():
+    # A name another module needs is public; a private module such as
+    # ``_blas`` may still export public names.
+    reads = {path.name: _private_reads(path)
+             for path in sorted(Path(tailrisk.__file__).parent.glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == {}

@@ -513,6 +513,27 @@ class TestValidation:
             "config error: run.seed: must be >= 0, got -1"
         ]
 
+    @pytest.mark.parametrize(
+        "value, problem",
+        [("0", "must be 'auto' or a finite nonzero number, got 0.0"),
+         ("nan", "must be 'auto' or a finite nonzero number, got nan"),
+         ("inf", "must be 'auto' or a finite nonzero number, got inf"),
+         ("-inf", "must be 'auto' or a finite nonzero number, got -inf"),
+         ("abc", "must be 'auto' or a number, got 'abc'")],
+    )
+    def test_bad_benchmark_is_one_config_error(self, tmp_path, capsys, monkeypatch, value,
+                                               problem):
+        from tailrisk import cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a model handle was opened before the config was checked")
+
+        monkeypatch.setattr(cli.Experiment, "build_model", fail)
+        text = (FAST_CONFIG.replace("benchmark = auto", f"benchmark = {value}")
+                .replace("method = surrogate_mcs", "method = mcs"))
+        assert config_errors(tmp_path, capsys, text) == [f"risk.benchmark: {problem}"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key, value", [("name", "rastrgin"), ("lf_name", "rastrigin_lf9")])
     def test_unknown_builtin_model_fails_up_front(self, tmp_path, capsys, no_basis, key, value):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", FAST_CONFIG, flags=re.M)
@@ -715,6 +736,15 @@ class TestFitPredict:
                            "--out", tmp_path / "p.csv") == 0
             predictions.append((tmp_path / "p.csv").read_text())
         assert predictions[0] == predictions[1]
+
+    @pytest.mark.parametrize("flag", ["--trials", "--threads"])
+    def test_fit_takes_no_run_flags(self, fast_config, tmp_path, capsys, flag):
+        # ``fit`` fits trial 0 in one thread, so it offers neither flag.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("fit", "--config", fast_config, flag, 2, "--out", tmp_path / "o")
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_fit_validates_sample_count_rule(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

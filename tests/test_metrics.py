@@ -26,6 +26,12 @@ class TestMrd:
         with pytest.raises(ValueError):
             nrmsd(np.ones(3), 0.0)
 
+    @pytest.mark.parametrize("metric", [mrd, nrmsd])
+    @pytest.mark.parametrize("reference", [np.nan, np.inf, -np.inf])
+    def test_non_finite_benchmark_rejected(self, metric, reference):
+        with pytest.raises(ValueError, match="finite nonzero benchmark"):
+            metric(np.ones(3), reference)
+
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
             mrd(np.array([]), 1.0)

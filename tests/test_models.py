@@ -376,11 +376,19 @@ class TestEvaluateModel:
         pts = np.random.default_rng(2).normal(size=(9, 2))
         np.testing.assert_array_equal(evaluate_model(rastrigin, pts), rastrigin(pts))
 
-    def test_accepts_scalar_callable(self):
+    def test_refuses_a_result_of_the_wrong_shape(self):
+        # A callable is called once on the batch; a per-point callable is
+        # refused, not retried row by row.
         pts = np.random.default_rng(3).normal(size=(4, 2))
-        scalar_fn = lambda x: float(np.sum(np.asarray(x) ** 2))
-        expected = np.sum(pts**2, axis=1)
-        np.testing.assert_allclose(evaluate_model(scalar_fn, pts), expected)
+        calls = []
+
+        def scalar_fn(x):
+            calls.append(np.shape(x))
+            return float(np.sum(np.asarray(x) ** 2))
+
+        with pytest.raises(ValueError, match=r"must return shape \(4,\), got \(\)"):
+            evaluate_model(scalar_fn, pts)
+        assert calls == [(4, 2)]
 
     def test_batch_error_propagates_after_one_call(self):
         calls = []

@@ -73,7 +73,7 @@ def hermite_basis_2d(interaction, degree):
 
 def fixed_theta_fit(x, y, basis, theta, kind="gaussian"):
     """A chaos-Kriging surrogate at the given length scales, no LOO search."""
-    return FittedSurrogate(basis, KernelSpec(kind, theta), "chaos_kriging", x, y)
+    return FittedSurrogate(basis, KernelSpec(kind, theta), x, y)
 
 
 def wall_training_set():
@@ -598,6 +598,20 @@ class TestOptimizeTheta:
             with pytest.raises(OptimizationError, match="overflow"):
                 optimize_theta(x, 1e160 * b, seed=3)
         assert calls == []
+
+    def test_solver_error_propagates(self, monkeypatch):
+        # A failed solver run is an error, not a silent theta fallback.
+        x, b = cosine_training_set()
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(surrogate_mod, "least_squares", failing)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            optimize_theta(x, b, seed=3)
+        assert len(calls) == 1
 
 
 def normal_equations(sur):
