@@ -38,14 +38,19 @@ Loading an artifact runs the same constructor on the stored training data
 and refuses the artifact when its stored coefficients, process variance
 or training digest disagree with the rebuilt ones.  Both modes share one
 fit path and one rank rule; ``R`` enters it only through its Cholesky
-factor and triangular solves.  The factorization of ``R`` and the LOO
+factor and triangular solves.  Once the fit is done, the surrogate keeps
+``L^-1`` in place of ``L``: a product by it gives ``v`` about 2.5 times
+as fast as a triangular solve.  The factorization of ``R`` and the LOO
 search's ``R^-1 b`` call LAPACK's ``dpotrf`` and ``dpotrs`` directly:
 ``R`` is symmetric, so its Fortran-ordered view ``R.T`` reaches LAPACK
 without a transposing copy, and the training data are checked for
 non-finite values once, up front, instead of on every call.  Correlations
 below the smallest normal double are stored as zero, because subnormal
 entries make the products several times slower.  Prediction runs in
-blocks of 1024 rows, which bounds its temporaries to a few megabytes.
+blocks of exactly 1024 rows, one point per row, with a short block padded
+by zero rows.  That bounds its temporaries to a few megabytes, and since
+every block has the same shape, every point is rounded the same way: a
+point's prediction does not depend on the other points in the call.
 """
 
 from __future__ import annotations
@@ -618,35 +623,49 @@ class FittedSurrogate:
         residual = z - matmul(whitened, self.coefficients)
         self.process_variance = float(matmul(residual, residual)) / n
         if self.mode == "chaos_kriging":
-            self._chol, self._whitened_basis, self._trend_map = chol, whitened, vt / s[:, None]
+            self._whitened_basis, self._trend_map = whitened, vt / s[:, None]
             self._rinv_residual = solve_triangular(chol, residual, lower=True, trans="T")
+            # ``L`` is not needed past here, so its inverse takes its memory.
+            self._chol_inv = _invert_lower(chol)
 
     def _predict(self, points, with_variance):
         """Means, and raw unclamped variances when ``with_variance``.
 
-        With ``v = L^-1 r``, the variance needs one triangular solve per
-        block: ``r^T R^-1 r = v^T v`` and ``u = W^T v - Psi``, whose trend
-        term ``u^T (W^T W)^-1 u`` is ``||S^-1 V^T u||^2``.
+        Points go through in blocks of exactly ``_PREDICT_BLOCK`` rows, one
+        point per row; a short block is padded with zero rows, which are
+        dropped at the end.  With ``v = L^-1 r`` as a row, ``r^T R^-1 r =
+        v^T v`` and the trend term ``u^T (W^T W)^-1 u`` is ``||S^-1 V^T
+        u||^2`` with ``u = W^T v - Psi``; one right-side triangular product
+        by the stored ``L^-1`` gives ``v`` for the whole block.  OpenBLAS
+        takes other kernels, which round differently, for the last rows of
+        a block whose row count is not a multiple of its unrolling and for
+        narrow blocks, so only the fixed width makes a point's prediction
+        independent of the other points in the call.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        psi = self.basis.evaluate(pts)
-        means = matmul(psi, self.coefficients)
-        if self.mode == "chaos":
-            return means, np.zeros(len(pts)) if with_variance else None
-
-        variances = np.empty(len(pts)) if with_variance else None
+        means = np.empty(len(pts))
+        variances = np.zeros(len(pts)) if with_variance else None
         for lo in range(0, len(pts), _PREDICT_BLOCK):
             hi = min(lo + _PREDICT_BLOCK, len(pts))
-            r = cross_correlation(pts[lo:hi], self.training_inputs, self.kernel)
-            means[lo:hi] += matmul(r, self._rinv_residual)
-            if not with_variance:
-                continue
-            # ``r.T`` is Fortran-ordered and no longer needed: solve in place.
-            v = solve_triangular(self._chol, r.T, lower=True, overwrite_b=True, check_finite=False)
-            q_interp = np.einsum("ij,ij->j", v, v)
-            trend = matmul(self._trend_map, matmul(self._whitened_basis.T, v) - psi[lo:hi].T)
-            q_trend = np.einsum("ij,ij->j", trend, trend)
-            variances[lo:hi] = self.process_variance * (1.0 - q_interp + q_trend)
+            block = pts[lo:hi]
+            if hi - lo < _PREDICT_BLOCK:
+                block = np.zeros((_PREDICT_BLOCK, pts.shape[1]))
+                block[: hi - lo] = pts[lo:hi]
+            psi = self.basis.evaluate(block)
+            mean = matmul(psi, self.coefficients)
+            if self.mode == "chaos_kriging":
+                r = cross_correlation(block, self.training_inputs, self.kernel)
+                mean += matmul(r, self._rinv_residual)
+                if with_variance:
+                    v = dtrmm(1.0, self._chol_inv, np.asfortranarray(r), side=1, lower=1,
+                              trans_a=1, overwrite_b=1)
+                    # ``dgemm`` takes the Fortran-ordered ``v`` as it is.
+                    u = dgemm(1.0, v, self._whitened_basis) - psi
+                    trend = dgemm(1.0, u, self._trend_map, trans_b=1)
+                    q_interp = np.einsum("ij,ij->i", v, v)
+                    q_trend = np.einsum("ij,ij->i", trend, trend)
+                    variances[lo:hi] = self.process_variance * (1.0 - q_interp + q_trend)[: hi - lo]
+            means[lo:hi] = mean[: hi - lo]
         return means, variances
 
     def predict_mean(self, points):

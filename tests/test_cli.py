@@ -704,6 +704,21 @@ class TestFitPredict:
                        "--points", pts, "--out", pred_path) == 0
         assert pred_path.read_text().strip() == "mean,variance,epsilon"
 
+    def test_predictions_do_not_depend_on_the_points_file(self, fast_config, tmp_path):
+        out = tmp_path / "art"
+        run_cli("fit", "--config", fast_config, "--out", out)
+        points = np.random.default_rng(59).normal(scale=2.0, size=(2000, 2))
+        rows = [3, 1030, 1999]
+        lines = []
+        for name, chosen in (("many", points), ("few", points[rows])):
+            pts = tmp_path / f"{name}.csv"
+            pts.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in chosen.tolist()))
+            assert run_cli("predict", "--artifact", out / "surrogate.json", "--points", pts,
+                           "--out", tmp_path / f"{name}-preds.csv") == 0
+            lines.append((tmp_path / f"{name}-preds.csv").read_text().splitlines())
+        many, few = lines
+        assert len(many) == 2001 and few == [many[0]] + [many[1 + row] for row in rows]
+
     @pytest.mark.parametrize(
         "text",
         ["x1,x2\n0.3\n", "x1\n0.3\n", "x1,x2,x3\n0.1,0.2,0.3\n", "x1,x2\n0.3,abc\n",

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dtrtri
 from scipy.optimize import least_squares
 from scipy.spatial.distance import cdist
@@ -20,6 +20,7 @@ from tailrisk import (
     KernelSpec,
     OptimizationError,
     build_basis,
+    cross_in_tray,
     fit,
     loo_cv_objective,
     multi_index_set,
@@ -647,6 +648,28 @@ def n300_surrogate():
     return fixed_theta_fit(x, y, hermite_basis_2d(1, 3), [0.6, 0.6])
 
 
+@pytest.fixture(scope="module")
+def n200_exponential_surrogate():
+    x = np.random.default_rng(97).normal(scale=2.0, size=(200, 2))
+    return fixed_theta_fit(x, cross_in_tray(x), hermite_basis_2d(1, 4), [1.5, 1.5], "exponential")
+
+
+def triangular_solve_variance(sur, pts):
+    """Predictive variance from a triangular solve by the fit's own ``L``
+    instead of a product by the stored ``L^-1``."""
+    corr = correlation_matrix(sur.training_inputs, sur.kernel)
+    if sur.provenance["nugget"]:
+        corr = corr + _RELATIVE_NUGGET * np.eye(len(corr))
+    chol = surrogate_mod._cholesky(corr)
+    r = cross_correlation(pts, sur.training_inputs, sur.kernel)
+    v = solve_triangular(chol, r.T, lower=True)
+    whitened = solve_triangular(chol, sur.basis.evaluate(sur.training_inputs), lower=True)
+    _, s, vt = np.linalg.svd(whitened, full_matrices=False)
+    trend = (vt / s[:, None]) @ (whitened.T @ v - sur.basis.evaluate(pts).T)
+    q_interp = np.einsum("ij,ij->j", v, v)
+    return sur.process_variance * (1.0 - q_interp + np.einsum("ij,ij->j", trend, trend))
+
+
 class TestPrediction:
     @pytest.mark.parametrize("mode", ["chaos", "chaos_kriging"])
     def test_predict_mean_is_predict_batch_mean(self, mode):
@@ -689,6 +712,41 @@ class TestPrediction:
                  for lo, hi in ((0, 2000), (2000, 6500), (6500, 10_000))]
         for got, want in zip(whole, zip(*parts)):
             assert np.array_equal(got, np.concatenate(want))
+
+    @pytest.mark.parametrize("fixture", ["n300_surrogate", "n200_exponential_surrogate"])
+    def test_a_prediction_does_not_depend_on_its_batch(self, request, fixture):
+        # Slices under about 150 rows and the remainder rows of a block
+        # used to round differently from the same points in a full block.
+        sur = request.getfixturevalue(fixture)
+        pts = np.random.default_rng(101).normal(scale=2.0, size=(10_000, 2))
+        whole = sur._predict(pts, True)
+        cuts = np.random.default_rng(103).choice(np.arange(1, 9_998), size=36, replace=False)
+        # The first four cuts each start a one-point slice.
+        edges = np.unique(np.concatenate([[0, 10_000], cuts, cuts[:4] + 1]))
+        sizes = np.diff(edges)
+        assert len(edges) == 42 and sizes.min() == 1 and np.sum(sizes < 200) >= 10
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            means, variances = sur._predict(pts[lo:hi], True)
+            assert np.array_equal(means, whole[0][lo:hi])
+            assert np.array_equal(variances, whole[1][lo:hi])
+            assert np.array_equal(sur.predict_mean(pts[lo:hi]), means)
+        assert np.array_equal(sur.predict_mean(pts), sur.predict_batch(pts)[0])
+
+    def test_stored_inverse_is_accurate_at_the_conditioning_wall(self, corr09):
+        # ``L^-1`` is formed explicitly, which loses accuracy as cond(L)
+        # grows; this fit's searched theta ends at the pivot cut-off.  There
+        # any independent method, ``two_solve_variance`` included, agrees only
+        # to about cond(R) eps (1e-6 sigma^2), so the reference solves by the same L.
+        train = sample(corr09, "mc", 300, seed=107)
+        sur = fit(train.points, rastrigin(train.points), build_basis(corr09, 1, 3), seed=109)
+        assert not sur.provenance["nugget"]
+        pivots = np.diag(surrogate_mod._cholesky(correlation_matrix(train.points, sur.kernel)))
+        assert (pivots.min() / pivots.max()) ** 2 < 1.05 * surrogate_mod._MIN_DIAG_RATIO_SQ
+        pts = np.vstack([sample(corr09, "mc", 2000, seed=113).points, train.points + 1e-3])
+        _, raw = sur._predict(pts, True)
+        np.testing.assert_allclose(
+            raw, triangular_solve_variance(sur, pts), rtol=0, atol=1e-9 * sur.process_variance
+        )
 
     @pytest.mark.parametrize("method, limit", [("predict_batch", 16e6), ("predict_mean", 10e6)])
     def test_prediction_memory_is_bounded_by_the_block(self, n300_surrogate, method, limit):
