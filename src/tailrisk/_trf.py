@@ -1,0 +1,371 @@
+# Ported from SciPy 1.17.1, whose licence follows.
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+"""Bounded trust-region-reflective least squares (Branch, Coleman & Li 1999).
+
+A port of ``scipy.optimize.least_squares(method="trf")`` from SciPy 1.17.1,
+for the one configuration the LOO search uses: finite bounds, a callable
+Jacobian, the exact trust-region solver (an SVD of the augmented Jacobian),
+linear loss, unit ``x_scale`` and ``max_nfev = 100 len(x0)``.  Ported
+statement for statement from ``_lsq/trf.py`` (``trf_bounds``,
+``select_step``) and ``_lsq/common.py`` (``solve_lsq_trust_region``,
+``intersect_trust_region``, ``update_tr_radius``, ``build_quadratic_1d``,
+``minimize_quadratic_1d``, ``step_size_to_bound``,
+``make_strictly_feasible`` with ``find_active_constraints``,
+``CL_scaling_vector``, ``check_termination``), with the residual memo of
+``VectorFunction``: a point equal to the one evaluated last reuses its
+residuals.  Branches this configuration never reaches are left out, and
+products by the unit scale, which are exact, are dropped.
+``evaluate_quadratic`` becomes the sum of ``build_quadratic_1d``'s two
+coefficients, which rounds the same way.  The products
+stay on numpy's ``.dot``, as in SciPy, so that every iterate is
+bit-identical to SciPy's; ``tests/test_surrogate.py`` checks this.
+
+Importing ``scipy.optimize`` cost each process about 0.1 s and 11.7 MB of
+peak memory (2-core x86-64 VM, SciPy 1.17.1), and the search needs nothing
+else from it.
+"""
+
+from math import copysign
+from types import SimpleNamespace
+
+import numpy as np
+from numpy.linalg import norm
+from scipy.linalg import svd
+
+__all__ = ["least_squares"]
+
+_EPS = np.finfo(float).eps
+
+
+def _intersect_trust_region(x, s, Delta):
+    """Roots ``t`` of ``||x + s t|| = Delta``, the negative one first."""
+    a = np.dot(s, s)
+    if a == 0:
+        raise ValueError("`s` is zero.")
+    b = np.dot(x, s)
+    c = np.dot(x, x) - Delta**2
+    if c > 0:
+        raise ValueError("`x` is not within the trust region.")
+    d = np.sqrt(b * b - a * c)  # Root from one fourth of the discriminant.
+    # Computations below avoid loss of significance, see "Numerical Recipes".
+    q = -(b + copysign(d, b))
+    t1 = q / a
+    t2 = c / q
+    return (t1, t2) if t1 < t2 else (t2, t1)
+
+
+def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max_iter=10):
+    """Moré's (1977) trust-region step from one SVD; returns ``p, alpha``."""
+
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    suf = s * uf
+    # Check if J has full rank and try Gauss-Newton step.
+    full_rank = s[-1] > _EPS * m * s[0] if m >= n else False
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= Delta:
+            return p, 0.0
+    alpha_upper = norm(suf) / Delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and initial_alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    else:
+        alpha = initial_alpha
+    for _ in range(max_iter):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if np.abs(phi) < rtol * Delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    # Make the norm of p equal to Delta, so that p stays in the trust region.
+    p *= Delta / norm(p)
+    return p, alpha
+
+
+def _update_tr_radius(Delta, actual_reduction, predicted_reduction, step_norm, bound_hit):
+    """The next trust-region radius, and the ratio of actual to predicted reduction."""
+    if predicted_reduction > 0:
+        ratio = actual_reduction / predicted_reduction
+    elif predicted_reduction == actual_reduction == 0:
+        ratio = 1
+    else:
+        ratio = 0
+    if ratio < 0.25:
+        Delta = 0.25 * step_norm
+    elif ratio > 0.75 and bound_hit:
+        Delta *= 2.0
+    return Delta, ratio
+
+
+def _build_quadratic_1d(J, g, s, diag, s0=None):
+    """Coefficients of ``t -> q(s0 + s t)``, ``q(p) = p^T (J^T J + diag) p / 2 + g^T p``."""
+    v = J.dot(s)
+    a = np.dot(v, v)
+    a += np.dot(s * diag, s)
+    a *= 0.5
+    b = np.dot(g, s)
+    if s0 is None:
+        return a, b
+    u = J.dot(s0)
+    b += np.dot(u, v)
+    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
+    b += np.dot(s0 * diag, s)
+    c += 0.5 * np.dot(s0 * diag, s0)
+    return a, b, c
+
+
+def _minimize_quadratic_1d(a, b, lb, ub, c=0):
+    """Minimum point and value of ``a t^2 + b t + c`` on ``[lb, ub]``."""
+    t = [lb, ub]
+    if a != 0:
+        extremum = -0.5 * b / a
+        if lb < extremum < ub:
+            t.append(extremum)
+    t = np.asarray(t)
+    y = t * (a * t + b) + c
+    min_index = np.argmin(y)
+    return t[min_index], y[min_index]
+
+
+def _step_size_to_bound(x, s, lb, ub):
+    """Smallest ``t >= 0`` with ``x + s t`` on the bounds, and which bounds it hits."""
+    non_zero = np.nonzero(s)
+    s_non_zero = s[non_zero]
+    steps = np.empty_like(x)
+    steps.fill(np.inf)
+    with np.errstate(over="ignore"):
+        steps[non_zero] = np.maximum((lb - x)[non_zero] / s_non_zero,
+                                     (ub - x)[non_zero] / s_non_zero)
+    min_step = np.min(steps)
+    return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
+
+
+def _make_strictly_feasible(x, lb, ub, rstep):
+    """``x`` moved at least ``rstep`` (relative) inside the bounds; one ulp if 0."""
+    x_new = x.copy()
+    if rstep == 0:
+        upper = x >= ub
+        lower = (x <= lb) & ~upper
+        x_new[lower] = np.nextafter(lb[lower], ub[lower])
+        x_new[upper] = np.nextafter(ub[upper], lb[upper])
+    else:
+        lower_dist, upper_dist = x - lb, ub - x
+        upper = upper_dist <= np.minimum(lower_dist, rstep * np.maximum(1, np.abs(ub)))
+        lower = (lower_dist <= np.minimum(upper_dist, rstep * np.maximum(1, np.abs(lb)))) & ~upper
+        x_new[lower] = lb[lower] + rstep * np.maximum(1, np.abs(lb[lower]))
+        x_new[upper] = ub[upper] - rstep * np.maximum(1, np.abs(ub[upper]))
+    tight_bounds = (x_new < lb) | (x_new > ub)
+    x_new[tight_bounds] = 0.5 * (lb[tight_bounds] + ub[tight_bounds])
+    return x_new
+
+
+def _cl_scaling_vector(x, g, lb, ub):
+    """Coleman-Li scaling vector ``v`` and its derivative ``dv``."""
+    v = np.ones_like(x)
+    dv = np.zeros_like(x)
+    mask = g < 0
+    v[mask] = ub[mask] - x[mask]
+    dv[mask] = -1
+    mask = g > 0
+    v[mask] = x[mask] - lb[mask]
+    dv[mask] = 1
+    return v, dv
+
+
+def _check_termination(dF, F, dx_norm, x_norm, ratio, ftol, xtol):
+    """Status 2 (``ftol``), 3 (``xtol``), 4 (both) or ``None``."""
+    ftol_satisfied = dF < ftol * F and ratio > 0.25
+    xtol_satisfied = dx_norm < xtol * (xtol + x_norm)
+    if ftol_satisfied and xtol_satisfied:
+        return 4
+    if ftol_satisfied:
+        return 2
+    if xtol_satisfied:
+        return 3
+    return None
+
+
+def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
+    """The best of the trust-region, reflected and anti-gradient steps."""
+    # The model's value at a step is its quadratic along the step at t = 1.
+    if np.all((x + p >= lb) & (x + p <= ub)):
+        return p, p_h, -sum(_build_quadratic_1d(J_h, g_h, p_h, diag_h))
+    p_stride, hits = _step_size_to_bound(x, p, lb, ub)
+    # Compute the reflected direction.
+    r_h = np.copy(p_h)
+    r_h[hits.astype(bool)] *= -1
+    r = d * r_h
+    # Restrict trust-region step, such that it hits the bound.
+    p *= p_stride
+    p_h *= p_stride
+    x_on_bound = x + p
+    # The reflected direction crosses either the feasible region's or the
+    # trust region's boundary first.
+    _, to_tr = _intersect_trust_region(p_h, r_h, Delta)
+    to_bound, _ = _step_size_to_bound(x_on_bound, r, lb, ub)
+    # Bounds on the step along the reflected direction, kept strictly feasible.
+    r_stride = min(to_bound, to_tr)
+    if r_stride > 0:
+        r_stride_l = (1 - theta) * p_stride / r_stride
+        r_stride_u = theta * to_bound if r_stride == to_bound else to_tr
+    else:
+        r_stride_l = 0
+        r_stride_u = -1
+    # Check if reflection step is available.
+    if r_stride_l <= r_stride_u:
+        a, b, c = _build_quadratic_1d(J_h, g_h, r_h, diag_h, s0=p_h)
+        r_stride, r_value = _minimize_quadratic_1d(a, b, r_stride_l, r_stride_u, c=c)
+        r_h *= r_stride
+        r_h += p_h
+        r = r_h * d
+    else:
+        r_value = np.inf
+    # Now correct p_h to make it strictly interior.
+    p *= theta
+    p_h *= theta
+    p_value = sum(_build_quadratic_1d(J_h, g_h, p_h, diag_h))
+    ag_h = -g_h
+    ag = d * ag_h
+    to_tr = Delta / norm(ag_h)
+    to_bound, _ = _step_size_to_bound(x, ag, lb, ub)
+    ag_stride = theta * to_bound if to_bound < to_tr else to_tr
+    a, b = _build_quadratic_1d(J_h, g_h, ag_h, diag_h)
+    ag_stride, ag_value = _minimize_quadratic_1d(a, b, 0, ag_stride)
+    ag_h *= ag_stride
+    ag *= ag_stride
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    return ag, ag_h, -ag_value
+
+
+def least_squares(fun, x0, jac, bounds, ftol=1e-8, xtol=1e-8, gtol=1e-8):
+    """Minimize ``||fun(x)||^2 / 2`` over the box ``bounds = (lb, ub)``.
+
+    ``fun(x)`` returns the residual vector at ``x`` and ``jac(x)`` its
+    Jacobian, as ndarrays of one and two dimensions.  Returns ``x``,
+    ``fun`` (the residuals at ``x``), ``cost``, ``nfev``, ``njev`` and
+    ``status``, as SciPy does: 0 when ``max_nfev`` runs out, 1 for
+    ``gtol``, 2 for ``ftol``, 3 for ``xtol`` and 4 for both of the last two.
+    ``ValueError`` if the residuals at the start point are not finite.
+    """
+    lb, ub = (np.asarray(b, dtype=float) for b in bounds)
+    x = _make_strictly_feasible(np.asarray(x0, dtype=float), lb, ub, rstep=1e-10)
+    f = fun(x)
+    J = jac(x)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    x_last, f_last = x, f  # the point evaluated last, and its residuals
+    nfev = njev = 1
+    m, n = J.shape
+    max_nfev = 100 * n
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    v, _ = _cl_scaling_vector(x, g, lb, ub)
+    Delta = norm(x / v**0.5)
+    if Delta == 0:
+        Delta = 1.0
+    f_augmented = np.zeros(m + n)
+    J_augmented = np.empty((m + n, n))
+    alpha = 0.0  # the Levenberg-Marquardt parameter
+    status = None
+    while True:
+        v, dv = _cl_scaling_vector(x, g, lb, ub)
+        g_norm = norm(g * v, ord=np.inf)
+        if g_norm < gtol:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+        # The trust-region problem in "hat" space, solved by one SVD.
+        d = v**0.5
+        diag_h = g * dv
+        g_h = d * g
+        f_augmented[:m] = f
+        J_augmented[:m] = J * d
+        J_h = J_augmented[:m]  # Memory view.
+        J_augmented[m:] = np.diag(diag_h**0.5)
+        U, s, V = svd(J_augmented, full_matrices=False)
+        V = V.T
+        uf = U.T.dot(f_augmented)
+        # theta controls the step back from the bounds.
+        theta = max(0.995, 1 - g_norm)
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:
+            p_h, alpha = _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha)
+            p = d * p_h  # Trust-region solution in the original space.
+            step, step_h, predicted_reduction = _select_step(
+                x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta)
+            x_new = _make_strictly_feasible(x + step, lb, ub, rstep=0)
+            # A step that rounds back to the point evaluated last reuses its
+            # residuals, as SciPy's memo does.
+            if not np.array_equal(x_new, x_last):
+                x_last, f_last = x_new, fun(x_new)
+            f_new = f_last
+            nfev += 1
+            step_h_norm = norm(step_h)
+            if not np.all(np.isfinite(f_new)):
+                Delta = 0.25 * step_h_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            Delta_new, ratio = _update_tr_radius(
+                Delta, actual_reduction, predicted_reduction,
+                step_h_norm, step_h_norm > 0.95 * Delta)
+            status = _check_termination(
+                actual_reduction, cost, norm(step), norm(x), ratio, ftol, xtol)
+            if status is not None:
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            njev += 1
+            g = J.T.dot(f)
+    return SimpleNamespace(x=x, fun=f, cost=cost, nfev=nfev, njev=njev,
+                           status=0 if status is None else status)

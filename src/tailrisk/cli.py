@@ -536,25 +536,32 @@ def _cmd_fit(args) -> int:
 
 def _read_points(path, dimension) -> np.ndarray:
     """The ``x1..xN`` columns of a points CSV, matched by name in any order;
-    columns with other names are ignored."""
+    columns with other names are ignored.  A coordinate that is not a finite
+    number is refused with its line and column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ConfigError([f"points: {path} is empty (no header)"])
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     names = [f"x{k}" for k in range(1, dimension + 1)]
     given = [name for name in header if re.fullmatch(r"x[1-9][0-9]*", name)]
     if sorted(given) != sorted(names):
         raise ConfigError([f"points: {path} has x columns {given}, "
                            f"the surrogate takes x1..x{dimension} once each"])
     coord_cols = [header.index(name) for name in names]
-    if any(len(row) != len(header) for row in rows):
+    if any(len(row) != len(header) for _, row in rows):
         raise ConfigError([f"points: {path} has a row without one value per column"])
-    try:
-        values = [[float(row[i]) for i in coord_cols] for row in rows]
-    except ValueError as exc:
-        raise ConfigError([f"points: {path}: {exc}"]) from None
+    values = []
+    for line, row in rows:
+        for name, col in zip(names, coord_cols):
+            where = f"points: {path} line {line}, column {name}: {row[col]!r}"
+            try:
+                values.append(float(row[col]))
+            except ValueError:
+                raise ConfigError([f"{where} is not a number"]) from None
+            if not math.isfinite(values[-1]):
+                raise ConfigError([f"{where} is not a finite number"])
     return np.array(values, dtype=float).reshape(len(rows), dimension)
 
 

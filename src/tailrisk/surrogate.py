@@ -23,8 +23,11 @@ ordinary least squares, and predictions carry zero variance.
 Kernel length scales minimize the closed-form leave-one-out residual sum
 (Dubrule 1983) by a bounded trust-region-reflective least-squares search
 with an analytic Jacobian, explored loosely from several starts and
-polished from the best (:func:`optimize_theta`).  Length scales whose
-``R`` is numerically singular (the conditioning wall) score a penalty.
+polished from the best (:func:`optimize_theta`).  The solver lives in
+``_trf``, a port of SciPy's ``least_squares(method="trf")`` that spares
+the search the import of ``scipy.optimize``; a test keeps its iterates
+identical to SciPy's.  Length scales whose ``R`` is numerically singular
+(the conditioning wall) score a penalty.
 Each Jacobian column costs one triangular product (:func:`_loo_jacobian`),
 and the search's only inverse, of ``L``, is by recursive blocking
 (:func:`_invert_lower`).  Each search evaluation allocates no n x n matrix
@@ -63,10 +66,10 @@ import numpy as np
 from scipy.linalg import solve_triangular, svd
 from scipy.linalg.blas import dgemm, dsymv, dtrmm, dtrmv
 from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
-from scipy.optimize import least_squares
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from ._blas import matmul
+from ._trf import least_squares
 from .basis import OrthonormalBasis
 from .exceptions import (
     ArtifactError,
@@ -96,12 +99,12 @@ SURROGATE_VERSION = 1
 _RELATIVE_NUGGET = 1e-10
 _PENALTY = 1e25
 _PREDICT_BLOCK = 1024
-# Tolerances of the explore runs of the LOO search; ``gtol`` keeps scipy's
-# default.  The rest of a run's work crawls toward the default ``ftol =
-# xtol = 1e-8``, which only the polish run pays.  Looser stops (1e-3) can
-# end a run partway down a curved valley: on one training set of about
-# 250 tried, that start was the only one leading to the best basin, and
-# the search returned an objective 30% higher.
+# Tolerances of the explore runs of the LOO search; ``gtol`` keeps the
+# solver's default.  The rest of a run's work crawls toward the default
+# ``ftol = xtol = 1e-8``, which only the polish run pays.  Looser stops
+# (1e-3) can end a run partway down a curved valley: on one training set
+# of about 250 tried, that start was the only one leading to the best
+# basin, and the search returned an objective 30% higher.
 _EXPLORE_TOLERANCES = {"ftol": 1e-5, "xtol": 3e-4}
 # Triangular blocks of at most this many rows are inverted by ``dtrtri``;
 # larger ones are split in two (:func:`_invert_lower`).
@@ -381,7 +384,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     order: the best rung of a deterministic isotropic probe ladder, a
     short-scale anchor a tenth of the way up the box in log scale, the box
     center, and two log-uniform draws from ``seed``.  *Polish* runs it
-    once more, at scipy's default tolerances, from the best explore
+    once more, at the solver's default tolerances, from the best explore
     endpoint.  The search keeps the last and the best factorization, and
     the best one's Jacobian, so no theta is factorized twice in a row, and
     the starts of the first explore run and of the polish are neither
@@ -499,7 +502,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         wall.update(stop=phase == "polish", reached=False)
         result = least_squares(
             residual_fn, start, jac=jacobian_fn,
-            bounds=(log_lo, log_hi), method="trf", **tolerances,
+            bounds=(log_lo, log_hi), **tolerances,
         )
         runs.append(
             {

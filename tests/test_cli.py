@@ -13,6 +13,8 @@ import pytest
 import tailrisk
 from tailrisk.cli import REPORT_CSV_HEADER, main
 
+from helpers import run_python
+
 REPO = Path(__file__).parents[1]
 
 FAST_CONFIG = textwrap.dedent(
@@ -738,6 +740,42 @@ class TestFitPredict:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: points: ")
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_predict_refuses_non_finite_points(self, fast_config, tmp_path, capsys, value):
+        out = tmp_path / "art"
+        run_cli("fit", "--config", fast_config, "--out", out)
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"x1,x2\n0.5,-1.0\n\n0.25,{value}\n")
+        capsys.readouterr()
+        code = run_cli("predict", "--artifact", out / "surrogate.json", "--points", pts,
+                       "--out", tmp_path / "p.csv")
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: points: {pts} line 4, column x2: {value!r} is not a finite number"
+        ]
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_no_command_imports_scipy_optimize(self, tmp_path):
+        # The LOO search has its own solver, so a run with the ``mc`` scheme,
+        # a fit and a predict never import scipy.optimize.
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from pathlib import Path
+            from tailrisk.cli import main
+            out = Path({str(tmp_path)!r})
+            (out / "pts.csv").write_text("x1,x2\\n0.5,-1.0\\n")
+            assert main(["run", "--preset", "example1-corr09", "--trials", "1",
+                         "--out", str(out / "run")]) == 0
+            assert main(["fit", "--preset", "example1-corr09", "--out", str(out / "fit")]) == 0
+            assert main(["predict", "--artifact", str(out / "fit" / "surrogate.json"),
+                         "--points", str(out / "pts.csv"), "--out", str(out / "p.csv")]) == 0
+            print(sorted(name for name in sys.modules if name.startswith("scipy.optimize")))
+            """
+        )
+        assert run_python(script).splitlines()[-1] == "[]"
+        assert (tmp_path / "p.csv").exists()
 
     def test_predict_maps_columns_by_name(self, fast_config, tmp_path):
         out = tmp_path / "art"

@@ -31,6 +31,7 @@ from tailrisk import (
     var_cvar,
     whiten,
 )
+from tailrisk import _trf
 from tailrisk import surrogate as surrogate_mod
 from tailrisk.surrogate import (
     _EXPLORE_TOLERANCES,
@@ -431,7 +432,7 @@ class TestOptimizeTheta:
         *explore, polish = calls
         assert len(explore) == 5
         assert all(tol == _EXPLORE_TOLERANCES for _, tol, _ in explore)
-        assert polish[1] == {}  # scipy's default tolerances
+        assert polish[1] == {}  # the solver's default tolerances
         best = min(explore, key=lambda call: call[2].cost)[2]
         assert np.array_equal(polish[0], best.x)
         assert [run["phase"] for run in info["runs"]] == ["explore"] * 5 + ["polish"]
@@ -613,6 +614,140 @@ class TestOptimizeTheta:
         with pytest.raises(RuntimeError, match="solver failed"):
             optimize_theta(x, b, seed=3)
         assert len(calls) == 1
+
+
+def scipy_trf(fun, x0, **kwargs):
+    """SciPy's own solver, called as :func:`optimize_theta` calls the port."""
+    return least_squares(fun, x0, method="trf", **kwargs)
+
+
+def trf_problems():
+    """Small bounded problems ``(fun, jac, x0, lb, ub)``, each reaching one
+    branch of the solver; ``fun`` counts its calls and non-finite returns."""
+    counts = {"calls": 0, "bad": 0}
+
+    def counted(fun):
+        def wrapped(x):
+            res = fun(x)
+            counts["calls"] += 1
+            counts["bad"] += not np.all(np.isfinite(res))
+            return res
+        return wrapped
+
+    def rosenbrock(x):
+        return np.array([10 * (x[1] - x[0] ** 2), 1 - x[0]])
+
+    def past_the_edge(x):  # finite only left of 0.6; the minimum is at 1
+        return np.array([x[0] - 3.0, x[0] + 1.0]) if x[0] < 0.6 else np.full(2, np.inf)
+
+    problems = {
+        # The minimum (1, 1) lies outside the box, past its right edge.
+        "reflected-step": (rosenbrock, lambda x: np.array([[-20 * x[0], 10.0], [-1.0, 0.0]]),
+                           [-1.2, 1.0], [-1.5, -0.5], [0.5, 2.0]),
+        # One residual in two variables: J^T J is singular.
+        "anti-gradient-step": (lambda x: np.array([x[0] + 2 * x[1] - 0.7]),
+                               lambda x: np.array([[1.0, 2.0]]), [0.9, 0.9], [0.0, 0.0], [1.0, 1.0]),
+        # The residuals ignore the second variable: a zero Jacobian column.
+        "rank-deficient": (lambda x: np.array([x[0] - 3.0, 2 * x[0] - 1.0]),
+                           lambda x: np.array([[1.0, 0.0], [2.0, 0.0]]),
+                           [0.5, 0.5], [0.0, 0.0], [1.0, 1.0]),
+        "non-finite": (past_the_edge, lambda x: np.array([[1.0], [1.0]]), [0.1], [0.0], [5.0]),
+        # The penalty plateau of the LOO search: constant residuals, zero
+        # Jacobian.  The start lies on two bounds and is moved inside.
+        "flat-plateau": (lambda x: np.full(3, 7.0), lambda x: np.zeros((3, 2)),
+                         [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]),
+        # Finite only at the start, which no step rounds back to: every
+        # trial shrinks the radius until 100 evaluations are spent.
+        "budget": (lambda x: np.array([1.0]) if x[0] == 0.0 else np.array([np.nan]),
+                   lambda x: np.array([[1.0]]), [0.0], [-1.0], [1.0]),
+        # The first step, 1e-20, rounds back to the start: its residuals are reused.
+        "repeated-point": (lambda x: np.array([1e20 * (x[0] - 0.5) + 1.0]),
+                           lambda x: np.array([[1e20]]), [0.5], [0.0], [1.0]),
+    }
+    return {name: (counted(fun), *rest) for name, (fun, *rest) in problems.items()}, counts
+
+
+class TestTrfPort:
+    """``tailrisk._trf`` against SciPy's solver, the oracle it was ported from."""
+
+    TOLERANCES = [pytest.param(_EXPLORE_TOLERANCES, id="explore"), pytest.param({}, id="default")]
+
+    @staticmethod
+    def assert_same_result(port, oracle):
+        assert port.x.tobytes() == oracle.x.tobytes()
+        assert port.fun.tobytes() == oracle.fun.tobytes()
+        assert np.float64(port.cost).tobytes() == np.float64(oracle.cost).tobytes()
+        assert (port.nfev, port.njev, port.status) == (oracle.nfev, oracle.njev, oracle.status)
+
+    @pytest.mark.parametrize("tolerances", TOLERANCES)
+    @pytest.mark.parametrize(
+        "name", ["reflected-step", "anti-gradient-step", "rank-deficient", "non-finite",
+                 "flat-plateau", "budget", "repeated-point"])
+    def test_iterates_match_scipy(self, name, tolerances, monkeypatch):
+        steps, rank_deficient = set(), [False]
+        select_step, solve_trust_region = _trf._select_step, _trf._solve_lsq_trust_region
+
+        def recording_select(x, J_h, diag_h, g_h, p, p_h, *args):
+            step, step_h, value = select_step(x, J_h, diag_h, g_h, p, p_h, *args)
+            if step is p:
+                steps.add("trust-region")
+            elif np.allclose(step_h / np.linalg.norm(step_h), -g_h / np.linalg.norm(g_h)):
+                steps.add("anti-gradient")
+            else:
+                steps.add("reflected")
+            return step, step_h, value
+
+        def recording_solve(n, m, uf, s, *args):
+            rank_deficient[0] |= m < n or s[-1] <= _trf._EPS * m * s[0]
+            return solve_trust_region(n, m, uf, s, *args)
+
+        problems, counts = trf_problems()
+        fun, jac, x0, lb, ub = problems[name]
+        kwargs = {"jac": jac, "bounds": (np.array(lb), np.array(ub)), **tolerances}
+        oracle = scipy_trf(fun, np.array(x0), **kwargs)
+        oracle_calls = counts["calls"]
+        monkeypatch.setattr(_trf, "_select_step", recording_select)
+        monkeypatch.setattr(_trf, "_solve_lsq_trust_region", recording_solve)
+        counts.update(calls=0, bad=0)
+        port = _trf.least_squares(fun, np.array(x0), **kwargs)
+        self.assert_same_result(port, oracle)
+        assert counts["calls"] == oracle_calls
+        reached = {
+            "reflected-step": "reflected" in steps,
+            "anti-gradient-step": "anti-gradient" in steps,
+            "rank-deficient": rank_deficient[0],
+            "non-finite": counts["bad"] > 0 and port.status > 0,
+            "flat-plateau": (port.nfev, port.status) == (1, 1),
+            "budget": (port.nfev, port.status) == (100, 0),
+            "repeated-point": counts["calls"] < port.nfev,
+        }
+        assert reached[name]
+
+    def test_non_finite_start_is_refused(self):
+        with pytest.raises(ValueError, match="not finite in the initial point"):
+            _trf.least_squares(lambda x: np.array([np.nan, 1.0]), np.array([0.3]),
+                               jac=lambda x: np.zeros((2, 1)), bounds=([0.0], [1.0]))
+
+    @staticmethod
+    def preset_training_sets():
+        from tailrisk import cli
+
+        for preset in sorted(cli.PRESETS):
+            exp = cli.Experiment(cli.load_config(preset=preset))
+            train = sample(exp.input_model, "mc", exp.training_size,
+                           cli._derived_seed(exp.seed, 0, cli._TRAIN))
+            y = exp.build_model().evaluate_batch(train.points)
+            yield preset, train.points, y, exp.kernel, cli._derived_seed(exp.seed, 0, cli._FIT)
+        yield "wall", *wall_training_set(), "gaussian", 3
+
+    def test_search_is_identical_with_scipy_solver(self, monkeypatch):
+        for name, x, y, kind, seed in self.preset_training_sets():
+            theta, info = optimize_theta(x, y, kind=kind, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(surrogate_mod, "least_squares", scipy_trf)
+                want_theta, want_info = optimize_theta(x, y, kind=kind, seed=seed)
+            assert theta.tobytes() == want_theta.tobytes(), name
+            assert repr(info) == repr(want_info), name
 
 
 def normal_equations(sur):
