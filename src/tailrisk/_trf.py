@@ -65,6 +65,9 @@ from scipy.linalg import svd
 __all__ = ["least_squares"]
 
 _EPS = np.finfo(float).eps
+# SciPy's stops for the Levenberg-Marquardt parameter, which ``least_squares`` never overrides.
+_ALPHA_RTOL = 0.01
+_ALPHA_MAX_ITER = 10
 
 
 def _intersect_trust_region(x, s, Delta):
@@ -84,7 +87,7 @@ def _intersect_trust_region(x, s, Delta):
     return (t1, t2) if t1 < t2 else (t2, t1)
 
 
-def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max_iter=10):
+def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha):
     """Moré's (1977) trust-region step from one SVD; returns ``p, alpha``."""
 
     def phi_and_derivative(alpha):
@@ -109,7 +112,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max
         alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
     else:
         alpha = initial_alpha
-    for _ in range(max_iter):
+    for _ in range(_ALPHA_MAX_ITER):
         if alpha < alpha_lower or alpha > alpha_upper:
             alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
         phi, phi_prime = phi_and_derivative(alpha)
@@ -118,7 +121,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max
         ratio = phi / phi_prime
         alpha_lower = max(alpha_lower, alpha - ratio)
         alpha -= (phi + Delta) * ratio / Delta
-        if np.abs(phi) < rtol * Delta:
+        if np.abs(phi) < _ALPHA_RTOL * Delta:
             break
     p = -V.dot(suf / (s**2 + alpha))
     # Make the norm of p equal to Delta, so that p stays in the trust region.

@@ -212,6 +212,8 @@ class OrthonormalBasis:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OrthonormalBasis":
+        if not isinstance(payload, dict):
+            raise ArtifactError("a basis artifact must be a JSON object")
         if payload.get("format") != ARTIFACT_FORMAT:
             raise ArtifactError(f"not a basis artifact: {payload.get('format')!r}")
         if payload.get("version") != ARTIFACT_VERSION:

@@ -204,7 +204,10 @@ def _parse_marginal(line: str):
         if not eq or name not in names or name in params:
             raise ValueError(
                 f"{kind} takes {' and '.join(names)} once as name=value, got {token!r}")
-        params[name] = float(value)
+        try:
+            params[name] = float(value)
+        except ValueError:
+            raise ValueError(f"{kind} {name} must be a number, got {value!r}") from None
     for name in names:
         if name not in params:
             raise ValueError(f"{kind} needs {name}")
@@ -222,10 +225,12 @@ def load_config(path=None, preset=None) -> dict:
     if path is not None:
         parser = configparser.ConfigParser()
         try:
-            read = parser.read(path)
+            read = parser.read(path, encoding="utf-8")
             layers.append({s: dict(parser.items(s)) for s in parser.sections()})
         except configparser.Error as exc:
             raise ConfigError([f"config: {' '.join(str(exc).splitlines())}"]) from None
+        except UnicodeDecodeError:
+            raise ConfigError([f"config: {path} is not UTF-8 text"]) from None
         if not read:
             raise ConfigError([f"config: cannot read {path}"])
         if parser.defaults():  # configparser would copy these into every section
@@ -538,12 +543,15 @@ def _read_points(path, dimension) -> np.ndarray:
     """The ``x1..xN`` columns of a points CSV, matched by name in any order;
     columns with other names are ignored.  A coordinate that is not a finite
     number is refused with its line and column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError([f"points: {path} is empty (no header)"])
-        rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [(reader.line_num, row) for row in reader if row]
+    except UnicodeDecodeError:
+        raise ConfigError([f"points: {path} is not UTF-8 text"]) from None
+    if header is None:
+        raise ConfigError([f"points: {path} is empty (no header)"])
     names = [f"x{k}" for k in range(1, dimension + 1)]
     given = [name for name in header if re.fullmatch(r"x[1-9][0-9]*", name)]
     if sorted(given) != sorted(names):

@@ -27,7 +27,9 @@ polished from the best (:func:`optimize_theta`).  The solver lives in
 ``_trf``, a port of SciPy's ``least_squares(method="trf")`` that spares
 the search the import of ``scipy.optimize``; a test keeps its iterates
 identical to SciPy's.  Length scales whose ``R`` is numerically singular
-(the conditioning wall) score a penalty.
+(the conditioning wall) score a penalty.  The probe ladder and the solver
+share one residual path and one cache, which holds the last and the best
+factorization, each with its Jacobian.
 Each Jacobian column costs one triangular product (:func:`_loo_jacobian`),
 and the search's only inverse, of ``L``, is by recursive blocking
 (:func:`_invert_lower`).  Each search evaluation allocates no n x n matrix
@@ -66,7 +68,7 @@ import numpy as np
 from scipy.linalg import solve_triangular, svd
 from scipy.linalg.blas import dgemm, dsymv, dtrmm, dtrmv
 from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from ._blas import matmul
 from ._trf import least_squares
@@ -81,7 +83,6 @@ from .exceptions import (
 __all__ = [
     "KernelSpec",
     "FittedSurrogate",
-    "correlation_matrix",
     "cross_correlation",
     "loo_cv_objective",
     "optimize_theta",
@@ -147,10 +148,6 @@ def _correlation_from_distance(dist):
     return dist
 
 
-def _scaled(points, kernel):
-    return np.atleast_2d(np.asarray(points, dtype=float)) / kernel.theta
-
-
 def cross_correlation(points_a, points_b, kernel: KernelSpec) -> np.ndarray:
     """Kernel matrix between two point sets, shape ``(len(a), len(b))``.
 
@@ -158,20 +155,9 @@ def cross_correlation(points_a, points_b, kernel: KernelSpec) -> np.ndarray:
     ``exp(-sum |dx_i|/theta_i)``.  Every entry is in ``[0, 1]``, and none
     is subnormal.
     """
-    dist = cdist(_scaled(points_a, kernel), _scaled(points_b, kernel), _METRICS[kernel.kind])
+    a, b = (np.atleast_2d(np.asarray(p, dtype=float)) / kernel.theta for p in (points_a, points_b))
+    dist = cdist(a, b, _METRICS[kernel.kind])
     return _correlation_from_distance(dist)
-
-
-def correlation_matrix(points, kernel: KernelSpec) -> np.ndarray:
-    """Symmetric unit-diagonal correlation matrix of a point set.
-
-    Equal bit for bit to ``cross_correlation(points, points, kernel)``,
-    from one ``exp`` per pair instead of two.
-    """
-    dist = pdist(_scaled(points, kernel), _METRICS[kernel.kind])
-    corr = squareform(_correlation_from_distance(dist))
-    np.fill_diagonal(corr, 1.0)
-    return corr
 
 
 # Correlation matrices beyond this condition proxy make both the LOO
@@ -233,7 +219,7 @@ def _loo_state(theta, inputs, outputs, kind):
     for the Gaussian kernel, written over ``R``, and ``R`` for the
     exponential kernel.
     """
-    corr = correlation_matrix(inputs, KernelSpec(kind, theta))
+    corr = cross_correlation(inputs, inputs, KernelSpec(kind, theta))
     # Search on the un-nuggeted matrix only: residuals of a regularized
     # stand-in undersell how badly these length scales interpolate.
     gaussian = kind == "gaussian"
@@ -385,10 +371,10 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     short-scale anchor a tenth of the way up the box in log scale, the box
     center, and two log-uniform draws from ``seed``.  *Polish* runs it
     once more, at the solver's default tolerances, from the best explore
-    endpoint.  The search keeps the last and the best factorization, and
-    the best one's Jacobian, so no theta is factorized twice in a row, and
-    the starts of the first explore run and of the polish are neither
-    factorized nor differentiated again.
+    endpoint.  The ladder and the solver share one residual path and one
+    cache of the last and the best factorization, each with its Jacobian, so
+    no theta is factorized twice in a row, and the starts of the first
+    explore run and of the polish are neither factorized nor differentiated.
 
     Length scales whose correlation matrix is numerically singular score
     the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
@@ -430,13 +416,13 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     rungs = [log_lo + q * (log_hi - log_lo) for q in np.linspace(0.02, 0.98, 16)]
     penalty = _penalty_residuals(outputs)
 
-    # The last state serves the Jacobian asked for right after the residuals
-    # at the same theta.  The best one, with its Jacobian and log theta,
-    # starts each run and is the result; until a length scale factorizes, it
-    # is the first rung with the penalty.  Reused values equal recomputed ones.
-    last = {"key": None, "state": None}
-    best = {"objective": float(matmul(penalty, penalty)), "log_theta": rungs[0]}
-    best.update(key=None, state=None, jacobian=None)
+    # ``kept`` maps theta's bytes to its ``[state, Jacobian]``, for at most
+    # two thetas: the last one factorized, whose Jacobian is asked for right
+    # after its residuals, and the best one, which starts each run and is
+    # the result.  Until a length scale factorizes, the best is the first
+    # rung with the penalty.  Reused values equal recomputed ones.
+    kept = {}
+    best = {"objective": float(matmul(penalty, penalty)), "log_theta": rungs[0], "key": None}
     # The best objective only ever falls, so one finite here stays finite.
     if not np.isfinite(best["objective"]):
         raise OptimizationError(
@@ -447,52 +433,42 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     # Whether the current solver run ends at the wall, and whether it has.
     wall = {"stop": False, "reached": False}
 
-    def state_at(theta):
+    def entry_at(theta):
         key = theta.tobytes()
-        if key == best["key"]:
-            return best["state"]
-        if key != last["key"]:
+        if key not in kept:
             # Dropped first, so that the new state can reuse its memory.
             # Freed only afterwards, it left memory at the top of the heap
             # that the allocator gave back to the system; in about one
             # process in four, each trial then faulted in some 1300 more
             # pages.
-            last.update(key=None, state=None)
+            for other in [k for k in kept if k != best["key"]]:
+                del kept[other]
             state = _loo_state(theta, inputs, outputs, kind)
             counts["factorizations"] += 1
             counts["singular_factorizations"] += state is None
-            last.update(key=key, state=state)
-        return last["state"]
-
-    def residuals_at(log_theta):
-        theta = np.exp(log_theta)
-        res = _loo_residuals(state_at(theta))
-        if res is not None and (obj := float(matmul(res, res))) < best["objective"]:
-            best.update(
-                objective=obj, log_theta=np.array(log_theta), key=theta.tobytes(),
-                state=last["state"], jacobian=None,
-            )
-        return res
+            kept[key] = [state, None]
+        return kept[key]
 
     def residual_fn(log_theta):
-        res = None if wall["reached"] else residuals_at(log_theta)
+        theta = np.exp(log_theta)
+        res = None if wall["reached"] else _loo_residuals(entry_at(theta)[0])
         if res is None:
             wall["reached"] = wall["stop"]
             return penalty
+        if (obj := float(matmul(res, res))) < best["objective"]:
+            # The entry the best leaves would otherwise live through the
+            # next Jacobian.
+            kept.pop(best["key"], None)
+            best.update(objective=obj, log_theta=np.array(log_theta), key=theta.tobytes())
         return res
 
     def jacobian_fn(log_theta, *_):
         theta = np.exp(log_theta)
-        key = theta.tobytes()
-        if key == best["key"] and best["jacobian"] is not None:
-            return best["jacobian"]
-        state = state_at(theta)
-        if state is None:  # the penalty plateau is flat
-            return np.zeros((len(outputs), len(theta)))
-        jac = _loo_jacobian(theta, inputs, state, kind)
-        if key == best["key"]:
-            best["jacobian"] = jac
-        return jac
+        entry = entry_at(theta)
+        if entry[1] is None:  # zero where R is singular: the penalty plateau is flat
+            entry[1] = (np.zeros((len(outputs), len(theta))) if entry[0] is None
+                        else _loo_jacobian(theta, inputs, entry[0], kind))
+        return entry[1]
 
     rng = np.random.default_rng(seed)
     runs = []
@@ -521,7 +497,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     # the first singular rung after a factorizable one ends the ladder.
     factorizable = False
     for log_theta in rungs:
-        if residuals_at(log_theta) is not None:
+        if residual_fn(log_theta) is not penalty:
             factorizable = True
         elif factorizable:
             break
@@ -604,7 +580,7 @@ class FittedSurrogate:
         z = self.training_outputs
         n = len(z)
         if self.mode == "chaos_kriging":
-            corr = correlation_matrix(self.training_inputs, self.kernel)
+            corr = cross_correlation(self.training_inputs, self.training_inputs, self.kernel)
             chol = _cholesky(corr)
             self.provenance["nugget"] = chol is None
             if chol is None:
@@ -708,6 +684,8 @@ class FittedSurrogate:
     def from_dict(cls, payload: dict) -> "FittedSurrogate":
         """Rebuild a surrogate from its training data; ``ArtifactError`` when
         the payload is malformed or its stored fit disagrees with the rebuild."""
+        if not isinstance(payload, dict):
+            raise ArtifactError("a surrogate artifact must be a JSON object")
         if payload.get("format") != SURROGATE_FORMAT:
             raise ArtifactError(f"not a surrogate artifact: {payload.get('format')!r}")
         if payload.get("version") != SURROGATE_VERSION:
@@ -754,8 +732,12 @@ class FittedSurrogate:
 
     @classmethod
     def load(cls, path) -> "FittedSurrogate":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except ValueError as exc:  # not UTF-8 text, or not JSON
+            raise ArtifactError(f"surrogate artifact {path} is not JSON: {exc}") from None
+        return cls.from_dict(payload)
 
 
 def fit(

@@ -347,7 +347,7 @@ def test_criterion_09_external_adapter(tmp_path):
 def test_criterion_10_loo_cv_oracle():
     from scipy.linalg import cho_factor, cho_solve
 
-    from tailrisk.surrogate import correlation_matrix, cross_correlation
+    from tailrisk.surrogate import cross_correlation
 
     rng = np.random.default_rng(seed(20))
     worst = 0.0
@@ -361,7 +361,7 @@ def test_criterion_10_loo_cv_oracle():
             brute = 0.0
             for left_out in range(n):
                 keep = [i for i in range(n) if i != left_out]
-                corr = correlation_matrix(x[keep], kernel)
+                corr = cross_correlation(x[keep], x[keep], kernel)
                 r = cross_correlation(x[left_out][None, :], x[keep], kernel)[0]
                 pred = r @ cho_solve(cho_factor(corr, lower=True), b[keep])
                 brute += (b[left_out] - pred) ** 2

@@ -96,14 +96,33 @@ def _calls(path):
                None if None in keywords else keywords)
 
 
-def test_every_defaulted_parameter_is_set_by_a_caller():
-    # A parameter that every caller leaves at its default is public API that
-    # no pipeline path uses: the same files as above must set it, by
-    # keyword or by position, in a call by the callable's name.
+def _calls_by_name():
     calls = {}
     for path in _scanned_files():
         for name, positional, keywords in _calls(path):
             calls.setdefault(name, []).append((positional, keywords))
+    return calls
+
+
+def _unset(label, name, params, calls):
+    """``label(p=)`` for each defaulted parameter ``p`` that no call by
+    ``name`` sets; ``params`` holds ``(name, defaulted, positional)`` in
+    the order a call passes them."""
+    return [
+        f"{label}({param}=)"
+        for position, (param, defaulted, positional) in enumerate(params)
+        if defaulted and not any(
+            keywords is None or param in keywords or (positional and given > position)
+            for given, keywords in calls.get(name, ())
+        )
+    ]
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # A parameter that every caller leaves at its default is public API that
+    # no pipeline path uses: the same files as above must set it, by
+    # keyword or by position, in a call by the callable's name.
+    calls = _calls_by_name()
     unset = []
     for module in MODULES:
         for name in getattr(module, "__all__", ()):
@@ -112,16 +131,48 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                 params = list(inspect.signature(obj).parameters.values())
             except (TypeError, ValueError):  # not callable, or a builtin's signature
                 continue
-            for position, param in enumerate(params):
-                if param.default is inspect.Parameter.empty:
-                    continue
-                by_position = param.kind is not inspect.Parameter.KEYWORD_ONLY
-                if not any(
-                    keywords is None or param.name in keywords
-                    or (by_position and positional > position)
-                    for positional, keywords in calls.get(name, ())
-                ):
-                    unset.append(f"{module.__name__}.{name}({param.name}=)")
+            params = [(p.name, p.default is not inspect.Parameter.empty,
+                       p.kind is not inspect.Parameter.KEYWORD_ONLY) for p in params]
+            unset += _unset(f"{module.__name__}.{name}", name, params, calls)
+    assert unset == []
+
+
+def _definitions(path):
+    """``(label, called name, parameters)`` of every function and method in
+    a file, nested ones included, with parameters as :func:`_unset` takes
+    them.  A method's ``self`` or ``cls`` is dropped, and ``__init__`` is
+    called by its class's name."""
+    tree = ast.parse(path.read_text())
+    owners = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        defaulted = [False] * (len(positional) - len(args.defaults)) + [True] * len(args.defaults)
+        params = [(a.arg, d, True) for a, d in zip(positional, defaulted)]
+        params += [(a.arg, d is not None, False) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+        owner = owners.get(id(node))
+        if owner is None:
+            yield f"{path.stem}.{node.name}", node.name, params
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        called = owner.name if node.name == "__init__" else node.name
+        yield f"{path.stem}.{owner.name}.{node.name}", called, params[0 if static else 1:]
+
+
+def test_every_defaulted_parameter_of_any_function_is_set_by_a_caller():
+    # The rule above, for every function and method of the package, private
+    # and nested ones included: a default that no caller overrides belongs
+    # in the body or in a module constant.
+    calls = _calls_by_name()
+    unset = [
+        missing
+        for path in sorted(Path(tailrisk.__file__).parent.glob("*.py"))
+        for label, called, params in _definitions(path)
+        for missing in _unset(label, called, params, calls)
+    ]
     assert unset == []
 
 

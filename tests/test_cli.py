@@ -128,7 +128,7 @@ def no_basis(monkeypatch):
 def config_errors(tmp_path, capsys, text):
     """Run ``text`` as a config: it must exit 2; returns its stderr lines."""
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
+    (cfg.write_bytes if isinstance(text, bytes) else cfg.write_text)(text)
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert all(line.startswith("config error: ") for line in lines)
@@ -573,8 +573,10 @@ class TestValidation:
             "beta = 0.9\n" + FAST_CONFIG,
             FAST_CONFIG + "\n[run]\nseed = 1\n",
             "[DEFAULT]\nseed = 3\n" + FAST_CONFIG,
+            FAST_CONFIG.encode().replace(b"beta = 0.95", b"beta = 0.95 \xff"),
         ],
-        ids=["duplicate-key", "no-section-header", "duplicate-section", "default-section"],
+        ids=["duplicate-key", "no-section-header", "duplicate-section", "default-section",
+             "not-utf8"],
     )
     def test_malformed_ini_is_one_config_error(self, tmp_path, capsys, no_basis, text):
         errors = config_errors(tmp_path, capsys, text)
@@ -596,9 +598,10 @@ class TestValidation:
             (["gaussian mean=0 std=inf"], ["[0]: gaussian std must be finite, got inf"]),
             (["uniform lower=-inf upper=1"], ["[0]: uniform lower must be finite, got -inf"]),
             (["lognormal mean=inf cov=10"], ["[0]: lognormal mean must be finite, got inf"]),
+            (["gaussian mean=abc std=2"], ["[0]: gaussian mean must be a number, got 'abc'"]),
         ],
         ids=["missing", "unknown", "no-equals", "repeated", "every-line-fails",
-             "nan-mean", "inf-std", "inf-lower", "inf-lognormal-mean"],
+             "nan-mean", "inf-std", "inf-lower", "inf-lognormal-mean", "non-numeric-mean"],
     )
     def test_marginal_parameters_are_checked(self, tmp_path, capsys, no_basis, marginals,
                                              expected):
@@ -724,15 +727,16 @@ class TestFitPredict:
     @pytest.mark.parametrize(
         "text",
         ["x1,x2\n0.3\n", "x1\n0.3\n", "x1,x2,x3\n0.1,0.2,0.3\n", "x1,x2\n0.3,abc\n",
-         "x2,xx\n0.1,0.2\n", "x1,x1,x2\n0.1,0.2,0.3\n", "x1,x3\n0.1,0.2\n"],
+         "x2,xx\n0.1,0.2\n", "x1,x1,x2\n0.1,0.2,0.3\n", "x1,x3\n0.1,0.2\n",
+         b"x1,x2\n0.1,0.2\n0.3,\xff\n"],
         ids=["short-row", "one-column", "three-columns", "non-numeric", "no-x1", "repeated",
-             "beyond-dimension"],
+             "beyond-dimension", "not-utf8"],
     )
     def test_predict_refuses_malformed_points(self, fast_config, tmp_path, capsys, text):
         out = tmp_path / "art"
         run_cli("fit", "--config", fast_config, "--out", out)
         pts = tmp_path / "pts.csv"
-        pts.write_text(text)
+        (pts.write_bytes if isinstance(text, bytes) else pts.write_text)(text)
         capsys.readouterr()
         code = run_cli("predict", "--artifact", out / "surrogate.json", "--points", pts,
                        "--out", tmp_path / "p.csv")
@@ -845,6 +849,25 @@ class TestFitPredict:
         assert code == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "content, names_file",
+        [(b"[]", False), (b'{"format": "tailrisk-surrogate", "version": 1, "basis": []}', False),
+         (b"nope", True), (b"\xff{}", True)],
+        ids=["list", "basis-list", "not-json", "not-utf8"],
+    )
+    def test_predict_refuses_malformed_artifact(self, tmp_path, capsys, content, names_file):
+        artifact = tmp_path / "surrogate.json"
+        artifact.write_bytes(content)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n0.0,0.0\n")
+        code = run_cli("predict", "--artifact", artifact, "--points", pts,
+                       "--out", tmp_path / "p.csv")
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert str(artifact) in lines[0] or not names_file
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestPresets:

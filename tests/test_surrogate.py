@@ -38,7 +38,6 @@ from tailrisk.surrogate import (
     _PENALTY,
     _PREDICT_BLOCK,
     _RELATIVE_NUGGET,
-    correlation_matrix,
     cross_correlation,
     default_theta_bounds,
 )
@@ -115,7 +114,7 @@ class TestKernels:
 
     def test_correlation_matrix_unit_diagonal(self):
         pts = np.random.default_rng(0).normal(size=(40, 2))
-        corr = correlation_matrix(pts, KernelSpec("exponential", np.array([1.0, 1.0])))
+        corr = cross_correlation(pts, pts, KernelSpec("exponential", np.array([1.0, 1.0])))
         np.testing.assert_array_equal(np.diag(corr), np.ones(40))
         assert np.array_equal(corr, corr.T)
 
@@ -126,8 +125,7 @@ class TestKernels:
         raw = unflushed_correlation(pts, pts, kernel)
         if theta < 1.0:  # the flush has work to do
             assert np.any((raw > 0.0) & (raw < TINY))
-        corr = correlation_matrix(pts, kernel)
-        assert np.array_equal(corr, cross_correlation(pts, pts, kernel))
+        corr = cross_correlation(pts, pts, kernel)
         assert np.array_equal(corr, corr.T)
         np.testing.assert_array_equal(np.diag(corr), 1.0)
         assert not np.any((corr > 0.0) & (corr < TINY))
@@ -256,7 +254,7 @@ class TestFitting:
         pair = np.array([[0.0, 0.0], [1e-20, 0.0]])
         kernel = KernelSpec("gaussian", np.array([0.5, 0.5]))
         for design in (np.vstack([x, pair]), np.vstack([pair, x])):
-            assert surrogate_mod._cholesky(correlation_matrix(design, kernel)) is None
+            assert surrogate_mod._cholesky(cross_correlation(design, design, kernel)) is None
             targets = np.sin(design[:, 0]) + design[:, 1] ** 2
             sur = fixed_theta_fit(design, targets, basis, [0.5, 0.5])
             assert sur.provenance["nugget"] is True
@@ -286,7 +284,7 @@ class TestFitting:
         # theta far below the minimum spacing underflows every off-diagonal
         # correlation to exactly zero, so R is the identity bit-for-bit.
         sur = fixed_theta_fit(x, y, basis, [1e-3])
-        corr = correlation_matrix(x, sur.kernel)
+        corr = cross_correlation(x, x, sur.kernel)
         assert np.array_equal(corr, np.eye(12))
         ols = np.linalg.lstsq(basis.evaluate(x), y, rcond=None)[0]
         np.testing.assert_allclose(sur.coefficients, ols, atol=1e-10)
@@ -372,7 +370,7 @@ class TestLooCv:
         brute = 0.0
         for left_out in range(len(b)):
             keep = [i for i in range(len(b)) if i != left_out]
-            corr = correlation_matrix(x[keep], kernel)
+            corr = cross_correlation(x[keep], x[keep], kernel)
             r = cross_correlation(x[left_out][None, :], x[keep], kernel)[0]
             pred = r @ cho_solve(cho_factor(corr, lower=True), b[keep])
             brute += (b[left_out] - pred) ** 2
@@ -754,7 +752,7 @@ def normal_equations(sur):
     """The textbook generalized least-squares system at ``sur``'s length
     scales: ``R`` (with the nugget when the fit took it), its Cholesky
     factor, ``A`` and the Cholesky factor of the normal matrix ``A^T R^-1 A``."""
-    corr = correlation_matrix(sur.training_inputs, sur.kernel)
+    corr = cross_correlation(sur.training_inputs, sur.training_inputs, sur.kernel)
     if sur.provenance["nugget"]:
         corr = corr + _RELATIVE_NUGGET * np.eye(len(corr))
     factor = cho_factor(corr, lower=True)
@@ -792,7 +790,7 @@ def n200_exponential_surrogate():
 def triangular_solve_variance(sur, pts):
     """Predictive variance from a triangular solve by the fit's own ``L``
     instead of a product by the stored ``L^-1``."""
-    corr = correlation_matrix(sur.training_inputs, sur.kernel)
+    corr = cross_correlation(sur.training_inputs, sur.training_inputs, sur.kernel)
     if sur.provenance["nugget"]:
         corr = corr + _RELATIVE_NUGGET * np.eye(len(corr))
     chol = surrogate_mod._cholesky(corr)
@@ -875,7 +873,8 @@ class TestPrediction:
         train = sample(corr09, "mc", 300, seed=107)
         sur = fit(train.points, rastrigin(train.points), build_basis(corr09, 1, 3), seed=109)
         assert not sur.provenance["nugget"]
-        pivots = np.diag(surrogate_mod._cholesky(correlation_matrix(train.points, sur.kernel)))
+        corr = cross_correlation(train.points, train.points, sur.kernel)
+        pivots = np.diag(surrogate_mod._cholesky(corr))
         assert (pivots.min() / pivots.max()) ** 2 < 1.05 * surrogate_mod._MIN_DIAG_RATIO_SQ
         pts = np.vstack([sample(corr09, "mc", 2000, seed=113).points, train.points + 1e-3])
         _, raw = sur._predict(pts, True)
@@ -1065,7 +1064,7 @@ def dense_loo_jacobian(theta, inputs, state, kind):
     """The LOO Jacobian from the dense formula: ``dalpha = -G P_k alpha``
     and ``dc = -diag(G P_k G)`` with ``P_k = dR/dlog(theta_k)`` formed
     entry by entry and one general product per coordinate."""
-    corr = correlation_matrix(inputs, KernelSpec(kind, theta))
+    corr = cross_correlation(inputs, inputs, KernelSpec(kind, theta))
     _, chol_inv, alpha, c = state
     gram = chol_inv.T @ chol_inv
     jac = np.empty((len(alpha), len(theta)))
@@ -1140,7 +1139,7 @@ class TestLooJacobian:
         b = x[:, 0] - x[:, 1] ** 3
         theta = np.array([0.8, 0.6])
         _, _, rinv_b, rinv_diag = surrogate_mod._loo_state(theta, x, b, "gaussian")
-        factor = cho_factor(correlation_matrix(x, KernelSpec("gaussian", theta)), lower=True)
+        factor = cho_factor(cross_correlation(x, x, KernelSpec("gaussian", theta)), lower=True)
         np.testing.assert_allclose(rinv_diag, np.diag(cho_solve(factor, np.eye(40))), rtol=1e-10)
         np.testing.assert_allclose(rinv_b, cho_solve(factor, b), rtol=1e-12)
 
