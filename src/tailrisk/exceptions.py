@@ -2,9 +2,8 @@
 
 Plain ``ValueError`` is used for ordinary argument mistakes (bad counts,
 out-of-range levels, a malformed dataset, basis orders whose moments
-would need a Gauss-Hermite grid above the cap), and scipy's is passed on
-where scipy already checks (a Sobol dimension above 21201).  The classes below
-mark failures a caller may want to handle specifically: invalid stochastic
+would need a Gauss-Hermite grid above the cap).  The classes below mark
+failures a caller may want to handle specifically: invalid stochastic
 models, numerical breakdowns, and external-model protocol errors.
 """
 

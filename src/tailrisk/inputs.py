@@ -8,21 +8,19 @@ inverse CDF.  For Gaussian marginals the entries of ``C`` are exactly the
 correlations of ``X``; lognormal correlations are applied in log space,
 which guarantees a valid joint law for any admissible target matrix.
 
-Three sampling schemes are supported: plain Monte Carlo (``mc``), the Sobol
-sequence (``sobol``, unscrambled, initial all-zeros point skipped), and
-Latin hypercube sampling (``lhs``).  All samplers are deterministic given
-``(scheme, size, seed)`` and return immutable, equally weighted
-:class:`SampleSet` objects: each of ``L`` points carries probability ``1/L``.
+Sampling is plain Monte Carlo (``mc``), the scheme every estimator here
+draws its candidates with.  It is deterministic given ``(size, seed)`` and
+returns an immutable, equally weighted :class:`SampleSet`: each of ``L``
+points carries probability ``1/L``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from ._blas import matmul
 from .exceptions import InvalidModelError
@@ -36,7 +34,7 @@ __all__ = [
     "sample",
 ]
 
-SCHEMES = ("mc", "sobol", "lhs")
+SCHEMES = ("mc",)
 
 
 def _check_finite(marginal):
@@ -159,14 +157,7 @@ class InputModel:
         n = len(marginals)
 
         self._marginals = marginals
-        if correlation is None:
-            # Independent coordinates; skip the dense matrices entirely so
-            # very high-dimensional models stay cheap.
-            self._corr = None
-            self._chol = None
-            return
-
-        corr = np.array(correlation, dtype=float)
+        corr = np.eye(n) if correlation is None else np.array(correlation, dtype=float)
         if corr.shape != (n, n):
             raise InvalidModelError(
                 f"correlation must be {n}x{n}, got shape {corr.shape}"
@@ -198,8 +189,6 @@ class InputModel:
 
     @property
     def correlation(self) -> np.ndarray:
-        if self._corr is None:
-            return np.eye(self.dimension)
         return self._corr
 
     @property
@@ -209,7 +198,7 @@ class InputModel:
     def transform_gauss(self, z: np.ndarray) -> np.ndarray:
         """Map uncorrelated standard-normal draws to model space."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        colored = z if self._chol is None else matmul(z, self._chol.T)
+        colored = matmul(z, self._chol.T)
         out = np.empty_like(colored)
         for i, m in enumerate(self._marginals):
             out[:, i] = m.from_gauss(colored[:, i])
@@ -246,38 +235,18 @@ def sample(model: InputModel, scheme: str, size: int, seed: int) -> SampleSet:
     Parameters
     ----------
     model : InputModel
-    scheme : {"mc", "sobol", "lhs"}
-        Plain Monte Carlo, the (unscrambled, zero-skipped) Sobol sequence,
-        or Latin hypercube sampling.  Sobol and LHS uniforms are mapped
-        through the inverse normal transform, colored by the correlation
-        Cholesky factor, and pushed through the marginal transforms.  For
-        ``mc`` and ``sobol``, a smaller ``size`` draws a prefix of a larger
-        one.
+    scheme : {"mc"}
+        Plain Monte Carlo: standard normals from ``seed``'s generator,
+        colored by the correlation Cholesky factor and pushed through the
+        marginal transforms.  A smaller ``size`` draws a prefix of a
+        larger one.
     size : int
         Number of points, at least 1.
     seed : int
-        Drives ``mc`` and ``lhs``; inert for the deterministic ``sobol``
-        stream.
     """
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
-    if scheme == "mc":
-        z = np.random.default_rng(seed).standard_normal((size, model.dimension))
-    elif scheme == "sobol":
-        # Imported here: scipy.stats dominates the package import time, and
-        # only the quasi-random schemes need it.
-        from scipy.stats import qmc
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            engine = qmc.Sobol(d=model.dimension, scramble=False)
-            # Skip the initial all-zeros point: it maps to -inf under ndtri.
-            engine.fast_forward(1)
-            z = ndtri(engine.random(size))
-    elif scheme == "lhs":
-        from scipy.stats import qmc
-
-        z = ndtri(qmc.LatinHypercube(d=model.dimension, seed=seed).random(size))
-    else:
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown sampling scheme {scheme!r}; expected one of {SCHEMES}")
+    z = np.random.default_rng(seed).standard_normal((size, model.dimension))
     return SampleSet(model.transform_gauss(z))

@@ -158,31 +158,34 @@ class DatasetModel(ModelHandle):
 
     def __init__(self, path):
         self._table = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) < 2 or header[-1] != "y":
-                raise ValueError(
-                    f"dataset {path} must have header x1,...,xN,y"
-                )
-            self._path, self._inputs = path, len(header) - 1
-            for row in reader:
-                if not row:
-                    continue
-                where = f"dataset {path} line {reader.line_num}"
-                if len(row) != len(header):
-                    raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
-                values = []
-                for text in row:
-                    try:
-                        values.append(float(text))
-                    except ValueError:
-                        raise ValueError(f"{where}: {text!r} is not a number") from None
-                    if not math.isfinite(values[-1]):
-                        raise ValueError(f"{where}: {text!r} is not a finite number")
-                key, y = _dataset_key(values[:-1]), values[-1]
-                if self._table.setdefault(key, y) != y:
-                    raise ValueError(f"{where}: {key} has outputs {self._table[key]!r} and {y!r}")
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or len(header) < 2 or header[-1] != "y":
+                    raise ValueError(
+                        f"dataset {path} must have header x1,...,xN,y"
+                    )
+                self._path, self._inputs = path, len(header) - 1
+                for row in reader:
+                    if not row:
+                        continue
+                    where = f"dataset {path} line {reader.line_num}"
+                    if len(row) != len(header):
+                        raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
+                    values = []
+                    for text in row:
+                        try:
+                            values.append(float(text))
+                        except ValueError:
+                            raise ValueError(f"{where}: {text!r} is not a number") from None
+                        if not math.isfinite(values[-1]):
+                            raise ValueError(f"{where}: {text!r} is not a finite number")
+                    key, y = _dataset_key(values[:-1]), values[-1]
+                    if self._table.setdefault(key, y) != y:
+                        raise ValueError(f"{where}: {key} has outputs {self._table[key]!r} and {y!r}")
+        except UnicodeDecodeError:
+            raise ValueError(f"dataset {path} is not UTF-8 text") from None
 
     def evaluate_batch(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -737,7 +737,10 @@ class FittedSurrogate:
                 payload = json.load(fh)
         except ValueError as exc:  # not UTF-8 text, or not JSON
             raise ArtifactError(f"surrogate artifact {path} is not JSON: {exc}") from None
-        return cls.from_dict(payload)
+        try:
+            return cls.from_dict(payload)
+        except ArtifactError as exc:
+            raise ArtifactError(f"surrogate artifact {path}: {exc}") from None
 
 
 def fit(

@@ -542,6 +542,12 @@ class TestValidation:
         errors = config_errors(tmp_path, capsys, text)
         assert len(errors) == 1 and errors[0].startswith(f"model.{key}: must be one of ")
 
+    def test_sobol_scheme_is_one_config_error(self, tmp_path, capsys, no_basis):
+        text = FAST_CONFIG.replace("scheme = mc", "scheme = sobol")
+        assert config_errors(tmp_path, capsys, text) == [
+            "risk.scheme: must be one of ('mc',), got 'sobol'"
+        ]
+
     @pytest.mark.parametrize(
         "model, field",
         [("kind = dataset\n", "model.path: required"), ("kind = dataset\npath =\n", "model.path: "),
@@ -761,8 +767,9 @@ class TestFitPredict:
         assert not (tmp_path / "p.csv").exists()
 
     def test_no_command_imports_scipy_optimize(self, tmp_path):
-        # The LOO search has its own solver, so a run with the ``mc`` scheme,
-        # a fit and a predict never import scipy.optimize.
+        # The LOO search has its own solver and sampling is plain Monte
+        # Carlo, so a run, a fit and a predict import neither scipy.optimize
+        # nor scipy.stats (which imports scipy.optimize).
         script = textwrap.dedent(
             f"""
             import sys
@@ -775,7 +782,8 @@ class TestFitPredict:
             assert main(["fit", "--preset", "example1-corr09", "--out", str(out / "fit")]) == 0
             assert main(["predict", "--artifact", str(out / "fit" / "surrogate.json"),
                          "--points", str(out / "pts.csv"), "--out", str(out / "p.csv")]) == 0
-            print(sorted(name for name in sys.modules if name.startswith("scipy.optimize")))
+            print(sorted(name for name in sys.modules
+                         if name.startswith(("scipy.optimize", "scipy.stats"))))
             """
         )
         assert run_python(script).splitlines()[-1] == "[]"
@@ -848,15 +856,16 @@ class TestFitPredict:
                        "--out", tmp_path / "p.csv")
         assert code == 2
         lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: surrogate artifact {artifact}")
 
     @pytest.mark.parametrize(
-        "content, names_file",
-        [(b"[]", False), (b'{"format": "tailrisk-surrogate", "version": 1, "basis": []}', False),
-         (b"nope", True), (b"\xff{}", True)],
+        "content",
+        [b"[]", b'{"format": "tailrisk-surrogate", "version": 1, "basis": []}', b"nope",
+         b"\xff{}"],
         ids=["list", "basis-list", "not-json", "not-utf8"],
     )
-    def test_predict_refuses_malformed_artifact(self, tmp_path, capsys, content, names_file):
+    def test_predict_refuses_malformed_artifact(self, tmp_path, capsys, content):
         artifact = tmp_path / "surrogate.json"
         artifact.write_bytes(content)
         pts = tmp_path / "pts.csv"
@@ -865,8 +874,8 @@ class TestFitPredict:
                        "--out", tmp_path / "p.csv")
         assert code == 2
         lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: ")
-        assert str(artifact) in lines[0] or not names_file
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: surrogate artifact {artifact}")
         assert not (tmp_path / "p.csv").exists()
 
 

@@ -178,6 +178,16 @@ class TestDatasetModel:
             DatasetModel(path)
         assert str(err.value) == f"dataset {path} line 3: {bad!r} is not a number"
 
+    @pytest.mark.parametrize("content", [b"x1,x2,y\n0,0,1\n1,\xff,2\n", b"x1,\xff,y\n0,0,1\n"],
+                             ids=["row", "header"])
+    def test_non_utf8_file_is_refused(self, tmp_path, content):
+        path = tmp_path / "runs.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as err:
+            DatasetModel(path)
+        assert not isinstance(err.value, UnicodeDecodeError)
+        assert str(err.value) == f"dataset {path} is not UTF-8 text"
+
     @pytest.mark.parametrize("columns, width", [(1, 2), (3, 2), (2, 1)])
     def test_point_width_must_match_input_columns(self, tmp_path, columns, width):
         # Not a lookup miss: no row of another width could ever match.
