@@ -29,16 +29,19 @@ the search the import of ``scipy.optimize``; a test keeps its iterates
 identical to SciPy's.  Length scales whose ``R`` is numerically singular
 (the conditioning wall) score a penalty.  The probe ladder and the solver
 share one residual path and one cache, which holds the last and the best
-factorization, each with its Jacobian.
+factorization.  Once an entry's Jacobian is built, the entry keeps only
+that Jacobian and the two vectors its residuals read, so no n x n array
+outlives the Jacobian that needed it.
 Each Jacobian column costs one triangular product (:func:`_loo_jacobian`),
 and the search's only inverse, of ``L``, is by recursive blocking
 (:func:`_invert_lower`).  Each search evaluation allocates no n x n matrix
-besides ``R`` (overwritten by ``L`` for the Gaussian kernel), ``L^-1``,
-``G = R^-1`` and one scratch buffer per Jacobian, reused by every column
-(two for the exponential kernel).
+besides ``R`` (overwritten by ``L`` for the Gaussian kernel), ``L^-1``
+and ``G = R^-1``; the Jacobian's scratch buffer is ``L^-1`` itself,
+reused by every column, and the exponential kernel takes one more.
 
 The system is built in one place, the :class:`FittedSurrogate`
-constructor, which factors ``R`` once at the chosen length scales.
+constructor, which factors ``R`` once, in place, at the chosen length
+scales.
 Loading an artifact runs the same constructor on the stored training data
 and refuses the artifact when its stored coefficients, process variance
 or training digest disagree with the rebuilt ones.  Both modes share one
@@ -52,10 +55,14 @@ without a transposing copy, and the training data are checked for
 non-finite values once, up front, instead of on every call.  Correlations
 below the smallest normal double are stored as zero, because subnormal
 entries make the products several times slower.  Prediction runs in
-blocks of exactly 1024 rows, one point per row, with a short block padded
-by zero rows.  That bounds its temporaries to a few megabytes, and since
-every block has the same shape, every point is rounded the same way: a
-point's prediction does not depend on the other points in the call.
+blocks of exactly 512 rows, one point per row, with a short block padded
+by zero rows.  Every block reuses one buffer for its correlations and,
+with the variance, one for their Fortran-ordered copy: 1.2 MB each at
+n = 300, 5 MB at n = 1219.  Since every block has the same shape, every
+point is rounded the same way: a point's prediction does not depend on
+the other points in the call.  That holds for bases of up to about 60
+functions; with a few hundred, ``basis.evaluate``'s product rounds the
+last few rows of a block differently.
 """
 
 from __future__ import annotations
@@ -99,7 +106,7 @@ SURROGATE_VERSION = 1
 
 _RELATIVE_NUGGET = 1e-10
 _PENALTY = 1e25
-_PREDICT_BLOCK = 1024
+_PREDICT_BLOCK = 512
 # Tolerances of the explore runs of the LOO search; ``gtol`` keeps the
 # solver's default.  The rest of a run's work crawls toward the default
 # ``ftol = xtol = 1e-8``, which only the polish run pays.  Looser stops
@@ -148,15 +155,16 @@ def _correlation_from_distance(dist):
     return dist
 
 
-def cross_correlation(points_a, points_b, kernel: KernelSpec) -> np.ndarray:
-    """Kernel matrix between two point sets, shape ``(len(a), len(b))``.
+def cross_correlation(points_a, points_b, kernel: KernelSpec, out=None) -> np.ndarray:
+    """Kernel matrix between two point sets, shape ``(len(a), len(b))``,
+    written into the C-ordered ``out`` when it is given.
 
     Gaussian: ``exp(-sum (dx_i/theta_i)^2)``; exponential:
     ``exp(-sum |dx_i|/theta_i)``.  Every entry is in ``[0, 1]``, and none
     is subnormal.
     """
     a, b = (np.atleast_2d(np.asarray(p, dtype=float)) / kernel.theta for p in (points_a, points_b))
-    dist = cdist(a, b, _METRICS[kernel.kind])
+    dist = cdist(a, b, _METRICS[kernel.kind], out=out)
     return _correlation_from_distance(dist)
 
 
@@ -248,8 +256,19 @@ def _loo_residuals(state):
     return None if state is None else state[2] / state[3]
 
 
-def _loo_jacobian(theta, inputs, state, kind):
+def _sort_orders(inputs):
+    """Each coordinate's stable sort order and its inverse, for the
+    exponential kernel's Jacobian; they depend on the inputs alone."""
+    orders = [np.argsort(column, kind="stable") for column in inputs.T]
+    return [(order, np.argsort(order)) for order in orders]
+
+
+def _loo_jacobian(theta, inputs, state, kind, orders):
     """Jacobian of the LOO residuals in log-length-scale coordinates.
+
+    ``orders`` is :func:`_sort_orders` of ``inputs``; only the exponential
+    kernel reads it.  The state's ``L^-1`` is overwritten: it becomes the
+    scratch buffer of every column.
 
     With ``alpha = R^-1 b``, ``c = diag(R^-1)``, ``G = R^-1`` and
     ``P_k = dR/dlog(theta_k)``: ``dalpha = -G P_k alpha`` and
@@ -274,11 +293,11 @@ def _loo_jacobian(theta, inputs, state, kind):
     # Products go through scipy's BLAS and LAPACK, not numpy's matmul (see
     # ``_blas``).  A symmetric C-ordered matrix reaches BLAS
     # as its Fortran-ordered transpose, without a copy.  ``dlauum`` forms
-    # the lower triangle of ``L^-T L^-1`` at about a third of a general
-    # product's cost; the upper triangle of ``L^-1`` is zero, so adding the
-    # transpose and halving the diagonal completes ``G``.  The array
-    # ``dlauum`` returned is then the scratch buffer of every column.
-    scratch = dlauum(chol_inv, lower=1)[0].T
+    # the lower triangle of ``L^-T L^-1`` over ``L^-1`` at about a third of
+    # a general product's cost; the upper triangle of ``L^-1`` is zero, so
+    # adding the transpose and halving the diagonal completes ``G``.  That
+    # buffer is then the scratch buffer of every column.
+    scratch = dlauum(chol_inv, lower=1, overwrite_c=1)[0].T
     gram = np.add(scratch, scratch.T, out=np.empty((n, n)))
     gram.flat[:: n + 1] *= 0.5
     scaled = (inputs - inputs.mean(axis=0)) / theta
@@ -302,7 +321,7 @@ def _loo_jacobian(theta, inputs, state, kind):
             p_alpha = s * (s * r_alpha - 2.0 * rs_alpha)
             gp_alpha = 2.0 * (dsymv(1.0, gram.T, p_alpha) + s * s * alpha)
         else:
-            order = np.argsort(inputs[:, k], kind="stable")
+            order, inverse = orders[k]
             # R in that order; only its strictly lower part is read.
             np.take(factor, order, axis=0, out=scratch, mode="clip")
             r_ranked = np.take(scratch, order, axis=1, out=spare, mode="clip").T
@@ -319,7 +338,7 @@ def _loo_jacobian(theta, inputs, state, kind):
             # in C order goes back to the original row order over R's buffer.
             np.take(gram, order, axis=0, out=scratch, mode="clip")
             dtrmm(1.0, r_ranked, scratch.T, side=1, lower=1, diag=1, overwrite_b=1)
-            np.take(scratch, np.argsort(order), axis=0, out=spare, mode="clip")
+            np.take(scratch, inverse, axis=0, out=spare, mode="clip")
             gpg_diag = 2.0 * (
                 np.diag(gram) * s + g2_scaled[:, k] - 2.0 * np.einsum("ij,ij,i->j", spare, gram, s)
             )
@@ -372,9 +391,11 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     center, and two log-uniform draws from ``seed``.  *Polish* runs it
     once more, at the solver's default tolerances, from the best explore
     endpoint.  The ladder and the solver share one residual path and one
-    cache of the last and the best factorization, each with its Jacobian, so
-    no theta is factorized twice in a row, and the starts of the first
-    explore run and of the polish are neither factorized nor differentiated.
+    cache of the last and the best factorization, so no theta is factorized
+    twice in a row, and the starts of the first explore run and of the
+    polish are neither factorized nor differentiated.  A cached entry gives
+    up its n x n factors when its Jacobian is built and keeps the Jacobian
+    instead.  The exponential kernel's sort orders are computed once.
 
     Length scales whose correlation matrix is numerically singular score
     the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
@@ -422,6 +443,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     # the result.  Until a length scale factorizes, the best is the first
     # rung with the penalty.  Reused values equal recomputed ones.
     kept = {}
+    orders = _sort_orders(inputs) if kind == "exponential" else None
     best = {"objective": float(matmul(penalty, penalty)), "log_theta": rungs[0], "key": None}
     # The best objective only ever falls, so one finite here stays finite.
     if not np.isfinite(best["objective"]):
@@ -465,9 +487,14 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     def jacobian_fn(log_theta, *_):
         theta = np.exp(log_theta)
         entry = entry_at(theta)
-        if entry[1] is None:  # zero where R is singular: the penalty plateau is flat
-            entry[1] = (np.zeros((len(outputs), len(theta))) if entry[0] is None
-                        else _loo_jacobian(theta, inputs, entry[0], kind))
+        if entry[1] is None and entry[0] is None:  # R is singular: the plateau is flat
+            entry[1] = np.zeros((len(outputs), len(theta)))
+        elif entry[1] is None:
+            # The entry keeps only what its residuals read.  Its factors go
+            # with the Jacobian's call, which overwrites ``L^-1``.
+            state = entry[0]
+            entry[0] = (None, None, *state[2:])
+            entry[1] = _loo_jacobian(theta, inputs, state, kind, orders)
         return entry[1]
 
     rng = np.random.default_rng(seed)
@@ -580,11 +607,13 @@ class FittedSurrogate:
         z = self.training_outputs
         n = len(z)
         if self.mode == "chaos_kriging":
-            corr = cross_correlation(self.training_inputs, self.training_inputs, self.kernel)
-            chol = _cholesky(corr)
+            x = self.training_inputs
+            # Factored over R, which only the nugget retry needs again.
+            chol = _cholesky(cross_correlation(x, x, self.kernel), overwrite=True)
             self.provenance["nugget"] = chol is None
             if chol is None:
-                chol = _cholesky(corr + _RELATIVE_NUGGET * np.eye(n))
+                nuggeted = cross_correlation(x, x, self.kernel) + _RELATIVE_NUGGET * np.eye(n)
+                chol = _cholesky(nuggeted, overwrite=True)
             if chol is None:
                 raise ConditioningError(
                     "correlation matrix is numerically singular even with a nugget; "
@@ -620,10 +649,19 @@ class FittedSurrogate:
         a block whose row count is not a multiple of its unrolling and for
         narrow blocks, so only the fixed width makes a point's prediction
         independent of the other points in the call.
+
+        Every block reuses one buffer for ``r`` and one for its
+        Fortran-ordered copy, which ``v`` overwrites.  Arrays of that size
+        allocated and freed block by block went back to the system and
+        were faulted in again: about 7 000 minor page faults per 10 000
+        ``example2`` points, against 250 with the buffers.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         means = np.empty(len(pts))
         variances = np.zeros(len(pts)) if with_variance else None
+        kriging = self.mode == "chaos_kriging"
+        r = np.empty((_PREDICT_BLOCK, len(self.training_outputs))) if kriging else None
+        v = np.empty_like(r, order="F") if kriging and with_variance else None
         for lo in range(0, len(pts), _PREDICT_BLOCK):
             hi = min(lo + _PREDICT_BLOCK, len(pts))
             block = pts[lo:hi]
@@ -632,12 +670,12 @@ class FittedSurrogate:
                 block[: hi - lo] = pts[lo:hi]
             psi = self.basis.evaluate(block)
             mean = matmul(psi, self.coefficients)
-            if self.mode == "chaos_kriging":
-                r = cross_correlation(block, self.training_inputs, self.kernel)
+            if kriging:
+                cross_correlation(block, self.training_inputs, self.kernel, out=r)
                 mean += matmul(r, self._rinv_residual)
                 if with_variance:
-                    v = dtrmm(1.0, self._chol_inv, np.asfortranarray(r), side=1, lower=1,
-                              trans_a=1, overwrite_b=1)
+                    v[...] = r
+                    v = dtrmm(1.0, self._chol_inv, v, side=1, lower=1, trans_a=1, overwrite_b=1)
                     # ``dgemm`` takes the Fortran-ordered ``v`` as it is.
                     u = dgemm(1.0, v, self._whitened_basis) - psi
                     trend = dgemm(1.0, u, self._trend_map, trans_b=1)

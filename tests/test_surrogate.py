@@ -1,5 +1,6 @@
 import json
 import math
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -535,9 +536,10 @@ class TestOptimizeTheta:
 
     @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
     def test_search_memory_is_bounded(self, corr09, kind):
-        # Traced peak of one search at n = 300: 6.3 (Gaussian) and 7.2
-        # (exponential) n x n arrays, with two states kept and no fresh
-        # n x n temporary per Jacobian column.
+        # Traced peak of one search at n = 300: 4.52 (Gaussian) and 4.54
+        # (exponential) n x n arrays.  Two states are kept, an entry drops
+        # its factors when its Jacobian is built, and ``G`` is formed over
+        # ``L^-1``; a kept factor or one more n x n temporary breaks the bound.
         train = sample(corr09, "mc", 300, seed=5)
         y = rastrigin(train.points)
         tracemalloc.start()
@@ -546,7 +548,40 @@ class TestOptimizeTheta:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * train.points.shape[0] ** 2 * 8
+        assert peak < 5 * train.points.shape[0] ** 2 * 8
+
+    @pytest.mark.parametrize("preset, factorizations, jacobians",
+                             [("example1-corr09", 448, 201), ("example2", 627, 477)])
+    def test_run_work_counts_do_not_grow(self, preset, factorizations, jacobians, tmp_path):
+        # Factorizations and Jacobians of the LOO searches in a 10-trial run
+        # are deterministic at a fixed seed and one BLAS thread, so a
+        # search that does more work fails here instead of hiding in timing
+        # noise.  The bounds are the counts measured when this test was added.
+        script = textwrap.dedent(
+            f"""
+            import json
+            from tailrisk import surrogate
+            from tailrisk.cli import main
+            counts = {{"_loo_state": 0, "_loo_jacobian": 0}}
+
+            def counted(name, original):
+                def wrapper(*args):
+                    counts[name] += 1
+                    return original(*args)
+                return wrapper
+
+            for name in counts:
+                setattr(surrogate, name, counted(name, getattr(surrogate, name)))
+            assert main(["run", "--preset", {preset!r}, "--trials", "10", "--seed", "501000",
+                         "--out", {str(tmp_path)!r}]) == 0
+            print(json.dumps(counts))
+            """
+        )
+        counts = json.loads(
+            run_python(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1").splitlines()[-1]
+        )
+        assert counts["_loo_state"] <= factorizations
+        assert counts["_loo_jacobian"] <= jacobians
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(51)
@@ -882,10 +917,11 @@ class TestPrediction:
             raw, triangular_solve_variance(sur, pts), rtol=0, atol=1e-9 * sur.process_variance
         )
 
-    @pytest.mark.parametrize("method, limit", [("predict_batch", 16e6), ("predict_mean", 10e6)])
+    @pytest.mark.parametrize("method, limit", [("predict_batch", 4e6), ("predict_mean", 2.5e6)])
     def test_prediction_memory_is_bounded_by_the_block(self, n300_surrogate, method, limit):
-        # Traced peak at 10 000 points, n = 300: about 6 MB either way in
-        # 1024-row blocks, against 49 and 40 MB in 8192-row blocks.
+        # Traced peak at 10 000 points, n = 300: 2.89 and 1.52 MB, where one
+        # 512-by-n block array takes 1.23 MB.  One more block array, or a
+        # wider block, breaks the bound.
         pts = np.random.default_rng(89).normal(scale=2.0, size=(10_000, 2))
         predict = getattr(n300_surrogate, method)
         tracemalloc.start()
@@ -932,7 +968,8 @@ def unmemoized_optimize_theta(inputs, outputs, kind, seed, stop_at_wall=True):
         state = surrogate_mod._loo_state(theta, inputs, outputs, kind)
         if state is None:
             return np.zeros((len(outputs), len(theta)))
-        return surrogate_mod._loo_jacobian(theta, inputs, state, kind)
+        orders = surrogate_mod._sort_orders(inputs)
+        return surrogate_mod._loo_jacobian(theta, inputs, state, kind, orders)
 
     rng = np.random.default_rng(seed)
     candidates, runs = [], []
@@ -1103,7 +1140,9 @@ class TestLooJacobian:
         for theta in ([0.7, 1.1], [0.3, 2.0]):
             log_theta = np.log(theta)
             state = surrogate_mod._loo_state(np.exp(log_theta), x, b, kind)
-            jac = surrogate_mod._loo_jacobian(np.exp(log_theta), x, state, kind)
+            jac = surrogate_mod._loo_jacobian(
+                np.exp(log_theta), x, state, kind, surrogate_mod._sort_orders(x)
+            )
             fd = central_difference_jacobian(log_theta, x, b, kind)
             np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
 
@@ -1125,7 +1164,7 @@ class TestLooJacobian:
         theta = wall_fraction * isotropic_wall(x, b, kind)
         state = surrogate_mod._loo_state(theta, x, b, kind)
         want = dense_loo_jacobian(theta, x, state, kind)
-        got = surrogate_mod._loo_jacobian(theta, x, state, kind)
+        got = surrogate_mod._loo_jacobian(theta, x, state, kind, surrogate_mod._sort_orders(x))
         if kind == "gaussian":
             pivots = np.diag(state[0])
             tol = 1e-12 / (pivots.min() / pivots.max()) ** 2
@@ -1286,9 +1325,9 @@ class TestSerialization:
         calls = []
         original = surrogate_mod._cholesky
 
-        def counting(matrix):
+        def counting(matrix, **kwargs):
             calls.append(len(matrix))
-            return original(matrix)
+            return original(matrix, **kwargs)
 
         monkeypatch.setattr(surrogate_mod, "_cholesky", counting)
         sur = fixed_theta_fit(x, np.cos(x[:, 0]) + x[:, 1], basis, [0.7, 0.9])
