@@ -21,7 +21,6 @@ from .basis import (
 from .exceptions import (
     ArtifactError,
     ConditioningError,
-    DatasetLookupError,
     DegenerateTrainingError,
     EvaluationError,
     InsufficientMassError,
@@ -42,7 +41,6 @@ from .metrics import budget, max_lf_cost, mrd, nrmsd, pcc
 from .models import (
     BuiltinModel,
     CommandModel,
-    DatasetModel,
     ModelHandle,
     cross_in_tray,
     rastrigin,

@@ -8,7 +8,8 @@ Three subcommands:
     config or a named preset; write a JSON report and a CSV table row per
     method.
 ``fit``
-    Fit a surrogate per the config and save it as a versioned artifact.
+    Fit trial 0's surrogate on the model a run trains it on and save it
+    as a versioned artifact.
 ``predict``
     Evaluate a saved surrogate artifact on a points CSV, emitting mean,
     variance, and confidence half-width columns.
@@ -113,7 +114,7 @@ def _benchmark(text):
 
 # The [model] keys of each kind, the model's source first. Each has an lf_
 # twin; a key is known only where its kind (or lf_kind) matches.
-_MODEL_KINDS = {"builtin": ("name",), "dataset": ("path",), "command": ("command", "timeout")}
+_MODEL_KINDS = {"builtin": ("name",), "command": ("command", "timeout")}
 _KIND_OF = {key: kind for kind, keys in _MODEL_KINDS.items() for key in keys}
 
 # Every config key: (section, key, type, default, check). A default of None
@@ -126,7 +127,6 @@ _SCHEMA = (
     *(row for prefix in ("", "lf_") for row in (
         ("model", prefix + "kind", str, "builtin", _one_of(_MODEL_KINDS)),
         ("model", prefix + "name", str, None, _one_of(models.BUILTIN_MODELS)),
-        ("model", prefix + "path", str, None, _holds(str.strip, "must not be empty")),
         ("model", prefix + "command", shlex.split, None, _holds(bool, "must not be empty")),
         ("model", prefix + "timeout", float, "30",
          _holds(lambda v: 0 < v < math.inf, "must be a positive finite number")),
@@ -215,7 +215,11 @@ def _parse_marginal(line: str):
 
 
 def load_config(path=None, preset=None) -> dict:
-    """Merge a preset and/or config file into a plain nested dict."""
+    """Merge a preset and/or config file into a plain nested dict.
+
+    A layer that sets ``kind`` (or ``lf_kind``) drops the earlier layers'
+    keys of the other kinds, so a config can swap a preset's model source.
+    """
     layers = []
     if preset is not None:
         if preset not in PRESETS:
@@ -242,7 +246,13 @@ def load_config(path=None, preset=None) -> dict:
     merged: dict = {}
     for layer in layers:
         for section, values in layer.items():
-            merged.setdefault(section, {}).update(values)
+            earlier = merged.setdefault(section, {})
+            for prefix in ("", "lf_") if section == "model" else ():
+                kind = values.get(prefix + "kind")
+                for key in [k for k in earlier if kind is not None and k.startswith(prefix)]:
+                    if _KIND_OF.get(key.removeprefix(prefix), kind) != kind:
+                        del earlier[key]
+            earlier.update(values)
     return merged
 
 
@@ -308,8 +318,6 @@ class Experiment:
         prefix = "lf_" if low_fidelity else ""
         kind = getattr(self, prefix + "kind")
         source = getattr(self, prefix + _MODEL_KINDS[kind][0])
-        if kind == "dataset":
-            return models.DatasetModel(source)
         if kind == "command":
             return models.CommandModel(source, timeout=getattr(self, prefix + "timeout"))
         return models.BuiltinModel(source)
@@ -351,6 +359,11 @@ def _fit_trial_surrogate(exp, shared_basis, trial, model):
     )
 
 
+def _training_fidelity(exp: Experiment) -> str:
+    """The model a surrogate trains on: ``"lf"`` for ``mfis_lf``, else ``"hf"``."""
+    return "lf" if exp.method == "mfis_lf" else "hf"
+
+
 def _run_trial(exp: Experiment, shared_basis, trial: int, handles) -> risk.RiskReport:
     """One estimation trial; its counts are the batch sizes it sent."""
     estimate_seed = _derived_seed(exp.seed, trial, _ESTIMATE)
@@ -359,7 +372,7 @@ def _run_trial(exp: Experiment, shared_basis, trial: int, handles) -> risk.RiskR
     if exp.method == "mcs":
         return risk.mcs_estimate(handles["hf"], candidates, exp.beta, seed=estimate_seed)
 
-    fidelity = "lf" if exp.method == "mfis_lf" else "hf"
+    fidelity = _training_fidelity(exp)
     fitted = _fit_trial_surrogate(exp, shared_basis, trial, handles[fidelity])
     if exp.method == "surrogate_mcs":
         report = risk.surrogate_mcs_estimate(fitted, candidates, exp.beta, seed=estimate_seed)
@@ -413,7 +426,7 @@ def run_experiment(exp: Experiment) -> dict:
     """Execute the configured trials; returns the report document."""
     shared_basis = _build_basis(exp) if exp.method in SURROGATE_METHODS else None
 
-    fidelities = ("hf", "lf") if exp.method == "mfis_lf" else ("hf",)
+    fidelities = dict.fromkeys(("hf", _training_fidelity(exp)))  # each once, in order
     reports = _map_trials(
         exp, lambda k, handles: _run_trial(exp, shared_basis, k, handles), fidelities
     )
@@ -529,8 +542,9 @@ def _cmd_fit(args) -> int:
         cfg.setdefault("risk", {})["method"] = "surrogate_mcs"
     exp = Experiment(cfg)
     shared_basis = _build_basis(exp)
-    with _open_models(exp) as handles:
-        fitted = _fit_trial_surrogate(exp, shared_basis, 0, handles["hf"])
+    fidelity = _training_fidelity(exp)
+    with _open_models(exp, (fidelity,)) as handles:
+        fitted = _fit_trial_surrogate(exp, shared_basis, 0, handles[fidelity])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "surrogate.json"

@@ -1,8 +1,8 @@
 """Exception types raised across the package.
 
 Plain ``ValueError`` is used for ordinary argument mistakes (bad counts,
-out-of-range levels, a malformed dataset, basis orders whose moments
-would need a Gauss-Hermite grid above the cap).  The classes below mark
+out-of-range levels, basis orders whose moments would need a
+Gauss-Hermite grid above the cap).  The classes below mark
 failures a caller may want to handle specifically: invalid stochastic
 models, numerical breakdowns, and external-model protocol errors.
 """
@@ -15,7 +15,6 @@ __all__ = [
     "ConditioningError",
     "OptimizationError",
     "InsufficientMassError",
-    "DatasetLookupError",
     "EvaluationError",
     "ArtifactError",
 ]
@@ -48,10 +47,6 @@ class OptimizationError(TailriskError):
 
 class InsufficientMassError(TailriskError):
     """A weighted sample carries less mass than the requested tail level."""
-
-
-class DatasetLookupError(TailriskError, KeyError):
-    """A dataset-backed model has no row for the queried input."""
 
 
 class EvaluationError(TailriskError):

@@ -3,8 +3,7 @@
 Built-ins cover the two-dimensional analytic benchmarks (a shifted
 Rastrigin surface, four degraded low-fidelity variants of it, and a
 cross-in-tray surface with an overflow-safe log-space evaluation).
-External models plug in either as CSV datasets of precomputed runs
-(checked when loaded) or as a line-oriented child process: one input
+External models plug in as a line-oriented child process: one input
 line in, one numeric output line back.  A batch streams through the child, its
 input lines written while the replies are read; the timeout applies to
 each reply, and a failed request kills the child.
@@ -18,7 +17,6 @@ ends; ``tailrisk fit`` opens and closes one.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import select
@@ -28,7 +26,7 @@ import time
 
 import numpy as np
 
-from .exceptions import DatasetLookupError, EvaluationError
+from .exceptions import EvaluationError
 
 __all__ = [
     "rastrigin",
@@ -37,7 +35,6 @@ __all__ = [
     "BUILTIN_MODELS",
     "ModelHandle",
     "BuiltinModel",
-    "DatasetModel",
     "CommandModel",
     "evaluate_model",
 ]
@@ -134,70 +131,6 @@ class BuiltinModel(ModelHandle):
     def evaluate_batch(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.asarray(self._fn(points), dtype=float)
-
-
-def _dataset_key(x) -> str:
-    """Canonical rendering of an input row at 15 significant digits."""
-    return ",".join(format(float(v), ".15g") for v in np.atleast_1d(x))
-
-
-class DatasetModel(ModelHandle):
-    """Replay of precomputed runs stored as ``x1,...,xN,y`` CSV rows.
-
-    Inputs are matched by their canonical 15-significant-digit rendering,
-    so a design written out and read back hits exactly.  A miss raises
-    :class:`DatasetLookupError`.  A row whose length differs from the
-    header's, a non-numeric or non-finite value, or an input repeated with
-    a different output, is a ``ValueError`` naming the file and line; an
-    exact repeat is allowed.
-    Points with another number of coordinates than the file's input
-    columns are a ``ValueError`` naming both counts.
-    """
-
-    kind = "dataset"
-
-    def __init__(self, path):
-        self._table = {}
-        try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None or len(header) < 2 or header[-1] != "y":
-                    raise ValueError(
-                        f"dataset {path} must have header x1,...,xN,y"
-                    )
-                self._path, self._inputs = path, len(header) - 1
-                for row in reader:
-                    if not row:
-                        continue
-                    where = f"dataset {path} line {reader.line_num}"
-                    if len(row) != len(header):
-                        raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
-                    values = []
-                    for text in row:
-                        try:
-                            values.append(float(text))
-                        except ValueError:
-                            raise ValueError(f"{where}: {text!r} is not a number") from None
-                        if not math.isfinite(values[-1]):
-                            raise ValueError(f"{where}: {text!r} is not a finite number")
-                    key, y = _dataset_key(values[:-1]), values[-1]
-                    if self._table.setdefault(key, y) != y:
-                        raise ValueError(f"{where}: {key} has outputs {self._table[key]!r} and {y!r}")
-        except UnicodeDecodeError:
-            raise ValueError(f"dataset {path} is not UTF-8 text") from None
-
-    def evaluate_batch(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != self._inputs:
-            raise ValueError(
-                f"dataset {self._path} has {self._inputs} inputs per row, "
-                f"the points have {points.shape[1]}"
-            )
-        try:
-            return np.array([self._table[_dataset_key(row)] for row in points])
-        except KeyError as exc:
-            raise DatasetLookupError(f"no dataset row matches input {exc.args[0]}") from None
 
 
 class CommandModel(ModelHandle):

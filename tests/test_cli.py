@@ -12,6 +12,8 @@ import pytest
 
 import tailrisk
 from tailrisk.cli import REPORT_CSV_HEADER, main
+from tailrisk.metrics import mrd
+from tailrisk.models import rastrigin_lf
 
 from helpers import run_python
 
@@ -123,6 +125,17 @@ def no_basis(monkeypatch):
         raise AssertionError("the basis was built before the config was checked")
 
     monkeypatch.setattr(cli, "_build_basis", fail)
+
+
+@pytest.fixture()
+def no_model_handles(monkeypatch):
+    """Fail any run that opens a model handle."""
+    from tailrisk import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a model handle was opened before the config was checked")
+
+    monkeypatch.setattr(cli.Experiment, "build_model", fail)
 
 
 def config_errors(tmp_path, capsys, text):
@@ -274,6 +287,20 @@ class TestRun:
         with cli._open_models(exp, ("hf", "lf")) as handles:
             report = cli._run_trial(exp, cli._build_basis(exp), 7, handles)
         assert report.metadata["region_mass"] >= 1.0 - exp.beta
+
+    def test_numeric_benchmark_runs_no_reference_trials(self, tmp_path):
+        cfg = tmp_path / "fixed.ini"
+        cfg.write_text(FAST_CONFIG.replace("benchmark = auto", "benchmark = 18.7"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", cfg, "--method", "mfis_lf", "--out", out) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["benchmark_trials"] == []
+        estimates = np.array([t["cvar_estimate"] for t in doc["trials"]])
+        assert len(estimates) == 2
+        assert doc["summary"]["benchmark"] == 18.7
+        assert doc["summary"]["mrd_pct"] == mrd(estimates, 18.7)
+        header, *rows = (out / "table.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["mfis_lf"]
 
     def test_mfis_lf_counts_split(self, fast_config, tmp_path):
         out = tmp_path / "out"
@@ -523,14 +550,8 @@ class TestValidation:
          ("-inf", "must be 'auto' or a finite nonzero number, got -inf"),
          ("abc", "must be 'auto' or a number, got 'abc'")],
     )
-    def test_bad_benchmark_is_one_config_error(self, tmp_path, capsys, monkeypatch, value,
-                                               problem):
-        from tailrisk import cli
-
-        def fail(*args, **kwargs):
-            raise AssertionError("a model handle was opened before the config was checked")
-
-        monkeypatch.setattr(cli.Experiment, "build_model", fail)
+    def test_bad_benchmark_is_one_config_error(self, tmp_path, capsys, no_model_handles,
+                                               value, problem):
         text = (FAST_CONFIG.replace("benchmark = auto", f"benchmark = {value}")
                 .replace("method = surrogate_mcs", "method = mcs"))
         assert config_errors(tmp_path, capsys, text) == [f"risk.benchmark: {problem}"]
@@ -549,10 +570,27 @@ class TestValidation:
         ]
 
     @pytest.mark.parametrize(
+        "old, new, expected",
+        [("[model]\nkind = builtin\n", "[model]\nkind = dataset\n",
+          "model.kind: must be one of ('builtin', 'command'), got 'dataset'"),
+         ("name = rastrigin\n", "name = rastrigin\npath = runs.csv\n",
+          "model.path: unknown key; known: kind, name, lf_kind, lf_name"),
+         ("lf_name = rastrigin_lf1\n", "lf_name = rastrigin_lf1\nlf_path = runs.csv\n",
+          "model.lf_path: unknown key; known: kind, name, lf_kind, lf_name")],
+        ids=["kind", "path", "lf_path"],
+    )
+    def test_dataset_model_is_one_config_error(self, tmp_path, capsys, no_basis,
+                                               no_model_handles, old, new, expected):
+        # The kind is gone: a run draws its own points, which no table holds.
+        assert FAST_CONFIG.count(old) == 1
+        assert config_errors(tmp_path, capsys, FAST_CONFIG.replace(old, new)) == [expected]
+
+    @pytest.mark.parametrize(
         "model, field",
-        [("kind = dataset\n", "model.path: required"), ("kind = dataset\npath =\n", "model.path: "),
+        [("kind = builtin\n", "model.name: required"),
+         ("kind = command\n", "model.command: required"),
          ("kind = command\ncommand =  \n", "model.command: ")],
-        ids=["missing", "blank-path", "blank-command"],
+        ids=["missing", "missing-command", "blank-command"],
     )
     def test_model_source_is_required(self, tmp_path, capsys, no_basis, model, field):
         text = FAST_CONFIG.replace("kind = builtin\nname = rastrigin\n", model)
@@ -802,6 +840,22 @@ class TestFitPredict:
             predictions.append((tmp_path / "p.csv").read_text())
         assert predictions[0] == predictions[1]
 
+    def test_fit_trains_on_the_model_a_run_trains_on(self, tmp_path):
+        # mfis_lf trains on the LF model; an HF model that fails every
+        # input must not be asked.
+        script = tmp_path / "fail.py"
+        script.write_text("import sys\nsys.exit('the HF model was asked')\n")
+        cfg = tmp_path / "lf.ini"
+        cfg.write_text(FAST_CONFIG.replace(
+            "kind = builtin\nname = rastrigin\n",
+            f"kind = command\ncommand = {sys.executable} {script}\n",
+        ).replace("method = surrogate_mcs", "method = mfis_lf"))
+        out = tmp_path / "art"
+        assert run_cli("fit", "--config", cfg, "--out", out) == 0
+        artifact = json.loads((out / "surrogate.json").read_text())
+        np.testing.assert_array_equal(artifact["training_outputs"],
+                                      rastrigin_lf(np.array(artifact["training_inputs"]), 1))
+
     @pytest.mark.parametrize("flag", ["--trials", "--threads"])
     def test_fit_takes_no_run_flags(self, fast_config, tmp_path, capsys, flag):
         # ``fit`` fits trial 0 in one thread, so it offers neither flag.
@@ -891,6 +945,24 @@ class TestPresets:
         assert workloads
         for path in workloads:
             Experiment(load_config(path))
+
+    def test_config_that_sets_a_kind_replaces_the_preset_model(self, tmp_path):
+        script = REPO / "perfbench" / "workloads" / "rastrigin_line.py"
+        command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+        swap = tmp_path / "cmd.ini"
+        swap.write_text(f"[model]\nkind = command\ncommand = {command}\n")
+        docs = []
+        for config in ((), ("--config", swap)):
+            out = tmp_path / f"out{len(docs)}"
+            assert run_cli("run", "--preset", "example1-corr09", *config, "--trials", 1,
+                           "--out", out) == 0
+            docs.append(json.loads((out / "report.json").read_text()))
+        builtin, swapped = docs
+        assert swapped["config"]["model"] == {
+            "kind": "command", "command": command, "lf_kind": "builtin", "lf_name": "rastrigin_lf1"
+        }
+        # The line script's replies equal rastrigin bit for bit.
+        assert swapped["trials"] == builtin["trials"]
 
     def test_readme_config_block_lists_every_key(self, tmp_path):
         from tailrisk.cli import _SCHEMA, Experiment, load_config

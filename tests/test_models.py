@@ -9,8 +9,6 @@ import pytest
 from tailrisk import (
     BuiltinModel,
     CommandModel,
-    DatasetLookupError,
-    DatasetModel,
     EvaluationError,
     Gaussian,
     InputModel,
@@ -108,98 +106,6 @@ class TestBuiltinModel:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             BuiltinModel("ackley")
-
-
-class TestDatasetModel:
-    def test_exact_lookup(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        path.write_text("x1,x2,y\n1.0,2.0,7.5\n-0.25,3.5,1.25\n")
-        model = DatasetModel(path)
-        assert model.evaluate_batch(np.array([1.0, 2.0])[None])[0] == 7.5
-
-    def test_missing_row_keeps_counter(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        path.write_text("x1,x2,y\n1.0,2.0,7.5\n")
-        model = DatasetModel(path)
-        with pytest.raises(DatasetLookupError):
-            model.evaluate_batch(np.array([9.0, 9.0])[None])[0]
-
-    def test_round_trip_through_sample_export(self, tmp_path, corr09):
-        samples = sample(corr09, "mc", 20, seed=3)
-        outputs = rastrigin(samples.points)
-        path = tmp_path / "design.csv"
-        with open(path, "w") as fh:
-            fh.write("x1,x2,y\n")
-            for row, y in zip(samples.points, outputs):
-                fh.write(f"{row[0]:.15g},{row[1]:.15g},{float(y)!r}\n")
-        model = DatasetModel(path)
-        got = model.evaluate_batch(samples.points)
-        np.testing.assert_array_equal(got, outputs)
-
-    def test_header_validation(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            DatasetModel(path)
-
-    def test_row_length_must_match_header(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        path.write_text("x1,x2,y\n1,2,3\n4,5\n")
-        with pytest.raises(ValueError) as err:
-            DatasetModel(path)
-        assert f"{path} line 3" in str(err.value)
-
-    def test_repeated_input_needs_the_same_output(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        path.write_text("x1,x2,y\n1,2,3\n1,2,5\n")
-        with pytest.raises(ValueError) as err:
-            DatasetModel(path)
-        assert f"{path} line 3" in str(err.value)
-        # An exact repeat, written differently, is the same run.
-        path.write_text("x1,x2,y\n1,2,3\n1.0,2.0,3.0\n")
-        assert DatasetModel(path).evaluate_batch(np.array([[1.0, 2.0]]))[0] == 3.0
-
-    @pytest.mark.parametrize("row", ["1,1,nan", "1,inf,2", "-inf,1,2"])
-    def test_non_finite_value_is_refused(self, tmp_path, row):
-        # A nan output is not reported as a repeat with another output.
-        path = tmp_path / "runs.csv"
-        path.write_text(f"x1,x2,y\n0,0,1\n{row}\n")
-        bad = next(v for v in row.split(",") if not math.isfinite(float(v)))
-        with pytest.raises(ValueError) as err:
-            DatasetModel(path)
-        assert str(err.value) == f"dataset {path} line 3: {bad!r} is not a finite number"
-
-    @pytest.mark.parametrize("row, bad", [("1,2,abc", "abc"), ("1,,2", ""), ("one,1,2", "one")])
-    def test_non_numeric_value_is_refused(self, tmp_path, row, bad):
-        # Named with its file and line, like every other row defect.
-        path = tmp_path / "runs.csv"
-        path.write_text(f"x1,x2,y\n0,0,1\n{row}\n")
-        with pytest.raises(ValueError) as err:
-            DatasetModel(path)
-        assert str(err.value) == f"dataset {path} line 3: {bad!r} is not a number"
-
-    @pytest.mark.parametrize("content", [b"x1,x2,y\n0,0,1\n1,\xff,2\n", b"x1,\xff,y\n0,0,1\n"],
-                             ids=["row", "header"])
-    def test_non_utf8_file_is_refused(self, tmp_path, content):
-        path = tmp_path / "runs.csv"
-        path.write_bytes(content)
-        with pytest.raises(ValueError) as err:
-            DatasetModel(path)
-        assert not isinstance(err.value, UnicodeDecodeError)
-        assert str(err.value) == f"dataset {path} is not UTF-8 text"
-
-    @pytest.mark.parametrize("columns, width", [(1, 2), (3, 2), (2, 1)])
-    def test_point_width_must_match_input_columns(self, tmp_path, columns, width):
-        # Not a lookup miss: no row of another width could ever match.
-        path = tmp_path / "runs.csv"
-        names = ",".join(f"x{k}" for k in range(1, columns + 1))
-        path.write_text(f"{names},y\n" + ",".join(["1"] * (columns + 1)) + "\n")
-        with pytest.raises(ValueError) as err:
-            DatasetModel(path).evaluate_batch(np.ones((3, width)))
-        assert not isinstance(err.value, KeyError)
-        assert str(err.value) == (
-            f"dataset {path} has {columns} inputs per row, the points have {width}"
-        )
 
 
 # The floating-point operations of the builtin ``rastrigin``, one line at a
