@@ -145,17 +145,28 @@ def multi_index_set(dimension: int, interaction_order: int, degree: int) -> Mult
 
 
 def monomial_matrix(points, index_set: MultiIndexSet) -> np.ndarray:
-    """Evaluate every monomial of the set at every point: ``(Q, L)`` array."""
+    """Evaluate every monomial of the set at every point: ``(Q, L)`` array.
+
+    A monomial has at most ``S`` exponents that are not zero.  Its value is
+    the product of those coordinates' powers, gathered from one table of
+    every coordinate's powers and multiplied in increasing coordinate
+    order; a monomial with fewer factors is padded with ``x**0``, an exact
+    one.  So the result equals the product over all ``d`` coordinates in
+    that order, which multiplies by exact ones in between.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     idx = index_set.indices
-    out = np.ones((pts.shape[0], idx.shape[0]))
-    for k in range(index_set.dimension):
-        degs = idx[:, k]
-        max_deg = int(degs.max())
-        if max_deg == 0:
-            continue
-        powers = pts[:, k, None] ** np.arange(max_deg + 1)
-        out *= powers[:, degs]
+    width = int(idx.max(initial=0)) + 1
+    # Column ``k * width + e`` holds ``x_k**e``.
+    powers = (pts[:, :, None] ** np.arange(width)).reshape(len(pts), pts.shape[1] * width)
+    # Each row's coordinates, those with a non-zero exponent first, each
+    # group in increasing order.
+    factors = max(int(np.count_nonzero(idx, axis=1).max(initial=0)), 1)
+    coords = np.argsort(idx == 0, axis=1, kind="stable")[:, :factors]
+    columns = coords * width + np.take_along_axis(idx, coords, axis=1)
+    out = powers[:, columns[:, 0]]
+    for factor in columns.T[1:]:
+        out *= powers[:, factor]
     return out
 
 

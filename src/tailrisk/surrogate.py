@@ -29,9 +29,14 @@ the search the import of ``scipy.optimize``; a test keeps its iterates
 identical to SciPy's.  Length scales whose ``R`` is numerically singular
 (the conditioning wall) score a penalty.  The probe ladder and the solver
 share one residual path and one cache, which holds the last and the best
-factorization.  Once an entry's Jacobian is built, the entry keeps only
-that Jacobian and the two vectors its residuals read, so no n x n array
-outlives the Jacobian that needed it.
+factorization.  While another state is computed, an entry still waiting
+for its Jacobian keeps one n x n factor, ``L`` for the Gaussian kernel and
+``L^-1`` for the exponential one; its Jacobian rebuilds the other, by
+inversion or from the inputs.  Only the probe ladder's best rung waits
+so, which costs at most one rebuilt factor per search.  Once an entry's
+Jacobian is built, the entry keeps only that Jacobian and the two vectors
+its residuals read, so no n x n array outlives the Jacobian that needed
+it.
 Each Jacobian column costs one triangular product (:func:`_loo_jacobian`),
 and the search's only inverse, of ``L``, is by recursive blocking
 (:func:`_invert_lower`).  Each search evaluation allocates no n x n matrix
@@ -392,10 +397,16 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     once more, at the solver's default tolerances, from the best explore
     endpoint.  The ladder and the solver share one residual path and one
     cache of the last and the best factorization, so no theta is factorized
-    twice in a row, and the starts of the first explore run and of the
-    polish are neither factorized nor differentiated.  A cached entry gives
-    up its n x n factors when its Jacobian is built and keeps the Jacobian
-    instead.  The exponential kernel's sort orders are computed once.
+    twice in a row: the starts of the first explore run and of the polish
+    are not factorized again, and the polish start is not differentiated
+    again.  While another theta is factorized, a cached entry whose
+    Jacobian is not built yet keeps one n x n factor (``L`` for the
+    Gaussian kernel, ``L^-1`` for the exponential one).  The ladder's best
+    rung, the first explore start, is such an entry, so at most one factor
+    per search is rebuilt when its Jacobian is asked for: ``L^-1`` by
+    inversion or ``R`` from the inputs.  A cached entry gives up its n x n
+    factors when its Jacobian is built and keeps the Jacobian instead.  The
+    exponential kernel's sort orders are computed once.
 
     Length scales whose correlation matrix is numerically singular score
     the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
@@ -444,6 +455,8 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     # rung with the penalty.  Reused values equal recomputed ones.
     kept = {}
     orders = _sort_orders(inputs) if kind == "exponential" else None
+    # Where in a ``_loo_state`` the factor lies that a pending entry gives up.
+    drop = 1 if kind == "gaussian" else 0
     best = {"objective": float(matmul(penalty, penalty)), "log_theta": rungs[0], "key": None}
     # The best objective only ever falls, so one finite here stays finite.
     if not np.isfinite(best["objective"]):
@@ -456,6 +469,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     wall = {"stop": False, "reached": False}
 
     def entry_at(theta):
+        """The kept entry at ``theta``, factorized first if there is none."""
         key = theta.tobytes()
         if key not in kept:
             # Dropped first, so that the new state can reuse its memory.
@@ -465,6 +479,15 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
             # pages.
             for other in [k for k in kept if k != best["key"]]:
                 del kept[other]
+            # A kept state still waiting for its Jacobian keeps one factor
+            # while the new one is computed: ``L`` for the Gaussian kernel,
+            # ``L^-1`` for the exponential one.  The other is rebuilt without
+            # a factorization, ``L^-1`` from ``L`` and ``R`` from the inputs.
+            # No local name may hold it, or it would live through the new
+            # state.
+            for entry in kept.values():
+                if entry[1] is None and entry[0] is not None:
+                    entry[0] = entry[0][:drop] + (None,) + entry[0][drop + 1 :]
             state = _loo_state(theta, inputs, outputs, kind)
             counts["factorizations"] += 1
             counts["singular_factorizations"] += state is None
@@ -485,16 +508,30 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         return res
 
     def jacobian_fn(log_theta, *_):
+        """The Jacobian at ``log_theta``, built once per kept entry.
+
+        A factor that the entry gave up is rebuilt by the call that
+        :func:`_loo_state` made, after every other entry but the best is
+        dropped.  Only the ladder's best rung, the first explore start, is
+        ever rebuilt.
+        """
         theta = np.exp(log_theta)
         entry = entry_at(theta)
         if entry[1] is None and entry[0] is None:  # R is singular: the plateau is flat
             entry[1] = np.zeros((len(outputs), len(theta)))
         elif entry[1] is None:
+            key = theta.tobytes()
+            for other in [k for k in kept if k not in (key, best["key"])]:
+                del kept[other]
             # The entry keeps only what its residuals read.  Its factors go
             # with the Jacobian's call, which overwrites ``L^-1``.
-            state = entry[0]
-            entry[0] = (None, None, *state[2:])
-            entry[1] = _loo_jacobian(theta, inputs, state, kind, orders)
+            factor, chol_inv, *rest = entry[0]
+            entry[0] = (None, None, *rest)
+            if chol_inv is None:
+                chol_inv = _invert_lower(np.array(factor, order="F"))
+            elif factor is None:
+                factor = cross_correlation(inputs, inputs, KernelSpec(kind, theta))
+            entry[1] = _loo_jacobian(theta, inputs, (factor, chol_inv, *rest), kind, orders)
         return entry[1]
 
     rng = np.random.default_rng(seed)

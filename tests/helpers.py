@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,18 @@ def brute_force_var_cvar(values, probabilities, beta):
         if values[i] > var:
             excess += probabilities[i] * (values[i] - var)
     return var, var + excess / (1.0 - beta)
+
+
+def traced_peak(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` under ``tracemalloc``: the traced peak in
+    bytes, and the call's result."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 def run_python(script, **env):

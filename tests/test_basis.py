@@ -31,6 +31,7 @@ from helpers import (
     correlated_gaussian_gram,
     gaussian_moment,
     per_entry_moment_matrix,
+    traced_peak,
 )
 
 
@@ -121,6 +122,18 @@ class TestMonomials:
         for row, x in zip(batch, pts):
             np.testing.assert_allclose(row, monomial_matrix(x[None], s)[0], rtol=1e-15)
 
+    @pytest.mark.parametrize("dimension, interaction, degree",
+                             [(2, 1, 3), (6, 3, 4), (20, 2, 3), (3, 0, 0)])
+    def test_equals_the_product_over_every_coordinate(self, dimension, interaction, degree):
+        # The reference multiplies every coordinate's power in increasing
+        # order, exact ones included; leaving the ones out moves no bit.
+        s = multi_index_set(dimension, interaction, degree)
+        pts = np.random.default_rng(5).normal(scale=3.0, size=(50, dimension))
+        reference = np.ones((len(pts), len(s)))
+        for k in range(dimension):
+            reference *= pts[:, k, None] ** s.indices[:, k]
+        assert monomial_matrix(pts, s).tobytes() == reference.tobytes()
+
 
 class TestMomentMatrix:
     # The moments are exact, so each check is an identity against a
@@ -188,13 +201,7 @@ class TestMomentMatrix:
         # Twenty inputs in correlated pairs: G is 631 x 631 (3.2 MB), and
         # each pair's table is 10 x 10.  A list of moment keys for every
         # entry of G would peak near 129 MB.
-        model = _model("gl", _adjacent_pairs(20))
-        tracemalloc.start()
-        try:
-            basis = build_basis(model, 2, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, basis = traced_peak(build_basis, _model("gl", _adjacent_pairs(20)), 2, 3)
         assert len(basis) == 631
         assert peak < 32e6
 
