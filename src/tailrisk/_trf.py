@@ -60,7 +60,8 @@ from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg import norm
-from scipy.linalg import svd
+
+from ._blas import svd
 
 __all__ = ["least_squares"]
 
@@ -332,7 +333,7 @@ def least_squares(fun, x0, jac, bounds, ftol=1e-8, xtol=1e-8, gtol=1e-8):
         J_augmented[:m] = J * d
         J_h = J_augmented[:m]  # Memory view.
         J_augmented[m:] = np.diag(diag_h**0.5)
-        U, s, V = svd(J_augmented, full_matrices=False)
+        U, s, V = svd(J_augmented)
         V = V.T
         uf = U.T.dot(f_augmented)
         # theta controls the step back from the bounds.

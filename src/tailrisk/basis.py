@@ -40,9 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.linalg import lapack, solve_triangular
 
-from ._blas import matmul
+from ._blas import dpotrf, matmul, solve_triangular
 from .exceptions import ArtifactError, PositiveDefinitenessError
 from .inputs import Gaussian, InputModel, Lognormal
 
@@ -284,11 +283,11 @@ def whiten(
     scaled = gram * np.outer(scale, scale)
 
     # dpotrf gives the failing 1-based pivot, or 0, and zeroes the upper triangle.
-    factor, pivot = lapack.dpotrf(scaled, lower=1)
+    factor, pivot = dpotrf(scaled, lower=1)
     jittered = pivot != 0
     if jittered:
         jitter = 1e-12 * np.trace(scaled) / size
-        factor, pivot = lapack.dpotrf(scaled + jitter * np.eye(size), lower=1)
+        factor, pivot = dpotrf(scaled + jitter * np.eye(size), lower=1)
         if pivot:
             raise PositiveDefinitenessError(
                 f"moment matrix is not positive definite (pivot {pivot})"

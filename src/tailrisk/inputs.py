@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._blas import matmul
 from .exceptions import InvalidModelError
@@ -81,6 +80,8 @@ class Uniform:
             )
 
     def from_gauss(self, z):
+        from scipy.special import ndtr  # imported here: only uniform marginals need it
+
         return self.lower + (self.upper - self.lower) * ndtr(z)
 
     @property

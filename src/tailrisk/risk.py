@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import inputs
 from .exceptions import InsufficientMassError, TailriskError
@@ -141,6 +140,8 @@ def half_width(variances, alpha: float):
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    from scipy.special import ndtri  # imported here: surrogate MCS never needs it
+
     return float(ndtri(1.0 - alpha / 2.0)) * np.sqrt(variances)
 
 

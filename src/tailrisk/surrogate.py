@@ -53,7 +53,9 @@ or training digest disagree with the rebuilt ones.  Both modes share one
 fit path and one rank rule; ``R`` enters it only through its Cholesky
 factor and triangular solves.  Once the fit is done, the surrogate keeps
 ``L^-1`` in place of ``L``: a product by it gives ``v`` about 2.5 times
-as fast as a triangular solve.  The factorization of ``R`` and the LOO
+as fast as a triangular solve.  Every kernel here, BLAS, LAPACK and the
+distances, is SciPy's compiled routine, taken from ``_blas`` without
+SciPy's package wrappers.  The factorization of ``R`` and the LOO
 search's ``R^-1 b`` call LAPACK's ``dpotrf`` and ``dpotrs`` directly:
 ``R`` is symmetric, so its Fortran-ordered view ``R.T`` reaches LAPACK
 without a transposing copy, and the training data are checked for
@@ -77,12 +79,22 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular, svd
-from scipy.linalg.blas import dgemm, dsymv, dtrmm, dtrmv
-from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
-from scipy.spatial.distance import cdist
 
-from ._blas import matmul
+from ._blas import (
+    cdist_cityblock,
+    cdist_sqeuclidean,
+    dgemm,
+    dlauum,
+    dpotrf,
+    dpotrs,
+    dsymv,
+    dtrmm,
+    dtrmv,
+    dtrtri,
+    matmul,
+    solve_triangular,
+    svd,
+)
 from ._trf import least_squares
 from .basis import OrthonormalBasis
 from .exceptions import (
@@ -102,8 +114,8 @@ __all__ = [
 ]
 
 # Distance whose negated exponential is each kernel's correlation.
-_METRICS = {"gaussian": "sqeuclidean", "exponential": "cityblock"}
-KERNEL_KINDS = tuple(_METRICS)
+_DISTANCES = {"gaussian": cdist_sqeuclidean, "exponential": cdist_cityblock}
+KERNEL_KINDS = tuple(_DISTANCES)
 MODES = ("chaos", "chaos_kriging")
 
 SURROGATE_FORMAT = "tailrisk-surrogate"
@@ -169,7 +181,7 @@ def cross_correlation(points_a, points_b, kernel: KernelSpec, out=None) -> np.nd
     is subnormal.
     """
     a, b = (np.atleast_2d(np.asarray(p, dtype=float)) / kernel.theta for p in (points_a, points_b))
-    dist = cdist(a, b, _METRICS[kernel.kind], out=out)
+    dist = _DISTANCES[kernel.kind](a, b, out=out)
     return _correlation_from_distance(dist)
 
 
@@ -658,7 +670,7 @@ class FittedSurrogate:
                 )
             whitened = solve_triangular(chol, whitened, lower=True)
             z = solve_triangular(chol, z, lower=True)
-        u, s, vt = svd(whitened, full_matrices=False, check_finite=False)
+        u, s, vt = svd(whitened, check_finite=False)
         if not s[-1] > np.finfo(float).eps * max(whitened.shape) * s[0]:  # also NaN
             raise ConditioningError(
                 "generalized least-squares system is rank deficient; "
@@ -669,7 +681,7 @@ class FittedSurrogate:
         self.process_variance = float(matmul(residual, residual)) / n
         if self.mode == "chaos_kriging":
             self._whitened_basis, self._trend_map = whitened, vt / s[:, None]
-            self._rinv_residual = solve_triangular(chol, residual, lower=True, trans="T")
+            self._rinv_residual = solve_triangular(chol, residual, lower=True, trans=1)
             # ``L`` is not needed past here, so its inverse takes its memory.
             self._chol_inv = _invert_lower(chol)
 
@@ -856,7 +868,10 @@ def fit(
     provenance = {"kernel_kind": kernel_kind, "mode": mode, "seed": int(seed)}
     kernel = None
     if mode == "chaos_kriging":
-        if len(np.unique(x, axis=0)) != x.shape[0]:
+        # Rows equal as floats are adjacent once sorted (``np.unique(x,
+        # axis=0)`` would import ``numpy.ma``).
+        rows = x[np.lexsort(x.T[::-1])]
+        if np.all(rows[1:] == rows[:-1], axis=1).any():
             raise DegenerateTrainingError(
                 "duplicate training inputs cannot be interpolated; deduplicate the design"
             )

@@ -807,24 +807,37 @@ class TestFitPredict:
     def test_no_command_imports_scipy_optimize(self, tmp_path):
         # The LOO search has its own solver and sampling is plain Monte
         # Carlo, so a run, a fit and a predict import neither scipy.optimize
-        # nor scipy.stats (which imports scipy.optimize).
+        # nor scipy.stats (which imports scipy.optimize).  A surrogate MCS
+        # run and a fit load only SciPy's compiled kernels: none of SciPy's
+        # linalg, spatial or special packages, its array-API shim, or the
+        # numpy packages that shim imports.
         script = textwrap.dedent(
             f"""
             import sys
             from pathlib import Path
             from tailrisk.cli import main
+
+            def loaded(*packages):
+                return sorted(name for name in sys.modules
+                              if any(name == p or name.startswith(p + ".") for p in packages))
+
             out = Path({str(tmp_path)!r})
             (out / "pts.csv").write_text("x1,x2\\n0.5,-1.0\\n")
             assert main(["run", "--preset", "example1-corr09", "--trials", "1",
                          "--out", str(out / "run")]) == 0
             assert main(["fit", "--preset", "example1-corr09", "--out", str(out / "fit")]) == 0
+            print(loaded("scipy.linalg", "scipy.spatial", "scipy.special",
+                         "scipy._lib._array_api", "numpy.ma", "numpy.f2py"))
             assert main(["predict", "--artifact", str(out / "fit" / "surrogate.json"),
                          "--points", str(out / "pts.csv"), "--out", str(out / "p.csv")]) == 0
-            print(sorted(name for name in sys.modules
-                         if name.startswith(("scipy.optimize", "scipy.stats"))))
+            print(loaded("scipy.optimize", "scipy.stats"))
             """
         )
-        assert run_python(script).splitlines()[-1] == "[]"
+        packages, solvers = [line for line in run_python(script).splitlines()
+                             if line.startswith("[")]
+        assert packages == str(["scipy.linalg._fblas", "scipy.linalg._flapack",
+                                "scipy.spatial._distance_pybind"])
+        assert solvers == "[]"
         assert (tmp_path / "p.csv").exists()
 
     def test_predict_maps_columns_by_name(self, fast_config, tmp_path):

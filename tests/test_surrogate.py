@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import blas, cho_factor, cho_solve, lapack, solve_triangular, svd
 from scipy.linalg.lapack import dtrtri
 from scipy.optimize import least_squares
+from scipy.spatial import distance
 from scipy.spatial.distance import cdist
 
 from tailrisk import (
@@ -31,7 +32,7 @@ from tailrisk import (
     var_cvar,
     whiten,
 )
-from tailrisk import _trf
+from tailrisk import _blas, _trf
 from tailrisk import surrogate as surrogate_mod
 from tailrisk.surrogate import (
     _EXPLORE_TOLERANCES,
@@ -157,6 +158,70 @@ class TestKernels:
         assert np.all((got == 0.0) | (got >= TINY))
 
 
+class TestScipyKernels:
+    # ``_blas`` loads SciPy's compiled modules without their packages and
+    # wraps two LAPACK calls; these checks guard that against other SciPy
+    # versions.
+    BLAS = ("ddot", "dgemm", "dgemv", "dsymv", "dtrmm", "dtrmv")
+    LAPACK = ("dlauum", "dpotrf", "dpotrs", "dtrtri")
+
+    @staticmethod
+    def same_bits(ours, theirs):
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_kernels_are_scipys_objects(self):
+        for name in self.BLAS:
+            assert getattr(_blas, name) is getattr(blas, name)
+        for name in self.LAPACK:
+            assert getattr(_blas, name) is getattr(lapack, name)
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
+        for metric in ("sqeuclidean", "cityblock"):
+            kernel = getattr(_blas, f"cdist_{metric}")
+            assert kernel is getattr(distance._distance_pybind, f"cdist_{metric}")
+            out = np.empty((7, 5))
+            assert kernel(a, b, out=out) is out
+            self.same_bits([out], [cdist(a, b, metric)])
+
+    def test_svd_matches_scipy(self):
+        matrix = np.random.default_rng(6).normal(size=(40, 7))
+        for operand in (matrix, np.asfortranarray(matrix)):
+            for check_finite in (True, False):
+                self.same_bits(_blas.svd(operand, check_finite=check_finite),
+                               svd(operand, full_matrices=False, check_finite=check_finite))
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_solve_triangular_matches_scipy(self, lower):
+        rng = np.random.default_rng(7)
+        tri = np.tril(rng.normal(size=(9, 9))) + 9.0 * np.eye(9)
+        tri = tri if lower else tri.T.copy()
+        rhs = rng.normal(size=(9, 4))
+        for a in (tri, np.asfortranarray(tri)):
+            for b in (rhs, np.asfortranarray(rhs), rhs[:, 0].copy()):
+                for trans in (0, 1):
+                    theirs = solve_triangular(a, b, lower=lower, trans="T" if trans else "N")
+                    self.same_bits([_blas.solve_triangular(a, b, lower, trans=trans)], [theirs])
+
+    def test_nan_operands_raise_where_scipy_does(self):
+        bad = np.ones((6, 3))
+        bad[2, 1] = np.nan
+        for check_finite in (True, False):
+            with pytest.raises(ValueError) as theirs:
+                svd(bad, full_matrices=False, check_finite=check_finite)
+            with pytest.raises(ValueError) as ours:
+                _blas.svd(bad, check_finite=check_finite)
+            assert str(ours.value) == str(theirs.value)
+        tri, rhs = np.eye(6), np.ones(6)
+        for a, b in ((bad[:, 1:2] * tri, rhs), (tri, bad[:, 1])):
+            with pytest.raises(ValueError) as theirs:
+                solve_triangular(a, b, lower=True)
+            with pytest.raises(ValueError) as ours:
+                _blas.solve_triangular(a, b, True)
+            assert str(ours.value) == str(theirs.value)
+
+
 class TestFitting:
     def test_exact_linear_trend_recovery(self):
         basis = hermite_basis_1d(1)
@@ -244,6 +309,10 @@ class TestFitting:
         x = np.array([[0.0], [1.0], [1.0], [2.0]])
         with pytest.raises(DegenerateTrainingError):
             fit(x, np.arange(4.0), basis)
+        # Rows are compared as floats, so -0.0 equals 0.0.
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 3.0], [-0.0, 1.0]])
+        with pytest.raises(DegenerateTrainingError):
+            fit(x, np.arange(4.0), hermite_basis_2d(1, 1))
 
     def test_nugget_rescues_tiny_pivot(self):
         # Appended, the near-coincident pair factors by roundoff with a
