@@ -1,19 +1,29 @@
-"""SciPy's compiled BLAS, LAPACK and distance kernels, and ``a @ b`` through them.
+"""SciPy's compiled BLAS, LAPACK, distance and normal-CDF kernels, and
+``a @ b`` through them.
 
-This is the one module that imports SciPy when the package is imported.
-It loads three of SciPy's extension modules, ``scipy.linalg._fblas``,
-``scipy.linalg._flapack`` and ``scipy.spatial._distance_pybind``, straight
-from the installed SciPy's directory, so no package ``__init__`` runs.
-The ``__init__``s of ``scipy.linalg``, ``scipy.spatial`` and
+This is the one module that imports SciPy.  It loads SciPy's modules
+straight from the installed SciPy's directory, so no package ``__init__``
+runs: ``scipy.linalg._fblas``, ``scipy.linalg._flapack`` and
+``scipy.spatial._distance_pybind`` when it is imported, and, on the first
+use of :data:`ndtri` or :data:`ndtr`, ``scipy.special._ufuncs`` after the
+modules its init imports (``_sf_error``, ``_special_ufuncs``,
+``_ufuncs_cxx``, ``_ellip_harm_2``, ``_gufuncs``).  Only the risk region's
+quantile and a uniform marginal need those two, so surrogate MCS never
+loads them.  The ``__init__``s of ``scipy.linalg``, ``scipy.spatial`` and
 ``scipy.special`` pull in SciPy's array-API shim, which imports
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; that cost each process
-about 0.35 s and 26 MB of peak memory (2-core x86-64 VM, SciPy 1.17.1),
-for nothing the program uses.  Each module is registered in
+about 0.35 s and 26 MB of peak memory, and each MFIS process another
+0.14-0.24 s and about 13 MB for ``scipy.special`` (2-core x86-64 VM, SciPy
+1.17.1), for nothing the program uses.  Each module is registered in
 ``sys.modules`` under its own name, and one that is already there is
-reused, so ``scipy.linalg.blas.dgemm`` is this module's ``dgemm``: every
-kernel is SciPy's own object, and every bit is the same.  :func:`svd` and
-:func:`solve_triangular` call the LAPACK routines the way SciPy's wrappers
-do; ``tests/test_surrogate.py`` checks both against SciPy's.
+reused, so ``scipy.linalg.blas.dgemm`` is this module's ``dgemm`` and
+``scipy.special.ndtri`` its ``ndtri``: every kernel is SciPy's own object,
+and every bit is the same.  A package imported later sets as attributes only
+the children the import system loads itself, so a ``sys.meta_path`` finder
+binds the children loaded here before the package's ``__init__`` runs
+(``scipy.special.seterr`` reads ``scipy.special._special_ufuncs``).
+:func:`svd` and :func:`solve_triangular` call the LAPACK routines the way
+SciPy's wrappers do; ``tests/test_surrogate.py`` checks both against SciPy's.
 
 numpy and scipy can each ship an OpenBLAS with its own thread pool; when
 numpy's ``@`` alternates with scipy's LAPACK, the two pools compete for the
@@ -25,27 +35,64 @@ factorizations use.
 import importlib.util
 import os
 import sys
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.machinery import (
+    EXTENSION_SUFFIXES,
+    SOURCE_SUFFIXES,
+    ExtensionFileLoader,
+    FileFinder,
+    PathFinder,
+    SourceFileLoader,
+)
 
 import numpy as np
 import scipy
 
 
 def _extension(name):
-    """SciPy's compiled module ``name``, loaded without its packages' ``__init__``."""
+    """SciPy's module ``name``, compiled or ``.py``, loaded without its packages' ``__init__``."""
     module = sys.modules.get(name)
     if module is not None:
         return module
     package = name.rpartition(".")[0].split(".")[1:]
     directory = os.path.join(os.path.dirname(scipy.__file__), *package)
-    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES),
+                        (SourceFileLoader, SOURCE_SUFFIXES))
+    spec = finder.find_spec(name)
     if spec is None:
-        raise ImportError(f"SciPy {scipy.__version__} has no compiled module {name}")
+        raise ImportError(f"SciPy {scipy.__version__} has no module {name}")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
+
+class _ChildBinder:
+    """A ``sys.meta_path`` finder for a SciPy package imported after some
+    of its children were loaded here: the package's own spec, whose
+    ``exec_module`` sets those children as attributes before ``__init__``
+    runs, as the import system does for children it loads itself."""
+
+    @staticmethod
+    def find_spec(name, path, target):
+        if not name.startswith("scipy."):
+            return None
+        children = {key.rpartition(".")[2]: module for key, module in list(sys.modules.items())
+                    if key.rpartition(".")[0] == name}
+        if not children:
+            return None
+        spec = PathFinder.find_spec(name, path, target)
+        exec_module = spec.loader.exec_module
+
+        def bind_children(module):
+            for child, value in children.items():
+                setattr(module, child, value)
+            exec_module(module)
+
+        spec.loader.exec_module = bind_children
+        return spec
+
+
+sys.meta_path.insert(0, _ChildBinder)
 
 _fblas = _extension("scipy.linalg._fblas")
 _flapack = _extension("scipy.linalg._flapack")
@@ -56,6 +103,17 @@ dsymv, dtrmm, dtrmv = _fblas.dsymv, _fblas.dtrmm, _fblas.dtrmv
 dlauum, dpotrf, dpotrs, dtrtri = _flapack.dlauum, _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri
 # ``cdist(a, b, "sqeuclidean")`` and ``"cityblock"`` call these as they are.
 cdist_sqeuclidean, cdist_cityblock = _distance.cdist_sqeuclidean, _distance.cdist_cityblock
+# The modules that ``scipy.special._ufuncs``'s init imports, in its order.
+_UFUNCS_IMPORTS = ("_sf_error", "_special_ufuncs", "_ufuncs_cxx", "_ellip_harm_2", "_gufuncs")
+
+
+def __getattr__(name):
+    """``ndtri`` and ``ndtr``, SciPy's ufuncs, loaded on first use."""
+    if name not in ("ndtri", "ndtr"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for child in _UFUNCS_IMPORTS:
+        _extension(f"scipy.special.{child}")
+    return getattr(_extension("scipy.special._ufuncs"), name)
 
 
 def svd(a, check_finite=True):

@@ -80,7 +80,7 @@ class Uniform:
             )
 
     def from_gauss(self, z):
-        from scipy.special import ndtr  # imported here: only uniform marginals need it
+        from ._blas import ndtr  # loaded on first use: only uniform marginals need it
 
         return self.lower + (self.upper - self.lower) * ndtr(z)
 

@@ -810,12 +810,15 @@ class TestFitPredict:
         # nor scipy.stats (which imports scipy.optimize).  A surrogate MCS
         # run and a fit load only SciPy's compiled kernels: none of SciPy's
         # linalg, spatial or special packages, its array-API shim, or the
-        # numpy packages that shim imports.
+        # numpy packages that shim imports.  An MFIS run and a uniform
+        # marginal add scipy.special's ufunc modules, still without the
+        # package.
         script = textwrap.dedent(
             f"""
             import sys
             from pathlib import Path
             from tailrisk.cli import main
+            from tailrisk.inputs import Gaussian, InputModel, Uniform, sample
 
             def loaded(*packages):
                 return sorted(name for name in sys.modules
@@ -831,14 +834,47 @@ class TestFitPredict:
             assert main(["predict", "--artifact", str(out / "fit" / "surrogate.json"),
                          "--points", str(out / "pts.csv"), "--out", str(out / "p.csv")]) == 0
             print(loaded("scipy.optimize", "scipy.stats"))
+            assert main(["run", "--preset", "example2", "--trials", "1",
+                         "--out", str(out / "mfis")]) == 0
+            sample(InputModel([Uniform(-1.0, 3.0), Gaussian(0.0, 1.0)]), "mc", 5, 1)
+            print(loaded("scipy.special", "scipy._lib._array_api", "numpy.ma", "numpy.f2py",
+                         "scipy.optimize", "scipy.stats"))
             """
         )
-        packages, solvers = [line for line in run_python(script).splitlines()
-                             if line.startswith("[")]
+        packages, solvers, special = [line for line in run_python(script).splitlines()
+                                      if line.startswith("[")]
         assert packages == str(["scipy.linalg._fblas", "scipy.linalg._flapack",
                                 "scipy.spatial._distance_pybind"])
         assert solvers == "[]"
+        assert special == str([f"scipy.special.{name}" for name in (
+            "_ellip_harm_2", "_gufuncs", "_sf_error", "_special_ufuncs", "_ufuncs", "_ufuncs_cxx")])
         assert (tmp_path / "p.csv").exists()
+
+    def test_scipy_packages_imported_after_a_run_work(self, tmp_path):
+        # ``_blas`` loads SciPy's modules without their packages; a package
+        # imported later must still find them as its attributes.
+        script = textwrap.dedent(
+            f"""
+            from tailrisk import _blas
+            from tailrisk.cli import main
+
+            assert main(["run", "--preset", "example2", "--trials", "1",
+                         "--out", {str(tmp_path / "run")!r}]) == 0
+            import scipy.linalg, scipy.special, scipy.stats
+
+            with scipy.special.errstate(all="raise"):
+                try:
+                    scipy.special.gamma(-1.0)
+                except scipy.special.SpecialFunctionError:
+                    print("raised")
+            settings = scipy.special.geterr()
+            assert scipy.special.seterr(**settings) == settings
+            assert scipy.stats.norm.ppf(0.975) == scipy.special.ndtri(0.975)
+            assert scipy.linalg._fblas is _blas._fblas
+            print("ok")
+            """
+        )
+        assert run_python(script).splitlines()[-2:] == ["raised", "ok"]
 
     def test_predict_maps_columns_by_name(self, fast_config, tmp_path):
         out = tmp_path / "art"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.linalg import blas, cho_factor, cho_solve, lapack, solve_triangular, svd
 from scipy.linalg.lapack import dtrtri
 from scipy.optimize import least_squares
@@ -184,6 +185,12 @@ class TestScipyKernels:
             out = np.empty((7, 5))
             assert kernel(a, b, out=out) is out
             self.same_bits([out], [cdist(a, b, metric)])
+        # ``half_width`` takes ``ndtri(1 - alpha/2)``, a uniform marginal ``ndtr(z)``.
+        assert _blas.ndtri is special.ndtri and _blas.ndtr is special.ndtr
+        quantiles = 1.0 - np.linspace(0.0, 1.0, 20_001) / 2.0
+        self.same_bits([_blas.ndtri(quantiles)], [special.ndtri(quantiles)])
+        z = np.linspace(-8.0, 8.0, 20_001)
+        self.same_bits([_blas.ndtr(z)], [special.ndtr(z)])
 
     def test_svd_matches_scipy(self):
         matrix = np.random.default_rng(6).normal(size=(40, 7))
