@@ -7,11 +7,12 @@ runs: ``scipy.linalg._fblas``, ``scipy.linalg._flapack`` and
 ``scipy.spatial._distance_pybind`` when it is imported, and, on the first
 use of :data:`ndtri` or :data:`ndtr`, ``scipy.special._ufuncs`` after the
 modules its init imports (``_sf_error``, ``_special_ufuncs``,
-``_ufuncs_cxx``, ``_ellip_harm_2``, ``_gufuncs``).  Only the risk region's
-quantile and a uniform marginal need those two, so surrogate MCS never
-loads them.  The ``__init__``s of ``scipy.linalg``, ``scipy.spatial`` and
-``scipy.special`` pull in SciPy's array-API shim, which imports
-``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; that cost each process
+``_ufuncs_cxx``, ``_ellip_harm_2``, ``_gufuncs``), under a lock, as MFIS
+trials run in threads.  Only the risk region's quantile and a uniform
+marginal need those two, so surrogate MCS never loads them.  The
+``__init__``s of ``scipy.linalg``, ``scipy.spatial`` and ``scipy.special``
+pull in SciPy's array-API shim, which imports ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma``; that cost each process
 about 0.35 s and 26 MB of peak memory, and each MFIS process another
 0.14-0.24 s and about 13 MB for ``scipy.special`` (2-core x86-64 VM, SciPy
 1.17.1), for nothing the program uses.  Each module is registered in
@@ -35,6 +36,7 @@ factorizations use.
 import importlib.util
 import os
 import sys
+import threading
 from importlib.machinery import (
     EXTENSION_SUFFIXES,
     SOURCE_SUFFIXES,
@@ -48,13 +50,17 @@ import numpy as np
 import scipy
 
 
+# The modules :func:`_extension` loaded, by package: ``{package: {child: module}}``.
+_loaded = {}
+
+
 def _extension(name):
     """SciPy's module ``name``, compiled or ``.py``, loaded without its packages' ``__init__``."""
     module = sys.modules.get(name)
     if module is not None:
         return module
-    package = name.rpartition(".")[0].split(".")[1:]
-    directory = os.path.join(os.path.dirname(scipy.__file__), *package)
+    package, _, child = name.rpartition(".")
+    directory = os.path.join(os.path.dirname(scipy.__file__), *package.split(".")[1:])
     finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES),
                         (SourceFileLoader, SOURCE_SUFFIXES))
     spec = finder.find_spec(name)
@@ -62,7 +68,12 @@ def _extension(name):
         raise ImportError(f"SciPy {scipy.__version__} has no module {name}")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    _loaded.setdefault(package, {})[child] = module
     return module
 
 
@@ -73,12 +84,9 @@ class _ChildBinder:
     runs, as the import system does for children it loads itself."""
 
     @staticmethod
-    def find_spec(name, path, target):
-        if not name.startswith("scipy."):
-            return None
-        children = {key.rpartition(".")[2]: module for key, module in list(sys.modules.items())
-                    if key.rpartition(".")[0] == name}
-        if not children:
+    def find_spec(name, path, target=None):
+        children = _loaded.get(name)
+        if children is None:
             return None
         spec = PathFinder.find_spec(name, path, target)
         exec_module = spec.loader.exec_module
@@ -105,15 +113,20 @@ dlauum, dpotrf, dpotrs, dtrtri = _flapack.dlauum, _flapack.dpotrf, _flapack.dpot
 cdist_sqeuclidean, cdist_cityblock = _distance.cdist_sqeuclidean, _distance.cdist_cityblock
 # The modules that ``scipy.special._ufuncs``'s init imports, in its order.
 _UFUNCS_IMPORTS = ("_sf_error", "_special_ufuncs", "_ufuncs_cxx", "_ellip_harm_2", "_gufuncs")
+# Held while they load: a module is in ``sys.modules`` before it has run.
+_ufuncs_lock = threading.Lock()
 
 
 def __getattr__(name):
     """``ndtri`` and ``ndtr``, SciPy's ufuncs, loaded on first use."""
     if name not in ("ndtri", "ndtr"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    for child in _UFUNCS_IMPORTS:
-        _extension(f"scipy.special.{child}")
-    return getattr(_extension("scipy.special._ufuncs"), name)
+    with _ufuncs_lock:
+        for child in _UFUNCS_IMPORTS:
+            _extension(f"scipy.special.{child}")
+        ufuncs = _extension("scipy.special._ufuncs")
+        globals().update(ndtri=ufuncs.ndtri, ndtr=ufuncs.ndtr)  # later reads skip this hook
+    return globals()[name]
 
 
 def svd(a, check_finite=True):

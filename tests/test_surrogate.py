@@ -192,6 +192,46 @@ class TestScipyKernels:
         z = np.linspace(-8.0, 8.0, 20_001)
         self.same_bits([_blas.ndtr(z)], [special.ndtr(z)])
 
+    def test_ufuncs_load_once_from_concurrent_threads(self):
+        # MFIS trials run in threads, and each may be the first to read
+        # ``ndtri`` or ``ndtr``; a module half-loaded by one thread must not
+        # reach another, and none may load twice.
+        script = textwrap.dedent(
+            """
+            import sys, threading
+            from tailrisk import _blas
+
+            start, errors, results = threading.Barrier(4), [], []
+
+            def first_use(name):
+                start.wait()
+                try:
+                    results.append(float(getattr(_blas, name)(0.975)))
+                except Exception as error:
+                    errors.append(repr(error))
+
+            threads = [threading.Thread(target=first_use, args=(name,))
+                       for name in ("ndtri", "ndtr", "ndtri", "ndtr")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == [], errors
+            ufuncs = sys.modules["scipy.special._ufuncs"]
+            assert _blas.__dict__["ndtri"] is ufuncs.ndtri
+            assert _blas.__dict__["ndtr"] is ufuncs.ndtr
+            with ufuncs.errstate(all="raise"):
+                try:
+                    ufuncs.gamma(-1.0)
+                except Exception as error:
+                    raised = type(error)
+            assert raised is sys.modules["scipy.special._sf_error"].SpecialFunctionError
+            print(sorted(set(results)))
+            """
+        )
+        assert run_python(script).splitlines()[-1] == str(
+            sorted({float(special.ndtri(0.975)), float(special.ndtr(0.975))}))
+
     def test_svd_matches_scipy(self):
         matrix = np.random.default_rng(6).normal(size=(40, 7))
         for operand in (matrix, np.asfortranarray(matrix)):
