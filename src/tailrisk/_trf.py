@@ -30,32 +30,29 @@
 # THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
 # (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
 # OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-"""Bounded trust-region-reflective least squares (Branch, Coleman & Li 1999).
+"""Bounded trust-region least squares with Coleman-Li scaling.
 
-A port of ``scipy.optimize.least_squares(method="trf")`` from SciPy 1.17.1,
-for the one configuration the LOO search uses: finite bounds, a callable
-Jacobian, the exact trust-region solver (an SVD of the augmented Jacobian),
-linear loss, unit ``x_scale`` and ``max_nfev = 100 len(x0)``.  Ported
-statement for statement from ``_lsq/trf.py`` (``trf_bounds``,
-``select_step``) and ``_lsq/common.py`` (``solve_lsq_trust_region``,
-``intersect_trust_region``, ``update_tr_radius``, ``build_quadratic_1d``,
-``minimize_quadratic_1d``, ``step_size_to_bound``,
-``make_strictly_feasible`` with ``find_active_constraints``,
-``CL_scaling_vector``, ``check_termination``), with the residual memo of
-``VectorFunction``: a point equal to the one evaluated last reuses its
-residuals.  Branches this configuration never reaches are left out, and
-products by the unit scale, which are exact, are dropped.
-``evaluate_quadratic`` becomes the sum of ``build_quadratic_1d``'s two
-coefficients, which rounds the same way.  The products
-stay on numpy's ``.dot``, as in SciPy, so that every iterate is
-bit-identical to SciPy's; ``tests/test_surrogate.py`` checks this.
+SciPy 1.17.1's ``least_squares(method="trf")`` (Branch, Coleman & Li
+1999), cut to the one configuration the LOO search uses: finite bounds,
+a callable Jacobian, the exact trust-region solver (an SVD of the
+augmented Jacobian), linear loss, unit ``x_scale`` and ``max_nfev = 100
+len(x0)``.  It follows ``_lsq/trf.py`` and ``_lsq/common.py`` statement
+for statement but for one rule: a trust-region step that leaves the box
+is not reflected.  It is cut back to ``theta`` of its stride to the
+bound or replaced by the scaled anti-gradient step, whichever the
+quadratic model values more, close to the step-back method of Coleman &
+Li (1996).  So the iterates are bit-identical to SciPy's wherever SciPy
+takes no reflected step; ``tests/test_surrogate.py`` checks this.
+Products by the unit scale, which are exact, are dropped; the others
+stay on numpy's ``.dot``, as in SciPy, and ``evaluate_quadratic`` is the
+sum of ``build_quadratic_1d``'s coefficients, which rounds the same way.
+There is no residual memo: the caller's cache answers a repeated point.
 
 Importing ``scipy.optimize`` cost each process about 0.1 s and 11.7 MB of
 peak memory (2-core x86-64 VM, SciPy 1.17.1), and the search needs nothing
 else from it.
 """
 
-from math import copysign
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,23 +66,8 @@ _EPS = np.finfo(float).eps
 # SciPy's stops for the Levenberg-Marquardt parameter, which ``least_squares`` never overrides.
 _ALPHA_RTOL = 0.01
 _ALPHA_MAX_ITER = 10
-
-
-def _intersect_trust_region(x, s, Delta):
-    """Roots ``t`` of ``||x + s t|| = Delta``, the negative one first."""
-    a = np.dot(s, s)
-    if a == 0:
-        raise ValueError("`s` is zero.")
-    b = np.dot(x, s)
-    c = np.dot(x, x) - Delta**2
-    if c > 0:
-        raise ValueError("`x` is not within the trust region.")
-    d = np.sqrt(b * b - a * c)  # Root from one fourth of the discriminant.
-    # Computations below avoid loss of significance, see "Numerical Recipes".
-    q = -(b + copysign(d, b))
-    t1 = q / a
-    t2 = c / q
-    return (t1, t2) if t1 < t2 else (t2, t1)
+# SciPy's default stop on the scaled gradient's infinity norm; no search overrides it.
+_GTOL = 1e-8
 
 
 def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha):
@@ -145,38 +127,31 @@ def _update_tr_radius(Delta, actual_reduction, predicted_reduction, step_norm, b
     return Delta, ratio
 
 
-def _build_quadratic_1d(J, g, s, diag, s0=None):
-    """Coefficients of ``t -> q(s0 + s t)``, ``q(p) = p^T (J^T J + diag) p / 2 + g^T p``."""
+def _build_quadratic_1d(J, g, s, diag):
+    """Coefficients of ``t -> q(s t)``, ``q(p) = p^T (J^T J + diag) p / 2 + g^T p``."""
     v = J.dot(s)
     a = np.dot(v, v)
     a += np.dot(s * diag, s)
     a *= 0.5
     b = np.dot(g, s)
-    if s0 is None:
-        return a, b
-    u = J.dot(s0)
-    b += np.dot(u, v)
-    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
-    b += np.dot(s0 * diag, s)
-    c += 0.5 * np.dot(s0 * diag, s0)
-    return a, b, c
+    return a, b
 
 
-def _minimize_quadratic_1d(a, b, lb, ub, c=0):
-    """Minimum point and value of ``a t^2 + b t + c`` on ``[lb, ub]``."""
+def _minimize_quadratic_1d(a, b, lb, ub):
+    """Minimum point and value of ``a t^2 + b t`` on ``[lb, ub]``."""
     t = [lb, ub]
     if a != 0:
         extremum = -0.5 * b / a
         if lb < extremum < ub:
             t.append(extremum)
     t = np.asarray(t)
-    y = t * (a * t + b) + c
+    y = t * (a * t + b)
     min_index = np.argmin(y)
     return t[min_index], y[min_index]
 
 
 def _step_size_to_bound(x, s, lb, ub):
-    """Smallest ``t >= 0`` with ``x + s t`` on the bounds, and which bounds it hits."""
+    """Smallest ``t >= 0`` with ``x + s t`` on the bounds."""
     non_zero = np.nonzero(s)
     s_non_zero = s[non_zero]
     steps = np.empty_like(x)
@@ -184,8 +159,7 @@ def _step_size_to_bound(x, s, lb, ub):
     with np.errstate(over="ignore"):
         steps[non_zero] = np.maximum((lb - x)[non_zero] / s_non_zero,
                                      (ub - x)[non_zero] / s_non_zero)
-    min_step = np.min(steps)
-    return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
+    return np.min(steps)
 
 
 def _make_strictly_feasible(x, lb, ub, rstep):
@@ -234,68 +208,42 @@ def _check_termination(dF, F, dx_norm, x_norm, ratio, ftol, xtol):
 
 
 def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
-    """The best of the trust-region, reflected and anti-gradient steps."""
+    """The trust-region step, or, if it leaves the box, the better of that
+    step cut back inside and the anti-gradient step."""
     # The model's value at a step is its quadratic along the step at t = 1.
     if np.all((x + p >= lb) & (x + p <= ub)):
         return p, p_h, -sum(_build_quadratic_1d(J_h, g_h, p_h, diag_h))
-    p_stride, hits = _step_size_to_bound(x, p, lb, ub)
-    # Compute the reflected direction.
-    r_h = np.copy(p_h)
-    r_h[hits.astype(bool)] *= -1
-    r = d * r_h
-    # Restrict trust-region step, such that it hits the bound.
+    # Restrict the trust-region step to the bound, then make it strictly
+    # interior.  Two products, as in SciPy, round as SciPy's step does.
+    p_stride = _step_size_to_bound(x, p, lb, ub)
     p *= p_stride
     p_h *= p_stride
-    x_on_bound = x + p
-    # The reflected direction crosses either the feasible region's or the
-    # trust region's boundary first.
-    _, to_tr = _intersect_trust_region(p_h, r_h, Delta)
-    to_bound, _ = _step_size_to_bound(x_on_bound, r, lb, ub)
-    # Bounds on the step along the reflected direction, kept strictly feasible.
-    r_stride = min(to_bound, to_tr)
-    if r_stride > 0:
-        r_stride_l = (1 - theta) * p_stride / r_stride
-        r_stride_u = theta * to_bound if r_stride == to_bound else to_tr
-    else:
-        r_stride_l = 0
-        r_stride_u = -1
-    # Check if reflection step is available.
-    if r_stride_l <= r_stride_u:
-        a, b, c = _build_quadratic_1d(J_h, g_h, r_h, diag_h, s0=p_h)
-        r_stride, r_value = _minimize_quadratic_1d(a, b, r_stride_l, r_stride_u, c=c)
-        r_h *= r_stride
-        r_h += p_h
-        r = r_h * d
-    else:
-        r_value = np.inf
-    # Now correct p_h to make it strictly interior.
     p *= theta
     p_h *= theta
     p_value = sum(_build_quadratic_1d(J_h, g_h, p_h, diag_h))
     ag_h = -g_h
     ag = d * ag_h
     to_tr = Delta / norm(ag_h)
-    to_bound, _ = _step_size_to_bound(x, ag, lb, ub)
+    to_bound = _step_size_to_bound(x, ag, lb, ub)
     ag_stride = theta * to_bound if to_bound < to_tr else to_tr
     a, b = _build_quadratic_1d(J_h, g_h, ag_h, diag_h)
     ag_stride, ag_value = _minimize_quadratic_1d(a, b, 0, ag_stride)
     ag_h *= ag_stride
     ag *= ag_stride
-    if p_value < r_value and p_value < ag_value:
+    if p_value < ag_value:
         return p, p_h, -p_value
-    if r_value < p_value and r_value < ag_value:
-        return r, r_h, -r_value
     return ag, ag_h, -ag_value
 
 
-def least_squares(fun, x0, jac, bounds, ftol=1e-8, xtol=1e-8, gtol=1e-8):
+def least_squares(fun, x0, jac, bounds, ftol=1e-8, xtol=1e-8):
     """Minimize ``||fun(x)||^2 / 2`` over the box ``bounds = (lb, ub)``.
 
     ``fun(x)`` returns the residual vector at ``x`` and ``jac(x)`` its
     Jacobian, as ndarrays of one and two dimensions.  Returns ``x``,
     ``fun`` (the residuals at ``x``), ``cost``, ``nfev``, ``njev`` and
     ``status``, as SciPy does: 0 when ``max_nfev`` runs out, 1 for
-    ``gtol``, 2 for ``ftol``, 3 for ``xtol`` and 4 for both of the last two.
+    ``gtol = 1e-8``, 2 for ``ftol``, 3 for ``xtol`` and 4 for both of the
+    last two.  A point is evaluated afresh each time a step reaches it.
     ``ValueError`` if the residuals at the start point are not finite.
     """
     lb, ub = (np.asarray(b, dtype=float) for b in bounds)
@@ -304,7 +252,6 @@ def least_squares(fun, x0, jac, bounds, ftol=1e-8, xtol=1e-8, gtol=1e-8):
     J = jac(x)
     if not np.all(np.isfinite(f)):
         raise ValueError("Residuals are not finite in the initial point.")
-    x_last, f_last = x, f  # the point evaluated last, and its residuals
     nfev = njev = 1
     m, n = J.shape
     max_nfev = 100 * n
@@ -321,7 +268,7 @@ def least_squares(fun, x0, jac, bounds, ftol=1e-8, xtol=1e-8, gtol=1e-8):
     while True:
         v, dv = _cl_scaling_vector(x, g, lb, ub)
         g_norm = norm(g * v, ord=np.inf)
-        if g_norm < gtol:
+        if g_norm < _GTOL:
             status = 1
         if status is not None or nfev == max_nfev:
             break
@@ -345,11 +292,7 @@ def least_squares(fun, x0, jac, bounds, ftol=1e-8, xtol=1e-8, gtol=1e-8):
             step, step_h, predicted_reduction = _select_step(
                 x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta)
             x_new = _make_strictly_feasible(x + step, lb, ub, rstep=0)
-            # A step that rounds back to the point evaluated last reuses its
-            # residuals, as SciPy's memo does.
-            if not np.array_equal(x_new, x_last):
-                x_last, f_last = x_new, fun(x_new)
-            f_new = f_last
+            f_new = fun(x_new)
             nfev += 1
             step_h_norm = norm(step_h)
             if not np.all(np.isfinite(f_new)):

@@ -155,6 +155,10 @@ class CommandModel(ModelHandle):
         if isinstance(argv, (str, os.PathLike)):
             argv = [str(argv)]
         self.timeout = float(timeout)
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(
+                f"timeout must be a positive finite number of seconds, got {timeout!r}"
+            )
         self._argv = [str(a) for a in argv]
         self._proc = None
         self._buffer = b""

@@ -21,16 +21,18 @@ term is dropped (``R = I``, so ``W = A`` and ``z = b``): the same fit gives
 ordinary least squares, and predictions carry zero variance.
 
 Kernel length scales minimize the closed-form leave-one-out residual sum
-(Dubrule 1983) by a bounded trust-region-reflective least-squares search
-with an analytic Jacobian, explored loosely from several starts and
-polished from the best (:func:`optimize_theta`).  The solver lives in
-``_trf``, a port of SciPy's ``least_squares(method="trf")`` that spares
+(Dubrule 1983) by a bounded trust-region least-squares search with an
+analytic Jacobian, explored loosely from several starts and polished from
+the best (:func:`optimize_theta`).  The solver lives in ``_trf``: SciPy's
+``least_squares(method="trf")`` without its reflected step, which spares
 the search the import of ``scipy.optimize``; a test keeps its iterates
-identical to SciPy's.  Length scales whose ``R`` is numerically singular
-(the conditioning wall) score a penalty.  The probe ladder and the solver
-share one residual path and one cache, which holds the last and the best
-factorization.  While another state is computed, an entry still waiting
-for its Jacobian keeps one n x n factor, ``L`` for the Gaussian kernel and
+identical to SciPy's wherever SciPy takes no reflected step.  Length
+scales whose ``R`` is numerically singular (the conditioning wall) score
+a penalty.  The probe ladder and the solver share one residual path and
+one cache, which holds the last and the best factorization; the solver
+keeps no memo of its own, so a repeated point is answered there.
+While another state is computed, an entry still waiting for its
+Jacobian keeps one n x n factor, ``L`` for the Gaussian kernel and
 ``L^-1`` for the exponential one; its Jacobian rebuilds the other, by
 inversion or from the inputs.  Only the probe ladder's best rung waits
 so, which costs at most one rebuilt factor per search.  Once an entry's
@@ -124,8 +126,8 @@ SURROGATE_VERSION = 1
 _RELATIVE_NUGGET = 1e-10
 _PENALTY = 1e25
 _PREDICT_BLOCK = 512
-# Tolerances of the explore runs of the LOO search; ``gtol`` keeps the
-# solver's default.  The rest of a run's work crawls toward the default
+# Tolerances of the explore runs of the LOO search; the solver's ``gtol``
+# is a constant, 1e-8.  The rest of a run's work crawls toward the default
 # ``ftol = xtol = 1e-8``, which only the polish run pays.  Looser stops
 # (1e-3) can end a run partway down a curved valley: on one training set
 # of about 250 tried, that start was the only one leading to the best
@@ -398,7 +400,7 @@ def default_theta_bounds(inputs) -> np.ndarray:
 def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     """Minimize the LOO-CV criterion over length scales.
 
-    Runs a bounded trust-region-reflective least-squares search on the LOO
+    Runs a bounded trust-region least-squares search on the LOO
     residual vector in log-scale coordinates, over the box of
     :func:`default_theta_bounds`, with the analytic Jacobian of
     :func:`_loo_jacobian`, in two phases.  *Explore* runs the solver

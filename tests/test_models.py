@@ -195,6 +195,19 @@ class TestCommandModel:
             with pytest.raises(EvaluationError, match="timed out"):
                 model.evaluate_batch(np.array([1.0, 2.0])[None])[0]
 
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan, 0.0, -1.0])
+    def test_timeout_must_be_positive_and_finite(self, timeout, tmp_path):
+        # inf overflowed select's timestamp at the first batch, nan raised
+        # there too, and 0 or -1 timed out at once.
+        starts = tmp_path / "starts"
+        argv = sum_child(tmp_path, prelude=f"""
+            with open({str(starts)!r}, "a") as fh:
+                print(os.getpid(), file=fh)
+        """)
+        with pytest.raises(ValueError, match=f"got {timeout!r}"):
+            CommandModel(argv, timeout=timeout)
+        assert not starts.exists()
+
     def test_failure_discards_late_reply(self, tmp_path):
         # The first child answers only after the timeout; its late reply
         # must not be taken as the answer to the next request.

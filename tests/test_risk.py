@@ -12,6 +12,7 @@ from tailrisk import (
     Lognormal,
     RiskRegion,
     RiskReport,
+    TailriskError,
     build_basis,
     epsilon_risk_region,
     fit,
@@ -326,6 +327,26 @@ class TestMfis:
         assert report.evaluations["hf"] == m
         assert report.metadata["fresh_points"] == 7
         assert report.evaluations["surrogate"] == counting.points > 0
+
+    def test_top_up_gives_up_on_a_region_it_cannot_reach(self, corr09):
+        # Every prediction sits below the threshold, so no fresh draw is
+        # admitted; after its 512 blocks the top-up raises, and the HF
+        # model is never run.
+        class Below:
+            def predict_batch(self, points):
+                return np.zeros(len(points)), np.zeros(len(points))
+
+        samples = make_samples(30, seed=8)
+        region = RiskRegion(
+            member_indices=np.array([4]), mass=0.5, threshold=1.0, alpha=0.05,
+        )
+        sent = []
+        with pytest.raises(TailriskError, match="region is too thin"):
+            mfis_estimate(
+                region, samples, sent.append, 3, 0.9,
+                seed=0, surrogate=Below(), input_model=corr09,
+            )
+        assert sent == []
 
     def test_top_up_admits_only_region_members(self):
         # Above x = 1 the predictor has infinite variance, so ``mean - eps``

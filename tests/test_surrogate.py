@@ -563,7 +563,7 @@ class TestOptimizeTheta:
         # The reference optimum over the factorizable length scales is
         # 21926.3: the best of an 80 x 80 log grid over the box, refined by
         # full-tolerance solver runs from its 12 best factorizable points.
-        # The search ends at the conditioning wall at 22440 (+2.3%).
+        # The search ends at the conditioning wall at 22416 (+2.2%).
         train = sample(corr09, "mc", 300, seed=756955442)
         y = BuiltinModel("rastrigin_lf1").evaluate_batch(train.points)
         _, info = optimize_theta(train.points, y, seed=199277989)
@@ -772,13 +772,14 @@ def scipy_trf(fun, x0, **kwargs):
 
 def trf_problems():
     """Small bounded problems ``(fun, jac, x0, lb, ub)``, each reaching one
-    branch of the solver; ``fun`` counts its calls and non-finite returns."""
-    counts = {"calls": 0, "bad": 0}
+    branch of the solver; ``fun`` records the points it is called at and
+    counts its non-finite returns."""
+    counts = {"points": [], "bad": 0}
 
     def counted(fun):
         def wrapped(x):
             res = fun(x)
-            counts["calls"] += 1
+            counts["points"].append(x.copy())
             counts["bad"] += not np.all(np.isfinite(res))
             return res
         return wrapped
@@ -790,9 +791,10 @@ def trf_problems():
         return np.array([x[0] - 3.0, x[0] + 1.0]) if x[0] < 0.6 else np.full(2, np.inf)
 
     problems = {
-        # The minimum (1, 1) lies outside the box, past its right edge.
-        "reflected-step": (rosenbrock, lambda x: np.array([[-20 * x[0], 10.0], [-1.0, 0.0]]),
-                           [-1.2, 1.0], [-1.5, -0.5], [0.5, 2.0]),
+        # The minimum (1, 1) lies outside the box, past its right edge; the
+        # box minimum is (0.5, 0.25).
+        "cut-back-step": (rosenbrock, lambda x: np.array([[-20 * x[0], 10.0], [-1.0, 0.0]]),
+                          [-1.2, 1.0], [-1.5, -0.5], [0.5, 2.0]),
         # One residual in two variables: J^T J is singular.
         "anti-gradient-step": (lambda x: np.array([x[0] + 2 * x[1] - 0.7]),
                                lambda x: np.array([[1.0, 2.0]]), [0.9, 0.9], [0.0, 0.0], [1.0, 1.0]),
@@ -809,7 +811,7 @@ def trf_problems():
         # trial shrinks the radius until 100 evaluations are spent.
         "budget": (lambda x: np.array([1.0]) if x[0] == 0.0 else np.array([np.nan]),
                    lambda x: np.array([[1.0]]), [0.0], [-1.0], [1.0]),
-        # The first step, 1e-20, rounds back to the start: its residuals are reused.
+        # The first step, 1e-20, rounds back to the start, which is evaluated again.
         "repeated-point": (lambda x: np.array([1e20 * (x[0] - 0.5) + 1.0]),
                            lambda x: np.array([[1e20]]), [0.5], [0.0], [1.0]),
     }
@@ -830,7 +832,7 @@ class TestTrfPort:
 
     @pytest.mark.parametrize("tolerances", TOLERANCES)
     @pytest.mark.parametrize(
-        "name", ["reflected-step", "anti-gradient-step", "rank-deficient", "non-finite",
+        "name", ["anti-gradient-step", "rank-deficient", "non-finite",
                  "flat-plateau", "budget", "repeated-point"])
     def test_iterates_match_scipy(self, name, tolerances, monkeypatch):
         steps, rank_deficient = set(), [False]
@@ -842,8 +844,6 @@ class TestTrfPort:
                 steps.add("trust-region")
             elif np.allclose(step_h / np.linalg.norm(step_h), -g_h / np.linalg.norm(g_h)):
                 steps.add("anti-gradient")
-            else:
-                steps.add("reflected")
             return step, step_h, value
 
         def recording_solve(n, m, uf, s, *args):
@@ -854,23 +854,53 @@ class TestTrfPort:
         fun, jac, x0, lb, ub = problems[name]
         kwargs = {"jac": jac, "bounds": (np.array(lb), np.array(ub)), **tolerances}
         oracle = scipy_trf(fun, np.array(x0), **kwargs)
-        oracle_calls = counts["calls"]
+        oracle_calls = len(counts["points"])
         monkeypatch.setattr(_trf, "_select_step", recording_select)
         monkeypatch.setattr(_trf, "_solve_lsq_trust_region", recording_solve)
-        counts.update(calls=0, bad=0)
+        counts.update(points=[], bad=0)
         port = _trf.least_squares(fun, np.array(x0), **kwargs)
         self.assert_same_result(port, oracle)
-        assert counts["calls"] == oracle_calls
+        points = [x.tobytes() for x in counts["points"]]
+        # SciPy's residual memo answers a repeated point; the port calls
+        # ``fun`` again, and in the LOO search ``optimize_theta``'s cache
+        # answers it.
+        if name != "repeated-point":
+            assert len(points) == oracle_calls
         reached = {
-            "reflected-step": "reflected" in steps,
             "anti-gradient-step": "anti-gradient" in steps,
             "rank-deficient": rank_deficient[0],
             "non-finite": counts["bad"] > 0 and port.status > 0,
             "flat-plateau": (port.nfev, port.status) == (1, 1),
             "budget": (port.nfev, port.status) == (100, 0),
-            "repeated-point": counts["calls"] < port.nfev,
+            "repeated-point": len(set(points)) < len(points),
         }
         assert reached[name]
+
+    @pytest.mark.parametrize("tolerances", TOLERANCES)
+    def test_step_out_of_the_box_is_cut_back_or_anti_gradient(self, tolerances, monkeypatch):
+        # SciPy reflects such a step off the bound; the port never does.
+        problems, counts = trf_problems()
+        fun, jac, x0, lb, ub = problems["cut-back-step"]
+        lb, ub = np.array(lb), np.array(ub)
+        kwargs = {"jac": jac, "bounds": (lb, ub), **tolerances}
+        oracle = scipy_trf(fun, np.array(x0), **kwargs)
+        left, select_step = [], _trf._select_step
+
+        def recording_select(x, J_h, diag_h, g_h, p, p_h, *args):
+            outside = not np.all((x + p >= lb) & (x + p <= ub))
+            step, step_h, value = select_step(x, J_h, diag_h, g_h, p, p_h, *args)
+            if outside:
+                anti_gradient = np.allclose(step_h / np.linalg.norm(step_h),
+                                            -g_h / np.linalg.norm(g_h))
+                left.append("cut-back" if step is p else "anti-gradient" if anti_gradient else "other")
+            return step, step_h, value
+
+        monkeypatch.setattr(_trf, "_select_step", recording_select)
+        counts.update(points=[], bad=0)
+        port = _trf.least_squares(fun, np.array(x0), **kwargs)
+        assert left and set(left) <= {"cut-back", "anti-gradient"}
+        assert all(np.all((lb < x) & (x < ub)) for x in counts["points"])
+        assert port.cost == pytest.approx(oracle.cost, rel=1e-8)
 
     def test_non_finite_start_is_refused(self):
         with pytest.raises(ValueError, match="not finite in the initial point"):
