@@ -23,8 +23,9 @@ and every bit is the same.  A package imported later sets as attributes only
 the children the import system loads itself, so a ``sys.meta_path`` finder
 binds the children loaded here before the package's ``__init__`` runs
 (``scipy.special.seterr`` reads ``scipy.special._special_ufuncs``).
-:func:`svd` and :func:`solve_triangular` call the LAPACK routines the way
-SciPy's wrappers do; ``tests/test_surrogate.py`` checks both against SciPy's.
+:func:`svd` is the one LAPACK wrapper: it hides ``dgesdd``'s workspace
+query as SciPy's does, and ``tests/test_surrogate.py`` checks it against
+SciPy's.  Every other routine is called as it is.
 
 numpy and scipy can each ship an OpenBLAS with its own thread pool; when
 numpy's ``@`` alternates with scipy's LAPACK, the two pools compete for the
@@ -108,7 +109,8 @@ _distance = _extension("scipy.spatial._distance_pybind")
 
 ddot, dgemm, dgemv = _fblas.ddot, _fblas.dgemm, _fblas.dgemv
 dsymv, dtrmm, dtrmv = _fblas.dsymv, _fblas.dtrmm, _fblas.dtrmv
-dlauum, dpotrf, dpotrs, dtrtri = _flapack.dlauum, _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri
+dlauum, dpotrf, dpotrs = _flapack.dlauum, _flapack.dpotrf, _flapack.dpotrs
+dtrtri, dtrtrs = _flapack.dtrtri, _flapack.dtrtrs
 # ``cdist(a, b, "sqeuclidean")`` and ``"cityblock"`` call these as they are.
 cdist_sqeuclidean, cdist_cityblock = _distance.cdist_sqeuclidean, _distance.cdist_cityblock
 # The modules that ``scipy.special._ufuncs``'s init imports, in its order.
@@ -144,22 +146,6 @@ def svd(a, check_finite=True):
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
     return u, s, vt
-
-
-def solve_triangular(a, b, lower, trans=0):
-    """``a^-1 b``, or ``a^-T b`` with ``trans``, for a triangular float64
-    ``a``, as ``scipy.linalg.solve_triangular`` computes it: ``dtrtrs`` on
-    ``a``, or on its Fortran-ordered transpose with ``lower`` and
-    ``trans`` flipped when ``a`` is C-ordered."""
-    a, b = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
-    if not a.flags.f_contiguous:
-        a, lower, trans = a.T, not lower, not trans
-    x, info = _flapack.dtrtrs(a, b, lower=lower, trans=trans)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info-1}")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return x
 
 
 def _transposed(matrix):

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from ._blas import dpotrf, matmul, solve_triangular
+from ._blas import dpotrf, dtrtrs, matmul
 from .exceptions import ArtifactError, PositiveDefinitenessError
 from .inputs import Gaussian, InputModel, Lognormal
 
@@ -266,6 +266,8 @@ def whiten(
 
     Raises
     ------
+    ValueError
+        If the (scaled) matrix holds a non-finite value.
     PositiveDefinitenessError
         If the (scaled) matrix fails Cholesky even after one retry with a
         relative diagonal jitter of ``1e-12 * trace / L``; the message
@@ -281,6 +283,8 @@ def whiten(
     else:
         scale = _scale_diagonal(index_set, coordinate_scales)
     scaled = gram * np.outer(scale, scale)
+    if not np.isfinite(scaled).all():
+        raise ValueError("moment matrix holds a non-finite value")
 
     # dpotrf gives the failing 1-based pivot, or 0, and zeroes the upper triangle.
     factor, pivot = dpotrf(scaled, lower=1)
@@ -293,7 +297,7 @@ def whiten(
                 f"moment matrix is not positive definite (pivot {pivot})"
             )
 
-    inv_factor = solve_triangular(factor, np.eye(size), lower=True)
+    inv_factor = dtrtrs(factor, np.eye(size), lower=1)[0]
     whitening = inv_factor * scale[None, :]
 
     prov = {"jittered": jittered}

@@ -147,6 +147,11 @@ class CommandModel(ModelHandle):
     for concurrent evaluation, as ``tailrisk run`` does (one per fidelity
     and worker, closed when the phase ends).  Like every handle it is a
     context manager; ``close()`` stops the child.
+
+    A batch fails when the child writes more replies than it was sent
+    lines, or output before its first line or after its last reply, so no
+    stray output is read in a later batch.  The protocol has no request
+    ids, so a stray line written mid-batch still shifts that batch.
     """
 
     kind = "command"
@@ -161,7 +166,6 @@ class CommandModel(ModelHandle):
             )
         self._argv = [str(a) for a in argv]
         self._proc = None
-        self._buffer = b""
         self._lock = threading.Lock()
 
     def _ensure_started(self):
@@ -175,21 +179,30 @@ class CommandModel(ModelHandle):
             # Writes go straight to the descriptor, only when select
             # reports room, so a full pipe never blocks the reader.
             os.set_blocking(self._proc.stdin.fileno(), False)
-            self._buffer = b""
 
-    def _drain_stderr(self) -> str:
+    def _ended(self, deadline):
+        """How the child ended and its stderr: it is waited for until
+        ``deadline``, then killed.  Its stderr is read without waiting, as
+        a process it started may hold the pipe open."""
         try:
             self._proc.stdin.close()
         except OSError:
             pass
         try:
-            return self._proc.stderr.read().decode(errors="replace").strip()
+            status = f"exit={self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))}"
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+            status = f"killed after {self.timeout}s"
+        os.set_blocking(self._proc.stderr.fileno(), False)
+        try:
+            return status, (self._proc.stderr.read() or b"").decode(errors="replace").strip()
         except Exception:
-            return ""
+            return status, ""
 
     def _kill(self):
         """Discard the child and any output it left unread."""
-        proc, self._proc, self._buffer = self._proc, None, b""
+        proc, self._proc = self._proc, None
         if proc is not None:
             proc.kill()
             proc.wait()
@@ -216,7 +229,10 @@ class CommandModel(ModelHandle):
         values = np.empty(len(points))
         received = 0
         rejected = None
+        buffer = b""
         deadline = time.monotonic() + self.timeout
+        if select.select([stdout_fd], [], [], 0)[0] and (stray := os.read(stdout_fd, 65536)):
+            raise EvaluationError(f"model command wrote {stray[:80]!r} before it was sent a line")
         while received < len(points):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -238,17 +254,14 @@ class CommandModel(ModelHandle):
                 continue
             chunk = os.read(stdout_fd, 65536)
             if not chunk:
-                stderr = self._drain_stderr()
-                if rejected is not None:
-                    raise EvaluationError(
-                        f"model command rejected input: {stderr}"
-                    ) from rejected
+                status, stderr = self._ended(deadline)
+                what = "closed its output" if rejected is None else "rejected input"
+                raise EvaluationError(f"model command {what} ({status}): {stderr}") from rejected
+            *replies, buffer = (buffer + chunk).split(b"\n")
+            if received + len(replies) > len(points):
                 raise EvaluationError(
-                    f"model command closed its output (exit={self._proc.poll()}): {stderr}"
+                    f"model command wrote more replies than the {len(points)} lines sent"
                 )
-            *replies, self._buffer = (self._buffer + chunk).split(
-                b"\n", len(points) - received
-            )
             for reply in replies:
                 try:
                     values[received] = float(reply)
@@ -260,6 +273,8 @@ class CommandModel(ModelHandle):
                 received += 1
             if replies:
                 deadline = time.monotonic() + self.timeout
+        if buffer:
+            raise EvaluationError(f"model command wrote {buffer[:80]!r} after its last reply")
         return values
 
     def close(self):

@@ -31,14 +31,10 @@ scales whose ``R`` is numerically singular (the conditioning wall) score
 a penalty.  The probe ladder and the solver share one residual path and
 one cache, which holds the last and the best factorization; the solver
 keeps no memo of its own, so a repeated point is answered there.
-While another state is computed, an entry still waiting for its
-Jacobian keeps one n x n factor, ``L`` for the Gaussian kernel and
-``L^-1`` for the exponential one; its Jacobian rebuilds the other, by
-inversion or from the inputs.  Only the probe ladder's best rung waits
-so, which costs at most one rebuilt factor per search.  Once an entry's
-Jacobian is built, the entry keeps only that Jacobian and the two vectors
-its residuals read, so no n x n array outlives the Jacobian that needed
-it.
+:func:`_loo_state` says which factor an entry waiting for its Jacobian
+keeps; once the Jacobian is built, the entry keeps only it and the two
+vectors its residuals read, so no n x n array outlives the Jacobian that
+needed it.
 Each Jacobian column costs one triangular product (:func:`_loo_jacobian`),
 and the search's only inverse, of ``L``, is by recursive blocking
 (:func:`_invert_lower`).  Each search evaluation allocates no n x n matrix
@@ -57,11 +53,11 @@ factor and triangular solves.  Once the fit is done, the surrogate keeps
 ``L^-1`` in place of ``L``: a product by it gives ``v`` about 2.5 times
 as fast as a triangular solve.  Every kernel here, BLAS, LAPACK and the
 distances, is SciPy's compiled routine, taken from ``_blas`` without
-SciPy's package wrappers.  The factorization of ``R`` and the LOO
-search's ``R^-1 b`` call LAPACK's ``dpotrf`` and ``dpotrs`` directly:
+SciPy's package wrappers.  The factorization of ``R`` and the solves by
+its factor call LAPACK's ``dpotrf``, ``dpotrs`` and ``dtrtrs`` directly:
 ``R`` is symmetric, so its Fortran-ordered view ``R.T`` reaches LAPACK
 without a transposing copy, and the training data are checked for
-non-finite values once, up front, instead of on every call.  Correlations
+non-finite values where they enter, instead of on every call.  Correlations
 below the smallest normal double are stored as zero, because subnormal
 entries make the products several times slower.  Prediction runs in
 blocks of exactly 512 rows, one point per row, with a short block padded
@@ -93,8 +89,8 @@ from ._blas import (
     dtrmm,
     dtrmv,
     dtrtri,
+    dtrtrs,
     matmul,
-    solve_triangular,
     svd,
 )
 from ._trf import least_squares
@@ -244,7 +240,10 @@ def _loo_state(theta, inputs, outputs, kind):
     diagonal of ``R^-1 = L^-T L^-1`` is the column sums of squares of
     ``L^-1``.  ``M`` is what the kernel's Jacobian multiplies by: ``L``
     for the Gaussian kernel, written over ``R``, and ``R`` for the
-    exponential kernel.
+    exponential kernel.  A state waiting for its Jacobian (:func:`_waiting`)
+    keeps one n x n factor, ``L`` for the Gaussian kernel and ``L^-1`` for
+    the exponential one; :func:`_loo_jacobian` rebuilds the other without a
+    factorization, ``L^-1`` by inverting ``L`` and ``R`` from the inputs.
     """
     corr = cross_correlation(inputs, inputs, KernelSpec(kind, theta))
     # Search on the un-nuggeted matrix only: residuals of a regularized
@@ -264,6 +263,12 @@ def _loo_state(theta, inputs, outputs, kind):
     ):
         return None
     return chol if gaussian else corr, chol_inv, rinv_b, rinv_diag
+
+
+def _waiting(state, kind):
+    """``state`` without the factor that :func:`_loo_jacobian` rebuilds."""
+    factor, chol_inv, *rest = state
+    return (factor, None, *rest) if kind == "gaussian" else (None, chol_inv, *rest)
 
 
 def _loo_residuals(state):
@@ -286,8 +291,9 @@ def _loo_jacobian(theta, inputs, state, kind, orders):
     """Jacobian of the LOO residuals in log-length-scale coordinates.
 
     ``orders`` is :func:`_sort_orders` of ``inputs``; only the exponential
-    kernel reads it.  The state's ``L^-1`` is overwritten: it becomes the
-    scratch buffer of every column.
+    kernel reads it.  A factor the state lacks is rebuilt first (see
+    :func:`_loo_state`).  The state's ``L^-1`` is overwritten: it becomes
+    the scratch buffer of every column.
 
     With ``alpha = R^-1 b``, ``c = diag(R^-1)``, ``G = R^-1`` and
     ``P_k = dR/dlog(theta_k)``: ``dalpha = -G P_k alpha`` and
@@ -308,6 +314,10 @@ def _loo_jacobian(theta, inputs, state, kind, orders):
       sum_j G_ij s_j V_ij`` with ``V = G (I + Rl)`` in that order.
     """
     factor, chol_inv, alpha, c = state
+    if chol_inv is None:
+        chol_inv = _invert_lower(np.array(factor, order="F"))
+    elif factor is None:
+        factor = cross_correlation(inputs, inputs, KernelSpec(kind, theta))
     n = len(alpha)
     # Products go through scipy's BLAS and LAPACK, not numpy's matmul (see
     # ``_blas``).  A symmetric C-ordered matrix reaches BLAS
@@ -414,13 +424,11 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     twice in a row: the starts of the first explore run and of the polish
     are not factorized again, and the polish start is not differentiated
     again.  While another theta is factorized, a cached entry whose
-    Jacobian is not built yet keeps one n x n factor (``L`` for the
-    Gaussian kernel, ``L^-1`` for the exponential one).  The ladder's best
-    rung, the first explore start, is such an entry, so at most one factor
-    per search is rebuilt when its Jacobian is asked for: ``L^-1`` by
-    inversion or ``R`` from the inputs.  A cached entry gives up its n x n
-    factors when its Jacobian is built and keeps the Jacobian instead.  The
-    exponential kernel's sort orders are computed once.
+    Jacobian is not built yet is :func:`_waiting`.  The ladder's best rung,
+    the first explore start, is such an entry, so at most one factor per
+    search is rebuilt.  A cached entry gives up its n x n factors when its
+    Jacobian is built and keeps the Jacobian instead.  The exponential
+    kernel's sort orders are computed once.
 
     Length scales whose correlation matrix is numerically singular score
     the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
@@ -469,8 +477,6 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     # rung with the penalty.  Reused values equal recomputed ones.
     kept = {}
     orders = _sort_orders(inputs) if kind == "exponential" else None
-    # Where in a ``_loo_state`` the factor lies that a pending entry gives up.
-    drop = 1 if kind == "gaussian" else 0
     best = {"objective": float(matmul(penalty, penalty)), "log_theta": rungs[0], "key": None}
     # The best objective only ever falls, so one finite here stays finite.
     if not np.isfinite(best["objective"]):
@@ -493,15 +499,11 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
             # pages.
             for other in [k for k in kept if k != best["key"]]:
                 del kept[other]
-            # A kept state still waiting for its Jacobian keeps one factor
-            # while the new one is computed: ``L`` for the Gaussian kernel,
-            # ``L^-1`` for the exponential one.  The other is rebuilt without
-            # a factorization, ``L^-1`` from ``L`` and ``R`` from the inputs.
-            # No local name may hold it, or it would live through the new
-            # state.
+            # No local name may hold the factor a waiting state gives up,
+            # or it would live through the new state.
             for entry in kept.values():
                 if entry[1] is None and entry[0] is not None:
-                    entry[0] = entry[0][:drop] + (None,) + entry[0][drop + 1 :]
+                    entry[0] = _waiting(entry[0], kind)
             state = _loo_state(theta, inputs, outputs, kind)
             counts["factorizations"] += 1
             counts["singular_factorizations"] += state is None
@@ -522,13 +524,8 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         return res
 
     def jacobian_fn(log_theta, *_):
-        """The Jacobian at ``log_theta``, built once per kept entry.
-
-        A factor that the entry gave up is rebuilt by the call that
-        :func:`_loo_state` made, after every other entry but the best is
-        dropped.  Only the ladder's best rung, the first explore start, is
-        ever rebuilt.
-        """
+        """The Jacobian at ``log_theta``, built once per kept entry, after
+        every other entry but the best is dropped."""
         theta = np.exp(log_theta)
         entry = entry_at(theta)
         if entry[1] is None and entry[0] is None:  # R is singular: the plateau is flat
@@ -539,13 +536,8 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
                 del kept[other]
             # The entry keeps only what its residuals read.  Its factors go
             # with the Jacobian's call, which overwrites ``L^-1``.
-            factor, chol_inv, *rest = entry[0]
-            entry[0] = (None, None, *rest)
-            if chol_inv is None:
-                chol_inv = _invert_lower(np.array(factor, order="F"))
-            elif factor is None:
-                factor = cross_correlation(inputs, inputs, KernelSpec(kind, theta))
-            entry[1] = _loo_jacobian(theta, inputs, (factor, chol_inv, *rest), kind, orders)
+            state, entry[0] = entry[0], (None, None, *entry[0][2:])
+            entry[1] = _loo_jacobian(theta, inputs, state, kind, orders)
         return entry[1]
 
     rng = np.random.default_rng(seed)
@@ -612,7 +604,7 @@ def _training_data(training_inputs, training_outputs, basis, mode):
             "training size must be at least the number of basis functions "
             f"(need >= {len(basis)}, got {x.shape[0]})"
         )
-    # Checked once here: the factorizations skip the per-call check.
+    # Checked here, on every path in: the factorizations and solves do not.
     for name, arr in (("inputs", x), ("outputs", b)):
         if not np.isfinite(arr).all():
             raise ValueError(f"training {name} hold a non-finite value")
@@ -638,8 +630,8 @@ class FittedSurrogate:
         self.basis = basis
         self.kernel = kernel
         self.mode = "chaos" if kernel is None else "chaos_kriging"
-        self.training_inputs = np.array(training_inputs, dtype=float)
-        self.training_outputs = np.array(training_outputs, dtype=float)
+        x, b = _training_data(training_inputs, training_outputs, basis, self.mode)
+        self.training_inputs, self.training_outputs = x.copy(), b.copy()
         self.provenance = dict(provenance or {})
         self._build()
         for arr in (self.training_inputs, self.training_outputs, self.coefficients):
@@ -670,8 +662,8 @@ class FittedSurrogate:
                     "correlation matrix is numerically singular even with a nugget; "
                     "shrink the length scales or space the training points out"
                 )
-            whitened = solve_triangular(chol, whitened, lower=True)
-            z = solve_triangular(chol, z, lower=True)
+            whitened = dtrtrs(chol, whitened, lower=1)[0]
+            z = dtrtrs(chol, z, lower=1)[0]
         u, s, vt = svd(whitened, check_finite=False)
         if not s[-1] > np.finfo(float).eps * max(whitened.shape) * s[0]:  # also NaN
             raise ConditioningError(
@@ -683,7 +675,7 @@ class FittedSurrogate:
         self.process_variance = float(matmul(residual, residual)) / n
         if self.mode == "chaos_kriging":
             self._whitened_basis, self._trend_map = whitened, vt / s[:, None]
-            self._rinv_residual = solve_triangular(chol, residual, lower=True, trans=1)
+            self._rinv_residual = dtrtrs(chol, residual, lower=1, trans=1)[0]
             # ``L`` is not needed past here, so its inverse takes its memory.
             self._chol_inv = _invert_lower(chol)
 

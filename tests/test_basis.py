@@ -269,6 +269,15 @@ class TestWhitening:
             whiten(gram, s)
         assert "pivot 2" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 2)])
+    def test_non_finite_moment_matrix_rejected(self, bad, entry):
+        s = multi_index_set(1, 1, 2)
+        gram = np.array([[1.0, 0, 1], [0, 1, 0], [1, 0, 3]])
+        gram[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            whiten(gram, s)
+
 
 class TestBasisEvaluation:
     def test_first_entry_is_one(self, corr09):

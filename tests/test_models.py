@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import textwrap
 import time
@@ -228,6 +229,75 @@ class TestCommandModel:
                 model.evaluate_batch(np.array([1.0, 2.0])[None])[0]
             time.sleep(1.0)
             assert model.evaluate_batch(np.array([10.0, 20.0])[None])[0] == 30.0
+
+    @pytest.mark.parametrize("written, error", [
+        (b"2\n999\n", "more replies than the 1 lines sent"),
+        (b"2\n999", "'999' after its last reply"),
+    ], ids=["line", "partial-line"])
+    def test_stray_reply_fails_its_batch(self, tmp_path, written, error):
+        # The first child writes stray output with its first reply, in one
+        # write: a pipe write that small is atomic, so the batch reads both.
+        marker = tmp_path / "started"
+        argv = sum_child(
+            tmp_path,
+            prelude=f"""
+                stray = not os.path.exists({str(marker)!r})
+                open({str(marker)!r}, "a").close()
+            """,
+            before_reply=f"""
+                if stray and k == 0:
+                    os.write(1, {written!r})
+                    continue
+            """,
+        )
+        with CommandModel(argv) as model:
+            with pytest.raises(EvaluationError, match=error):
+                model.evaluate_batch(np.array([[1.0, 1.0]]))
+            assert model.evaluate_batch(np.array([[10.0, 10.0]]))[0] == 20.0
+
+    def test_output_waiting_before_a_batch_fails_it(self, tmp_path):
+        # The child writes a stray line between two batches; the test
+        # waits until it is in the pipe.
+        go, written = tmp_path / "go", tmp_path / "written"
+        argv = child(tmp_path, textwrap.dedent(f"""
+            import os, sys, time
+            sys.stdin.readline()
+            print(2.0, flush=True)
+            while not os.path.exists({str(go)!r}):
+                time.sleep(0.01)
+            print(999, flush=True)
+            open({str(written)!r}, "w").close()
+            sys.stdin.readline()
+        """))
+        with CommandModel(argv) as model:
+            assert model.evaluate_batch(np.array([[1.0, 1.0]]))[0] == 2.0
+            go.touch()
+            deadline = time.monotonic() + 10.0
+            while not written.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with pytest.raises(EvaluationError, match="'999.* before it was sent a line"):
+                model.evaluate_batch(np.array([[10.0, 10.0]]))
+
+    def test_child_closing_its_output_fails_within_timeout(self, tmp_path):
+        # A process the child starts holds its stderr open for 10 s more.
+        pid = tmp_path / "pid"
+        argv = child(tmp_path, textwrap.dedent(f"""
+            import os, subprocess, sys, time
+            with open({str(pid)!r}, "w") as fh:
+                fh.write(str(os.getpid()))
+            subprocess.Popen([sys.executable, "-c", "import time; time.sleep(10)"],
+                             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+            os.close(1)
+            time.sleep(30)
+        """))
+        start = time.monotonic()
+        with CommandModel(argv, timeout=0.5) as model:
+            with pytest.raises(EvaluationError, match=r"closed its output \(killed after 0.5s\)"):
+                model.evaluate_batch(np.array([[1.0, 2.0]]))
+            assert model._proc is None
+        assert time.monotonic() - start < 5.0
+        with pytest.raises(ProcessLookupError):  # the child was reaped
+            os.kill(int(pid.read_text()), 0)
 
     def test_batch_overflowing_the_pipes_matches_builtin(self, tmp_path):
         pts = overflow_points(11)
