@@ -2,17 +2,21 @@
 ``a @ b`` through them.
 
 This is the one module that imports SciPy.  It loads SciPy's modules
-straight from the installed SciPy's directory, so no package ``__init__``
-runs: ``scipy.linalg._fblas``, ``scipy.linalg._flapack`` and
+straight from the installed SciPy's directory, which
+``importlib.util.find_spec`` locates without importing ``scipy``, so no
+package ``__init__`` runs, not even the top-level one:
+``scipy.linalg._fblas``, ``scipy.linalg._flapack`` and
 ``scipy.spatial._distance_pybind`` when it is imported, and, on the first
 use of :data:`ndtri` or :data:`ndtr`, ``scipy.special._ufuncs`` after the
 modules its init imports (``_sf_error``, ``_special_ufuncs``,
 ``_ufuncs_cxx``, ``_ellip_harm_2``, ``_gufuncs``), under a lock, as MFIS
 trials run in threads.  Only the risk region's quantile and a uniform
-marginal need those two, so surrogate MCS never loads them.  The
-``__init__``s of ``scipy.linalg``, ``scipy.spatial`` and ``scipy.special``
-pull in SciPy's array-API shim, which imports ``numpy.f2py``,
-``numpy.testing`` and ``numpy.ma``; that cost each process
+marginal need those two, so a surrogate-MCS run or a fit imports no SciPy
+package at all; importing the top-level one after numpy added about
+1.3 MB of resident memory and 10 ms.  An MFIS run still imports ``scipy``: ``_ufuncs_cxx`` imports it
+when it loads.  The ``__init__``s of ``scipy.linalg``, ``scipy.spatial``
+and ``scipy.special`` pull in SciPy's array-API shim, which imports
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; that cost each process
 about 0.35 s and 26 MB of peak memory, and each MFIS process another
 0.14-0.24 s and about 13 MB for ``scipy.special`` (2-core x86-64 VM, SciPy
 1.17.1), for nothing the program uses.  Each module is registered in
@@ -48,7 +52,9 @@ from importlib.machinery import (
 )
 
 import numpy as np
-import scipy
+
+# SciPy's directory, found without running its ``__init__``.
+_SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
 
 
 # The modules :func:`_extension` loaded, by package: ``{package: {child: module}}``.
@@ -61,12 +67,12 @@ def _extension(name):
     if module is not None:
         return module
     package, _, child = name.rpartition(".")
-    directory = os.path.join(os.path.dirname(scipy.__file__), *package.split(".")[1:])
+    directory = os.path.join(_SCIPY_DIR, *package.split(".")[1:])
     finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES),
                         (SourceFileLoader, SOURCE_SUFFIXES))
     spec = finder.find_spec(name)
     if spec is None:
-        raise ImportError(f"SciPy {scipy.__version__} has no module {name}")
+        raise ImportError(f"the SciPy at {_SCIPY_DIR} has no module {name}")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     try:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from ._blas import dpotrf, dtrtrs, matmul
+from ._blas import dpotrf, dtrmm, dtrtrs
 from .exceptions import ArtifactError, PositiveDefinitenessError
 from .inputs import Gaussian, InputModel, Lognormal
 
@@ -205,8 +205,19 @@ class OrthonormalBasis:
         return len(self.index_set)
 
     def evaluate(self, points) -> np.ndarray:
-        """Orthonormal polynomial values at ``(Q, N)`` points: a ``(Q, L)`` array."""
-        return matmul(monomial_matrix(points, self.index_set), self.whitening.T)
+        """Orthonormal polynomial values at ``(Q, N)`` points: a ``(Q, L)`` array.
+
+        ``M W^T`` is one right-side triangular product with one point per
+        row, so a point's values do not depend on the other points; a
+        general product rounded some rows by their position at a few
+        hundred functions.  ``W.T``, upper triangular, is a Fortran-ordered
+        view.  The result is C-ordered, as the products that read it round
+        by its layout.
+        """
+        monomials = np.asfortranarray(monomial_matrix(points, self.index_set))
+        return np.ascontiguousarray(
+            dtrmm(1.0, self.whitening.T, monomials, side=1, lower=0, overwrite_b=1)
+        )
 
     def to_dict(self) -> dict:
         return {

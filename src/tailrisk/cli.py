@@ -28,7 +28,6 @@ import math
 import re
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -417,6 +416,7 @@ def _map_trials(exp, fn, fidelities=("hf",)):
     if workers == 1:
         work(0)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only for threads > 1
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(workers)))
     return results

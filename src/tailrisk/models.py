@@ -17,10 +17,9 @@ ends; ``tailrisk fit`` opens and closes one.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-import select
-import subprocess
 import threading
 import time
 
@@ -40,6 +39,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# Input lines a command model formats at a time.  A 10 000-point batch to
+# ``perfbench/workloads/rastrigin_line.py`` took 36-48, 36-38 and 40 ms in
+# chunks of 128, 512 and 2048 lines, and 54-56 ms formatted at once.
+_CHUNK_LINES = 512
 
 
 def rastrigin(x):
@@ -169,6 +172,7 @@ class CommandModel(ModelHandle):
         self._lock = threading.Lock()
 
     def _ensure_started(self):
+        import subprocess  # loaded on first use: builtin models never need it
         if self._proc is None or self._proc.poll() is not None:
             self._proc = subprocess.Popen(
                 self._argv,
@@ -184,6 +188,7 @@ class CommandModel(ModelHandle):
         """How the child ended and its stderr: it is waited for until
         ``deadline``, then killed.  Its stderr is read without waiting, as
         a process it started may hold the pipe open."""
+        import subprocess
         try:
             self._proc.stdin.close()
         except OSError:
@@ -220,10 +225,11 @@ class CommandModel(ModelHandle):
                 raise
 
     def _stream(self, points) -> np.ndarray:
-        """Write every input line and read one reply per line, interleaved."""
-        pending = memoryview(
-            "".join(" ".join(map(repr, row)) + "\n" for row in points.tolist()).encode()
-        )
+        """Write every input line and read one reply per line, interleaved;
+        lines are formatted :data:`_CHUNK_LINES` at a time, as the pipe drains."""
+        import select  # loaded on first use, as subprocess is
+        lines = (" ".join(map(repr, row)) + "\n" for row in points.tolist())
+        pending = memoryview(b"")
         stdin_fd = self._proc.stdin.fileno()
         stdout_fd = self._proc.stdout.fileno()
         values = np.empty(len(points))
@@ -239,6 +245,8 @@ class CommandModel(ModelHandle):
                 raise EvaluationError(
                     f"model command timed out after {self.timeout}s: {' '.join(self._argv)}"
                 )
+            if not pending:
+                pending = memoryview("".join(itertools.islice(lines, _CHUNK_LINES)).encode())
             writers = [stdin_fd] if pending else []
             readable, writable, _ = select.select([stdout_fd], writers, [], remaining)
             if writable:
@@ -250,6 +258,7 @@ class CommandModel(ModelHandle):
                     # The child stopped reading; collect the replies it
                     # already wrote, then fail at the end of its output.
                     rejected, pending = exc, pending[:0]
+                    lines.close()
             if not readable:
                 continue
             chunk = os.read(stdout_fd, 65536)
@@ -279,6 +288,7 @@ class CommandModel(ModelHandle):
 
     def close(self):
         """Close the child's input, give it 5 s to exit, then kill it."""
+        import subprocess
         if self._proc is not None:
             self._proc.stdin.close()
             try:

@@ -65,9 +65,8 @@ by zero rows.  Every block reuses one buffer for its correlations and,
 with the variance, one for their Fortran-ordered copy: 1.2 MB each at
 n = 300, 5 MB at n = 1219.  Since every block has the same shape, every
 point is rounded the same way: a point's prediction does not depend on
-the other points in the call.  That holds for bases of up to about 60
-functions; with a few hundred, ``basis.evaluate``'s product rounds the
-last few rows of a block differently.
+the other points in the call, at any basis size, as ``basis.evaluate``
+is a right-side triangular product with one point per row.
 """
 
 from __future__ import annotations

@@ -808,11 +808,13 @@ class TestFitPredict:
         # The LOO search has its own solver and sampling is plain Monte
         # Carlo, so a run, a fit and a predict import neither scipy.optimize
         # nor scipy.stats (which imports scipy.optimize).  A surrogate MCS
-        # run and a fit load only SciPy's compiled kernels: none of SciPy's
-        # linalg, spatial or special packages, its array-API shim, or the
-        # numpy packages that shim imports.  An MFIS run and a uniform
+        # run and a fit load only SciPy's compiled kernels: not the scipy
+        # package itself, none of SciPy's linalg, spatial or special
+        # packages, its array-API shim, or the numpy packages that shim
+        # imports.  With builtin models and one thread they load no thread
+        # pool, subprocess or select either.  An MFIS run and a uniform
         # marginal add scipy.special's ufunc modules, still without the
-        # package.
+        # special package.
         script = textwrap.dedent(
             f"""
             import sys
@@ -829,8 +831,8 @@ class TestFitPredict:
             assert main(["run", "--preset", "example1-corr09", "--trials", "1",
                          "--out", str(out / "run")]) == 0
             assert main(["fit", "--preset", "example1-corr09", "--out", str(out / "fit")]) == 0
-            print(loaded("scipy.linalg", "scipy.spatial", "scipy.special",
-                         "scipy._lib._array_api", "numpy.ma", "numpy.f2py"))
+            print(loaded("scipy", "numpy.ma", "numpy.f2py",
+                         "concurrent.futures", "subprocess", "select"))
             assert main(["predict", "--artifact", str(out / "fit" / "surrogate.json"),
                          "--points", str(out / "pts.csv"), "--out", str(out / "p.csv")]) == 0
             print(loaded("scipy.optimize", "scipy.stats"))

@@ -20,6 +20,7 @@ from tailrisk import (
     Gaussian,
     InputModel,
     KernelSpec,
+    Lognormal,
     OptimizationError,
     build_basis,
     cross_in_tray,
@@ -1029,6 +1030,25 @@ class TestPrediction:
             assert np.array_equal(variances, whole[1][lo:hi])
             assert np.array_equal(sur.predict_mean(pts[lo:hi]), means)
         assert np.array_equal(sur.predict_mean(pts), sur.predict_batch(pts)[0])
+
+    @pytest.mark.parametrize("kind, theta", [("gaussian", 3.0), ("exponential", 5.0)])
+    def test_a_prediction_does_not_depend_on_its_batch_at_631_functions(self, kind, theta):
+        # d = 20, S = 2, m = 3.  A general product for the basis rounded
+        # some rows of a block by their position at this size, so a call cut
+        # into pieces gave other means and variances than the whole call.
+        corr = np.kron(np.eye(10), [[1.0, 0.5], [0.5, 1.0]])
+        model = InputModel([Gaussian(0.0, 1.0), Lognormal(1.0, 30.0)] * 10, corr)
+        basis = build_basis(model, 2, 3)
+        assert len(basis) == 631
+        x = sample(model, "mc", 700, seed=2000).points
+        y = np.sin(x).sum(axis=1) + 0.3 * (x[:, 0::2] * x[:, 1::2]).sum(axis=1)
+        sur = fixed_theta_fit(x, y, basis, [theta] * 20, kind)
+        pts = sample(model, "mc", 3000, seed=1000).points
+        whole = sur.predict_batch(pts)
+        for cut in (1, 100, 333):
+            pieces = zip(sur.predict_batch(pts[:cut]), sur.predict_batch(pts[cut:]))
+            for got, (head, tail) in zip(whole, pieces):
+                assert np.array_equal(got, np.concatenate([head, tail]))
 
     def test_stored_inverse_is_accurate_at_the_conditioning_wall(self, corr09):
         # ``L^-1`` is formed explicitly, which loses accuracy as cond(L)
