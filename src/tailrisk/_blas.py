@@ -7,26 +7,28 @@ straight from the installed SciPy's directory, which
 package ``__init__`` runs, not even the top-level one:
 ``scipy.linalg._fblas``, ``scipy.linalg._flapack`` and
 ``scipy.spatial._distance_pybind`` when it is imported, and, on the first
-use of :data:`ndtri` or :data:`ndtr`, ``scipy.special._ufuncs`` after the
-modules its init imports (``_sf_error``, ``_special_ufuncs``,
-``_ufuncs_cxx``, ``_ellip_harm_2``, ``_gufuncs``), under a lock, as MFIS
-trials run in threads.  Only the risk region's quantile and a uniform
-marginal need those two, so a surrogate-MCS run or a fit imports no SciPy
-package at all; importing the top-level one after numpy added about
-1.3 MB of resident memory and 10 ms.  An MFIS run still imports ``scipy``: ``_ufuncs_cxx`` imports it
-when it loads.  The ``__init__``s of ``scipy.linalg``, ``scipy.spatial``
-and ``scipy.special`` pull in SciPy's array-API shim, which imports
-``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; that cost each process
-about 0.35 s and 26 MB of peak memory, and each MFIS process another
-0.14-0.24 s and about 13 MB for ``scipy.special`` (2-core x86-64 VM, SciPy
-1.17.1), for nothing the program uses.  Each module is registered in
-``sys.modules`` under its own name, and one that is already there is
-reused, so ``scipy.linalg.blas.dgemm`` is this module's ``dgemm`` and
-``scipy.special.ndtri`` its ``ndtri``: every kernel is SciPy's own object,
-and every bit is the same.  A package imported later sets as attributes only
-the children the import system loads itself, so a ``sys.meta_path`` finder
-binds the children loaded here before the package's ``__init__`` runs
-(``scipy.special.seterr`` reads ``scipy.special._special_ufuncs``).
+use of :data:`ndtr`, ``scipy.special._ufuncs`` after the modules its init
+imports (``_sf_error``, ``_special_ufuncs``, ``_ufuncs_cxx``,
+``_ellip_harm_2``, ``_gufuncs``), under a lock, as MFIS trials run in
+threads.  Only a uniform marginal needs ``ndtr``, and ``_ufuncs_cxx``
+imports the top-level ``scipy`` when it loads; the risk region's quantile
+is the port in ``_ndtri``.  So a surrogate-MCS run, an MFIS run, a fit or
+a predict on the presets imports no SciPy package at all.  Importing
+``scipy`` after numpy added about 1.3 MB of resident memory and 10 ms,
+and the ufunc modules with it about 3 MB and 11-23 ms.  The ``__init__``s
+of ``scipy.linalg``, ``scipy.spatial`` and ``scipy.special`` pull in
+SciPy's array-API shim, which imports ``numpy.f2py``, ``numpy.testing``
+and ``numpy.ma``; that cost each process about 0.35 s and 26 MB of peak
+memory, and each MFIS process another 0.14-0.24 s and about 13 MB for
+``scipy.special`` (2-core x86-64 VM, SciPy 1.17.1), for nothing the
+program uses.  Each module is registered in ``sys.modules`` under its own
+name, and one that is already there is reused, so
+``scipy.linalg.blas.dgemm`` is this module's ``dgemm`` and
+``scipy.special.ndtr`` its ``ndtr``: every kernel is SciPy's own object,
+and every bit is the same.  A package imported later sets as attributes
+only the children the import system loads itself, so a ``sys.meta_path``
+finder binds the children loaded here before the package's ``__init__``
+runs (``scipy.special.seterr`` reads ``scipy.special._special_ufuncs``).
 :func:`svd` is the one LAPACK wrapper: it hides ``dgesdd``'s workspace
 query as SciPy's does, and ``tests/test_surrogate.py`` checks it against
 SciPy's.  Every other routine is called as it is.
@@ -126,15 +128,15 @@ _ufuncs_lock = threading.Lock()
 
 
 def __getattr__(name):
-    """``ndtri`` and ``ndtr``, SciPy's ufuncs, loaded on first use."""
-    if name not in ("ndtri", "ndtr"):
+    """``ndtr``, SciPy's ufunc, loaded on first use."""
+    if name != "ndtr":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     with _ufuncs_lock:
         for child in _UFUNCS_IMPORTS:
             _extension(f"scipy.special.{child}")
-        ufuncs = _extension("scipy.special._ufuncs")
-        globals().update(ndtri=ufuncs.ndtri, ndtr=ufuncs.ndtr)  # later reads skip this hook
-    return globals()[name]
+        ndtr = _extension("scipy.special._ufuncs").ndtr
+        globals()["ndtr"] = ndtr  # later reads skip this hook
+    return ndtr
 
 
 def svd(a, check_finite=True):

@@ -140,9 +140,9 @@ def half_width(variances, alpha: float):
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    from ._blas import ndtri  # loaded on first use: surrogate MCS never needs it
+    from ._ndtri import ndtri  # imported on first use: surrogate MCS never needs it
 
-    return float(ndtri(1.0 - alpha / 2.0)) * np.sqrt(variances)
+    return ndtri(1.0 - alpha / 2.0) * np.sqrt(variances)
 
 
 @dataclass(frozen=True)

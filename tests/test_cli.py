@@ -812,9 +812,10 @@ class TestFitPredict:
         # package itself, none of SciPy's linalg, spatial or special
         # packages, its array-API shim, or the numpy packages that shim
         # imports.  With builtin models and one thread they load no thread
-        # pool, subprocess or select either.  An MFIS run and a uniform
-        # marginal add scipy.special's ufunc modules, still without the
-        # special package.
+        # pool, subprocess or select either.  A predict and an MFIS run add
+        # nothing from SciPy: the risk region's quantile is a port.  Only a
+        # uniform marginal adds scipy.special's ufunc modules, still without
+        # the special package.
         script = textwrap.dedent(
             f"""
             import sys
@@ -838,16 +839,18 @@ class TestFitPredict:
             print(loaded("scipy.optimize", "scipy.stats"))
             assert main(["run", "--preset", "example2", "--trials", "1",
                          "--out", str(out / "mfis")]) == 0
+            print(loaded("scipy"))
             sample(InputModel([Uniform(-1.0, 3.0), Gaussian(0.0, 1.0)]), "mc", 5, 1)
             print(loaded("scipy.special", "scipy._lib._array_api", "numpy.ma", "numpy.f2py",
                          "scipy.optimize", "scipy.stats"))
             """
         )
-        packages, solvers, special = [line for line in run_python(script).splitlines()
-                                      if line.startswith("[")]
+        packages, solvers, mfis, special = [line for line in run_python(script).splitlines()
+                                            if line.startswith("[")]
         assert packages == str(["scipy.linalg._fblas", "scipy.linalg._flapack",
                                 "scipy.spatial._distance_pybind"])
         assert solvers == "[]"
+        assert mfis == packages
         assert special == str([f"scipy.special.{name}" for name in (
             "_ellip_harm_2", "_gufuncs", "_sf_error", "_special_ufuncs", "_ufuncs", "_ufuncs_cxx")])
         assert (tmp_path / "p.csv").exists()
@@ -862,6 +865,7 @@ class TestFitPredict:
 
             assert main(["run", "--preset", "example2", "--trials", "1",
                          "--out", {str(tmp_path / "run")!r}]) == 0
+            assert _blas.ndtr(0.0) == 0.5  # loads the ufunc modules, as a uniform marginal does
             import scipy.linalg, scipy.special, scipy.stats
 
             with scipy.special.errstate(all="raise"):

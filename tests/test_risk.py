@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from tailrisk import (
     Gaussian,
@@ -26,6 +27,7 @@ from tailrisk import (
     var_cvar,
     whiten,
 )
+from tailrisk._ndtri import ndtri
 
 from helpers import analytic_gaussian_gram, brute_force_var_cvar
 
@@ -159,6 +161,23 @@ class TestCiHalfWidth:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             half_width([1.0], 0.0)
+
+    def test_quantile_is_scipys_ndtri_bit_for_bit(self):
+        # ``half_width`` takes ``ndtri(1 - alpha/2)`` from a port of Cephes;
+        # it must give SciPy's bits on every branch and with both signs.
+        tails = np.logspace(-300.0, -1.0, 20_000)
+        grid = np.concatenate([
+            1.0 - np.linspace(0.0, 1.0, 20_001) / 2.0,  # the alpha grid
+            np.linspace(0.0, 1.0, 100_001),
+            tails,
+            1.0 - tails[tails >= 1e-16],
+            1.0 - np.arange(1, 201) * 2.0**-53,  # the last doubles below 1
+            [0.0, 0.5, 1.0, -0.1, 1.1],
+        ])
+        beyond = math.exp(-32.0)  # the second tail expansion starts here
+        assert np.any(grid < beyond) and np.any((grid < 1.0) & (grid > 1.0 - beyond))
+        ours = np.array([ndtri(float(y)) for y in grid])
+        assert ours.tobytes() == special.ndtri(grid).tobytes()
 
 
 def make_samples(n, dimension=2, seed=0):

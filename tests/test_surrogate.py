@@ -186,17 +186,15 @@ class TestScipyKernels:
             out = np.empty((7, 5))
             assert kernel(a, b, out=out) is out
             self.same_bits([out], [cdist(a, b, metric)])
-        # ``half_width`` takes ``ndtri(1 - alpha/2)``, a uniform marginal ``ndtr(z)``.
-        assert _blas.ndtri is special.ndtri and _blas.ndtr is special.ndtr
-        quantiles = 1.0 - np.linspace(0.0, 1.0, 20_001) / 2.0
-        self.same_bits([_blas.ndtri(quantiles)], [special.ndtri(quantiles)])
+        # A uniform marginal takes ``ndtr(z)``.
+        assert _blas.ndtr is special.ndtr
         z = np.linspace(-8.0, 8.0, 20_001)
         self.same_bits([_blas.ndtr(z)], [special.ndtr(z)])
 
     def test_ufuncs_load_once_from_concurrent_threads(self):
         # MFIS trials run in threads, and each may be the first to read
-        # ``ndtri`` or ``ndtr``; a module half-loaded by one thread must not
-        # reach another, and none may load twice.
+        # ``ndtr`` for a uniform marginal; a module half-loaded by one thread
+        # must not reach another, and none may load twice.
         script = textwrap.dedent(
             """
             import sys, threading
@@ -204,22 +202,20 @@ class TestScipyKernels:
 
             start, errors, results = threading.Barrier(4), [], []
 
-            def first_use(name):
+            def first_use():
                 start.wait()
                 try:
-                    results.append(float(getattr(_blas, name)(0.975)))
+                    results.append(float(_blas.ndtr(0.975)))
                 except Exception as error:
                     errors.append(repr(error))
 
-            threads = [threading.Thread(target=first_use, args=(name,))
-                       for name in ("ndtri", "ndtr", "ndtri", "ndtr")]
+            threads = [threading.Thread(target=first_use) for _ in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
             assert errors == [], errors
             ufuncs = sys.modules["scipy.special._ufuncs"]
-            assert _blas.__dict__["ndtri"] is ufuncs.ndtri
             assert _blas.__dict__["ndtr"] is ufuncs.ndtr
             with ufuncs.errstate(all="raise"):
                 try:
@@ -230,8 +226,7 @@ class TestScipyKernels:
             print(sorted(set(results)))
             """
         )
-        assert run_python(script).splitlines()[-1] == str(
-            sorted({float(special.ndtri(0.975)), float(special.ndtr(0.975))}))
+        assert run_python(script).splitlines()[-1] == str([float(special.ndtr(0.975))])
 
     def test_svd_matches_scipy(self):
         matrix = np.random.default_rng(6).normal(size=(40, 7))
