@@ -1,37 +1,53 @@
-"""SciPy's compiled BLAS, LAPACK, distance and normal-CDF kernels, and
-``a @ b`` through them.
+"""SciPy's BLAS, LAPACK, distance and normal-CDF kernels, and ``a @ b``
+through them.
 
-This is the one module that imports SciPy.  It loads SciPy's modules
-straight from the installed SciPy's directory, which
-``importlib.util.find_spec`` locates without importing ``scipy``, so no
-package ``__init__`` runs, not even the top-level one:
-``scipy.linalg._fblas``, ``scipy.linalg._flapack`` and
-``scipy.spatial._distance_pybind`` when it is imported, and, on the first
-use of :data:`ndtr`, ``scipy.special._ufuncs`` after the modules its init
-imports (``_sf_error``, ``_special_ufuncs``, ``_ufuncs_cxx``,
-``_ellip_harm_2``, ``_gufuncs``), under a lock, as MFIS trials run in
-threads.  Only a uniform marginal needs ``ndtr``, and ``_ufuncs_cxx``
-imports the top-level ``scipy`` when it loads; the risk region's quantile
-is the port in ``_ndtri``.  So a surrogate-MCS run, an MFIS run, a fit or
-a predict on the presets imports no SciPy package at all.  Importing
-``scipy`` after numpy added about 1.3 MB of resident memory and 10 ms,
-and the ufunc modules with it about 3 MB and 11-23 ms.  The ``__init__``s
-of ``scipy.linalg``, ``scipy.spatial`` and ``scipy.special`` pull in
-SciPy's array-API shim, which imports ``numpy.f2py``, ``numpy.testing``
-and ``numpy.ma``; that cost each process about 0.35 s and 26 MB of peak
-memory, and each MFIS process another 0.14-0.24 s and about 13 MB for
-``scipy.special`` (2-core x86-64 VM, SciPy 1.17.1), for nothing the
-program uses.  Each module is registered in ``sys.modules`` under its own
-name, and one that is already there is reused, so
-``scipy.linalg.blas.dgemm`` is this module's ``dgemm`` and
-``scipy.special.ndtr`` its ``ndtr``: every kernel is SciPy's own object,
-and every bit is the same.  A package imported later sets as attributes
-only the children the import system loads itself, so a ``sys.meta_path``
-finder binds the children loaded here before the package's ``__init__``
-runs (``scipy.special.seterr`` reads ``scipy.special._special_ufuncs``).
-:func:`svd` is the one LAPACK wrapper: it hides ``dgesdd``'s workspace
-query as SciPy's does, and ``tests/test_surrogate.py`` checks it against
-SciPy's.  Every other routine is called as it is.
+This is the one module that touches SciPy, and it imports no SciPy
+package: ``importlib.util.find_spec`` locates SciPy's directory without
+running any ``__init__``.
+
+BLAS and LAPACK are the routines of the OpenBLAS that SciPy's wheel
+bundles, ``scipy.libs/libscipy_openblas*.so``, the library SciPy's f2py
+modules ``scipy.linalg._fblas`` and ``_flapack`` call.  It is opened with
+``ctypes.PyDLL``, and each wrapper here passes a routine ``scipy_<name>_``
+the arguments SciPy's f2py wrapper of that name passes it, with operands
+and outputs laid out as f2py lays them out, so every bit is the same
+(``tests/test_surrogate.py`` checks each argument form the program uses
+against SciPy's).  Loading the two f2py modules after numpy raised the
+resident memory by 3.85 MB, the library alone by 1.48 MB (2-core x86-64 VM,
+one BLAS thread, SciPy 1.17.1; ``ctypes`` is imported by numpy already).
+``PyDLL`` holds the interpreter lock during a call, as f2py does; releasing
+it, so that MFIS trials in threads overlap their BLAS work, is a change to
+measure on its own.  On the 10 840 calls of a 10-trial ``example2`` run, a
+wrapper here took 1.8-2.1 us longer than f2py's on average: 0.020 s against
+the calls' 0.51-0.54 s, about 4% (medians of paired ``timeit`` rounds, five
+measurements, one BLAS thread).  Most of it is ctypes' argument passing
+and reading the arrays' data addresses, which :func:`_address` takes from
+the array object; :func:`svd`
+saves one LAPACK call by keeping ``dgesdd``'s workspace size per shape.
+Two other routes were measured and left: numpy's bundled OpenBLAS costs no
+extra memory, but it is a newer OpenBLAS whose ``dpotrf`` differs from
+SciPy's in the last bits, which moves the length scales the LOO search ends
+on; and SciPy's ``cython_blas`` and ``cython_lapack`` modules import the
+top-level ``scipy`` package, +3.8 MB and 15-21 ms.
+
+``scipy.spatial._distance_pybind`` is loaded straight from SciPy's
+directory when this module is imported, and, on the first use of
+:data:`ndtr`, ``scipy.special._ufuncs`` after the modules its init imports
+(``_sf_error``, ``_special_ufuncs``, ``_ufuncs_cxx``, ``_ellip_harm_2``,
+``_gufuncs``), under a lock, as MFIS trials run in threads.  Only a uniform
+marginal needs ``ndtr``, and ``_ufuncs_cxx`` imports the top-level
+``scipy``; the risk region's quantile is the port in ``_ndtri``.  So a
+surrogate-MCS run, an MFIS run, a fit or a predict on the presets imports
+no SciPy package.  The ``__init__``s of ``scipy.linalg``, ``scipy.spatial``
+and ``scipy.special`` pull in SciPy's array-API shim, which imports
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``: about 0.35 s and 26 MB
+of peak memory per process, for nothing the program uses.  Each module is
+registered in ``sys.modules`` under its own name, and one already there is
+reused, so ``scipy.special.ndtr`` is this module's ``ndtr``.  A package
+imported later sets as attributes only the children the import system
+loads itself, so a ``sys.meta_path`` finder binds the children loaded here
+before the package's ``__init__`` runs (``scipy.special.seterr`` reads
+``scipy.special._special_ufuncs``).
 
 numpy and scipy can each ship an OpenBLAS with its own thread pool; when
 numpy's ``@`` alternates with scipy's LAPACK, the two pools compete for the
@@ -44,6 +60,7 @@ import importlib.util
 import os
 import sys
 import threading
+from ctypes import PyDLL, byref, c_double, c_int, c_size_t, c_void_p
 from importlib.machinery import (
     EXTENSION_SUFFIXES,
     SOURCE_SUFFIXES,
@@ -57,6 +74,44 @@ import numpy as np
 
 # SciPy's directory, found without running its ``__init__``.
 _SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
+# Where SciPy's wheel keeps the OpenBLAS its compiled modules link against.
+_LIBS_DIR = os.path.join(os.path.dirname(_SCIPY_DIR), "scipy.libs")
+
+
+def _routines(names):
+    """The LP64 routines ``scipy_<name>_`` of SciPy's bundled OpenBLAS,
+    opened with ``ctypes.PyDLL``, so a call holds the interpreter lock as
+    SciPy's f2py wrappers do.
+
+    They get a ``restype`` but no ``argtypes``: converting a ``dtrmm``
+    call's 15 arguments through ``argtypes`` added 1.2 us to it.  The
+    wrappers below check shapes and layouts, and pass only ctypes objects
+    of the types the routines take.
+    """
+    try:
+        found = sorted(f for f in os.listdir(_LIBS_DIR)
+                       if f.startswith("libscipy_openblas") and f.endswith(".so"))
+    except OSError:
+        found = []
+    if len(found) != 1:
+        raise ImportError(f"expected one libscipy_openblas*.so in {_LIBS_DIR}, "
+                          f"found {found or 'none'}")
+    path = os.path.join(_LIBS_DIR, found[0])
+    library = PyDLL(path)
+    routines = []
+    for name in names:
+        try:
+            routine = getattr(library, f"scipy_{name}_")
+        except AttributeError:
+            raise ImportError(f"{path} has no symbol scipy_{name}_") from None
+        routine.restype = c_double if name == "ddot" else None
+        routines.append(routine)
+    return routines
+
+
+(_ddot, _dgemm, _dgemv, _dsymv, _dtrmm, _dtrmv, _dgesdd, _dlaset, _dlauum, _dpotrf, _dpotrs,
+ _dtrtri, _dtrtrs) = _routines(("ddot", "dgemm", "dgemv", "dsymv", "dtrmm", "dtrmv", "dgesdd",
+                                "dlaset", "dlauum", "dpotrf", "dpotrs", "dtrtri", "dtrtrs"))
 
 
 # The modules :func:`_extension` loaded, by package: ``{package: {child: module}}``.
@@ -111,14 +166,7 @@ class _ChildBinder:
 
 sys.meta_path.insert(0, _ChildBinder)
 
-_fblas = _extension("scipy.linalg._fblas")
-_flapack = _extension("scipy.linalg._flapack")
 _distance = _extension("scipy.spatial._distance_pybind")
-
-ddot, dgemm, dgemv = _fblas.ddot, _fblas.dgemm, _fblas.dgemv
-dsymv, dtrmm, dtrmv = _fblas.dsymv, _fblas.dtrmm, _fblas.dtrmv
-dlauum, dpotrf, dpotrs = _flapack.dlauum, _flapack.dpotrf, _flapack.dpotrs
-dtrtri, dtrtrs = _flapack.dtrtri, _flapack.dtrtrs
 # ``cdist(a, b, "sqeuclidean")`` and ``"cityblock"`` call these as they are.
 cdist_sqeuclidean, cdist_cityblock = _distance.cdist_sqeuclidean, _distance.cdist_cityblock
 # The modules that ``scipy.special._ufuncs``'s init imports, in its order.
@@ -139,14 +187,222 @@ def __getattr__(name):
     return ndtr
 
 
+class _IntRefs(dict):
+    """``byref(c_int(value))`` by value, made on first use: Fortran takes
+    every argument by reference, and no routine here writes an integer
+    argument other than ``info``, which is made afresh for each call."""
+
+    def __missing__(self, value):
+        ref = self[value] = byref(c_int(value))
+        return ref
+
+
+_INT = _IntRefs()
+_ZERO = byref(c_double(0.0))
+# The ``alpha`` of every call site.
+_ALPHA = {1.0: byref(c_double(1.0)), -1.0: byref(c_double(-1.0))}
+# The hidden length of a one-character argument, passed after the others,
+# as the parameter object ``argtypes`` would make of it: passed as it is,
+# four of them cost about 0.4 us less per call than four ``c_size_t(1)``.
+_LEN = c_size_t.from_param(1)
+_UPLO, _TRANS, _SIDE, _DIAG = (b"U", b"L"), (b"N", b"T"), (b"L", b"R"), (b"N", b"U")
+# NumPy's C API keeps an array's data pointer right after the object
+# header (``PyArrayObject_fields.data``); a ``c_void_p`` at that address,
+# passed as an argument, passes the pointer.
+_DATA_FIELD = object.__basicsize__
+_pointer_at = c_void_p.from_address
+
+
+def _address(a):
+    """The address of an array's data, read from the array object in about a
+    sixth of the time of ``a.ctypes.data``.  ``a`` must stay referenced
+    until the call that takes the address returns."""
+    return _pointer_at(id(a) + _DATA_FIELD)
+
+
+_probe = np.empty(1)
+if _address(_probe).value != _probe.ctypes.data:
+    raise ImportError(f"numpy {np.__version__} keeps no array's data pointer "
+                      f"at offset {_DATA_FIELD} of the array object")
+
+
+def _alpha(alpha):
+    """A reference to a double ``alpha``."""
+    return _ALPHA.get(alpha) or byref(c_double(alpha))
+
+
+def _written(a, overwrite):
+    """``a`` as a Fortran-ordered float64 array a routine writes over:
+    ``a`` itself when ``overwrite`` is set and it is one, else a copy."""
+    return np.asfortranarray(a, float) if overwrite else np.array(a, float, order="F")
+
+
+def _mismatch(*operands):
+    """The error for operands whose shapes do not fit the routine."""
+    return ValueError(f"operands of shapes {[np.shape(op) for op in operands]} do not fit")
+
+
+def ddot(x, y):
+    """``x . y`` of two vectors."""
+    x, y = np.ascontiguousarray(x, float), np.ascontiguousarray(y, float)
+    if x.shape != y.shape:
+        raise _mismatch(x, y)
+    return _ddot(_INT[len(x)], _address(x), _INT[1], _address(y), _INT[1])
+
+
+def dgemm(alpha, a, b, trans_a=0, trans_b=0):
+    """``alpha op(a) op(b)``, Fortran-ordered."""
+    a, b = np.asfortranarray(a, float), np.asfortranarray(b, float)
+    m, k = a.shape[::-1] if trans_a else a.shape
+    k_b, n = b.shape[::-1] if trans_b else b.shape
+    if k_b != k:
+        raise _mismatch(a, b)
+    c = np.zeros((m, n), order="F")
+    _dgemm(_TRANS[trans_a], _TRANS[trans_b], _INT[m], _INT[n], _INT[k], _alpha(alpha),
+           _address(a), _INT[len(a) or 1], _address(b), _INT[len(b) or 1], _ZERO, _address(c),
+           _INT[m or 1], _LEN, _LEN)
+    return c
+
+
+def dgemv(alpha, a, x, trans=0):
+    """``alpha op(a) x``."""
+    a, x = np.asfortranarray(a, float), np.ascontiguousarray(x, float)
+    m, n = a.shape
+    if x.shape != ((m,) if trans else (n,)):
+        raise _mismatch(a, x)
+    y = np.zeros(n if trans else m)
+    _dgemv(_TRANS[trans], _INT[m], _INT[n], _alpha(alpha), _address(a), _INT[m or 1],
+           _address(x), _INT[1], _ZERO, _address(y), _INT[1], _LEN)
+    return y
+
+
+def dsymv(alpha, a, x):
+    """``alpha a x`` for a symmetric ``a``, of which the upper triangle is read."""
+    a, x = np.asfortranarray(a, float), np.ascontiguousarray(x, float)
+    n = len(x)
+    if a.shape != (n, n):
+        raise _mismatch(a, x)
+    y = np.zeros(n)
+    _dsymv(b"U", _INT[n], _alpha(alpha), _address(a), _INT[n or 1], _address(x), _INT[1],
+           _ZERO, _address(y), _INT[1], _LEN)
+    return y
+
+
+def dtrmm(alpha, a, b, side=0, lower=0, trans_a=0, diag=0, overwrite_b=0):
+    """``alpha op(a) b``, or ``alpha b op(a)`` with ``side``, for a
+    triangular ``a``, written over (a copy of) ``b``."""
+    a, b = np.asfortranarray(a, float), _written(b, overwrite_b)
+    m, n = b.shape
+    k = n if side else m
+    if a.shape != (k, k):
+        raise _mismatch(a, b)
+    _dtrmm(_SIDE[side], _UPLO[lower], _TRANS[trans_a], _DIAG[diag], _INT[m], _INT[n],
+           _alpha(alpha), _address(a), _INT[k or 1], _address(b), _INT[m or 1],
+           _LEN, _LEN, _LEN, _LEN)
+    return b
+
+
+def dtrmv(a, x, lower=0, trans=0):
+    """``op(a) x`` for a triangular ``a``, in a copy of ``x``."""
+    a, x = np.asfortranarray(a, float), np.array(x, float)
+    n = len(x)
+    if a.shape != (n, n) or x.ndim != 1:
+        raise _mismatch(a, x)
+    _dtrmv(_UPLO[lower], _TRANS[trans], b"N", _INT[n], _address(a), _INT[n or 1],
+           _address(x), _INT[1], _LEN, _LEN, _LEN)
+    return x
+
+
+def dlauum(c, lower=0, overwrite_c=0):
+    """``(c^T c, info)`` for ``lower``, else ``(c c^T, info)``, of a
+    triangular ``c``, in that triangle of (a copy of) ``c``."""
+    c, info = _written(c, overwrite_c), c_int()
+    n = len(c)
+    if c.shape != (n, n):
+        raise _mismatch(c)
+    _dlauum(_UPLO[lower], _INT[n], _address(c), _INT[n or 1], byref(info), _LEN)
+    return c, info.value
+
+
+def dpotrf(a, lower=0, clean=1, overwrite_a=0):
+    """``(factor, info)``: the Cholesky factor of ``a`` in (a copy of)
+    ``a``; with ``clean`` the other triangle is zeroed, whatever ``info``."""
+    a, info = _written(a, overwrite_a), c_int()
+    n = len(a)
+    if a.shape != (n, n):
+        raise _mismatch(a)
+    _dpotrf(_UPLO[lower], _INT[n], _address(a), _INT[n or 1], byref(info), _LEN)
+    if clean and n > 1:
+        # The other triangle is the upper triangle, diagonal included, of the
+        # (n-1) x (n-1) block one column right of the first entry, or the
+        # lower one of the block one row below it.
+        start = c_void_p(_address(a).value + 8 * (n if lower else 1))
+        _dlaset(_UPLO[not lower], _INT[n - 1], _INT[n - 1], _ZERO, _ZERO, start, _INT[n], _LEN)
+    return a, info.value
+
+
+def dpotrs(c, b, lower=0):
+    """``(x, info)`` with ``x`` solving ``a x = b``, ``c`` being ``a``'s
+    Cholesky factor; ``b`` is a vector or a matrix."""
+    c, b, info = np.asfortranarray(c, float), np.array(b, float, order="F"), c_int()
+    n = len(b)
+    if c.shape != (n, n):
+        raise _mismatch(c, b)
+    _dpotrs(_UPLO[lower], _INT[n], _INT[b.shape[1] if b.ndim == 2 else 1], _address(c),
+            _INT[n or 1], _address(b), _INT[n or 1], byref(info), _LEN)
+    return b, info.value
+
+
+def dtrtri(c, lower=0, overwrite_c=0):
+    """``(inverse, info)`` of a triangular ``c``, in (a copy of) ``c``."""
+    c, info = _written(c, overwrite_c), c_int()
+    n = len(c)
+    if c.shape != (n, n):
+        raise _mismatch(c)
+    _dtrtri(_UPLO[lower], b"N", _INT[n], _address(c), _INT[n or 1], byref(info), _LEN, _LEN)
+    return c, info.value
+
+
+def dtrtrs(a, b, lower=0, trans=0):
+    """``(x, info)`` with ``x`` solving ``op(a) x = b`` for a triangular
+    ``a``; ``b`` is a vector or a matrix."""
+    a, b, info = np.asfortranarray(a, float), np.array(b, float, order="F"), c_int()
+    n = len(b)
+    if a.shape != (n, n):
+        raise _mismatch(a, b)
+    _dtrtrs(_UPLO[lower], _TRANS[trans], b"N", _INT[n], _INT[b.shape[1] if b.ndim == 2 else 1],
+            _address(a), _INT[n or 1], _address(b), _INT[n or 1], byref(info), _LEN, _LEN, _LEN)
+    return b, info.value
+
+
+# ``dgesdd``'s optimal workspace by ``(m, n)``: one workspace query per shape.
+_SVD_LWORK = {}
+
+
 def svd(a, check_finite=True):
     """Thin SVD ``U, s, V^T`` of a float64 matrix, as
     ``scipy.linalg.svd(a, full_matrices=False)`` computes it: ``dgesdd``
-    with its optimal workspace."""
+    with its optimal workspace, given the arguments SciPy's wrapper gives it."""
     if check_finite:
         a = np.asarray_chkfinite(a)
-    lwork = int(_flapack.dgesdd_lwork(*a.shape, full_matrices=0)[0])
-    u, s, vt, info = _flapack.dgesdd(a, lwork=lwork, full_matrices=0)
+    a = np.array(a, float, order="F")  # ``dgesdd`` writes over it
+    m, n = a.shape
+    k = min(m, n)
+    u, s, vt = np.zeros((m, k), order="F"), np.zeros(k), np.zeros((k, n), order="F")
+    iwork, info = np.empty(8 * k, np.intc), c_int()
+
+    def gesdd(work, lwork):
+        _dgesdd(b"S", _INT[m], _INT[n], _address(a), _INT[m or 1], _address(s), _address(u),
+                _INT[m or 1], _address(vt), _INT[k or 1], _address(work), _INT[lwork],
+                _address(iwork), byref(info), _LEN)
+
+    lwork = _SVD_LWORK.get((m, n))
+    if lwork is None:
+        query = np.empty(1)
+        gesdd(query, -1)
+        lwork = _SVD_LWORK[(m, n)] = int(query[0])
+    gesdd(np.empty(lwork), lwork)
+    info = info.value
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     if info == -4:

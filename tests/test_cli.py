@@ -808,7 +808,8 @@ class TestFitPredict:
         # The LOO search has its own solver and sampling is plain Monte
         # Carlo, so a run, a fit and a predict import neither scipy.optimize
         # nor scipy.stats (which imports scipy.optimize).  A surrogate MCS
-        # run and a fit load only SciPy's compiled kernels: not the scipy
+        # run and a fit load one SciPy module, its compiled distance kernels,
+        # and call BLAS and LAPACK in SciPy's OpenBLAS directly: not the scipy
         # package itself, none of SciPy's linalg, spatial or special
         # packages, its array-API shim, or the numpy packages that shim
         # imports.  With builtin models and one thread they load no thread
@@ -847,8 +848,7 @@ class TestFitPredict:
         )
         packages, solvers, mfis, special = [line for line in run_python(script).splitlines()
                                             if line.startswith("[")]
-        assert packages == str(["scipy.linalg._fblas", "scipy.linalg._flapack",
-                                "scipy.spatial._distance_pybind"])
+        assert packages == str(["scipy.spatial._distance_pybind"])
         assert solvers == "[]"
         assert mfis == packages
         assert special == str([f"scipy.special.{name}" for name in (
@@ -857,7 +857,8 @@ class TestFitPredict:
 
     def test_scipy_packages_imported_after_a_run_work(self, tmp_path):
         # ``_blas`` loads SciPy's modules without their packages; a package
-        # imported later must still find them as its attributes.
+        # imported later must still find them as its attributes, and its
+        # BLAS must give the bits of ``_blas``'s.
         script = textwrap.dedent(
             f"""
             from tailrisk import _blas
@@ -876,7 +877,11 @@ class TestFitPredict:
             settings = scipy.special.geterr()
             assert scipy.special.seterr(**settings) == settings
             assert scipy.stats.norm.ppf(0.975) == scipy.special.ndtri(0.975)
-            assert scipy.linalg._fblas is _blas._fblas
+            import numpy as np
+            from scipy.linalg.blas import dgemm
+
+            a, b = np.random.default_rng(3).normal(size=(2, 40, 40))
+            assert dgemm(1.0, a, b).tobytes() == _blas.dgemm(1.0, a, b).tobytes()
             print("ok")
             """
         )

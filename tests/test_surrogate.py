@@ -1,6 +1,7 @@
 import json
 import math
 import textwrap
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -160,9 +161,66 @@ class TestKernels:
         assert np.all((got == 0.0) | (got >= TINY))
 
 
+def _layouts(matrix):
+    """Makers of fresh copies of ``matrix``: Fortran-ordered, C-ordered and
+    a strided view."""
+    def strided():
+        view = np.zeros([2 * size for size in matrix.shape])[(slice(None, None, 2),) * matrix.ndim]
+        view[...] = matrix
+        return view
+
+    return [lambda: np.array(matrix, order="F"), lambda: np.array(matrix, order="C"), strided]
+
+
+def _wrapper_calls():
+    """``{routine: [(argument makers, keywords)]}`` for every argument form a
+    call site passes, in every layout: each flag combination, with vector
+    and matrix right-hand sides."""
+    rng = np.random.default_rng(8)
+    n = 6
+    # Both triangles are set, so a routine reading the wrong one shows.
+    square = rng.normal(size=(n, n)) + n * np.eye(n)
+    spd = square @ square.T
+    factor = np.linalg.cholesky(spd)
+    rhs, vector = rng.normal(size=(n, 3)), rng.normal(size=n)
+    flags = (0, 1)
+    one, minus_one = (lambda: 1.0), (lambda: -1.0)  # the call sites' ``alpha``
+    calls = {name: [] for name in TestScipyKernels.BLAS + TestScipyKernels.LAPACK}
+    for x, y in product(_layouts(vector), repeat=2):
+        calls["ddot"].append(((x, y), {}))
+    for (a, b), trans_a, trans_b in product(product(_layouts(square), _layouts(rhs)), flags, flags):
+        a_op = (lambda a=a: a().T) if trans_a else a
+        b_op = (lambda b=b: b().T) if trans_b else b
+        calls["dgemm"].append(((one, a_op, b_op), {"trans_a": trans_a, "trans_b": trans_b}))
+    for a, x, trans in product(_layouts(rhs), _layouts(vector), flags):
+        x_op = x if trans else (lambda x=x: x()[:3])
+        calls["dgemv"].append(((one, a, x_op), {"trans": trans}))
+    for a, x in product(_layouts(spd), _layouts(vector)):
+        calls["dsymv"].append(((one, a, x), {}))
+    for a, side, lower, trans_a, diag, overwrite_b in product(_layouts(square), *[flags] * 5):
+        for alpha, b in product((one, minus_one), _layouts(rhs.T if side else rhs)):
+            keywords = {"side": side, "lower": lower, "trans_a": trans_a, "diag": diag,
+                        "overwrite_b": overwrite_b}
+            calls["dtrmm"].append(((alpha, a, b), keywords))
+    for a, x, lower, trans in product(_layouts(square), _layouts(vector), flags, flags):
+        calls["dtrmv"].append(((a, x), {"lower": lower, "trans": trans}))
+    for c, lower, overwrite_c in product(_layouts(square), flags, flags):
+        calls["dlauum"].append(((c,), {"lower": lower, "overwrite_c": overwrite_c}))
+        calls["dtrtri"].append(((c,), {"lower": lower, "overwrite_c": overwrite_c}))
+    for a, lower, clean, overwrite_a in product(_layouts(spd), *[flags] * 3):
+        calls["dpotrf"].append(((a,), {"lower": lower, "clean": clean, "overwrite_a": overwrite_a}))
+    for c, b, lower in product(_layouts(factor), _layouts(rhs) + _layouts(vector), flags):
+        c_op = c if lower else (lambda c=c: c().T)
+        calls["dpotrs"].append(((c_op, b), {"lower": lower}))
+        for trans in flags:
+            calls["dtrtrs"].append(((c_op, b), {"lower": lower, "trans": trans}))
+    return calls
+
+
 class TestScipyKernels:
-    # ``_blas`` loads SciPy's compiled modules without their packages and
-    # wraps one LAPACK call; these checks guard that against other SciPy
+    # ``_blas`` wraps the BLAS and LAPACK routines of the OpenBLAS that
+    # SciPy's f2py modules call, and loads SciPy's other compiled modules
+    # without their packages; these checks guard that against other SciPy
     # versions.
     BLAS = ("ddot", "dgemm", "dgemv", "dsymv", "dtrmm", "dtrmv")
     LAPACK = ("dlauum", "dpotrf", "dpotrs", "dtrtri", "dtrtrs")
@@ -174,10 +232,6 @@ class TestScipyKernels:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_kernels_are_scipys_objects(self):
-        for name in self.BLAS:
-            assert getattr(_blas, name) is getattr(blas, name)
-        for name in self.LAPACK:
-            assert getattr(_blas, name) is getattr(lapack, name)
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
         for metric in ("sqeuclidean", "cityblock"):
@@ -190,6 +244,80 @@ class TestScipyKernels:
         assert _blas.ndtr is special.ndtr
         z = np.linspace(-8.0, 8.0, 20_001)
         self.same_bits([_blas.ndtr(z)], [special.ndtr(z)])
+
+    @pytest.mark.parametrize("name", BLAS + LAPACK)
+    def test_wrappers_match_scipys_bit_for_bit(self, name):
+        # Each call gets fresh operands on each side.  What comes back, and
+        # an operand that ``overwrite_*`` lets the routine write over, must
+        # have the same bits as SciPy's f2py wrapper leaves, and be the
+        # operand on both sides or on neither.
+        theirs = getattr(blas, name, None) or getattr(lapack, name)
+        for makers, keywords in _wrapper_calls()[name]:
+            sides = []
+            for routine in (getattr(_blas, name), theirs):
+                operands = [make() for make in makers]
+                result = routine(*operands, **keywords)
+                results = result if isinstance(result, tuple) else (result,)
+                sides.append(([np.asarray(r) for r in results], [np.asarray(op) for op in operands],
+                              [results[0] is op for op in operands]))
+            (ours, our_operands, our_same), (their, their_operands, their_same) = sides
+            self.same_bits(ours, their)
+            self.same_bits(our_operands, their_operands)
+            assert our_same == their_same, (name, keywords)
+
+    def test_dpotrf_cleans_a_matrix_that_is_not_positive_definite(self):
+        matrix = np.diag([1.0, -1.0, 2.0, 3.0])
+        matrix[1, 0] = matrix[0, 1] = 3.0
+        for lower in (0, 1):
+            factor, info = _blas.dpotrf(matrix, lower=lower, clean=1)
+            theirs, their_info = lapack.dpotrf(matrix, lower=lower, clean=1)
+            assert info == their_info == 2
+            self.same_bits([factor], [theirs])
+            other = np.triu(factor, 1) if lower else np.tril(factor, -1)
+            assert not other.any()
+
+    @pytest.mark.parametrize("libraries", [(), ("a", "b"), ("without-symbols",)],
+                             ids=["none", "two", "no-symbols"])
+    def test_import_fails_loudly_without_one_complete_openblas(self, tmp_path, libraries):
+        # ``_blas`` opens the one ``libscipy_openblas*.so`` beside SciPy's
+        # directory; none, two, or one without a routine is an ImportError
+        # that names the directory, the files or the symbol.
+        libs = tmp_path / "scipy.libs"
+        libs.mkdir()
+        for name in libraries:
+            path = libs / f"libscipy_openblas-{name}.so"
+            if name == "without-symbols":  # a shared object, but not an OpenBLAS
+                path.symlink_to(np._core._multiarray_umath.__file__)
+            else:
+                path.touch()
+        script = textwrap.dedent(
+            f"""
+            import importlib.util
+
+            find_spec = importlib.util.find_spec
+
+            def scipy_elsewhere(name, package=None):
+                spec = find_spec(name, package)
+                if name == "scipy":
+                    spec.submodule_search_locations[:] = [{str(tmp_path / "scipy")!r}]
+                return spec
+
+            importlib.util.find_spec = scipy_elsewhere
+            try:
+                import tailrisk
+            except ImportError as error:
+                print(error)
+            """
+        )
+        message = run_python(script).strip()
+        if libraries == ():
+            assert message == f"expected one libscipy_openblas*.so in {libs}, found none"
+        elif len(libraries) == 2:
+            assert message == (f"expected one libscipy_openblas*.so in {libs}, found "
+                               "['libscipy_openblas-a.so', 'libscipy_openblas-b.so']")
+        else:
+            library = libs / "libscipy_openblas-without-symbols.so"
+            assert message == f"{library} has no symbol scipy_ddot_"
 
     def test_ufuncs_load_once_from_concurrent_threads(self):
         # MFIS trials run in threads, and each may be the first to read
