@@ -1,34 +1,34 @@
-"""SciPy's BLAS, LAPACK, distance and normal-CDF kernels, and ``a @ b``
-through them.
+"""BLAS and LAPACK in numpy's bundled OpenBLAS, and SciPy's distance and
+normal-CDF kernels.
 
 This is the one module that touches SciPy, and it imports no SciPy
-package: ``importlib.util.find_spec`` locates SciPy's directory without
-running any ``__init__``.
+package: ``importlib.util.find_spec`` locates SciPy's directory, and
+numpy's, without running any ``__init__``.
 
-BLAS and LAPACK are the routines of the OpenBLAS that SciPy's wheel
-bundles, ``scipy.libs/libscipy_openblas*.so``, the library SciPy's f2py
-modules ``scipy.linalg._fblas`` and ``_flapack`` call.  It is opened with
-``ctypes.PyDLL``, and each wrapper here passes a routine ``scipy_<name>_``
-the arguments SciPy's f2py wrapper of that name passes it, with operands
-and outputs laid out as f2py lays them out, so every bit is the same
-(``tests/test_surrogate.py`` checks each argument form the program uses
-against SciPy's).  Loading the two f2py modules after numpy raised the
-resident memory by 3.85 MB, the library alone by 1.48 MB (2-core x86-64 VM,
-one BLAS thread, SciPy 1.17.1; ``ctypes`` is imported by numpy already).
-``PyDLL`` holds the interpreter lock during a call, as f2py does; releasing
-it, so that MFIS trials in threads overlap their BLAS work, is a change to
-measure on its own.  On the 10 840 calls of a 10-trial ``example2`` run, a
-wrapper here took 1.8-2.1 us longer than f2py's on average: 0.020 s against
-the calls' 0.51-0.54 s, about 4% (medians of paired ``timeit`` rounds, five
-measurements, one BLAS thread).  Most of it is ctypes' argument passing
-and reading the arrays' data addresses, which :func:`_address` takes from
-the array object; :func:`svd`
-saves one LAPACK call by keeping ``dgesdd``'s workspace size per shape.
-Two other routes were measured and left: numpy's bundled OpenBLAS costs no
-extra memory, but it is a newer OpenBLAS whose ``dpotrf`` differs from
-SciPy's in the last bits, which moves the length scales the LOO search ends
-on; and SciPy's ``cython_blas`` and ``cython_lapack`` modules import the
-top-level ``scipy`` package, +3.8 MB and 15-21 ms.
+BLAS and LAPACK are the routines of the OpenBLAS that numpy's wheel
+bundles, ``numpy.libs/libscipy_openblas64_*.so``, the library behind
+numpy's ``@``, which ``import numpy`` has loaded already: a process maps
+one OpenBLAS and runs one BLAS thread pool.  Mapping SciPy's bundled copy
+as well cost about 2.0 MB of a run's peak memory (2-core x86-64 VM, one
+BLAS thread, numpy 2.4.6, SciPy 1.17.1).  The library is opened with
+``ctypes.PyDLL``, and each wrapper here passes a routine
+``scipy_<name>_64_``, whose integers are all 64-bit, the arguments SciPy's
+f2py wrapper of that name passes its own OpenBLAS, with operands and
+outputs laid out as f2py lays them out (``tests/test_surrogate.py``
+compares each argument form the program uses with SciPy's, bit for bit at
+one BLAS thread).  The two builds' ``dpotrf`` do differ in the last bits
+on kernel matrices from 16 rows up, by up to 1.7e-13, which moves the
+length scales of Gaussian-kernel searches that end on the conditioning
+wall.  ``PyDLL`` holds the interpreter lock during a call, as f2py does;
+releasing it, so that MFIS trials in threads overlap their BLAS work, is a
+change to measure on its own.  A call costs about 2 us more than through
+f2py (paired ``timeit`` rounds over the calls of a 10-trial ``example2``
+run, one BLAS thread), mostly ctypes' argument passing and reading the
+arrays' data addresses, which :func:`_address` takes from the array
+object; :func:`svd` saves one LAPACK call by keeping ``dgesdd``'s
+workspace size per shape.  SciPy's ``cython_blas`` and ``cython_lapack``
+modules were measured and left: they import the top-level ``scipy``
+package, +3.8 MB and 15-21 ms.
 
 ``scipy.spatial._distance_pybind`` is loaded straight from SciPy's
 directory when this module is imported, and, on the first use of
@@ -48,19 +48,13 @@ imported later sets as attributes only the children the import system
 loads itself, so a ``sys.meta_path`` finder binds the children loaded here
 before the package's ``__init__`` runs (``scipy.special.seterr`` reads
 ``scipy.special._special_ufuncs``).
-
-numpy and scipy can each ship an OpenBLAS with its own thread pool; when
-numpy's ``@`` alternates with scipy's LAPACK, the two pools compete for the
-cores (at two BLAS threads on two cores, runs took 1.3-1.8 times as long).
-So :func:`matmul` computes ``a @ b`` through scipy's BLAS, the one the
-factorizations use.
 """
 
 import importlib.util
 import os
 import sys
 import threading
-from ctypes import PyDLL, byref, c_double, c_int, c_size_t, c_void_p
+from ctypes import PyDLL, byref, c_double, c_int64, c_size_t, c_void_p
 from importlib.machinery import (
     EXTENSION_SUFFIXES,
     SOURCE_SUFFIXES,
@@ -74,44 +68,45 @@ import numpy as np
 
 # SciPy's directory, found without running its ``__init__``.
 _SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
-# Where SciPy's wheel keeps the OpenBLAS its compiled modules link against.
-_LIBS_DIR = os.path.join(os.path.dirname(_SCIPY_DIR), "scipy.libs")
+# Where numpy's wheel keeps the OpenBLAS its compiled modules link against.
+_LIBS_DIR = os.path.join(
+    os.path.dirname(importlib.util.find_spec("numpy").submodule_search_locations[0]),
+    "numpy.libs")
 
 
 def _routines(names):
-    """The LP64 routines ``scipy_<name>_`` of SciPy's bundled OpenBLAS,
+    """The ILP64 routines ``scipy_<name>_64_`` of numpy's bundled OpenBLAS,
     opened with ``ctypes.PyDLL``, so a call holds the interpreter lock as
     SciPy's f2py wrappers do.
 
-    They get a ``restype`` but no ``argtypes``: converting a ``dtrmm``
-    call's 15 arguments through ``argtypes`` added 1.2 us to it.  The
-    wrappers below check shapes and layouts, and pass only ctypes objects
-    of the types the routines take.
+    They get no ``argtypes``: converting a ``dtrmm`` call's 15 arguments
+    through them added 1.2 us to it.  The wrappers below check shapes and
+    layouts, and pass only ctypes objects of the types the routines take.
     """
     try:
         found = sorted(f for f in os.listdir(_LIBS_DIR)
-                       if f.startswith("libscipy_openblas") and f.endswith(".so"))
+                       if f.startswith("libscipy_openblas64_") and f.endswith(".so"))
     except OSError:
         found = []
     if len(found) != 1:
-        raise ImportError(f"expected one libscipy_openblas*.so in {_LIBS_DIR}, "
+        raise ImportError(f"expected one libscipy_openblas64_*.so in {_LIBS_DIR}, "
                           f"found {found or 'none'}")
     path = os.path.join(_LIBS_DIR, found[0])
     library = PyDLL(path)
     routines = []
     for name in names:
         try:
-            routine = getattr(library, f"scipy_{name}_")
+            routine = getattr(library, f"scipy_{name}_64_")
         except AttributeError:
-            raise ImportError(f"{path} has no symbol scipy_{name}_") from None
-        routine.restype = c_double if name == "ddot" else None
+            raise ImportError(f"{path} has no symbol scipy_{name}_64_") from None
+        routine.restype = None
         routines.append(routine)
     return routines
 
 
-(_ddot, _dgemm, _dgemv, _dsymv, _dtrmm, _dtrmv, _dgesdd, _dlaset, _dlauum, _dpotrf, _dpotrs,
- _dtrtri, _dtrtrs) = _routines(("ddot", "dgemm", "dgemv", "dsymv", "dtrmm", "dtrmv", "dgesdd",
-                                "dlaset", "dlauum", "dpotrf", "dpotrs", "dtrtri", "dtrtrs"))
+(_dgemm, _dsymv, _dtrmm, _dtrmv, _dgesdd, _dlaset, _dlauum, _dpotrf, _dpotrs, _dtrtri,
+ _dtrtrs) = _routines(("dgemm", "dsymv", "dtrmm", "dtrmv", "dgesdd", "dlaset", "dlauum",
+                       "dpotrf", "dpotrs", "dtrtri", "dtrtrs"))
 
 
 # The modules :func:`_extension` loaded, by package: ``{package: {child: module}}``.
@@ -188,12 +183,12 @@ def __getattr__(name):
 
 
 class _IntRefs(dict):
-    """``byref(c_int(value))`` by value, made on first use: Fortran takes
+    """``byref(c_int64(value))`` by value, made on first use: Fortran takes
     every argument by reference, and no routine here writes an integer
     argument other than ``info``, which is made afresh for each call."""
 
     def __missing__(self, value):
-        ref = self[value] = byref(c_int(value))
+        ref = self[value] = byref(c_int64(value))
         return ref
 
 
@@ -242,38 +237,18 @@ def _mismatch(*operands):
     return ValueError(f"operands of shapes {[np.shape(op) for op in operands]} do not fit")
 
 
-def ddot(x, y):
-    """``x . y`` of two vectors."""
-    x, y = np.ascontiguousarray(x, float), np.ascontiguousarray(y, float)
-    if x.shape != y.shape:
-        raise _mismatch(x, y)
-    return _ddot(_INT[len(x)], _address(x), _INT[1], _address(y), _INT[1])
-
-
-def dgemm(alpha, a, b, trans_a=0, trans_b=0):
-    """``alpha op(a) op(b)``, Fortran-ordered."""
+def dgemm(alpha, a, b, trans_b=0):
+    """``alpha a op(b)``, Fortran-ordered."""
     a, b = np.asfortranarray(a, float), np.asfortranarray(b, float)
-    m, k = a.shape[::-1] if trans_a else a.shape
+    m, k = a.shape
     k_b, n = b.shape[::-1] if trans_b else b.shape
     if k_b != k:
         raise _mismatch(a, b)
     c = np.zeros((m, n), order="F")
-    _dgemm(_TRANS[trans_a], _TRANS[trans_b], _INT[m], _INT[n], _INT[k], _alpha(alpha),
-           _address(a), _INT[len(a) or 1], _address(b), _INT[len(b) or 1], _ZERO, _address(c),
+    _dgemm(b"N", _TRANS[trans_b], _INT[m], _INT[n], _INT[k], _alpha(alpha),
+           _address(a), _INT[m or 1], _address(b), _INT[len(b) or 1], _ZERO, _address(c),
            _INT[m or 1], _LEN, _LEN)
     return c
-
-
-def dgemv(alpha, a, x, trans=0):
-    """``alpha op(a) x``."""
-    a, x = np.asfortranarray(a, float), np.ascontiguousarray(x, float)
-    m, n = a.shape
-    if x.shape != ((m,) if trans else (n,)):
-        raise _mismatch(a, x)
-    y = np.zeros(n if trans else m)
-    _dgemv(_TRANS[trans], _INT[m], _INT[n], _alpha(alpha), _address(a), _INT[m or 1],
-           _address(x), _INT[1], _ZERO, _address(y), _INT[1], _LEN)
-    return y
 
 
 def dsymv(alpha, a, x):
@@ -316,7 +291,7 @@ def dtrmv(a, x, lower=0, trans=0):
 def dlauum(c, lower=0, overwrite_c=0):
     """``(c^T c, info)`` for ``lower``, else ``(c c^T, info)``, of a
     triangular ``c``, in that triangle of (a copy of) ``c``."""
-    c, info = _written(c, overwrite_c), c_int()
+    c, info = _written(c, overwrite_c), c_int64()
     n = len(c)
     if c.shape != (n, n):
         raise _mismatch(c)
@@ -327,7 +302,7 @@ def dlauum(c, lower=0, overwrite_c=0):
 def dpotrf(a, lower=0, clean=1, overwrite_a=0):
     """``(factor, info)``: the Cholesky factor of ``a`` in (a copy of)
     ``a``; with ``clean`` the other triangle is zeroed, whatever ``info``."""
-    a, info = _written(a, overwrite_a), c_int()
+    a, info = _written(a, overwrite_a), c_int64()
     n = len(a)
     if a.shape != (n, n):
         raise _mismatch(a)
@@ -344,7 +319,7 @@ def dpotrf(a, lower=0, clean=1, overwrite_a=0):
 def dpotrs(c, b, lower=0):
     """``(x, info)`` with ``x`` solving ``a x = b``, ``c`` being ``a``'s
     Cholesky factor; ``b`` is a vector or a matrix."""
-    c, b, info = np.asfortranarray(c, float), np.array(b, float, order="F"), c_int()
+    c, b, info = np.asfortranarray(c, float), np.array(b, float, order="F"), c_int64()
     n = len(b)
     if c.shape != (n, n):
         raise _mismatch(c, b)
@@ -355,7 +330,7 @@ def dpotrs(c, b, lower=0):
 
 def dtrtri(c, lower=0, overwrite_c=0):
     """``(inverse, info)`` of a triangular ``c``, in (a copy of) ``c``."""
-    c, info = _written(c, overwrite_c), c_int()
+    c, info = _written(c, overwrite_c), c_int64()
     n = len(c)
     if c.shape != (n, n):
         raise _mismatch(c)
@@ -366,7 +341,7 @@ def dtrtri(c, lower=0, overwrite_c=0):
 def dtrtrs(a, b, lower=0, trans=0):
     """``(x, info)`` with ``x`` solving ``op(a) x = b`` for a triangular
     ``a``; ``b`` is a vector or a matrix."""
-    a, b, info = np.asfortranarray(a, float), np.array(b, float, order="F"), c_int()
+    a, b, info = np.asfortranarray(a, float), np.array(b, float, order="F"), c_int64()
     n = len(b)
     if a.shape != (n, n):
         raise _mismatch(a, b)
@@ -389,7 +364,7 @@ def svd(a, check_finite=True):
     m, n = a.shape
     k = min(m, n)
     u, s, vt = np.zeros((m, k), order="F"), np.zeros(k), np.zeros((k, n), order="F")
-    iwork, info = np.empty(8 * k, np.intc), c_int()
+    iwork, info = np.empty(8 * k, np.int64), c_int64()
 
     def gesdd(work, lwork):
         _dgesdd(b"S", _INT[m], _INT[n], _address(a), _INT[m or 1], _address(s), _address(u),
@@ -410,27 +385,3 @@ def svd(a, check_finite=True):
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
     return u, s, vt
-
-
-def _transposed(matrix):
-    """A Fortran-ordered array and a BLAS transpose flag that stand for ``matrix.T``."""
-    if matrix.flags.c_contiguous:
-        return matrix.T, 0
-    return np.asfortranarray(matrix), 1
-
-
-def matmul(a, b):
-    """``a @ b`` for float64 operands, ``a`` a matrix or both vectors.
-
-    ``a b`` is computed as ``(b^T a^T)^T``, in the layouts of numpy's
-    row-major BLAS call, so it rounds as ``@`` does and comes back C-ordered.
-    """
-    if not (a.size and b.size):  # BLAS refuses empty operands
-        return a @ b
-    if a.ndim == 1:
-        return ddot(a, b)
-    left, flip = _transposed(a)
-    if b.ndim == 1:
-        return dgemv(1.0, left, b, trans=1 - flip)
-    right, flip_b = _transposed(b)
-    return dgemm(1.0, right, left, trans_a=flip_b, trans_b=flip).T

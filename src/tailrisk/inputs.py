@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._blas import matmul
 from .exceptions import InvalidModelError
 
 __all__ = [
@@ -199,7 +198,7 @@ class InputModel:
     def transform_gauss(self, z: np.ndarray) -> np.ndarray:
         """Map uncorrelated standard-normal draws to model space."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        colored = matmul(z, self._chol.T)
+        colored = z @ self._chol.T
         out = np.empty_like(colored)
         for i, m in enumerate(self._marginals):
             out[:, i] = m.from_gauss(colored[:, i])

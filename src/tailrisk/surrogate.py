@@ -51,22 +51,23 @@ or training digest disagree with the rebuilt ones.  Both modes share one
 fit path and one rank rule; ``R`` enters it only through its Cholesky
 factor and triangular solves.  Once the fit is done, the surrogate keeps
 ``L^-1`` in place of ``L``: a product by it gives ``v`` about 2.5 times
-as fast as a triangular solve.  Every kernel here, BLAS, LAPACK and the
-distances, is SciPy's compiled routine, taken from ``_blas`` without
-SciPy's package wrappers.  The factorization of ``R`` and the solves by
-its factor call LAPACK's ``dpotrf``, ``dpotrs`` and ``dtrtrs`` directly:
-``R`` is symmetric, so its Fortran-ordered view ``R.T`` reaches LAPACK
-without a transposing copy, and the training data are checked for
-non-finite values where they enter, instead of on every call.  Correlations
-below the smallest normal double are stored as zero, because subnormal
-entries make the products several times slower.  Prediction runs in
-blocks of exactly 512 rows, one point per row, with a short block padded
-by zero rows.  Every block reuses one buffer for its correlations and,
-with the variance, one for their Fortran-ordered copy: 1.2 MB each at
-n = 300, 5 MB at n = 1219.  Since every block has the same shape, every
-point is rounded the same way: a point's prediction does not depend on
-the other points in the call, at any basis size, as ``basis.evaluate``
-is a right-side triangular product with one point per row.
+as fast as a triangular solve.  BLAS and LAPACK are numpy's bundled
+OpenBLAS, called through ``_blas``, which also takes SciPy's compiled
+distances without SciPy's package wrappers.  The factorization of ``R``
+and the solves by its factor call LAPACK's ``dpotrf``, ``dpotrs`` and
+``dtrtrs`` directly: ``R`` is symmetric, so its Fortran-ordered view
+``R.T`` reaches LAPACK without a transposing copy, and the training data
+are checked for non-finite values where they enter, instead of on every
+call.  Correlations below the smallest normal double are stored as zero,
+because subnormal entries make the products several times slower.
+Prediction runs in blocks of exactly 512 rows, one point per row, with a
+short block padded by zero rows.  Every block reuses one buffer for its
+correlations and, with the variance, one for their Fortran-ordered copy:
+1.2 MB each at n = 300, 5 MB at n = 1219.  Since every block has the same
+shape, every point is rounded the same way: a point's prediction does not
+depend on the other points in the call, at any basis size, as
+``basis.evaluate`` is a right-side triangular product with one point per
+row.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ from ._blas import (
     dtrmv,
     dtrtri,
     dtrtrs,
-    matmul,
     svd,
 )
 from ._trf import least_squares
@@ -318,13 +318,12 @@ def _loo_jacobian(theta, inputs, state, kind, orders):
     elif factor is None:
         factor = cross_correlation(inputs, inputs, KernelSpec(kind, theta))
     n = len(alpha)
-    # Products go through scipy's BLAS and LAPACK, not numpy's matmul (see
-    # ``_blas``).  A symmetric C-ordered matrix reaches BLAS
-    # as its Fortran-ordered transpose, without a copy.  ``dlauum`` forms
-    # the lower triangle of ``L^-T L^-1`` over ``L^-1`` at about a third of
-    # a general product's cost; the upper triangle of ``L^-1`` is zero, so
-    # adding the transpose and halving the diagonal completes ``G``.  That
-    # buffer is then the scratch buffer of every column.
+    # A symmetric C-ordered matrix reaches BLAS as its Fortran-ordered
+    # transpose, without a copy.  ``dlauum`` forms the lower triangle of
+    # ``L^-T L^-1`` over ``L^-1`` at about a third of a general product's
+    # cost; the upper triangle of ``L^-1`` is zero, so adding the transpose
+    # and halving the diagonal completes ``G``.  That buffer is then the
+    # scratch buffer of every column.
     scratch = dlauum(chol_inv, lower=1, overwrite_c=1)[0].T
     gram = np.add(scratch, scratch.T, out=np.empty((n, n)))
     gram.flat[:: n + 1] *= 0.5
@@ -381,7 +380,7 @@ def _penalty_residuals(outputs):
     is a large finite penalty and the plateau it spans is flat.
     """
     n = len(outputs)
-    return np.full(n, np.sqrt(_PENALTY * (1.0 + float(matmul(outputs, outputs))) / max(n, 1)))
+    return np.full(n, np.sqrt(_PENALTY * (1.0 + float(outputs @ outputs)) / max(n, 1)))
 
 
 def loo_cv_objective(theta, inputs, outputs, kind="gaussian") -> float:
@@ -395,7 +394,7 @@ def loo_cv_objective(theta, inputs, outputs, kind="gaussian") -> float:
     res = _loo_residuals(_loo_state(np.asarray(theta, dtype=float), inputs, outputs, kind))
     if res is None:
         res = _penalty_residuals(outputs)
-    return float(matmul(res, res))
+    return float(res @ res)
 
 
 def default_theta_bounds(inputs) -> np.ndarray:
@@ -476,7 +475,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     # rung with the penalty.  Reused values equal recomputed ones.
     kept = {}
     orders = _sort_orders(inputs) if kind == "exponential" else None
-    best = {"objective": float(matmul(penalty, penalty)), "log_theta": rungs[0], "key": None}
+    best = {"objective": float(penalty @ penalty), "log_theta": rungs[0], "key": None}
     # The best objective only ever falls, so one finite here stays finite.
     if not np.isfinite(best["objective"]):
         raise OptimizationError(
@@ -515,7 +514,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
         if res is None:
             wall["reached"] = wall["stop"]
             return penalty
-        if (obj := float(matmul(res, res))) < best["objective"]:
+        if (obj := float(res @ res)) < best["objective"]:
             # The entry the best leaves would otherwise live through the
             # next Jacobian.
             kept.pop(best["key"], None)
@@ -554,7 +553,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
                 "phase": phase,
                 "start": np.exp(start).tolist(),
                 "theta": np.exp(result.x).tolist(),
-                "objective": float(matmul(result.fun, result.fun)),
+                "objective": float(result.fun @ result.fun),
                 "nfev": int(result.nfev),
                 "njev": int(result.njev),
                 "status": int(result.status),
@@ -669,9 +668,9 @@ class FittedSurrogate:
                 "generalized least-squares system is rank deficient; "
                 "use more samples or a smaller basis"
             )
-        self.coefficients = matmul(vt.T, matmul(u.T, z) / s)
-        residual = z - matmul(whitened, self.coefficients)
-        self.process_variance = float(matmul(residual, residual)) / n
+        self.coefficients = vt.T @ (u.T @ z / s)
+        residual = z - whitened @ self.coefficients
+        self.process_variance = float(residual @ residual) / n
         if self.mode == "chaos_kriging":
             self._whitened_basis, self._trend_map = whitened, vt / s[:, None]
             self._rinv_residual = dtrtrs(chol, residual, lower=1, trans=1)[0]
@@ -711,10 +710,10 @@ class FittedSurrogate:
                 block = np.zeros((_PREDICT_BLOCK, pts.shape[1]))
                 block[: hi - lo] = pts[lo:hi]
             psi = self.basis.evaluate(block)
-            mean = matmul(psi, self.coefficients)
+            mean = psi @ self.coefficients
             if kriging:
                 cross_correlation(block, self.training_inputs, self.kernel, out=r)
-                mean += matmul(r, self._rinv_residual)
+                mean += r @ self._rinv_residual
                 if with_variance:
                     v[...] = r
                     v = dtrmm(1.0, self._chol_inv, v, side=1, lower=1, trans_a=1, overwrite_b=1)

@@ -809,7 +809,7 @@ class TestFitPredict:
         # Carlo, so a run, a fit and a predict import neither scipy.optimize
         # nor scipy.stats (which imports scipy.optimize).  A surrogate MCS
         # run and a fit load one SciPy module, its compiled distance kernels,
-        # and call BLAS and LAPACK in SciPy's OpenBLAS directly: not the scipy
+        # and call BLAS and LAPACK in numpy's OpenBLAS directly: not the scipy
         # package itself, none of SciPy's linalg, spatial or special
         # packages, its array-API shim, or the numpy packages that shim
         # imports.  With builtin models and one thread they load no thread
@@ -854,6 +854,27 @@ class TestFitPredict:
         assert special == str([f"scipy.special.{name}" for name in (
             "_ellip_harm_2", "_gufuncs", "_sf_error", "_special_ufuncs", "_ufuncs", "_ufuncs_cxx")])
         assert (tmp_path / "p.csv").exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_a_run_maps_one_openblas(self, tmp_path):
+        # ``_blas`` calls the OpenBLAS that ``import numpy`` has loaded, so a
+        # run maps that one library and never SciPy's bundled copy.
+        script = textwrap.dedent(
+            f"""
+            import json
+            from pathlib import Path
+            from tailrisk.cli import main
+
+            assert main(["run", "--preset", "example2", "--trials", "1",
+                         "--out", {str(tmp_path)!r}]) == 0
+            maps = Path("/proc/self/maps").read_text().splitlines()
+            print(json.dumps(sorted({{line.split()[-1] for line in maps if "openblas" in line}})))
+            """
+        )
+        paths = [Path(path) for path in json.loads(run_python(script).splitlines()[-1])]
+        assert [(path.parent.name, path.name.startswith("libscipy_openblas64_"))
+                for path in paths] == [("numpy.libs", True)]
+        assert not any(path.name.startswith("libscipy_openblas-") for path in paths)
 
     def test_scipy_packages_imported_after_a_run_work(self, tmp_path):
         # ``_blas`` loads SciPy's modules without their packages; a package
