@@ -39,9 +39,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from ._blas import dpotrf, dtrmm, dtrtrs
+from ._hermegauss import hermegauss
 from .exceptions import ArtifactError, PositiveDefinitenessError
 from .inputs import Gaussian, InputModel, Lognormal
 
@@ -58,9 +58,10 @@ __all__ = [
 # Uniform coordinates are not polynomial in the latent Gaussian: their
 # Gauss-Hermite node count starts at _UNIFORM_NODES and doubles until two
 # successive estimates differ by at most _UNIFORM_TOL relative to
-# E|integrand|; the finer one is kept.  hermegauss overflows beyond
-# about 300 nodes.  No tensor grid has more than _MAX_GRID points: a basis
-# that needs a moment whose first grid would be larger is refused.
+# E|integrand|; the finer one is kept.  The rule is ``_hermegauss``, a port
+# of numpy's ``hermegauss``, which overflows beyond about 300 nodes.  No
+# tensor grid has more than _MAX_GRID points: a basis that needs a moment
+# whose first grid would be larger is refused.
 _UNIFORM_NODES = 32
 _UNIFORM_MAX_NODES = 256
 _UNIFORM_TOL = 1e-10

@@ -62,8 +62,9 @@ call.  Correlations below the smallest normal double are stored as zero,
 because subnormal entries make the products several times slower.
 Prediction runs in blocks of exactly 512 rows, one point per row, with a
 short block padded by zero rows.  Every block reuses one buffer for its
-correlations and, with the variance, one for their Fortran-ordered copy:
-1.2 MB each at n = 300, 5 MB at n = 1219.  Since every block has the same
+correlations, 1.2 MB at n = 300 and 5 MB at n = 1219, and, with the
+variance, one for the Fortran-ordered copy of 128 of its rows at a time,
+0.3 MB and 1.2 MB.  Since every block and sub-block has the same
 shape, every point is rounded the same way: a point's prediction does not
 depend on the other points in the call, at any basis size, as
 ``basis.evaluate`` is a right-side triangular product with one point per
@@ -121,6 +122,8 @@ SURROGATE_VERSION = 1
 _RELATIVE_NUGGET = 1e-10
 _PENALTY = 1e25
 _PREDICT_BLOCK = 512
+# Rows of the variance's sub-blocks; divides _PREDICT_BLOCK.
+_VARIANCE_BLOCK = 128
 # Tolerances of the explore runs of the LOO search; the solver's ``gtol``
 # is a constant, 1e-8.  The rest of a run's work crawls toward the default
 # ``ftol = xtol = 1e-8``, which only the polish run pays.  Looser stops
@@ -689,20 +692,26 @@ class FittedSurrogate:
         takes other kernels, which round differently, for the last rows of
         a block whose row count is not a multiple of its unrolling and for
         narrow blocks, so only the fixed width makes a point's prediction
-        independent of the other points in the call.
+        independent of the other points in the call.  The variance's rows
+        are independent too, so its steps run over sub-blocks of exactly
+        ``_VARIANCE_BLOCK`` rows, and skip those that hold only padding.
 
-        Every block reuses one buffer for ``r`` and one for its
-        Fortran-ordered copy, which ``v`` overwrites.  Arrays of that size
-        allocated and freed block by block went back to the system and
-        were faulted in again: about 7 000 minor page faults per 10 000
-        ``example2`` points, against 250 with the buffers.
+        Every block reuses one ``_PREDICT_BLOCK``-by-n buffer for ``r`` and
+        one ``_VARIANCE_BLOCK``-by-n buffer for the Fortran-ordered copy of
+        a sub-block, which ``v`` overwrites: 1.2 MB and 0.3 MB at n = 300.
+        Arrays of the block's size allocated and freed block by block went
+        back to the system and were faulted in again: about 7 000 minor
+        page faults per 10 000 ``example2`` points, against 250 with the
+        buffers.  So the block stays at 512 rows: blocks of 256 cost
+        11-18% more time per ``mfis-tray`` trial (2-core x86-64 VM).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         means = np.empty(len(pts))
         variances = np.zeros(len(pts)) if with_variance else None
         kriging = self.mode == "chaos_kriging"
         r = np.empty((_PREDICT_BLOCK, len(self.training_outputs))) if kriging else None
-        v = np.empty_like(r, order="F") if kriging and with_variance else None
+        v = (np.empty((_VARIANCE_BLOCK, r.shape[1]), order="F")
+             if kriging and with_variance else None)
         for lo in range(0, len(pts), _PREDICT_BLOCK):
             hi = min(lo + _PREDICT_BLOCK, len(pts))
             block = pts[lo:hi]
@@ -714,15 +723,20 @@ class FittedSurrogate:
             if kriging:
                 cross_correlation(block, self.training_inputs, self.kernel, out=r)
                 mean += r @ self._rinv_residual
-                if with_variance:
-                    v[...] = r
-                    v = dtrmm(1.0, self._chol_inv, v, side=1, lower=1, trans_a=1, overwrite_b=1)
+                # Sub-blocks past the last point hold only padding.
+                for sub in range(0, hi - lo, _VARIANCE_BLOCK) if with_variance else ():
+                    rows = slice(sub, sub + _VARIANCE_BLOCK)
+                    v[...] = r[rows]
+                    dtrmm(1.0, self._chol_inv, v, side=1, lower=1, trans_a=1, overwrite_b=1)
                     # ``dgemm`` takes the Fortran-ordered ``v`` as it is.
-                    u = dgemm(1.0, v, self._whitened_basis) - psi
+                    u = dgemm(1.0, v, self._whitened_basis) - psi[rows]
                     trend = dgemm(1.0, u, self._trend_map, trans_b=1)
                     q_interp = np.einsum("ij,ij->i", v, v)
                     q_trend = np.einsum("ij,ij->i", trend, trend)
-                    variances[lo:hi] = self.process_variance * (1.0 - q_interp + q_trend)[: hi - lo]
+                    end = min(sub + _VARIANCE_BLOCK, hi - lo)
+                    variances[lo + sub : lo + end] = (
+                        self.process_variance * (1.0 - q_interp + q_trend)[: end - sub]
+                    )
             means[lo:hi] = mean[: hi - lo]
         return means, variances
 

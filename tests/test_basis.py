@@ -24,7 +24,7 @@ from tailrisk import (
     whiten,
 )
 from tailrisk import basis as basis_mod
-from tailrisk import exceptions, inputs
+from tailrisk import _hermegauss, exceptions, inputs
 
 from helpers import (
     analytic_gaussian_gram,
@@ -347,6 +347,16 @@ def _orthonormality_error(basis, gram):
 
 
 class TestExactMoments:
+    def test_gauss_hermite_rule_is_numpys_bit_for_bit(self):
+        # The basis takes its rules from a port of numpy's ``hermegauss``;
+        # every node count it can ask for must give numpy's bits, signed
+        # zeros included.
+        from numpy.polynomial.hermite_e import hermegauss
+
+        for deg in range(1, basis_mod._UNIFORM_MAX_NODES + 1):
+            ours, numpys = _hermegauss.hermegauss(deg), hermegauss(deg)
+            assert [a.tobytes() for a in ours] == [a.tobytes() for a in numpys], deg
+
     def test_correlated_oracle_reduces_to_independent(self):
         s = multi_index_set(2, 2, 4)
         np.testing.assert_allclose(

@@ -813,8 +813,10 @@ class TestFitPredict:
         # package itself, none of SciPy's linalg, spatial or special
         # packages, its array-API shim, or the numpy packages that shim
         # imports.  With builtin models and one thread they load no thread
-        # pool, subprocess or select either.  A predict and an MFIS run add
-        # nothing from SciPy: the risk region's quantile is a port.  Only a
+        # pool, subprocess or select either, and no numpy.polynomial: the
+        # basis's Gauss-Hermite rule is a port.  A predict and an MFIS run
+        # add nothing from SciPy or numpy.polynomial: the risk region's
+        # quantile is a port too.  Only a
         # uniform marginal adds scipy.special's ufunc modules, still without
         # the special package.
         script = textwrap.dedent(
@@ -833,14 +835,14 @@ class TestFitPredict:
             assert main(["run", "--preset", "example1-corr09", "--trials", "1",
                          "--out", str(out / "run")]) == 0
             assert main(["fit", "--preset", "example1-corr09", "--out", str(out / "fit")]) == 0
-            print(loaded("scipy", "numpy.ma", "numpy.f2py",
+            print(loaded("scipy", "numpy.ma", "numpy.f2py", "numpy.polynomial",
                          "concurrent.futures", "subprocess", "select"))
             assert main(["predict", "--artifact", str(out / "fit" / "surrogate.json"),
                          "--points", str(out / "pts.csv"), "--out", str(out / "p.csv")]) == 0
             print(loaded("scipy.optimize", "scipy.stats"))
             assert main(["run", "--preset", "example2", "--trials", "1",
                          "--out", str(out / "mfis")]) == 0
-            print(loaded("scipy"))
+            print(loaded("scipy", "numpy.polynomial"))
             sample(InputModel([Uniform(-1.0, 3.0), Gaussian(0.0, 1.0)]), "mc", 5, 1)
             print(loaded("scipy.special", "scipy._lib._array_api", "numpy.ma", "numpy.f2py",
                          "scipy.optimize", "scipy.stats"))
