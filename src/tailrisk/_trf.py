@@ -58,8 +58,6 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.linalg import norm
 
-from ._blas import svd
-
 __all__ = ["least_squares"]
 
 _EPS = np.finfo(float).eps
@@ -280,8 +278,10 @@ def least_squares(fun, x0, jac, bounds, ftol=1e-8, xtol=1e-8):
         J_augmented[:m] = J * d
         J_h = J_augmented[:m]  # Memory view.
         J_augmented[m:] = np.diag(diag_h**0.5)
-        U, s, V = svd(J_augmented)
-        V = V.T
+        # SciPy's ``svd`` refuses an ``inf``, where numpy's returns NaNs, and
+        # lays ``U`` and ``V^T`` out in Fortran order, by which products round.
+        U, s, V = np.linalg.svd(np.asarray_chkfinite(J_augmented), full_matrices=False)
+        U, V = np.asfortranarray(U), np.asfortranarray(V).T
         uf = U.T.dot(f_augmented)
         # theta controls the step back from the bounds.
         theta = max(0.995, 1 - g_norm)

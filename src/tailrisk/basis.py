@@ -299,17 +299,17 @@ def whiten(
         raise ValueError("moment matrix holds a non-finite value")
 
     # dpotrf gives the failing 1-based pivot, or 0, and zeroes the upper triangle.
-    factor, pivot = dpotrf(scaled, lower=1)
+    factor, pivot = dpotrf(scaled)
     jittered = pivot != 0
     if jittered:
         jitter = 1e-12 * np.trace(scaled) / size
-        factor, pivot = dpotrf(scaled + jitter * np.eye(size), lower=1)
+        factor, pivot = dpotrf(scaled + jitter * np.eye(size))
         if pivot:
             raise PositiveDefinitenessError(
                 f"moment matrix is not positive definite (pivot {pivot})"
             )
 
-    inv_factor = dtrtrs(factor, np.eye(size), lower=1)[0]
+    inv_factor = dtrtrs(factor, np.eye(size))
     whitening = inv_factor * scale[None, :]
 
     prov = {"jittered": jittered}

@@ -91,7 +91,6 @@ from ._blas import (
     dtrmv,
     dtrtri,
     dtrtrs,
-    svd,
 )
 from ._trf import least_squares
 from .basis import OrthonormalBasis
@@ -202,7 +201,7 @@ def _cholesky(matrix, overwrite=False):
     reads it without a transposing copy, and with ``overwrite`` writes the
     factor over it.
     """
-    chol, info = dpotrf(matrix.T, lower=1, clean=1, overwrite_a=overwrite)
+    chol, info = dpotrf(matrix.T, overwrite_a=overwrite)
     if info > 0:
         return None
     diag = np.diag(chol)
@@ -225,7 +224,7 @@ def _invert_lower(block):
     """
     rows = block.shape[0]
     if rows <= _TRTRI_LEAF:
-        block[...] = dtrtri(block, lower=1, overwrite_c=1)[0]
+        block[...] = dtrtri(block)
         return block
     half = rows // 2
     head = _invert_lower(block[:half, :half])
@@ -254,7 +253,7 @@ def _loo_state(theta, inputs, outputs, kind):
     chol = _cholesky(corr, overwrite=gaussian)
     if chol is None:
         return None
-    rinv_b = dpotrs(chol, outputs, lower=1)[0]
+    rinv_b = dpotrs(chol, outputs)
     # Only the Gaussian kernel keeps L, so only there L^-1 needs a copy.
     chol_inv = _invert_lower(np.array(chol, order="F") if gaussian else chol)
     rinv_diag = np.einsum("ij,ij->j", chol_inv, chol_inv)
@@ -327,17 +326,17 @@ def _loo_jacobian(theta, inputs, state, kind, orders):
     # cost; the upper triangle of ``L^-1`` is zero, so adding the transpose
     # and halving the diagonal completes ``G``.  That buffer is then the
     # scratch buffer of every column.
-    scratch = dlauum(chol_inv, lower=1, overwrite_c=1)[0].T
+    scratch = dlauum(chol_inv).T
     gram = np.add(scratch, scratch.T, out=np.empty((n, n)))
     gram.flat[:: n + 1] *= 0.5
     scaled = (inputs - inputs.mean(axis=0)) / theta
     if kind == "gaussian":
-        r_alpha = dtrmv(factor, dtrmv(factor, alpha, lower=1, trans=1), lower=1)
+        r_alpha = dtrmv(factor, dtrmv(factor, alpha, trans=1))
     else:
         # sum_i s_i G_ij^2 for every coordinate at once, before ``spare``
         # takes the reordered R.
         spare = np.multiply(gram, gram, out=np.empty((n, n)))
-        g2_scaled = dgemm(1.0, spare.T, scaled)
+        g2_scaled = dgemm(spare.T, scaled)
     jac = np.empty((n, len(theta)))
     for k in range(len(theta)):
         s = scaled[:, k]
@@ -347,9 +346,9 @@ def _loo_jacobian(theta, inputs, state, kind, orders):
             np.multiply(s[:, None], gram, out=scratch)
             dtrmm(1.0, factor, scratch.T, side=1, lower=1, overwrite_b=1)
             gpg_diag = 4.0 * (s * s * c - np.einsum("ij,ij->j", scratch, scratch))
-            rs_alpha = dtrmv(factor, dtrmv(factor, s * alpha, lower=1, trans=1), lower=1)
+            rs_alpha = dtrmv(factor, dtrmv(factor, s * alpha, trans=1))
             p_alpha = s * (s * r_alpha - 2.0 * rs_alpha)
-            gp_alpha = 2.0 * (dsymv(1.0, gram.T, p_alpha) + s * s * alpha)
+            gp_alpha = 2.0 * (dsymv(gram.T, p_alpha) + s * s * alpha)
         else:
             order, inverse = orders[k]
             # R in that order; only its strictly lower part is read.
@@ -362,7 +361,7 @@ def _loo_jacobian(theta, inputs, state, kind, orders):
             q_both -= dtrmm(1.0, r_ranked, both, lower=1, trans_a=1, diag=1)
             p_alpha = np.empty(n)
             p_alpha[order] = s_ranked * q_both[:, 0] - q_both[:, 1]
-            gp_alpha = dsymv(1.0, gram.T, p_alpha)
+            gp_alpha = dsymv(gram.T, p_alpha)
             # G's rows in that order are, in Fortran order, its columns in
             # that order: W = G P^T.  Then V = W (I + Rl), whose transpose
             # in C order goes back to the original row order over R's buffer.
@@ -663,9 +662,10 @@ class FittedSurrogate:
                     "correlation matrix is numerically singular even with a nugget; "
                     "shrink the length scales or space the training points out"
                 )
-            whitened = dtrtrs(chol, whitened, lower=1)[0]
-            z = dtrtrs(chol, z, lower=1)[0]
-        u, s, vt = svd(whitened, check_finite=False)
+            whitened = dtrtrs(chol, whitened)
+            z = dtrtrs(chol, z)
+        u, s, vt = np.linalg.svd(whitened, full_matrices=False)
+        u, vt = np.asfortranarray(u), np.asfortranarray(vt)  # products round by layout
         if not s[-1] > np.finfo(float).eps * max(whitened.shape) * s[0]:  # also NaN
             raise ConditioningError(
                 "generalized least-squares system is rank deficient; "
@@ -676,7 +676,7 @@ class FittedSurrogate:
         self.process_variance = float(residual @ residual) / n
         if self.mode == "chaos_kriging":
             self._whitened_basis, self._trend_map = whitened, vt / s[:, None]
-            self._rinv_residual = dtrtrs(chol, residual, lower=1, trans=1)[0]
+            self._rinv_residual = dtrtrs(chol, residual, trans=1)
             # ``L`` is not needed past here, so its inverse takes its memory.
             self._chol_inv = _invert_lower(chol)
 
@@ -729,8 +729,8 @@ class FittedSurrogate:
                     v[...] = r[rows]
                     dtrmm(1.0, self._chol_inv, v, side=1, lower=1, trans_a=1, overwrite_b=1)
                     # ``dgemm`` takes the Fortran-ordered ``v`` as it is.
-                    u = dgemm(1.0, v, self._whitened_basis) - psi[rows]
-                    trend = dgemm(1.0, u, self._trend_map, trans_b=1)
+                    u = dgemm(v, self._whitened_basis) - psi[rows]
+                    trend = dgemm(u, self._trend_map, trans_b=1)
                     q_interp = np.einsum("ij,ij->i", v, v)
                     q_trend = np.einsum("ij,ij->i", trend, trend)
                     end = min(sub + _VARIANCE_BLOCK, hi - lo)

@@ -4,7 +4,6 @@ re-exports only names its modules list in ``__all__``."""
 import ast
 import importlib
 import inspect
-import math
 import pkgutil
 import re
 from pathlib import Path
@@ -81,40 +80,49 @@ def test_every_public_name_has_a_caller():
     assert unused == []
 
 
-def _calls(path):
-    """``(name, positional count, keywords)`` of every call in a file; the
-    name is the called identifier or attribute.  A ``*args`` counts as every
-    position and a ``**kwargs`` as every keyword (``None``)."""
-    for node in ast.walk(ast.parse(path.read_text())):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        starred = any(isinstance(a, ast.Starred) for a in node.args)
-        keywords = {k.arg for k in node.keywords}
-        yield (name, math.inf if starred else len(node.args),
-               None if None in keywords else keywords)
-
-
 def _calls_by_name():
+    """``{name: [call]}`` of every ``ast.Call`` in the scanned files, by the
+    called identifier or attribute."""
     calls = {}
     for path in _scanned_files():
-        for name, positional, keywords in _calls(path):
-            calls.setdefault(name, []).append((positional, keywords))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
     return calls
+
+
+# What a ``*args`` or ``**kwargs`` may pass.
+_ANY = object()
+
+
+def _argument(call, position, param, positional):
+    """The node that ``call`` passes for a parameter, ``_ANY`` when a
+    ``*args`` or ``**kwargs`` may pass it, or None when it is left out."""
+    for keyword in call.keywords:
+        if keyword.arg == param:
+            return keyword.value
+    if any(keyword.arg is None for keyword in call.keywords):
+        return _ANY
+    if positional:
+        for i, arg in enumerate(call.args[:position + 1]):
+            if isinstance(arg, ast.Starred):
+                return _ANY
+            if i == position:
+                return arg
+    return None
 
 
 def _unset(label, name, params, calls):
     """``label(p=)`` for each defaulted parameter ``p`` that no call by
-    ``name`` sets; ``params`` holds ``(name, defaulted, positional)`` in
-    the order a call passes them."""
+    ``name`` sets; ``params`` holds ``(name, default, positional)`` in the
+    order a call passes them, with a true ``default`` for a defaulted one."""
     return [
         f"{label}({param}=)"
-        for position, (param, defaulted, positional) in enumerate(params)
-        if defaulted and not any(
-            keywords is None or param in keywords or (positional and given > position)
-            for given, keywords in calls.get(name, ())
-        )
+        for position, (param, default, positional) in enumerate(params)
+        if default and not any(_argument(call, position, param, positional) is not None
+                               for call in calls.get(name, ()))
     ]
 
 
@@ -140,8 +148,8 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 def _definitions(path):
     """``(label, called name, parameters)`` of every function and method in
     a file, nested ones included, with parameters as :func:`_unset` takes
-    them.  A method's ``self`` or ``cls`` is dropped, and ``__init__`` is
-    called by its class's name."""
+    them and a default as its node.  A method's ``self`` or ``cls`` is
+    dropped, and ``__init__`` is called by its class's name."""
     tree = ast.parse(path.read_text())
     owners = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
               for item in node.body}
@@ -150,9 +158,9 @@ def _definitions(path):
             continue
         args = node.args
         positional = [*args.posonlyargs, *args.args]
-        defaulted = [False] * (len(positional) - len(args.defaults)) + [True] * len(args.defaults)
-        params = [(a.arg, d, True) for a, d in zip(positional, defaulted)]
-        params += [(a.arg, d is not None, False) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+        defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+        params = [(a.arg, d, True) for a, d in zip(positional, defaults)]
+        params += [(a.arg, d, False) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
         owner = owners.get(id(node))
         if owner is None:
             yield f"{path.stem}.{node.name}", node.name, params
@@ -174,6 +182,33 @@ def test_every_defaulted_parameter_of_any_function_is_set_by_a_caller():
         for missing in _unset(label, called, params, calls)
     ]
     assert unset == []
+
+
+def _literal(node):
+    """The ``repr`` of a literal node's value, or ``_ANY`` for any other node."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (TypeError, ValueError):
+        return _ANY
+
+
+def test_no_defaulted_parameter_is_always_set_to_one_literal():
+    # A parameter that every caller sets to the same literal, or leaves at a
+    # default equal to it, takes one value: that belongs in the body too.
+    # One that no caller sets is named by the rule above.
+    calls = _calls_by_name()
+    constant = []
+    for path in sorted(Path(tailrisk.__file__).parent.glob("*.py")):
+        for label, called, params in _definitions(path):
+            for position, (param, default, positional) in enumerate(params):
+                passed = [_argument(call, position, param, positional)
+                          for call in calls.get(called, ())]
+                if default is None or all(node is None for node in passed):
+                    continue
+                values = {_literal(default if node is None else node) for node in passed}
+                if len(values) == 1 and _ANY not in values:
+                    constant.append(f"{label}({param}={values.pop()})")
+    assert constant == []
 
 
 def _defined_names(statement):

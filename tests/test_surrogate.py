@@ -173,10 +173,18 @@ def _layouts(matrix):
     return [lambda: np.array(matrix, order="F"), lambda: np.array(matrix, order="C"), strided]
 
 
+# The arguments of SciPy's f2py wrappers that ``_blas``'s wrappers fix at
+# the value every call site passes: a leading ``alpha`` and keywords.
+_FIXED = {"dgemm": ((1.0,), {}), "dsymv": ((1.0,), {}), "dtrmv": ((), {"lower": 1}),
+          "dlauum": ((), {"lower": 1, "overwrite_c": 1}), "dpotrf": ((), {"lower": 1, "clean": 1}),
+          "dpotrs": ((), {"lower": 1}), "dtrtri": ((), {"lower": 1, "overwrite_c": 1}),
+          "dtrtrs": ((), {"lower": 1})}
+
+
 def _wrapper_calls():
     """``{routine: [(argument makers, keywords)]}`` for every argument form a
     call site passes, in every layout: each flag combination, with vector
-    and matrix right-hand sides."""
+    and matrix right-hand sides.  SciPy's wrapper also takes :data:`_FIXED`."""
     rng = np.random.default_rng(8)
     n = 6
     # Both triangles are set, so a routine reading the wrong one shows.
@@ -189,26 +197,25 @@ def _wrapper_calls():
     calls = {name: [] for name in TestScipyKernels.BLAS + TestScipyKernels.LAPACK}
     for (a, b), trans_b in product(product(_layouts(square), _layouts(rhs)), flags):
         b_op = (lambda b=b: b().T) if trans_b else b
-        calls["dgemm"].append(((one, a, b_op), {"trans_b": trans_b}))
+        calls["dgemm"].append(((a, b_op), {"trans_b": trans_b}))
     for a, x in product(_layouts(spd), _layouts(vector)):
-        calls["dsymv"].append(((one, a, x), {}))
+        calls["dsymv"].append(((a, x), {}))
     for a, side, lower, trans_a, diag, overwrite_b in product(_layouts(square), *[flags] * 5):
         for alpha, b in product((one, minus_one), _layouts(rhs.T if side else rhs)):
             keywords = {"side": side, "lower": lower, "trans_a": trans_a, "diag": diag,
                         "overwrite_b": overwrite_b}
             calls["dtrmm"].append(((alpha, a, b), keywords))
-    for a, x, lower, trans in product(_layouts(square), _layouts(vector), flags, flags):
-        calls["dtrmv"].append(((a, x), {"lower": lower, "trans": trans}))
-    for c, lower, overwrite_c in product(_layouts(square), flags, flags):
-        calls["dlauum"].append(((c,), {"lower": lower, "overwrite_c": overwrite_c}))
-        calls["dtrtri"].append(((c,), {"lower": lower, "overwrite_c": overwrite_c}))
-    for a, lower, clean, overwrite_a in product(_layouts(spd), *[flags] * 3):
-        calls["dpotrf"].append(((a,), {"lower": lower, "clean": clean, "overwrite_a": overwrite_a}))
-    for c, b, lower in product(_layouts(factor), _layouts(rhs) + _layouts(vector), flags):
-        c_op = c if lower else (lambda c=c: c().T)
-        calls["dpotrs"].append(((c_op, b), {"lower": lower}))
+    for a, x, trans in product(_layouts(square), _layouts(vector), flags):
+        calls["dtrmv"].append(((a, x), {"trans": trans}))
+    for c in _layouts(square):
+        calls["dlauum"].append(((c,), {}))
+        calls["dtrtri"].append(((c,), {}))
+    for a, overwrite_a in product(_layouts(spd), flags):
+        calls["dpotrf"].append(((a,), {"overwrite_a": overwrite_a}))
+    for c, b in product(_layouts(factor), _layouts(rhs) + _layouts(vector)):
+        calls["dpotrs"].append(((c, b), {}))
         for trans in flags:
-            calls["dtrtrs"].append(((c_op, b), {"lower": lower, "trans": trans}))
+            calls["dtrtrs"].append(((c, b), {"trans": trans}))
     return calls
 
 
@@ -220,6 +227,7 @@ def _wrapper_mismatches():
     Each call gets fresh operands on each side.  What comes back, and an
     operand that ``overwrite_*`` lets the routine write over, must have the
     same bits on both sides, and be the operand on both sides or on neither.
+    Where ``_blas`` returns the array alone, SciPy's ``info`` must be 0.
     """
     mismatches = {}
     for name, forms in _wrapper_calls().items():
@@ -227,9 +235,13 @@ def _wrapper_mismatches():
         mismatches[name] = []
         for form, (makers, keywords) in enumerate(forms):
             sides = []
-            for routine in (getattr(_blas, name), theirs):
+            for routine, (leading, fixed) in ((getattr(_blas, name), ((), {})),
+                                              (theirs, _FIXED.get(name, ((), {})))):
                 operands = [make() for make in makers]
-                result = routine(*operands, **keywords)
+                result = routine(*leading, *operands, **keywords, **fixed)
+                if name in TestScipyKernels.RAISING and routine is theirs:
+                    result, info = result
+                    assert info == 0, (name, form)
                 results = result if isinstance(result, tuple) else (result,)
                 sides.append([[(a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
                               for arrays in (results, operands)]
@@ -246,6 +258,8 @@ class TestScipyKernels:
     # guard that against other numpy and SciPy versions.
     BLAS = ("dgemm", "dsymv", "dtrmm", "dtrmv")
     LAPACK = ("dlauum", "dpotrf", "dpotrs", "dtrtri", "dtrtrs")
+    # The routines that raise on a non-zero ``info`` instead of returning it.
+    RAISING = ("dlauum", "dpotrs", "dtrtri", "dtrtrs")
 
     @staticmethod
     def same_bits(ours, theirs):
@@ -292,13 +306,23 @@ class TestScipyKernels:
     def test_dpotrf_cleans_a_matrix_that_is_not_positive_definite(self):
         matrix = np.diag([1.0, -1.0, 2.0, 3.0])
         matrix[1, 0] = matrix[0, 1] = 3.0
-        for lower in (0, 1):
-            factor, info = _blas.dpotrf(matrix, lower=lower, clean=1)
-            theirs, their_info = lapack.dpotrf(matrix, lower=lower, clean=1)
-            assert info == their_info == 2
-            self.same_bits([factor], [theirs])
-            other = np.triu(factor, 1) if lower else np.tril(factor, -1)
-            assert not other.any()
+        factor, info = _blas.dpotrf(matrix)
+        theirs, their_info = lapack.dpotrf(matrix, lower=1, clean=1)
+        assert info == their_info == 2
+        self.same_bits([factor], [theirs])
+        assert not np.triu(factor, 1).any()
+
+    def test_a_zero_on_the_diagonal_raises_with_the_routines_info(self):
+        # LAPACK reports the first zero pivot of a singular triangle as its
+        # 1-based position; no caller may go on with what it returned.
+        factor = np.tril(np.ones((4, 4)))
+        factor[2, 2] = 0.0
+        assert lapack.dtrtri(factor, lower=1)[1] == lapack.dtrtrs(factor, np.ones(4), lower=1)[1] == 3
+        with pytest.raises(np.linalg.LinAlgError, match=r"^dtrtri failed with info 3$"):
+            _blas.dtrtri(factor)
+        for trans in (0, 1):
+            with pytest.raises(np.linalg.LinAlgError, match=r"^dtrtrs failed with info 3$"):
+                _blas.dtrtrs(factor, np.ones(4), trans=trans)
 
     @pytest.mark.parametrize("libraries", [(), ("a", "b"), ("without-symbols",)],
                              ids=["none", "two", "no-symbols"])
@@ -368,38 +392,28 @@ class TestScipyKernels:
             for thread in threads:
                 thread.join()
             assert errors == [], errors
-            ufuncs = sys.modules["scipy.special._ufuncs"]
-            assert _blas.__dict__["ndtr"] is ufuncs.ndtr
-            with ufuncs.errstate(all="raise"):
-                try:
-                    ufuncs.gamma(-1.0)
-                except Exception as error:
-                    raised = type(error)
-            assert raised is sys.modules["scipy.special._sf_error"].SpecialFunctionError
+            assert _blas.__dict__["ndtr"] is sys.modules["scipy.special._special_ufuncs"].ndtr
             print(sorted(set(results)))
             """
         )
         assert run_python(script).splitlines()[-1] == str([float(special.ndtr(0.975))])
 
-    def test_svd_matches_scipy(self):
-        matrix = np.random.default_rng(6).normal(size=(40, 7))
-        for operand in (matrix, np.asfortranarray(matrix)):
-            for check_finite in (True, False):
-                self.same_bits(_blas.svd(operand, check_finite=check_finite),
-                               svd(operand, full_matrices=False, check_finite=check_finite))
-
-    def test_nan_operands_raise_where_scipy_does(self):
-        bad = np.ones((6, 3))
-        bad[2, 1] = np.nan
-        for check_finite in (True, False):
-            with pytest.raises(ValueError) as theirs:
-                svd(bad, full_matrices=False, check_finite=check_finite)
-            with pytest.raises(ValueError) as ours:
-                _blas.svd(bad, check_finite=check_finite)
-            assert str(ours.value) == str(theirs.value)
-
 
 class TestFitting:
+    @pytest.mark.parametrize("n, degree", [(40, 2), (120, 3)])
+    def test_trend_has_the_bits_of_scipys_svd(self, n, degree):
+        # The fit takes numpy's SVD, the same LAPACK routine as SciPy's, in
+        # SciPy's Fortran-ordered layout: the products by the factors round
+        # by layout.
+        x = np.random.default_rng(n).normal(scale=2.0, size=(n, 2))
+        y = rastrigin(x)
+        sur = fixed_theta_fit(x, y, hermite_basis_2d(1, degree), [0.6, 0.6])
+        chol = surrogate_mod._cholesky(cross_correlation(x, x, sur.kernel))
+        whitened = _blas.dtrtrs(chol, sur.basis.evaluate(x))
+        u, s, vt = svd(whitened, full_matrices=False)
+        assert sur.coefficients.tobytes() == (vt.T @ (u.T @ _blas.dtrtrs(chol, y) / s)).tobytes()
+        assert sur._trend_map.tobytes() == (vt / s[:, None]).tobytes()
+
     def test_exact_linear_trend_recovery(self):
         basis = hermite_basis_1d(1)
         x = np.linspace(-2, 2, 10)[:, None]
@@ -1043,6 +1057,17 @@ class TestTrfPort:
         with pytest.raises(ValueError, match="not finite in the initial point"):
             _trf.least_squares(lambda x: np.array([np.nan, 1.0]), np.array([0.3]),
                                jac=lambda x: np.zeros((2, 1)), bounds=([0.0], [1.0]))
+
+    def test_an_infinite_jacobian_raises_as_in_scipy(self):
+        # numpy's SVD returns NaN factors for an ``inf``; the port checks
+        # the augmented Jacobian first, as SciPy's ``svd`` does.
+        kwargs = {"jac": lambda x: np.array([[np.inf], [1.0]]), "bounds": ([0.0], [1.0])}
+        errors = []
+        for solver in (scipy_trf, _trf.least_squares):
+            with pytest.raises(ValueError) as error:
+                solver(lambda x: np.array([x[0] - 2.0, 1.0]), np.array([0.3]), **kwargs)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1] == "array must not contain infs or NaNs"
 
     @staticmethod
     def preset_training_sets():
