@@ -13,20 +13,28 @@ Mapping SciPy's bundled copy as well cost about 2.0 MB of a run's peak
 memory (2-core x86-64 VM, one BLAS thread, numpy 2.4.6, SciPy 1.17.1).
 Here are only the routines that ``numpy.linalg`` does not offer with the
 same bits; its singular value decomposition is the same LAPACK routine.
-The library is opened with ``ctypes.PyDLL``, and each wrapper here passes
-a routine ``scipy_<name>_64_``, whose integers are all 64-bit, the
-arguments SciPy's f2py wrapper of that name passes its own OpenBLAS at
-the call sites' flags, with operands and outputs laid out as f2py lays
-them out (``tests/test_surrogate.py`` compares each argument form the
-program uses with SciPy's, bit for bit at one BLAS thread).  A wrapper
-takes only the arguments its callers vary, and raises
+Each wrapper here passes a routine ``scipy_<name>_64_``, whose integers
+are all 64-bit, the arguments SciPy's f2py wrapper of that name passes
+its own OpenBLAS at the call sites' flags, with operands and outputs laid
+out as f2py lays them out (``tests/test_surrogate.py`` compares each
+argument form the program uses with SciPy's, bit for bit at one BLAS
+thread).  A wrapper takes only the arguments its callers vary, and raises
 ``numpy.linalg.LinAlgError`` on a non-zero ``info`` that it does not
 return.  The two builds' ``dpotrf`` do differ in the last bits on kernel
 matrices from 16 rows up, by up to 1.7e-13, which moves the length scales
-of Gaussian-kernel searches that end on the conditioning wall.  ``PyDLL``
-holds the interpreter lock during a call, as f2py does; releasing it, so
-that MFIS trials in threads overlap their BLAS work, is a change to
-measure on its own.  The one state that calls share is :data:`_INT`.  A
+of Gaussian-kernel searches that end on the conditioning wall.
+
+:data:`CONCURRENT_CALLS` is how many BLAS calls can run at once without
+sharing a core: the cores this process may run on over OpenBLAS's thread
+count, at least 1.  From 2 up the library is opened with ``ctypes.CDLL``,
+so a call releases the interpreter lock and the LOO search runs its
+explore starts on a helper thread (``surrogate``).  At 1 it is opened with
+``ctypes.PyDLL``, which holds the lock during a call, as f2py does: at
+the default two BLAS threads on a 2-core x86-64 VM, released, two callers
+each fanned out to two threads, and 10-trial ``example1-corr09 --threads
+2`` runs took 2.05-2.39 s against 1.67-2.10 s.  The one state that calls
+share is :data:`_INT`, and it is safe without the lock: its entries are
+only added, by Python code that holds the lock, and never change.  A
 call costs about 2 us more than through f2py (paired ``timeit`` rounds
 over the calls of a 10-trial ``example2`` run, one BLAS thread), mostly
 ctypes' argument passing and reading the arrays' data addresses, which
@@ -56,7 +64,7 @@ import importlib.util
 import os
 import sys
 import threading
-from ctypes import PyDLL, byref, c_double, c_int64, c_size_t, c_void_p
+from ctypes import CDLL, PyDLL, byref, c_double, c_int64, c_size_t, c_void_p
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder, PathFinder
 
 import numpy as np
@@ -70,9 +78,9 @@ _LIBS_DIR = os.path.join(
 
 
 def _routines(names):
-    """The ILP64 routines ``scipy_<name>_64_`` of numpy's bundled OpenBLAS,
-    opened with ``ctypes.PyDLL``, so a call holds the interpreter lock as
-    SciPy's f2py wrappers do.
+    """:data:`CONCURRENT_CALLS`, and the ILP64 routines ``scipy_<name>_64_``
+    of numpy's bundled OpenBLAS, opened with ``ctypes.CDLL`` when that count
+    is 2 or more and with ``ctypes.PyDLL`` otherwise.
 
     They get no ``argtypes``: converting a ``dtrmm`` call's 15 arguments
     through them added 1.2 us to it.  The wrappers below check shapes and
@@ -88,20 +96,24 @@ def _routines(names):
                           f"found {found or 'none'}")
     path = os.path.join(_LIBS_DIR, found[0])
     library = PyDLL(path)
-    routines = []
-    for name in names:
-        try:
-            routine = getattr(library, f"scipy_{name}_64_")
-        except AttributeError:
-            raise ImportError(f"{path} has no symbol scipy_{name}_64_") from None
+    symbols = [f"scipy_{name}_64_" for name in names]
+    for symbol in (*symbols, "scipy_openblas_get_num_threads64_"):
+        if not hasattr(library, symbol):
+            raise ImportError(f"{path} has no symbol {symbol}")
+    concurrent = max(1, len(os.sched_getaffinity(0))
+                     // library.scipy_openblas_get_num_threads64_())
+    if concurrent > 1:
+        library = CDLL(path, handle=library._handle)
+    routines = [getattr(library, symbol) for symbol in symbols]
+    for routine in routines:
         routine.restype = None
-        routines.append(routine)
-    return routines
+    return concurrent, routines
 
 
-(_dgemm, _dsymv, _dtrmm, _dtrmv, _dlaset, _dlauum, _dpotrf, _dpotrs, _dtrtri,
- _dtrtrs) = _routines(("dgemm", "dsymv", "dtrmm", "dtrmv", "dlaset", "dlauum", "dpotrf",
-                       "dpotrs", "dtrtri", "dtrtrs"))
+CONCURRENT_CALLS, (_dgemm, _dsymv, _dtrmm, _dtrmv, _dlaset, _dlauum, _dpotrf, _dpotrs,
+                   _dtrtri, _dtrtrs) = _routines(("dgemm", "dsymv", "dtrmm", "dtrmv", "dlaset",
+                                                  "dlauum", "dpotrf", "dpotrs", "dtrtri",
+                                                  "dtrtrs"))
 
 
 # The modules :func:`_extension` loaded, by package: ``{package: {child: module}}``.

@@ -35,6 +35,15 @@ keeps no memo of its own, so a repeated point is answered there.
 keeps; once the Jacobian is built, the entry keeps only it and the two
 vectors its residuals read, so no n x n array outlives the Jacobian that
 needed it.
+When BLAS calls release the interpreter lock (``_blas.CONCURRENT_CALLS``
+of 2 or more), explore starts 1 to 4 run on the process's one helper
+thread, each with a cache of its own, while the calling thread runs the
+ladder and start 0.  Their runs, best points and counts are merged in
+start order, so the search returns what it returns on one thread, bit for
+bit, with two working sets live at once.  Prediction stays on the calling
+thread: on a 2-core x86-64 VM, whose two vCPUs share floating-point
+throughput, a 10 000-point ``predict_batch`` took 37-39 ms on one thread
+and on two.
 Each Jacobian column costs one triangular product (:func:`_loo_jacobian`),
 and the search's only inverse, of ``L``, is by recursive blocking
 (:func:`_invert_lower`).  Each search evaluation allocates no n x n matrix
@@ -73,13 +82,16 @@ row.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._blas import (
+    CONCURRENT_CALLS,
     cdist_cityblock,
     cdist_sqeuclidean,
     dgemm,
@@ -407,6 +419,220 @@ def default_theta_bounds(inputs) -> np.ndarray:
     return np.column_stack([1e-2 * span, 10.0 * span])
 
 
+class _Search:
+    """One working set of :func:`optimize_theta`: a cache of kept entries,
+    the best point, and the solver runs and counts of the starts run on it.
+
+    ``kept`` maps theta's bytes to its ``[state, Jacobian]``, for at most
+    two thetas: the last one factorized, whose Jacobian is asked for right
+    after its residuals, and the best one, which starts each run and is
+    the result.  Until a length scale factorizes, the best is ``first``
+    with the penalty.  Reused values equal recomputed ones.
+    """
+
+    def __init__(self, inputs, outputs, kind, orders, penalty, bounds, first):
+        self.inputs, self.outputs, self.kind, self.orders = inputs, outputs, kind, orders
+        self.penalty, self.bounds = penalty, bounds
+        self.kept = {}
+        self.best = {"objective": float(penalty @ penalty), "log_theta": first, "key": None}
+        self.counts = {"factorizations": 0, "singular_factorizations": 0}
+        # Whether the current solver run ends at the wall, and whether it has.
+        self.wall = {"stop": False, "reached": False}
+        self.runs = []
+
+    def fresh(self):
+        """A working set of the same search with nothing kept or counted."""
+        return _Search(self.inputs, self.outputs, self.kind, self.orders, self.penalty,
+                       self.bounds, None)
+
+    def entry_at(self, theta):
+        """The kept entry at ``theta``, factorized first if there is none."""
+        kept, key = self.kept, theta.tobytes()
+        if key not in kept:
+            # Dropped first, so that the new state can reuse its memory.
+            # Freed only afterwards, it left memory at the top of the heap
+            # that the allocator gave back to the system; in about one
+            # process in four, each trial then faulted in some 1300 more
+            # pages.
+            self.keep_only()
+            # No local name may hold the factor a waiting state gives up,
+            # or it would live through the new state.
+            for entry in kept.values():
+                if entry[1] is None and entry[0] is not None:
+                    entry[0] = _waiting(entry[0], self.kind)
+            state = _loo_state(theta, self.inputs, self.outputs, self.kind)
+            self.counts["factorizations"] += 1
+            self.counts["singular_factorizations"] += state is None
+            kept[key] = [state, None]
+        return kept[key]
+
+    def residuals(self, log_theta):
+        theta = np.exp(log_theta)
+        res = None if self.wall["reached"] else _loo_residuals(self.entry_at(theta)[0])
+        if res is None:
+            self.wall["reached"] = self.wall["stop"]
+            return self.penalty
+        if (obj := float(res @ res)) < self.best["objective"]:
+            # The entry the best leaves would otherwise live through the
+            # next Jacobian.
+            self.kept.pop(self.best["key"], None)
+            self.best.update(objective=obj, log_theta=np.array(log_theta), key=theta.tobytes())
+        return res
+
+    def jacobian(self, log_theta, *_):
+        """The Jacobian at ``log_theta``, built once per kept entry, after
+        every other entry but the best is dropped."""
+        theta = np.exp(log_theta)
+        entry = self.entry_at(theta)
+        if entry[1] is None and entry[0] is None:  # R is singular: the plateau is flat
+            entry[1] = np.zeros((len(self.outputs), len(theta)))
+        elif entry[1] is None:
+            self.keep_only(theta.tobytes())
+            # The entry keeps only what its residuals read.  Its factors go
+            # with the Jacobian's call, which overwrites ``L^-1``.
+            state, entry[0] = entry[0], (None, None, *entry[0][2:])
+            entry[1] = _loo_jacobian(theta, self.inputs, state, self.kind, self.orders)
+        return entry[1]
+
+    def keep_only(self, key=None):
+        """Drop every kept entry but the best and the one at ``key``."""
+        for other in [k for k in self.kept if k not in (key, self.best["key"])]:
+            del self.kept[other]
+
+    def climb(self, rungs):
+        """Probe the ladder's rungs in order.  The rungs lengthen every
+        scale, which brings R closer to singular, so the first singular rung
+        after a factorizable one ends the ladder."""
+        factorizable = False
+        for log_theta in rungs:
+            if self.residuals(log_theta) is not self.penalty:
+                factorizable = True
+            elif factorizable:
+                break
+
+    def solve(self, start, phase, tolerances):
+        """One solver run, recorded in ``runs``; a polish run ends at the wall."""
+        self.wall.update(stop=phase == "polish", reached=False)
+        result = least_squares(
+            self.residuals, start, jac=self.jacobian, bounds=self.bounds, **tolerances,
+        )
+        self.runs.append(
+            {
+                "phase": phase,
+                "start": np.exp(start).tolist(),
+                "theta": np.exp(result.x).tolist(),
+                "objective": float(result.fun @ result.fun),
+                "nfev": int(result.nfev),
+                "njev": int(result.njev),
+                "status": int(result.status),
+                "wall": self.wall["reached"],
+            }
+        )
+
+    def absorb(self, other):
+        """Add ``other``'s runs and counts after this set's, and take its
+        best point and entry when it is strictly better."""
+        self.runs += other.runs
+        for name, count in other.counts.items():
+            self.counts[name] += count
+        if other.best["objective"] < self.best["objective"]:
+            self.kept.pop(self.best["key"], None)
+            self.best = other.best
+            self.kept[self.best["key"]] = other.kept[self.best["key"]]
+
+
+class _Helper:
+    """The process's one helper thread, started by the first search that
+    uses it.  A search holds ``claim`` while its starts may run there."""
+
+    def __init__(self):
+        self.claim = threading.Lock()
+        self._posted = threading.Condition()
+        self._job = None
+        self._thread = None
+
+    def post(self, job):
+        """Run ``job()`` on the helper thread, in the caller's context (numpy's
+        ``errstate`` among it).  The caller holds ``claim``."""
+        with self._posted:
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._serve, name="tailrisk-search",
+                                                daemon=True)
+                self._thread.start()
+            self._job = contextvars.copy_context(), job
+            self._posted.notify()
+
+    def _serve(self):
+        while True:
+            with self._posted:
+                while self._job is None:
+                    self._posted.wait()
+                (context, job), self._job = self._job, None
+            context.run(job)
+            # Held until the next job, they would keep the search's arrays.
+            del context, job
+
+
+_HELPER = _Helper()
+
+
+def _explore_on_two_threads(search, rungs, starts):
+    """The ladder and the explore runs of :func:`optimize_theta`, with the
+    helper thread taking part; ``starts[0]`` is filled in from the ladder.
+
+    Starts 1 to 4 are queued for the helper before the ladder runs, as
+    none of them depends on it.  The caller runs the ladder, then start 0
+    from the ladder's kept best rung on ``search``, then whatever the
+    helper has not taken.  Each of starts 1 to 4 runs on a working set of
+    its own, which keeps only its best entry once its run ends, and those
+    are absorbed into ``search`` in start order.  The first error raises:
+    no queued start begins after it, the raised one is the lowest-numbered
+    failing start's, and it is raised once the helper's run has ended.
+    """
+    pending = list(range(1, len(starts)))
+    outcomes = {}  # start number -> its working set, or what its run raised
+    done = threading.Event()
+
+    def run_pending():
+        while pending:
+            try:
+                k = pending.pop(0)
+            except IndexError:  # the other thread took the last one
+                return
+            own = search.fresh()
+            try:
+                own.solve(starts[k], "explore", _EXPLORE_TOLERANCES)
+            except BaseException as exc:
+                pending.clear()
+                outcomes[k] = exc
+                return
+            own.keep_only()
+            outcomes[k] = own
+
+    def on_helper():
+        try:
+            run_pending()
+        finally:
+            done.set()
+
+    _HELPER.post(on_helper)
+    try:
+        search.climb(rungs)
+        starts[0] = search.best["log_theta"]
+        search.solve(starts[0], "explore", _EXPLORE_TOLERANCES)
+        search.keep_only()
+        run_pending()
+    except BaseException:
+        pending.clear()
+        raise
+    finally:
+        done.wait()
+    for k in range(1, len(starts)):
+        if isinstance(outcomes[k], BaseException):
+            raise outcomes[k]
+        search.absorb(outcomes[k])
+
+
 def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     """Minimize the LOO-CV criterion over length scales.
 
@@ -429,6 +655,17 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     search is rebuilt.  A cached entry gives up its n x n factors when its
     Jacobian is built and keeps the Jacobian instead.  The exponential
     kernel's sort orders are computed once.
+
+    When ``_blas.CONCURRENT_CALLS`` is 2 or more and the process's helper
+    thread is idle, the helper takes explore starts 1 to 4 in order while
+    the calling thread runs the ladder and start 0, then any start the
+    helper has not taken, and each of those four starts has a cache of its
+    own (:func:`_explore_on_two_threads`).  Their runs, best
+    points and counts are merged in start order, a best point replacing
+    the one before only when strictly lower, so the result, ``info`` and
+    the polish are those of the search on one thread, as the cache changes
+    no value.  Two working sets are then live at once, so the search's
+    peak memory is about twice that on one thread.
 
     Length scales whose correlation matrix is numerically singular score
     the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
@@ -459,7 +696,9 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     OptimizationError
         Before any length scale is tried, if the squares of the outputs overflow.
     Exception
-        Whatever a solver run raises, uncaught: no start is skipped.
+        Whatever a solver run raises, uncaught: no start is skipped.  With
+        the helper thread, the lowest-numbered failing start's error,
+        once the helper's run has ended.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     outputs = np.asarray(outputs, dtype=float)
@@ -469,124 +708,39 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     # narrow minima from being missed and seed the solver in their basin.
     rungs = [log_lo + q * (log_hi - log_lo) for q in np.linspace(0.02, 0.98, 16)]
     penalty = _penalty_residuals(outputs)
-
-    # ``kept`` maps theta's bytes to its ``[state, Jacobian]``, for at most
-    # two thetas: the last one factorized, whose Jacobian is asked for right
-    # after its residuals, and the best one, which starts each run and is
-    # the result.  Until a length scale factorizes, the best is the first
-    # rung with the penalty.  Reused values equal recomputed ones.
-    kept = {}
     orders = _sort_orders(inputs) if kind == "exponential" else None
-    best = {"objective": float(penalty @ penalty), "log_theta": rungs[0], "key": None}
+    search = _Search(inputs, outputs, kind, orders, penalty, (log_lo, log_hi), rungs[0])
     # The best objective only ever falls, so one finite here stays finite.
-    if not np.isfinite(best["objective"]):
+    if not np.isfinite(search.best["objective"]):
         raise OptimizationError(
             "the squares of the training outputs overflow, so no LOO objective "
             "is finite; rescale them"
         )
-    counts = {"factorizations": 0, "singular_factorizations": 0}
-    # Whether the current solver run ends at the wall, and whether it has.
-    wall = {"stop": False, "reached": False}
-
-    def entry_at(theta):
-        """The kept entry at ``theta``, factorized first if there is none."""
-        key = theta.tobytes()
-        if key not in kept:
-            # Dropped first, so that the new state can reuse its memory.
-            # Freed only afterwards, it left memory at the top of the heap
-            # that the allocator gave back to the system; in about one
-            # process in four, each trial then faulted in some 1300 more
-            # pages.
-            for other in [k for k in kept if k != best["key"]]:
-                del kept[other]
-            # No local name may hold the factor a waiting state gives up,
-            # or it would live through the new state.
-            for entry in kept.values():
-                if entry[1] is None and entry[0] is not None:
-                    entry[0] = _waiting(entry[0], kind)
-            state = _loo_state(theta, inputs, outputs, kind)
-            counts["factorizations"] += 1
-            counts["singular_factorizations"] += state is None
-            kept[key] = [state, None]
-        return kept[key]
-
-    def residual_fn(log_theta):
-        theta = np.exp(log_theta)
-        res = None if wall["reached"] else _loo_residuals(entry_at(theta)[0])
-        if res is None:
-            wall["reached"] = wall["stop"]
-            return penalty
-        if (obj := float(res @ res)) < best["objective"]:
-            # The entry the best leaves would otherwise live through the
-            # next Jacobian.
-            kept.pop(best["key"], None)
-            best.update(objective=obj, log_theta=np.array(log_theta), key=theta.tobytes())
-        return res
-
-    def jacobian_fn(log_theta, *_):
-        """The Jacobian at ``log_theta``, built once per kept entry, after
-        every other entry but the best is dropped."""
-        theta = np.exp(log_theta)
-        entry = entry_at(theta)
-        if entry[1] is None and entry[0] is None:  # R is singular: the plateau is flat
-            entry[1] = np.zeros((len(outputs), len(theta)))
-        elif entry[1] is None:
-            key = theta.tobytes()
-            for other in [k for k in kept if k not in (key, best["key"])]:
-                del kept[other]
-            # The entry keeps only what its residuals read.  Its factors go
-            # with the Jacobian's call, which overwrites ``L^-1``.
-            state, entry[0] = entry[0], (None, None, *entry[0][2:])
-            entry[1] = _loo_jacobian(theta, inputs, state, kind, orders)
-        return entry[1]
-
-    rng = np.random.default_rng(seed)
-    runs = []
-
-    def solve(start, phase, tolerances):
-        """One solver run, recorded in ``runs``; a polish run ends at the wall."""
-        wall.update(stop=phase == "polish", reached=False)
-        result = least_squares(
-            residual_fn, start, jac=jacobian_fn,
-            bounds=(log_lo, log_hi), **tolerances,
-        )
-        runs.append(
-            {
-                "phase": phase,
-                "start": np.exp(start).tolist(),
-                "theta": np.exp(result.x).tolist(),
-                "objective": float(result.fun @ result.fun),
-                "nfev": int(result.nfev),
-                "njev": int(result.njev),
-                "status": int(result.status),
-                "wall": wall["reached"],
-            }
-        )
-
-    # The rungs lengthen every scale, which brings R closer to singular, so
-    # the first singular rung after a factorizable one ends the ladder.
-    factorizable = False
-    for log_theta in rungs:
-        if residual_fn(log_theta) is not penalty:
-            factorizable = True
-        elif factorizable:
-            break
 
     # The short-scale anchor keeps one start where R is always factorizable
     # (near-diagonal), so smooth-kernel searches never begin on a penalty
     # plateau; the box center and seeded draws cover the rest.  The best
     # rung goes first, while it is still the best state kept.
-    starts = [best["log_theta"], log_lo + 0.1 * (log_hi - log_lo), 0.5 * (log_lo + log_hi)]
+    rng = np.random.default_rng(seed)
+    starts = [None, log_lo + 0.1 * (log_hi - log_lo), 0.5 * (log_lo + log_hi)]
     for _ in range(2):
         starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
-    for start in starts:
-        solve(start, "explore", _EXPLORE_TOLERANCES)
+    if CONCURRENT_CALLS > 1 and _HELPER.claim.acquire(blocking=False):
+        try:
+            _explore_on_two_threads(search, rungs, starts)
+        finally:
+            _HELPER.claim.release()
+    else:
+        search.climb(rungs)
+        starts[0] = search.best["log_theta"]
+        for start in starts:
+            search.solve(start, "explore", _EXPLORE_TOLERANCES)
     # Explore runs from different starts often share a basin; only the
     # best endpoint pays for the solver's slow final convergence.
-    solve(best["log_theta"], "polish", {})
-    solver_ok = any(run["status"] > 0 for run in runs)
-    info = {"objective": best["objective"], "fallback": not solver_ok, "runs": runs}
-    return np.exp(best["log_theta"]), {**info, **counts}
+    search.solve(search.best["log_theta"], "polish", {})
+    solver_ok = any(run["status"] > 0 for run in search.runs)
+    info = {"objective": search.best["objective"], "fallback": not solver_ok, "runs": search.runs}
+    return np.exp(search.best["log_theta"]), {**info, **search.counts}
 
 
 def _training_data(training_inputs, training_outputs, basis, mode):

@@ -836,8 +836,12 @@ class TestFitPredict:
         # quantile is a port too.  Only a
         # uniform marginal adds a module: scipy.special's compiled ufuncs,
         # without the special package, the top-level scipy or subprocess.
+        # At one BLAS thread the LOO search runs explore starts on its one
+        # helper thread, which needs no thread pool: a ``--threads 1`` run
+        # runs at most one thread besides the main one.
         script = textwrap.dedent(
             f"""
+            import os
             import sys
             from pathlib import Path
             from tailrisk.cli import main
@@ -849,8 +853,9 @@ class TestFitPredict:
 
             out = Path({str(tmp_path)!r})
             (out / "pts.csv").write_text("x1,x2\\n0.5,-1.0\\n")
-            assert main(["run", "--preset", "example1-corr09", "--trials", "1",
+            assert main(["run", "--preset", "example1-corr09", "--trials", "1", "--threads", "1",
                          "--out", str(out / "run")]) == 0
+            print("threads", len(os.listdir("/proc/self/task")))
             assert main(["fit", "--preset", "example1-corr09", "--out", str(out / "fit")]) == 0
             print(loaded("scipy", "numpy.ma", "numpy.f2py", "numpy.polynomial",
                          "concurrent.futures", "subprocess", "select"))
@@ -865,8 +870,10 @@ class TestFitPredict:
             print(sorted(set(sys.modules) - before))
             """
         )
-        packages, solvers, mfis, special = [line for line in run_python(script).splitlines()
-                                            if line.startswith("[")]
+        output = run_python(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1").splitlines()
+        packages, solvers, mfis, special = [line for line in output if line.startswith("[")]
+        threads = next(int(line.split()[1]) for line in output if line.startswith("threads "))
+        assert threads <= 2
         assert packages == str(["scipy.spatial._distance_pybind"])
         assert solvers == "[]"
         assert mfis == packages

@@ -1,6 +1,7 @@
 import _ctypes
 import json
 import math
+import os
 import textwrap
 from itertools import product
 from pathlib import Path
@@ -676,6 +677,8 @@ class TestOptimizeTheta:
         assert info["objective"] <= min(loo_cv_objective(run["start"], x, b) for run in explored)
 
     def test_explore_loosely_then_polish_the_best_endpoint(self, monkeypatch):
+        # One worker: the spy reads the runs in the order they were made.
+        monkeypatch.setattr(surrogate_mod, "CONCURRENT_CALLS", 1)
         rng = np.random.default_rng(43)
         x = rng.uniform(-2, 2, size=(25, 2))
         b = np.sin(x[:, 0]) * x[:, 1]
@@ -727,6 +730,9 @@ class TestOptimizeTheta:
         assert sur.provenance["loo_singular_factorizations"] == info["singular_factorizations"]
 
     def test_ladder_stops_at_its_first_singular_rung(self, monkeypatch):
+        # One worker: the spy tells the ladder from the solver by the order
+        # of the calls.
+        monkeypatch.setattr(surrogate_mod, "CONCURRENT_CALLS", 1)
         x, b = wall_training_set()
         bounds = default_theta_bounds(x)
         log_lo, log_hi = np.log(bounds[:, 0]), np.log(bounds[:, 1])
@@ -796,11 +802,14 @@ class TestOptimizeTheta:
         )
         assert np.array_equal(theta, unstopped)
 
-    @pytest.mark.parametrize("kind, limit", [("gaussian", 4.0), ("exponential", 4.5)],
-                             ids=["gaussian", "exponential"])
+    @pytest.mark.parametrize("workers, kind, limit",
+                             [(1, "gaussian", 4.0), (1, "exponential", 4.5),
+                              (2, "gaussian", 7.5), (2, "exponential", 9.0)],
+                             ids=["gaussian", "exponential", "gaussian-2", "exponential-2"])
     @pytest.mark.parametrize("output, n", [(rastrigin, 300), (cross_in_tray, 200)],
                              ids=["rastrigin-300", "cross_in_tray-200"])
-    def test_search_memory_is_bounded(self, corr09, output, n, kind, limit):
+    def test_search_memory_is_bounded(self, corr09, output, n, workers, kind, limit,
+                                      monkeypatch):
         # Traced peak of one search, in n x n arrays: 3.53 (rastrigin) and
         # 3.55 (cross_in_tray) with the Gaussian kernel, 4.15 and 4.24 with
         # the exponential one.  An entry waiting for its Jacobian keeps one
@@ -808,7 +817,12 @@ class TestOptimizeTheta:
         # is dropped before the best rung's Jacobian, an entry drops its
         # factors when its Jacobian is built, and ``G`` is formed over
         # ``L^-1``.  Keeping both factors of the best rung, or the last
-        # rung, breaks the bound (4.53-4.55 and 4.54-6.18).
+        # rung, breaks the bound (4.53-4.55 and 4.54-6.18).  With the
+        # helper thread two working sets are live at once: 6.27-6.69 and
+        # 6.57-6.84 with the Gaussian kernel, 8.26-8.28 and 8.42-8.44 with
+        # the exponential one (five searches each, at one and at two BLAS
+        # threads).
+        monkeypatch.setattr(surrogate_mod, "CONCURRENT_CALLS", workers)
         train = sample(corr09, "mc", n, seed=5)
         peak, _ = traced_peak(optimize_theta, train.points, output(train.points), kind=kind, seed=3)
         assert peak < limit * n**2 * 8
@@ -827,13 +841,18 @@ class TestOptimizeTheta:
         script = textwrap.dedent(
             f"""
             import json
+            import threading
             from tailrisk import surrogate
             from tailrisk.cli import main
             counts = {{"_loo_state": 0, "_loo_jacobian": 0}}
+            # The explore starts may run on two threads, and ``+=`` on a
+            # shared count can drop an increment.
+            lock = threading.Lock()
 
             def counted(name, original):
                 def wrapper(*args):
-                    counts[name] += 1
+                    with lock:
+                        counts[name] += 1
                     return original(*args)
                 return wrapper
 
@@ -903,6 +922,8 @@ class TestOptimizeTheta:
 
     def test_solver_error_propagates(self, monkeypatch):
         # A failed solver run is an error, not a silent theta fallback.
+        # One worker: the first run fails and no other begins.
+        monkeypatch.setattr(surrogate_mod, "CONCURRENT_CALLS", 1)
         x, b = cosine_training_set()
         calls = []
 
@@ -914,6 +935,146 @@ class TestOptimizeTheta:
         with pytest.raises(RuntimeError, match="solver failed"):
             optimize_theta(x, b, seed=3)
         assert len(calls) == 1
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one core: BLAS calls keep the lock")
+class TestHelperThread:
+    """At one BLAS thread on two cores or more, BLAS calls release the
+    interpreter lock and the LOO search runs explore starts 1 to 4 on a
+    helper thread.  Each test runs in a fresh process at one BLAS thread."""
+
+    @staticmethod
+    def run_at_one_blas_thread(script):
+        output = run_python(textwrap.dedent(script), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        return json.loads(output.splitlines()[-1])
+
+    def test_a_blas_call_releases_the_lock(self):
+        # The lock changes hands only where a thread lets it go: the main
+        # thread while it waits, and the counting thread while it sleeps.
+        # The factor is written over a Fortran-ordered matrix, so no numpy
+        # copy lets the lock go around the call.
+        calls, advanced = self.run_at_one_blas_thread(
+            """
+            import json, sys, threading, time
+            import numpy as np
+            from tailrisk import _blas
+
+            sys.setswitchinterval(1000.0)
+            a = np.random.default_rng(0).normal(size=(1500, 1500))
+            a = np.asfortranarray(a @ a.T + 1500.0 * np.eye(1500))
+            count, stop = [0], threading.Event()
+
+            def advance():
+                while not stop.is_set():
+                    count[0] += 1
+                    time.sleep(0.001)
+
+            thread = threading.Thread(target=advance)
+            thread.start()
+            while count[0] == 0:
+                time.sleep(0.001)
+            before = count[0]
+            _, info = _blas.dpotrf(a, overwrite_a=1)
+            after = count[0]
+            stop.set()
+            thread.join()
+            assert info == 0
+            print(json.dumps([_blas.CONCURRENT_CALLS, after - before]))
+            """
+        )
+        assert calls >= 2
+        assert advanced > 0
+
+    def test_two_threads_find_the_theta_and_info_of_one(self):
+        cases = self.run_at_one_blas_thread(
+            """
+            import json, threading
+            from tailrisk import Gaussian, InputModel, cross_in_tray, rastrigin, sample, surrogate
+
+            corr09 = InputModel([Gaussian(0, 2), Gaussian(0, 2)], [[1, 0.9], [0.9, 1]])
+            threads = set()
+            original = surrogate._loo_state
+
+            def recording(*args):
+                threads.add(threading.get_ident())
+                return original(*args)
+
+            surrogate._loo_state = recording
+            concurrent = surrogate.CONCURRENT_CALLS
+            cases = []
+            for kind, output in (("gaussian", rastrigin), ("exponential", cross_in_tray)):
+                for seed in (1, 2, 3):
+                    train = sample(corr09, "mc", 150, seed=seed)
+                    case = []
+                    for workers in (concurrent, 1):
+                        surrogate.CONCURRENT_CALLS = workers
+                        threads.clear()
+                        theta, info = surrogate.optimize_theta(
+                            train.points, output(train.points), kind=kind, seed=seed)
+                        case.append([workers, len(threads), theta.tobytes().hex(),
+                                     json.dumps(info)])
+                    cases.append(case)
+            print(json.dumps(cases))
+            """
+        )
+        assert len(cases) == 6
+        for two, one in cases:
+            assert two[0] >= 2 and two[1] == 2 and one[:2] == [1, 1]
+            assert two[2:] == one[2:]
+
+    def test_the_lowest_failing_start_raises_once_the_helper_is_done(self):
+        # Start 1 runs on the helper while the caller runs the ladder and
+        # start 0; the caller then takes start 2, which fails at once.
+        # Start 1 fails later, and its error is the one raised, after its
+        # run has ended.  Starts 3 and 4 never begin.
+        outcome = self.run_at_one_blas_thread(
+            """
+            import json, threading, time
+            import numpy as np
+            from tailrisk import Gaussian, InputModel, rastrigin, sample, surrogate
+
+            corr09 = InputModel([Gaussian(0, 2), Gaussian(0, 2)], [[1, 0.9], [0.9, 1]])
+            x = sample(corr09, "mc", 60, seed=4).points
+            bounds = surrogate.default_theta_bounds(x)
+            log_lo, log_hi = np.log(bounds[:, 0]), np.log(bounds[:, 1])
+            rng = np.random.default_rng(3)
+            queued = [log_lo + 0.1 * (log_hi - log_lo), 0.5 * (log_lo + log_hi)]
+            for _ in range(2):
+                queued.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
+            numbers = {start.tobytes(): k for k, start in enumerate(queued, 1)}
+            began = {k: threading.Event() for k in range(5)}
+            on_main, failed, ended = {}, threading.Event(), threading.Event()
+            original = surrogate.least_squares
+
+            def solver(fun, x0, **kwargs):
+                k = numbers.get(x0.tobytes(), 0)
+                on_main[k] = threading.current_thread() is threading.main_thread()
+                began[k].set()
+                if k == 0:
+                    began[1].wait(3.0)
+                elif k == 1:
+                    failed.wait(3.0)
+                    time.sleep(0.2)
+                    ended.set()
+                    raise RuntimeError("start 1 failed")
+                elif k == 2:
+                    failed.set()
+                    raise RuntimeError("start 2 failed")
+                return original(fun, x0, **kwargs)
+
+            surrogate.least_squares = solver
+            error = done = None
+            try:
+                surrogate.optimize_theta(x, rastrigin(x), seed=3)
+            except RuntimeError as exc:
+                error, done = str(exc), ended.is_set()
+            print(json.dumps([error, done, sorted(on_main.items())]))
+            """
+        )
+        error, helper_done, on_main = outcome
+        assert error == "start 1 failed"
+        assert helper_done
+        assert on_main == [[0, True], [1, False], [2, True]]
 
 
 def scipy_trf(fun, x0, **kwargs):
@@ -1358,6 +1519,9 @@ class TestLooMemo:
     def test_memo_leaves_search_unchanged_and_saves_evaluations(
         self, kind, training_set, monkeypatch
     ):
+        # One worker: ``seen`` is then the order in which one cache was
+        # asked for states.
+        monkeypatch.setattr(surrogate_mod, "CONCURRENT_CALLS", 1)
         x, b = training_set()
         seen = []
         original = surrogate_mod._loo_state
