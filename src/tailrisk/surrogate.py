@@ -35,15 +35,15 @@ keeps no memo of its own, so a repeated point is answered there.
 keeps; once the Jacobian is built, the entry keeps only it and the two
 vectors its residuals read, so no n x n array outlives the Jacobian that
 needed it.
-When BLAS calls release the interpreter lock (``_blas.CONCURRENT_CALLS``
-of 2 or more), explore starts 1 to 4 run on the process's one helper
-thread, each with a cache of its own, while the calling thread runs the
-ladder and start 0.  Their runs, best points and counts are merged in
-start order, so the search returns what it returns on one thread, bit for
-bit, with two working sets live at once.  Prediction stays on the calling
-thread: on a 2-core x86-64 VM, whose two vCPUs share floating-point
-throughput, a 10 000-point ``predict_batch`` took 37-39 ms on one thread
-and on two.
+Explore starts 1 to 4 each run with a cache of their own, and their
+runs, best points and counts are merged in start order.  When BLAS calls
+release the interpreter lock (``_blas.CONCURRENT_CALLS`` of 2 or more),
+the process's one helper thread may take some of them while the calling
+thread runs the ladder and start 0; the search returns the same bits
+either way, with two working sets live at once on two threads.
+Prediction stays on the calling thread: on a 2-core x86-64 VM, whose two
+vCPUs share floating-point throughput, a 10 000-point ``predict_batch``
+took 37-39 ms on one thread and on two.
 Each Jacobian column costs one triangular product (:func:`_loo_jacobian`),
 and the search's only inverse, of ``L``, is by recursive blocking
 (:func:`_invert_lower`).  Each search evaluation allocates no n x n matrix
@@ -543,55 +543,68 @@ class _Search:
 
 class _Helper:
     """The process's one helper thread, started by the first search that
-    uses it.  A search holds ``claim`` while its starts may run there."""
+    posts to it.  One search at a time may use it."""
 
     def __init__(self):
-        self.claim = threading.Lock()
+        self._idle = threading.Lock()
         self._posted = threading.Condition()
         self._job = None
         self._thread = None
 
-    def post(self, job):
+    def try_post(self, job):
         """Run ``job()`` on the helper thread, in the caller's context (numpy's
-        ``errstate`` among it).  The caller holds ``claim``."""
+        ``errstate`` among it), and return an event set once it has ended;
+        ``None``, and nothing run, when another search holds the helper."""
+        if not self._idle.acquire(blocking=False):
+            return None
+        done = threading.Event()
         with self._posted:
             if self._thread is None:
                 self._thread = threading.Thread(target=self._serve, name="tailrisk-search",
                                                 daemon=True)
                 self._thread.start()
-            self._job = contextvars.copy_context(), job
+            self._job = contextvars.copy_context(), job, done
             self._posted.notify()
+        return done
 
     def _serve(self):
         while True:
             with self._posted:
                 while self._job is None:
                     self._posted.wait()
-                (context, job), self._job = self._job, None
-            context.run(job)
+                (context, job, done), self._job = self._job, None
+            try:
+                context.run(job)
+            except BaseException:
+                # A job hands its errors to its poster; one that escapes it
+                # must not stop the thread that later searches post to.
+                pass
+            self._idle.release()
+            done.set()
             # Held until the next job, they would keep the search's arrays.
-            del context, job
+            del context, job, done
 
 
 _HELPER = _Helper()
 
 
-def _explore_on_two_threads(search, rungs, starts):
-    """The ladder and the explore runs of :func:`optimize_theta`, with the
-    helper thread taking part; ``starts[0]`` is filled in from the ladder.
+def _explore(search, rungs, starts):
+    """The ladder and the explore runs of :func:`optimize_theta`;
+    ``starts[0]`` is filled in from the ladder.
 
-    Starts 1 to 4 are queued for the helper before the ladder runs, as
-    none of them depends on it.  The caller runs the ladder, then start 0
-    from the ladder's kept best rung on ``search``, then whatever the
-    helper has not taken.  Each of starts 1 to 4 runs on a working set of
-    its own, which keeps only its best entry once its run ends, and those
-    are absorbed into ``search`` in start order.  The first error raises:
-    no queued start begins after it, the raised one is the lowest-numbered
-    failing start's, and it is raised once the helper's run has ended.
+    The caller runs the ladder, then start 0 from the ladder's kept best
+    rung on ``search``, then every start the helper thread has not taken.
+    Each of starts 1 to 4 runs on a working set of its own, which keeps
+    only its best entry once its run ends, and those are absorbed into
+    ``search`` in start order.  When BLAS calls can run side by side and
+    the helper is idle, the helper takes starts 1 to 4 in order from the
+    beginning, as none of them depends on the ladder.  The first error
+    raises: no start begins after it, the raised one is the
+    lowest-numbered failing start's, and it is raised once the helper's
+    run has ended.
     """
     pending = list(range(1, len(starts)))
     outcomes = {}  # start number -> its working set, or what its run raised
-    done = threading.Event()
 
     def run_pending():
         while pending:
@@ -599,23 +612,17 @@ def _explore_on_two_threads(search, rungs, starts):
                 k = pending.pop(0)
             except IndexError:  # the other thread took the last one
                 return
-            own = search.fresh()
             try:
+                own = search.fresh()
                 own.solve(starts[k], "explore", _EXPLORE_TOLERANCES)
+                own.keep_only()
             except BaseException as exc:
                 pending.clear()
                 outcomes[k] = exc
                 return
-            own.keep_only()
             outcomes[k] = own
 
-    def on_helper():
-        try:
-            run_pending()
-        finally:
-            done.set()
-
-    _HELPER.post(on_helper)
+    done = _HELPER.try_post(run_pending) if CONCURRENT_CALLS > 1 else None
     try:
         search.climb(rungs)
         starts[0] = search.best["log_theta"]
@@ -626,7 +633,8 @@ def _explore_on_two_threads(search, rungs, starts):
         pending.clear()
         raise
     finally:
-        done.wait()
+        if done is not None:
+            done.wait()
     for k in range(1, len(starts)):
         if isinstance(outcomes[k], BaseException):
             raise outcomes[k]
@@ -656,16 +664,16 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     Jacobian is built and keeps the Jacobian instead.  The exponential
     kernel's sort orders are computed once.
 
-    When ``_blas.CONCURRENT_CALLS`` is 2 or more and the process's helper
-    thread is idle, the helper takes explore starts 1 to 4 in order while
-    the calling thread runs the ladder and start 0, then any start the
-    helper has not taken, and each of those four starts has a cache of its
-    own (:func:`_explore_on_two_threads`).  Their runs, best
-    points and counts are merged in start order, a best point replacing
-    the one before only when strictly lower, so the result, ``info`` and
-    the polish are those of the search on one thread, as the cache changes
-    no value.  Two working sets are then live at once, so the search's
-    peak memory is about twice that on one thread.
+    Explore starts 1 to 4 each run with a cache of their own, and their
+    runs, best points and counts are merged in start order, a best point
+    replacing the one before only when strictly lower (:func:`_explore`).
+    The calling thread runs the ladder, start 0, then every start the
+    process's helper thread has not taken; the helper takes starts only
+    when ``_blas.CONCURRENT_CALLS`` is 2 or more and no other search holds
+    it.  As the cache changes no value, the result, ``info`` and the polish
+    do not depend on which thread ran a start.  With the helper, two
+    working sets are live at once, so the search's peak memory is about
+    twice that on one thread.
 
     Length scales whose correlation matrix is numerically singular score
     the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
@@ -696,9 +704,9 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     OptimizationError
         Before any length scale is tried, if the squares of the outputs overflow.
     Exception
-        Whatever a solver run raises, uncaught: no start is skipped.  With
-        the helper thread, the lowest-numbered failing start's error,
-        once the helper's run has ended.
+        Whatever a start's run raises, uncaught: no start is skipped.  It
+        is the lowest-numbered failing start's error, raised once the
+        helper's run, if any, has ended.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     outputs = np.asarray(outputs, dtype=float)
@@ -725,16 +733,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     starts = [None, log_lo + 0.1 * (log_hi - log_lo), 0.5 * (log_lo + log_hi)]
     for _ in range(2):
         starts.append(log_lo + rng.uniform(size=log_lo.shape) * (log_hi - log_lo))
-    if CONCURRENT_CALLS > 1 and _HELPER.claim.acquire(blocking=False):
-        try:
-            _explore_on_two_threads(search, rungs, starts)
-        finally:
-            _HELPER.claim.release()
-    else:
-        search.climb(rungs)
-        starts[0] = search.best["log_theta"]
-        for start in starts:
-            search.solve(start, "explore", _EXPLORE_TOLERANCES)
+    _explore(search, rungs, starts)
     # Explore runs from different starts often share a basin; only the
     # best endpoint pays for the solver's slow final convergence.
     search.solve(search.best["log_theta"], "polish", {})

@@ -350,6 +350,27 @@ class TestRun:
         assert doc["config"]["input"]["marginals"].split()[0] == "uniform"
         assert np.isfinite([trial["cvar_estimate"] for trial in doc["trials"]]).all()
 
+    def test_threads_do_not_change_results_when_searches_share_the_helper(self, tmp_path):
+        # At one BLAS thread on two cores or more, each LOO search may run
+        # explore starts on the process's one helper thread.  With two trial
+        # workers one search can hold the helper while the other runs every
+        # start itself; the files keep their bytes either way.  At the
+        # default BLAS thread count of a small machine no search uses the
+        # helper, so the test above does not reach this case.
+        script = textwrap.dedent(
+            f"""
+            from tailrisk.cli import main
+
+            for threads in ("1", "2"):
+                assert main(["run", "--preset", "example1-corr09", "--trials", "3",
+                             "--seed", "501000", "--threads", threads,
+                             "--out", {str(tmp_path)!r} + "/t" + threads]) == 0
+            """
+        )
+        run_python(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        for name in ("report.json", "table.csv"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
 
 class TestModelHandles:
     @pytest.mark.parametrize("threads", [1, 2])

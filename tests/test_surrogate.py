@@ -811,15 +811,16 @@ class TestOptimizeTheta:
     def test_search_memory_is_bounded(self, corr09, output, n, workers, kind, limit,
                                       monkeypatch):
         # Traced peak of one search, in n x n arrays: 3.53 (rastrigin) and
-        # 3.55 (cross_in_tray) with the Gaussian kernel, 4.15 and 4.24 with
-        # the exponential one.  An entry waiting for its Jacobian keeps one
-        # factor while another state is computed, the ladder's last rung
-        # is dropped before the best rung's Jacobian, an entry drops its
-        # factors when its Jacobian is built, and ``G`` is formed over
-        # ``L^-1``.  Keeping both factors of the best rung, or the last
-        # rung, breaks the bound (4.53-4.55 and 4.54-6.18).  With the
-        # helper thread two working sets are live at once: 6.27-6.69 and
-        # 6.57-6.84 with the Gaussian kernel, 8.26-8.28 and 8.42-8.44 with
+        # 3.55 (cross_in_tray) with the Gaussian kernel, 4.20 and 4.31 with
+        # the exponential one, where each finished explore start keeps its
+        # best entry until the starts are merged.  An entry waiting for its
+        # Jacobian keeps one factor while another state is computed, the
+        # ladder's last rung is dropped before the best rung's Jacobian, an
+        # entry drops its factors when its Jacobian is built, and ``G`` is
+        # formed over ``L^-1``.  Keeping both factors of the best rung, or
+        # the last rung, breaks the bound (4.53-4.55 and 4.54-6.18).  With
+        # the helper thread two working sets are live at once: 6.57-6.69 and
+        # 6.45-6.84 with the Gaussian kernel, 8.27-8.28 and 8.39-8.44 with
         # the exponential one (five searches each, at one and at two BLAS
         # threads).
         monkeypatch.setattr(surrogate_mod, "CONCURRENT_CALLS", workers)
@@ -1075,6 +1076,55 @@ class TestHelperThread:
         assert error == "start 1 failed"
         assert helper_done
         assert on_main == [[0, True], [1, False], [2, True]]
+
+    def test_an_error_outside_the_solver_run_raises_and_leaves_the_helper_serving(self):
+        # A working set that cannot be made is a start's error like any
+        # other: the search raises it, and the helper serves the next
+        # search.  The second search runs on a daemon thread, so a helper
+        # that stopped serving fails the test instead of stalling it.
+        error, raised_on, second, reference = self.run_at_one_blas_thread(
+            """
+            import json, threading
+            from tailrisk import Gaussian, InputModel, rastrigin, sample, surrogate
+
+            corr09 = InputModel([Gaussian(0, 2), Gaussian(0, 2)], [[1, 0.9], [0.9, 1]])
+            x = sample(corr09, "mc", 60, seed=4).points
+            y = rastrigin(x)
+
+            def search():
+                theta, info = surrogate.optimize_theta(x, y, seed=3)
+                return [theta.tobytes().hex(), json.dumps(info)]
+
+            reference = search()
+            original, raised_on, failed = surrogate._Search.fresh, [], threading.Event()
+
+            def fresh(self):
+                if threading.current_thread() is threading.main_thread():
+                    # The helper takes start 1 first; the caller waits for
+                    # its failure in case it got there before the helper.
+                    failed.wait(10.0)
+                elif not raised_on:
+                    raised_on.append(threading.current_thread().name)
+                    failed.set()
+                    raise MemoryError("no room for a working set")
+                return original(self)
+
+            surrogate._Search.fresh = fresh
+            try:
+                search()
+                error = None
+            except BaseException as exc:
+                error = repr(exc)
+            second = []
+            thread = threading.Thread(target=lambda: second.append(search()), daemon=True)
+            thread.start()
+            thread.join(30.0)
+            print(json.dumps([error, raised_on, second, reference]))
+            """
+        )
+        assert error == "MemoryError('no room for a working set')"
+        assert raised_on == ["tailrisk-search"]
+        assert second == [reference]
 
 
 def scipy_trf(fun, x0, **kwargs):
