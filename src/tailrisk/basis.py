@@ -334,8 +334,9 @@ def _hermite_grid(nodes_per_axis) -> tuple:
     return points, weights
 
 
-def _grid_points(marginals, exponents, uniform_nodes: int) -> int:
-    """Points of a tensor grid :func:`_group_moment` integrates on.
+def _grid_nodes(marginals, exponents, uniform_nodes: int) -> list:
+    """Per-axis node counts of a tensor grid :func:`_group_moment`
+    integrates on, uniform axes first; the grid's points are their product.
 
     Lognormal coordinates need no axis, each uniform axis has
     ``uniform_nodes`` nodes, and each Gaussian axis takes the node count
@@ -343,7 +344,7 @@ def _grid_points(marginals, exponents, uniform_nodes: int) -> int:
     """
     gaussian = [int(e) for m, e in zip(marginals, exponents) if isinstance(m, Gaussian)]
     n_uniform = sum(not isinstance(m, (Gaussian, Lognormal)) for m in marginals)
-    return uniform_nodes**n_uniform * (sum(gaussian) // 2 + 1) ** len(gaussian)
+    return [uniform_nodes] * n_uniform + [sum(gaussian) // 2 + 1] * len(gaussian)
 
 
 def _group_moment(marginals, corr: np.ndarray, exponents) -> float:
@@ -371,12 +372,9 @@ def _group_moment(marginals, corr: np.ndarray, exponents) -> float:
     rest_marginals = [marginals[k] for k in rest]
     rest_exponents = exponents[rest]
     n_uniform = sum(not isinstance(m, Gaussian) for m in rest_marginals)
-    gaussian_nodes = int(rest_exponents[n_uniform:].sum()) // 2 + 1
 
     def integrate(uniform_nodes):
-        points, weights = _hermite_grid(
-            [uniform_nodes] * n_uniform + [gaussian_nodes] * (len(rest) - n_uniform)
-        )
+        points, weights = _hermite_grid(_grid_nodes(rest_marginals, rest_exponents, uniform_nodes))
         z = points @ chol.T + shift
         values = np.ones(len(weights))
         for k, (m, e) in enumerate(zip(rest_marginals, rest_exponents)):
@@ -389,7 +387,7 @@ def _group_moment(marginals, corr: np.ndarray, exponents) -> float:
     previous, _ = integrate(nodes)
     while (
         nodes < _UNIFORM_MAX_NODES
-        and _grid_points(rest_marginals, rest_exponents, 2 * nodes) <= _MAX_GRID
+        and math.prod(_grid_nodes(rest_marginals, rest_exponents, 2 * nodes)) <= _MAX_GRID
     ):
         nodes *= 2
         current, magnitude = integrate(nodes)
@@ -469,7 +467,7 @@ def _exact_moment_matrix(index_set: MultiIndexSet, model: InputModel) -> np.ndar
 
     order = sorted(moments, key=moments.get)
     for group, exponents in order:
-        points = _grid_points([marginals[k] for k in group], exponents, _UNIFORM_NODES)
+        points = math.prod(_grid_nodes([marginals[k] for k in group], exponents, _UNIFORM_NODES))
         if points > _MAX_GRID:
             raise ValueError(
                 f"the moment with exponents {dict(zip(group, exponents))} needs "

@@ -35,12 +35,12 @@ keeps no memo of its own, so a repeated point is answered there.
 keeps; once the Jacobian is built, the entry keeps only it and the two
 vectors its residuals read, so no n x n array outlives the Jacobian that
 needed it.
-Explore starts 1 to 4 each run with a cache of their own, and their
-runs, best points and counts are merged in start order.  When BLAS calls
-release the interpreter lock (``_blas.CONCURRENT_CALLS`` of 2 or more),
-the process's one helper thread may take some of them while the calling
-thread runs the ladder and start 0; the search returns the same bits
-either way, with two working sets live at once on two threads.
+Explore starts 1 to 4 each run on a working set that the calling thread
+makes, and their runs, best points and counts are merged in start order.
+When BLAS calls release the interpreter lock (``_blas.CONCURRENT_CALLS``
+of 2 or more), the process's one helper thread, handed them as one job,
+may take some of them while the calling thread runs the ladder and start
+0; the search returns the same bits either way.
 Prediction stays on the calling thread: on a 2-core x86-64 VM, whose two
 vCPUs share floating-point throughput, a 10 000-point ``predict_batch``
 took 37-39 ms on one thread and on two.
@@ -426,15 +426,16 @@ class _Search:
     ``kept`` maps theta's bytes to its ``[state, Jacobian]``, for at most
     two thetas: the last one factorized, whose Jacobian is asked for right
     after its residuals, and the best one, which starts each run and is
-    the result.  Until a length scale factorizes, the best is ``first``
-    with the penalty.  Reused values equal recomputed ones.
+    the result.  Until a length scale factorizes, the best has the
+    penalty, at the first rung once :meth:`climb` has begun.  Reused values
+    equal recomputed ones.
     """
 
-    def __init__(self, inputs, outputs, kind, orders, penalty, bounds, first):
+    def __init__(self, inputs, outputs, kind, orders, penalty, bounds):
         self.inputs, self.outputs, self.kind, self.orders = inputs, outputs, kind, orders
         self.penalty, self.bounds = penalty, bounds
         self.kept = {}
-        self.best = {"objective": float(penalty @ penalty), "log_theta": first, "key": None}
+        self.best = {"objective": float(penalty @ penalty), "log_theta": None, "key": None}
         self.counts = {"factorizations": 0, "singular_factorizations": 0}
         # Whether the current solver run ends at the wall, and whether it has.
         self.wall = {"stop": False, "reached": False}
@@ -443,7 +444,7 @@ class _Search:
     def fresh(self):
         """A working set of the same search with nothing kept or counted."""
         return _Search(self.inputs, self.outputs, self.kind, self.orders, self.penalty,
-                       self.bounds, None)
+                       self.bounds)
 
     def entry_at(self, theta):
         """The kept entry at ``theta``, factorized first if there is none."""
@@ -503,6 +504,7 @@ class _Search:
         """Probe the ladder's rungs in order.  The rungs lengthen every
         scale, which brings R closer to singular, so the first singular rung
         after a factorizable one ends the ladder."""
+        self.best["log_theta"] = rungs[0]
         factorizable = False
         for log_theta in rungs:
             if self.residuals(log_theta) is not self.penalty:
@@ -543,36 +545,39 @@ class _Search:
 
 class _Helper:
     """The process's one helper thread, started by the first search that
-    posts to it.  One search at a time may use it."""
+    posts to it.  One search at a time may use it, handing over its job
+    through a slot and a semaphore."""
 
     def __init__(self):
         self._idle = threading.Lock()
-        self._posted = threading.Condition()
+        self._posted = threading.Semaphore(0)
         self._job = None
         self._thread = None
 
     def try_post(self, job):
         """Run ``job()`` on the helper thread, in the caller's context (numpy's
         ``errstate`` among it), and return an event set once it has ended;
-        ``None``, and nothing run, when another search holds the helper."""
+        ``None``, and nothing run, when another search holds the helper or
+        its thread cannot be started (the next search tries again)."""
         if not self._idle.acquire(blocking=False):
             return None
+        if self._thread is None:
+            thread = threading.Thread(target=self._serve, name="tailrisk-search", daemon=True)
+            try:
+                thread.start()
+            except RuntimeError:
+                self._idle.release()
+                return None
+            self._thread = thread
         done = threading.Event()
-        with self._posted:
-            if self._thread is None:
-                self._thread = threading.Thread(target=self._serve, name="tailrisk-search",
-                                                daemon=True)
-                self._thread.start()
-            self._job = contextvars.copy_context(), job, done
-            self._posted.notify()
+        self._job = contextvars.copy_context(), job, done
+        self._posted.release()
         return done
 
     def _serve(self):
         while True:
-            with self._posted:
-                while self._job is None:
-                    self._posted.wait()
-                (context, job, done), self._job = self._job, None
+            self._posted.acquire()
+            (context, job, done), self._job = self._job, None
             try:
                 context.run(job)
             except BaseException:
@@ -592,53 +597,46 @@ def _explore(search, rungs, starts):
     """The ladder and the explore runs of :func:`optimize_theta`;
     ``starts[0]`` is filled in from the ladder.
 
-    The caller runs the ladder, then start 0 from the ladder's kept best
-    rung on ``search``, then every start the helper thread has not taken.
-    Each of starts 1 to 4 runs on a working set of its own, which keeps
-    only its best entry once its run ends, and those are absorbed into
-    ``search`` in start order.  When BLAS calls can run side by side and
-    the helper is idle, the helper takes starts 1 to 4 in order from the
-    beginning, as none of them depends on the ladder.  The first error
-    raises: no start begins after it, the raised one is the
-    lowest-numbered failing start's, and it is raised once the helper's
-    run has ended.
+    The caller makes a working set for each of starts 1 to 4, posts their
+    runs to the helper when BLAS calls can run side by side, then runs the
+    ladder and start 0 from the ladder's kept best rung on ``search``.
+    Both threads take the other start numbers in order from one iterator,
+    the helper from the beginning, as no start depends on the ladder.
+    Each set keeps only its best entry once its run ends, and the sets are
+    absorbed into ``search`` in start order.  A failing start drains the
+    iterator, so no start begins after it; the lowest-numbered failing
+    start's error is raised once the helper's run has ended.
     """
-    pending = list(range(1, len(starts)))
-    outcomes = {}  # start number -> its working set, or what its run raised
+    sets = [None] + [search.fresh() for _ in starts[1:]]
+    numbers = iter(range(1, len(starts)))
+    errors = {}
 
-    def run_pending():
-        while pending:
+    def run_starts():
+        for k in numbers:
             try:
-                k = pending.pop(0)
-            except IndexError:  # the other thread took the last one
-                return
-            try:
-                own = search.fresh()
-                own.solve(starts[k], "explore", _EXPLORE_TOLERANCES)
-                own.keep_only()
+                sets[k].solve(starts[k], "explore", _EXPLORE_TOLERANCES)
+                sets[k].keep_only()
             except BaseException as exc:
-                pending.clear()
-                outcomes[k] = exc
-                return
-            outcomes[k] = own
+                errors[k] = exc
+                for _ in numbers:
+                    pass
 
-    done = _HELPER.try_post(run_pending) if CONCURRENT_CALLS > 1 else None
+    done = _HELPER.try_post(run_starts) if CONCURRENT_CALLS > 1 else None
     try:
         search.climb(rungs)
         starts[0] = search.best["log_theta"]
         search.solve(starts[0], "explore", _EXPLORE_TOLERANCES)
         search.keep_only()
-        run_pending()
-    except BaseException:
-        pending.clear()
-        raise
+        run_starts()
     finally:
+        for _ in numbers:
+            pass
         if done is not None:
             done.wait()
-    for k in range(1, len(starts)):
-        if isinstance(outcomes[k], BaseException):
-            raise outcomes[k]
-        search.absorb(outcomes[k])
+    if errors:
+        raise errors[min(errors)]
+    for own in sets[1:]:
+        search.absorb(own)
 
 
 def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
@@ -664,16 +662,17 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     Jacobian is built and keeps the Jacobian instead.  The exponential
     kernel's sort orders are computed once.
 
-    Explore starts 1 to 4 each run with a cache of their own, and their
-    runs, best points and counts are merged in start order, a best point
-    replacing the one before only when strictly lower (:func:`_explore`).
-    The calling thread runs the ladder, start 0, then every start the
-    process's helper thread has not taken; the helper takes starts only
-    when ``_blas.CONCURRENT_CALLS`` is 2 or more and no other search holds
-    it.  As the cache changes no value, the result, ``info`` and the polish
-    do not depend on which thread ran a start.  With the helper, two
-    working sets are live at once, so the search's peak memory is about
-    twice that on one thread.
+    Explore starts 1 to 4 each run on a working set that the calling
+    thread makes, and their runs, best points and counts are merged in
+    start order, a best point replacing the one before only when strictly
+    lower (:func:`_explore`).  The calling thread runs the ladder, start 0,
+    then every start the process's helper thread has not taken; the helper
+    takes starts, as one job, only when ``_blas.CONCURRENT_CALLS`` is 2 or
+    more, no other search holds it and its thread can be started.  As the
+    cache changes no value, the result, ``info`` and the polish do not
+    depend on which thread ran a start.  With the helper, two working sets
+    are live at once, so the search's peak memory is about twice that on
+    one thread.
 
     Length scales whose correlation matrix is numerically singular score
     the penalty of :func:`loo_cv_objective`.  The ladder climbs from short
@@ -717,7 +716,7 @@ def optimize_theta(inputs, outputs, kind="gaussian", seed=0):
     rungs = [log_lo + q * (log_hi - log_lo) for q in np.linspace(0.02, 0.98, 16)]
     penalty = _penalty_residuals(outputs)
     orders = _sort_orders(inputs) if kind == "exponential" else None
-    search = _Search(inputs, outputs, kind, orders, penalty, (log_lo, log_hi), rungs[0])
+    search = _Search(inputs, outputs, kind, orders, penalty, (log_lo, log_hi))
     # The best objective only ever falls, so one finite here stays finite.
     if not np.isfinite(search.best["objective"]):
         raise OptimizationError(

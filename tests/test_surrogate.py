@@ -1078,10 +1078,11 @@ class TestHelperThread:
         assert on_main == [[0, True], [1, False], [2, True]]
 
     def test_an_error_outside_the_solver_run_raises_and_leaves_the_helper_serving(self):
-        # A working set that cannot be made is a start's error like any
-        # other: the search raises it, and the helper serves the next
-        # search.  The second search runs on a daemon thread, so a helper
-        # that stopped serving fails the test instead of stalling it.
+        # An error raised on the helper after a start's solver run has
+        # returned is a start's error like any other: the search raises it,
+        # and the helper serves the next search.  The second search runs on
+        # a daemon thread, so a helper that stopped serving fails the test
+        # instead of stalling it.
         error, raised_on, second, reference = self.run_at_one_blas_thread(
             """
             import json, threading
@@ -1096,20 +1097,21 @@ class TestHelperThread:
                 return [theta.tobytes().hex(), json.dumps(info)]
 
             reference = search()
-            original, raised_on, failed = surrogate._Search.fresh, [], threading.Event()
+            original, raised_on, failed = surrogate._Search.solve, [], threading.Event()
 
-            def fresh(self):
+            def solve(self, *args):
                 if threading.current_thread() is threading.main_thread():
                     # The helper takes start 1 first; the caller waits for
                     # its failure in case it got there before the helper.
                     failed.wait(10.0)
-                elif not raised_on:
+                    return original(self, *args)
+                original(self, *args)
+                if not raised_on:
                     raised_on.append(threading.current_thread().name)
                     failed.set()
                     raise MemoryError("no room for a working set")
-                return original(self)
 
-            surrogate._Search.fresh = fresh
+            surrogate._Search.solve = solve
             try:
                 search()
                 error = None
@@ -1125,6 +1127,73 @@ class TestHelperThread:
         assert error == "MemoryError('no room for a working set')"
         assert raised_on == ["tailrisk-search"]
         assert second == [reference]
+
+    def test_a_helper_thread_that_cannot_start_leaves_every_start_to_the_caller(self):
+        # The first search cannot start the helper thread, so it runs every
+        # start itself and finds what a search with the helper finds; the
+        # next search starts the thread and hands it starts.
+        first, second = self.run_at_one_blas_thread(
+            """
+            import json, threading
+            from tailrisk import Gaussian, InputModel, rastrigin, sample, surrogate
+
+            corr09 = InputModel([Gaussian(0, 2), Gaussian(0, 2)], [[1, 0.9], [0.9, 1]])
+            x = sample(corr09, "mc", 150, seed=4).points
+            y = rastrigin(x)
+            start, solve, names = threading.Thread.start, surrogate._Search.solve, set()
+
+            def failing_start(self):
+                threading.Thread.start = start
+                raise RuntimeError("can't start new thread")
+
+            def recording(self, *args):
+                names.add(threading.current_thread().name)
+                return solve(self, *args)
+
+            threading.Thread.start = failing_start
+            surrogate._Search.solve = recording
+            searches = []
+            for _ in range(2):
+                names.clear()
+                theta, info = surrogate.optimize_theta(x, y, seed=3)
+                searches.append([theta.tobytes().hex(), json.dumps(info), sorted(names)])
+            print(json.dumps(searches))
+            """
+        )
+        assert first[:2] == second[:2]
+        assert first[2] == ["MainThread"]
+        assert "tailrisk-search" in second[2]
+
+    def test_working_sets_are_made_on_the_calling_thread(self):
+        # Only the solver runs of starts 1 to 4 and their trimming go to the
+        # helper; every working set is made before the job is posted.
+        made, solved = self.run_at_one_blas_thread(
+            """
+            import json, threading
+            from tailrisk import Gaussian, InputModel, cross_in_tray, rastrigin, sample, surrogate
+
+            corr09 = InputModel([Gaussian(0, 2), Gaussian(0, 2)], [[1, 0.9], [0.9, 1]])
+            init, solve = surrogate._Search.__init__, surrogate._Search.solve
+            made, solved = set(), set()
+
+            def spy_init(self, *args):
+                made.add(threading.current_thread().name)
+                init(self, *args)
+
+            def spy_solve(self, *args):
+                solved.add(threading.current_thread().name)
+                return solve(self, *args)
+
+            surrogate._Search.__init__, surrogate._Search.solve = spy_init, spy_solve
+            cases = (("gaussian", rastrigin), ("exponential", cross_in_tray), ("gaussian", rastrigin))
+            for seed, (kind, output) in enumerate(cases, 1):
+                train = sample(corr09, "mc", 150, seed=seed)
+                surrogate.optimize_theta(train.points, output(train.points), kind=kind, seed=seed)
+            print(json.dumps([sorted(made), sorted(solved)]))
+            """
+        )
+        assert made == ["MainThread"]
+        assert solved == ["MainThread", "tailrisk-search"]
 
 
 def scipy_trf(fun, x0, **kwargs):
