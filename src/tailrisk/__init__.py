@@ -9,6 +9,39 @@ either by sampling the surrogate directly or by multifidelity importance
 sampling from a confidence-interval-inflated risk region.
 """
 
+import sys
+
+# numpy's ``numpy.random.bit_generator`` runs ``from secrets import
+# randbits`` when it is imported, and ``secrets`` imports ``hmac`` and
+# ``hashlib``, which maps OpenSSL's ``_hashlib``: 3.4 MB of a run's peak
+# memory for nothing a run uses.  So ``numpy.random`` is imported here
+# against a stub ``secrets`` whose ``randbits`` is the stdlib's own,
+# ``random.SystemRandom().getrandbits`` (``random`` needs no OpenSSL), and
+# ``sys.modules["secrets"]`` is restored afterwards.  The costs: while that
+# one import runs, another thread that imports ``secrets`` gets the stub; a
+# host that imported ``numpy.random`` first gains nothing, and the stub is
+# not installed for it; ``fit`` and ``predict`` still load ``hashlib`` for
+# the training digest; and a predict, which uses no ``numpy.random``, pays
+# for importing it here (+2.4 MB).  The stub relies on numpy's one-line
+# import of ``randbits``, which ``pyproject.toml``'s ``numpy<2.5`` pin holds
+# still; ``tests/test_cli.py`` fails when a run loads ``hashlib`` again.
+if "numpy.random" not in sys.modules:
+    import random
+    import types
+
+    _secrets = sys.modules.get("secrets")
+    sys.modules["secrets"] = types.ModuleType("secrets")
+    sys.modules["secrets"].randbits = random.SystemRandom().getrandbits
+    try:
+        import numpy.random
+    finally:
+        if _secrets is None:
+            del sys.modules["secrets"]
+        else:
+            sys.modules["secrets"] = _secrets
+    del _secrets, numpy, random, types
+del sys
+
 from .basis import (
     MultiIndexSet,
     OrthonormalBasis,

@@ -64,7 +64,7 @@ import importlib.util
 import os
 import sys
 import threading
-from ctypes import CDLL, PyDLL, byref, c_double, c_int64, c_size_t, c_void_p
+from ctypes import CDLL, PyDLL, byref, c_char_p, c_double, c_int64, c_size_t, c_void_p
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder, PathFinder
 
 import numpy as np
@@ -78,9 +78,10 @@ _LIBS_DIR = os.path.join(
 
 
 def _routines(names):
-    """:data:`CONCURRENT_CALLS`, and the ILP64 routines ``scipy_<name>_64_``
-    of numpy's bundled OpenBLAS, opened with ``ctypes.CDLL`` when that count
-    is 2 or more and with ``ctypes.PyDLL`` otherwise.
+    """:data:`CONCURRENT_CALLS`, the library, and the ILP64 routines
+    ``scipy_<name>_64_`` of numpy's bundled OpenBLAS, opened with
+    ``ctypes.CDLL`` when that count is 2 or more and with ``ctypes.PyDLL``
+    otherwise.
 
     They get no ``argtypes``: converting a ``dtrmm`` call's 15 arguments
     through them added 1.2 us to it.  The wrappers below check shapes and
@@ -97,7 +98,8 @@ def _routines(names):
     path = os.path.join(_LIBS_DIR, found[0])
     library = PyDLL(path)
     symbols = [f"scipy_{name}_64_" for name in names]
-    for symbol in (*symbols, "scipy_openblas_get_num_threads64_"):
+    for symbol in (*symbols, "scipy_openblas_get_num_threads64_",
+                   "scipy_openblas_get_corename64_"):
         if not hasattr(library, symbol):
             raise ImportError(f"{path} has no symbol {symbol}")
     concurrent = max(1, len(os.sched_getaffinity(0))
@@ -107,13 +109,23 @@ def _routines(names):
     routines = [getattr(library, symbol) for symbol in symbols]
     for routine in routines:
         routine.restype = None
-    return concurrent, routines
+    library.scipy_openblas_get_corename64_.restype = c_char_p
+    return concurrent, library, routines
 
 
-CONCURRENT_CALLS, (_dgemm, _dsymv, _dtrmm, _dtrmv, _dlaset, _dlauum, _dpotrf, _dpotrs,
-                   _dtrtri, _dtrtrs) = _routines(("dgemm", "dsymv", "dtrmm", "dtrmv", "dlaset",
-                                                  "dlauum", "dpotrf", "dpotrs", "dtrtri",
-                                                  "dtrtrs"))
+CONCURRENT_CALLS, _library, (_dgemm, _dsymv, _dtrmm, _dtrmv, _dlaset, _dlauum, _dpotrf,
+                             _dpotrs, _dtrtri, _dtrtrs) = _routines(
+    ("dgemm", "dsymv", "dtrmm", "dtrmv", "dlaset", "dlauum", "dpotrf", "dpotrs", "dtrtri",
+     "dtrtrs"))
+
+
+def blas_environment():
+    """What sets the last bits of a fit besides its inputs: the numpy
+    version, the kernel set OpenBLAS picked for this CPU (its core name, or
+    ``OPENBLAS_CORETYPE``'s) and OpenBLAS's thread count."""
+    return {"numpy": np.__version__,
+            "blas_core": _library.scipy_openblas_get_corename64_().decode(),
+            "blas_threads": _library.scipy_openblas_get_num_threads64_()}
 
 
 # The modules :func:`_extension` loaded, by package: ``{package: {child: module}}``.

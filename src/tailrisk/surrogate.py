@@ -78,12 +78,15 @@ shape, every point is rounded the same way: a point's prediction does not
 depend on the other points in the call, at any basis size, as
 ``basis.evaluate`` is a right-side triangular product with one point per
 row.
+
+:func:`fit` records in the provenance the numpy version, OpenBLAS's kernel
+set and its thread count (``_blas.blas_environment``), and a refused
+artifact's message names the fitting and the loading ones.
 """
 
 from __future__ import annotations
 
 import contextvars
-import hashlib
 import json
 import threading
 from dataclasses import dataclass
@@ -92,6 +95,7 @@ import numpy as np
 
 from ._blas import (
     CONCURRENT_CALLS,
+    blas_environment,
     cdist_cityblock,
     cdist_sqeuclidean,
     dgemm,
@@ -906,6 +910,8 @@ class FittedSurrogate:
         return means, np.maximum(variances, 0.0)
 
     def training_digest(self) -> str:
+        import hashlib  # loaded on first use: a run never hashes, so it maps no OpenSSL
+
         payload = self.training_inputs.tobytes() + self.training_outputs.tobytes()
         return hashlib.sha256(payload).hexdigest()
 
@@ -959,9 +965,14 @@ class FittedSurrogate:
                 if stored.shape != rebuilt.shape or not np.all(
                     np.abs(stored - rebuilt) <= 1e-8 * scale
                 ):
+                    stored_env = surrogate.provenance.get("environment")
+                    fitted = ("the artifact has no record of its BLAS environment"
+                              if not isinstance(stored_env, dict)
+                              else f"fitted with {_described(stored_env)}")
                     raise ArtifactError(
                         f"stored {key} disagree with the rebuilt fit beyond 1e-8 relative "
-                        "(edited, or fit under another BLAS build or thread count)"
+                        "(edited, or fit under another BLAS build, kernel set or thread "
+                        f"count): {fitted}; loading with {_described(blas_environment())}"
                     )
         except KeyError as exc:
             raise ArtifactError(f"surrogate artifact has no {exc.args[0]!r} field") from exc
@@ -986,6 +997,13 @@ class FittedSurrogate:
             return cls.from_dict(payload)
         except ArtifactError as exc:
             raise ArtifactError(f"surrogate artifact {path}: {exc}") from None
+
+
+def _described(environment) -> str:
+    """A :func:`_blas.blas_environment` record as words."""
+    threads = environment.get("blas_threads")
+    return (f"{environment.get('blas_core')} kernels at {threads} BLAS "
+            f"thread{'' if threads == 1 else 's'} under numpy {environment.get('numpy')}")
 
 
 def fit(
@@ -1023,7 +1041,8 @@ def fit(
         samples or a smaller basis.
     """
     x, b = _training_data(training_inputs, training_outputs, basis, mode)
-    provenance = {"kernel_kind": kernel_kind, "mode": mode, "seed": int(seed)}
+    provenance = {"kernel_kind": kernel_kind, "mode": mode, "seed": int(seed),
+                  "environment": blas_environment()}
     kernel = None
     if mode == "chaos_kriging":
         # Rows equal as floats are adjacent once sorted (``np.unique(x,

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import sysconfig
 import textwrap
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import tailrisk
+from tailrisk._blas import blas_environment
 from tailrisk.cli import REPORT_CSV_HEADER, main
 from tailrisk.metrics import mrd
 from tailrisk.models import rastrigin_lf
@@ -859,7 +861,9 @@ class TestFitPredict:
         # without the special package, the top-level scipy or subprocess.
         # At one BLAS thread the LOO search runs explore starts on its one
         # helper thread, which needs no thread pool: a ``--threads 1`` run
-        # runs at most one thread besides the main one.
+        # runs at most one thread besides the main one.  Neither run hashes
+        # anything, so neither loads ``hashlib`` or OpenSSL's ``_hashlib``;
+        # a fit does, for its training digest.
         script = textwrap.dedent(
             f"""
             import os
@@ -877,14 +881,16 @@ class TestFitPredict:
             assert main(["run", "--preset", "example1-corr09", "--trials", "1", "--threads", "1",
                          "--out", str(out / "run")]) == 0
             print("threads", len(os.listdir("/proc/self/task")))
+            assert main(["run", "--preset", "example2", "--trials", "1",
+                         "--out", str(out / "mfis")]) == 0
+            print("hashing", loaded("hashlib", "_hashlib", "hmac"))
+            print(loaded("scipy", "numpy.polynomial"))
             assert main(["fit", "--preset", "example1-corr09", "--out", str(out / "fit")]) == 0
             print(loaded("scipy", "numpy.ma", "numpy.f2py", "numpy.polynomial",
                          "concurrent.futures", "subprocess", "select"))
             assert main(["predict", "--artifact", str(out / "fit" / "surrogate.json"),
                          "--points", str(out / "pts.csv"), "--out", str(out / "p.csv")]) == 0
             print(loaded("scipy.optimize", "scipy.stats"))
-            assert main(["run", "--preset", "example2", "--trials", "1",
-                         "--out", str(out / "mfis")]) == 0
             print(loaded("scipy", "numpy.polynomial"))
             before = set(sys.modules)
             sample(InputModel([Uniform(-1.0, 3.0), Gaussian(0.0, 1.0)]), "mc", 5, 1)
@@ -892,12 +898,14 @@ class TestFitPredict:
             """
         )
         output = run_python(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1").splitlines()
-        packages, solvers, mfis, special = [line for line in output if line.startswith("[")]
+        mfis, packages, solvers, predicted, special = [line for line in output
+                                                        if line.startswith("[")]
         threads = next(int(line.split()[1]) for line in output if line.startswith("threads "))
         assert threads <= 2
+        assert "hashing []" in output
         assert packages == str(["scipy.spatial._distance_pybind"])
         assert solvers == "[]"
-        assert mfis == packages
+        assert mfis == predicted == packages
         assert special == str(["scipy.special._special_ufuncs"])
         assert (tmp_path / "p.csv").exists()
 
@@ -921,6 +929,100 @@ class TestFitPredict:
         assert [(path.parent.name, path.name.startswith("libscipy_openblas64_"))
                 for path in paths] == [("numpy.libs", True)]
         assert not any(path.name.startswith("libscipy_openblas-") for path in paths)
+
+    def test_package_maps_no_openssl_and_keeps_numpys_streams(self):
+        # ``tailrisk`` imports ``numpy.random`` against a stub ``secrets``, so
+        # neither ``hmac`` nor ``hashlib`` nor OpenSSL's ``_hashlib`` loads;
+        # ``secrets`` imported afterwards is the stdlib's, and numpy's
+        # generators give the bits of a process that never imported tailrisk.
+        script = textwrap.dedent(
+            """
+            import sys
+            import tailrisk.cli
+            import numpy as np
+
+            stream = np.random.default_rng(7).random(4).tobytes().hex()
+            assert 0.0 <= np.random.default_rng().random() < 1.0
+            print(sorted(m for m in ("_hashlib", "hashlib", "hmac") if m in sys.modules))
+            print(stream)
+            import secrets
+            print(secrets.__file__)
+            """
+        )
+        unloaded, stream, secrets_file = run_python(script).splitlines()
+        plain = subprocess.run(
+            [sys.executable, "-c",
+             "import numpy as np; print(np.random.default_rng(7).random(4).tobytes().hex())"],
+            check=True, capture_output=True, text=True, timeout=300,
+        ).stdout.strip()
+        assert unloaded == "[]"
+        assert stream == plain
+        assert secrets_file == os.path.join(sysconfig.get_path("stdlib"), "secrets.py")
+
+    def test_host_that_imported_numpy_random_first_keeps_stdlib_secrets(self):
+        # Such a host gains nothing: numpy loaded the stdlib ``secrets``,
+        # and ``tailrisk`` installs no stub.
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy.random
+            import tailrisk.cli
+
+            print(sys.modules["secrets"].__file__)
+            """
+        )
+        stdlib = os.path.join(sysconfig.get_path("stdlib"), "secrets.py")
+        assert run_python(script).strip() == stdlib
+
+    def test_fit_records_its_blas_environment(self, fast_config, tmp_path):
+        assert run_cli("fit", "--config", fast_config, "--out", tmp_path / "fit") == 0
+        payload = json.loads((tmp_path / "fit" / "surrogate.json").read_text())
+        assert payload["provenance"]["environment"] == blas_environment()
+        assert set(blas_environment()) == {"numpy", "blas_core", "blas_threads"}
+        assert run_cli("run", "--config", fast_config, "--trials", "2",
+                       "--out", tmp_path / "run") == 0
+        report = (tmp_path / "run" / "report.json").read_text()
+        assert "environment" not in report and "blas_core" not in report
+
+    @pytest.mark.skipif(not Path("/proc/cpuinfo").exists(), reason="reads /proc/cpuinfo")
+    def test_refused_artifact_names_both_kernel_sets(self, tmp_path):
+        # An edited coefficient is refused at any kernel set; the message
+        # names the one the artifact was fit with and the loading one.
+        flags = Path("/proc/cpuinfo").read_text().split()
+        if "avx2" not in flags or blas_environment()["blas_core"] == "Haswell":
+            pytest.skip("needs an AVX2 CPU whose own OpenBLAS kernel set is not Haswell")
+        fitting = textwrap.dedent(
+            f"""
+            import json
+            from pathlib import Path
+            from tailrisk._blas import blas_environment
+            from tailrisk.cli import main
+
+            out = Path({str(tmp_path)!r})
+            assert main(["fit", "--preset", "example1-corr09", "--out", str(out)]) == 0
+            payload = json.loads((out / "surrogate.json").read_text())
+            payload["coefficients"][0] += 1e-6 * max(map(abs, payload["coefficients"]))
+            (out / "edited.json").write_text(json.dumps(payload))
+            print(blas_environment()["blas_core"])
+            """
+        )
+        core = run_python(fitting, OPENBLAS_NUM_THREADS="1").splitlines()[-1]
+        loading = textwrap.dedent(
+            f"""
+            from tailrisk.exceptions import ArtifactError
+            from tailrisk.surrogate import FittedSurrogate
+
+            try:
+                FittedSurrogate.load({str(tmp_path / "edited.json")!r})
+            except ArtifactError as exc:
+                print(exc)
+            """
+        )
+        message = run_python(loading, OPENBLAS_NUM_THREADS="1",
+                             OPENBLAS_CORETYPE="Haswell").strip()
+        assert "kernel set" in message
+        assert f"fitted with {core} kernels at 1 BLAS thread" in message
+        assert "loading with Haswell kernels at 1 BLAS thread" in message
 
     def test_scipy_packages_imported_after_a_run_work(self, tmp_path):
         # ``_blas`` loads SciPy's modules without their packages; a package
